@@ -92,21 +92,10 @@ type (
 	Robustness = metrics.Robustness
 )
 
-// Region-parallel execution engine (see Scenario.Engine and DESIGN.md §15):
-// the field is partitioned into grid regions that execute concurrently
-// under a conservative protocol, bit-identical to the serial engine.
-type (
-	// ParallelOptions groups the execution-engine knobs of a Scenario:
-	// worker count and region grid. The zero value is the serial engine.
-	ParallelOptions = experiment.ParallelOptions
-	// SimStats reports one scheduler's throughput counters; for a parallel
-	// session, Session.Stats merges them over the regions.
-	SimStats = sim.Stats
-	// RegionStats is one region's share of a parallel run: its scheduler
-	// counters plus the border-protocol counters (edges executed, messages
-	// sent, horizon stalls).
-	RegionStats = sim.RegionStats
-)
+// SimStats reports the scheduler's throughput counters for a session
+// (Session.Stats): events processed, peak queue depth, wall time inside
+// the event loop and events per second.
+type SimStats = sim.Stats
 
 // Fault-injection layer: deterministic node crashes, link degradation and
 // bursty channel loss, injected as ordinary simulator events (see
@@ -275,7 +264,7 @@ func RandomTopology(n int, side, txRange float64, seed uint64) (*Topology, error
 
 // ScaledField returns the field edge length that keeps the paper's node
 // density for n nodes — the deployment scaling used by the 10k–100k-node
-// parallel-engine benchmarks (see cmd/topogen -side 0).
+// scale runs (see cmd/topogen -side 0).
 func ScaledField(n int) float64 { return topology.ScaledField(n) }
 
 // PaperRandomTopology returns the paper's random deployment: 200 nodes,

@@ -4,7 +4,7 @@
 //
 //	go run ./cmd/benchreport            # writes BENCH_pr10.json
 //	go run ./cmd/benchreport -o out.json
-//	go run ./cmd/benchreport -scale=false   # skip the 10k/100k-node runs
+//	go run ./cmd/benchreport -scale=false   # skip the 10k/100k-node construction runs
 //
 // The report carries ns/op, bytes/op, allocs/op and (where meaningful)
 // simulator events per second for each benchmark, alongside eight frozen
@@ -29,15 +29,10 @@
 // payloads — the coordinator's own (non-compute) cost per composed
 // sweep.
 //
-// The scale section runs a single 10k-node session on the serial and the
-// region-parallel engine and records the data-phase wall-clock ratio —
-// the >=3x-at-8-workers target. The ratio is only meaningful on a
-// multi-core host (num_cpu in the report says what it ran on; the engine
-// clamps its workers to GOMAXPROCS, so a single-core host measures the
-// conservative protocol's overhead, not its speedup). It also times bare
-// session construction at 10k and 100k nodes and records the session's
-// live-heap bytes per node — the O(n·density) guarantee the slot-indexed
-// mark layout is responsible for.
+// The scale section times bare session construction at 10k and 100k
+// nodes and records the session's live-heap bytes per node — the
+// O(n·density) guarantee the slot-indexed mark layout is responsible for.
+// Single-run wall time at 10k nodes is the bench/ scale-10k workload.
 // Each benchmark self-scales to roughly one second of run time.
 package main
 
@@ -105,10 +100,9 @@ type Report struct {
 	// below 0.97 blow the budget), since inactive mobility takes the
 	// unchanged shared-link-table path.
 	SpeedupPR5 float64 `json:"sweep_speedup_vs_pr5"`
-	// SpeedupPR6 is the serial regression gauge for the parallel engine:
-	// a serial scenario (Engine zero) takes the unchanged single-simulator
-	// path, so the Figure-5 sweep must stay within 3% of PR 6 (values
-	// below 0.97 blow the budget).
+	// SpeedupPR6 is the serial regression gauge for PR 7's changes (the
+	// sparse neighbor table): the Figure-5 sweep must stay within 3% of
+	// PR 6 (values below 0.97 blow the budget).
 	SpeedupPR6 float64 `json:"sweep_speedup_vs_pr6"`
 	// SpeedupPR7 is the serial regression gauge for the slot-indexed mark
 	// layout: representation-only changes on the protocol hot path, so the
@@ -127,10 +121,6 @@ type Report struct {
 	// the registry formalised), so the Figure-5 sweep must stay within 3%
 	// of PR 9 (values below 0.97 blow the budget).
 	SpeedupPR9 float64 `json:"sweep_speedup_vs_pr9"`
-	// Speedup10k is the parallel engine's headline: wall-clock of the
-	// serial 10k-node data phase over the 8-worker parallel one (the >=3x
-	// target — meaningful only on a multi-core host, see num_cpu).
-	Speedup10k float64 `json:"parallel_speedup_10k,omitempty"`
 }
 
 // baseline is the original pre-optimisation measurement set, recorded on
@@ -193,8 +183,8 @@ var baselinePR5 = []Measurement{
 // baselinePR6 is the previous release's measurement set (mobility
 // subsystem and incremental link table in place), recorded immediately
 // before the region-parallel conservative engine and the sparse neighbor
-// table. The parallel engine's serial budget — a serial run may cost
-// these benchmarks at most 3% — is checked against this set. Re-recorded
+// table. PR 7's serial budget — a serial run may cost these benchmarks
+// at most 3% — is checked against this set. Re-recorded
 // by re-running the PR-6 commit's benchreport on the host that produced
 // BENCH_pr7.json, so the serial-budget ratio is an apples-to-apples
 // same-machine comparison (BENCH_pr6.json's numbers came from a faster
@@ -216,11 +206,7 @@ var baselinePR6 = []Measurement{
 // engine and sparse neighbor table in place), recorded immediately before
 // the slot-indexed per-session mark layout and the sparse protocol
 // scratch. Re-measured on the host that produces BENCH_pr8.json, so the
-// < 3% serial budget is an apples-to-apples same-machine comparison. The
-// 10k entries carry only wall time and events/sec (that harness does not
-// run under testing.Benchmark), and the parallel ratio below 1 reflects
-// the recording host being single-core — the conservative protocol's
-// overhead with no cores to amortise it.
+// < 3% serial budget is an apples-to-apples same-machine comparison.
 var baselinePR7 = []Measurement{
 	{Name: "GroupSizeSweep/workers=1", NsPerOp: 168734555, BytesPerOp: 8886038, AllocsPerOp: 30901, EventsPerSec: 12303478},
 	{Name: "Fig6RandomOverhead/MTMRP", NsPerOp: 25421401, BytesPerOp: 6573620, AllocsPerOp: 16671, EventsPerSec: 6718695},
@@ -232,9 +218,6 @@ var baselinePR7 = []Measurement{
 	{Name: "LinkTableMove/200nodes", NsPerOp: 16879, BytesPerOp: 26, AllocsPerOp: 0},
 	{Name: "FaultSweep/workers=1", NsPerOp: 34284155, BytesPerOp: 4423096, AllocsPerOp: 15725, EventsPerSec: 13383910},
 	{Name: "MobilitySweep/workers=1", NsPerOp: 52228936, BytesPerOp: 5316588, AllocsPerOp: 19276, EventsPerSec: 9349228},
-	{Name: "BorderCrossing", NsPerOp: 206, BytesPerOp: 0, AllocsPerOp: 0},
-	{Name: "ParallelRun10k/serial", NsPerOp: 343559388, EventsPerSec: 8688737},
-	{Name: "ParallelRun10k/workers=8", NsPerOp: 724061095, EventsPerSec: 4122714},
 }
 
 // baselinePR8 is the previous release's measurement set (slot-indexed
@@ -242,8 +225,7 @@ var baselinePR7 = []Measurement{
 // before the content-addressed sweep service. Re-measured on the host
 // that produces BENCH_pr9.json (the serving layer left the serial library
 // path untouched), so the < 3% serial budget is an apples-to-apples
-// same-machine comparison. The parallel ratio below 1 again reflects the
-// recording host's limited cores.
+// same-machine comparison.
 var baselinePR8 = []Measurement{
 	{Name: "GroupSizeSweep/workers=1", NsPerOp: 175755486, BytesPerOp: 8837793, AllocsPerOp: 31686, EventsPerSec: 11811989},
 	{Name: "Fig6RandomOverhead/MTMRP", NsPerOp: 25464783, BytesPerOp: 6487583, AllocsPerOp: 17737, EventsPerSec: 6708614},
@@ -255,9 +237,6 @@ var baselinePR8 = []Measurement{
 	{Name: "LinkTableMove/200nodes", NsPerOp: 23856, BytesPerOp: 37, AllocsPerOp: 0},
 	{Name: "FaultSweep/workers=1", NsPerOp: 42544540, BytesPerOp: 4370124, AllocsPerOp: 16323, EventsPerSec: 10786818},
 	{Name: "MobilitySweep/workers=1", NsPerOp: 52490603, BytesPerOp: 5267254, AllocsPerOp: 19876, EventsPerSec: 9302635},
-	{Name: "BorderCrossing", NsPerOp: 172, BytesPerOp: 0, AllocsPerOp: 0},
-	{Name: "ParallelRun10k/serial", NsPerOp: 388667626, EventsPerSec: 7680334},
-	{Name: "ParallelRun10k/workers=8", NsPerOp: 674096530, EventsPerSec: 4428293},
 	{Name: "SessionConstruct10k", NsPerOp: 7400824, HeapBytesPerNode: 1230},
 	{Name: "SessionConstruct100k", NsPerOp: 97077916, HeapBytesPerNode: 1228},
 }
@@ -278,20 +257,17 @@ var baselinePR9 = []Measurement{
 	{Name: "LinkTableMove/200nodes", NsPerOp: 18910, BytesPerOp: 27, AllocsPerOp: 0},
 	{Name: "FaultSweep/workers=1", NsPerOp: 36387752, BytesPerOp: 4366016, AllocsPerOp: 16316, EventsPerSec: 12611151},
 	{Name: "MobilitySweep/workers=1", NsPerOp: 47361314, BytesPerOp: 5257479, AllocsPerOp: 19876, EventsPerSec: 10324532},
-	{Name: "BorderCrossing", NsPerOp: 176, BytesPerOp: 0, AllocsPerOp: 0},
 	{Name: "ServiceCacheHit", NsPerOp: 1484, BytesPerOp: 568, AllocsPerOp: 10},
 	{Name: "ServiceStoreHit", NsPerOp: 2578, BytesPerOp: 1328, AllocsPerOp: 13},
 	{Name: "ServiceSweepMiss", NsPerOp: 22584569, BytesPerOp: 122734, AllocsPerOp: 414},
 	{Name: "SingleflightContention", NsPerOp: 153, BytesPerOp: 176, AllocsPerOp: 2},
-	{Name: "ParallelRun10k/serial", NsPerOp: 440275430, EventsPerSec: 6780067},
-	{Name: "ParallelRun10k/workers=8", NsPerOp: 723010761, EventsPerSec: 4128703},
 	{Name: "SessionConstruct10k", NsPerOp: 9133610, HeapBytesPerNode: 1230},
 	{Name: "SessionConstruct100k", NsPerOp: 87681388, HeapBytesPerNode: 1228},
 }
 
 func main() {
 	out := flag.String("o", "BENCH_pr10.json", "output file")
-	scale := flag.Bool("scale", true, "run the 10k-node serial-vs-parallel comparison")
+	scale := flag.Bool("scale", true, "time session construction at 10k and 100k nodes")
 	flag.Parse()
 
 	rep := Report{
@@ -513,14 +489,6 @@ func main() {
 		}
 	})
 
-	// The cross-region synchronization hot path, in isolation: one op is a
-	// border message through the conservative protocol (mirrors
-	// BenchmarkBorderCrossing in internal/sim).
-	run("BorderCrossing", nil, func(b *testing.B) {
-		b.ReportAllocs()
-		benchBorderCrossing(b)
-	})
-
 	// The serving layer (first measured in PR 9, so no earlier baseline
 	// entries). ServiceCacheHit is the full serve path for a cached sweep:
 	// canonicalize, hash, LRU lookup — the sub-millisecond promise.
@@ -695,16 +663,6 @@ func main() {
 	}
 
 	if *scale {
-		s10k, p10k, err := scale10k()
-		if err != nil {
-			fatal(err)
-		}
-		rep.Current = append(rep.Current, s10k, p10k)
-		if p10k.NsPerOp > 0 {
-			rep.Speedup10k = s10k.NsPerOp / p10k.NsPerOp
-		}
-		fmt.Fprintf(os.Stderr, "benchreport: 10k data phase serial %.0f ms, 8 workers %.0f ms (%.2fx, %d cpus)\n",
-			s10k.NsPerOp/1e6, p10k.NsPerOp/1e6, rep.Speedup10k, runtime.NumCPU())
 		for _, n := range []int{10_000, 100_000} {
 			m, err := sessionConstruct(n)
 			if err != nil {
@@ -735,96 +693,8 @@ func main() {
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("benchreport: wrote %s (sweep %.0f ms/op, %.2fx vs pre-opt, %.3fx vs pr8, %.3fx vs pr9, 10k parallel %.2fx, %d allocs/op)\n",
-		*out, sweep.NsPerOp/1e6, rep.Speedup, rep.SpeedupPR8, rep.SpeedupPR9, rep.Speedup10k, sweep.AllocsPerOp)
-}
-
-// benchBorderCrossing is the body of the BorderCrossing measurement: a
-// two-region ping-pong where every retired edge re-arms the opposite
-// region, so one op is one border message end to end (inbox Send, heap
-// drain, both timed edges, NET/EOT publication).
-func benchBorderCrossing(b *testing.B) {
-	const delta = sim.Time(1000)
-	e := sim.NewEngine(sim.EngineConfig{
-		Regions:   2,
-		Neighbors: [][]int{{1}, {0}},
-		Lookahead: delta,
-	})
-	limit := uint64(b.N)
-	for r := 0; r < 2; r++ {
-		r := r
-		e.SetBorderHandler(r, func(m sim.BorderMsg, end bool) {
-			if end || m.Key.PSeq >= limit {
-				return
-			}
-			now := e.Region(r).Now()
-			e.Send(1-r, sim.BorderMsg{
-				To: 0, Kind: sim.BorderFrame,
-				T0: now + delta, T1: now + delta + 1,
-				Key: sim.BorderKey{PAt: now, PRegion: int32(r), PSeq: m.Key.PSeq + 1},
-			})
-			e.NoteSent(r)
-		})
-	}
-	b.ResetTimer()
-	e.Send(0, sim.BorderMsg{To: 0, Kind: sim.BorderFrame, T0: delta, T1: delta + 1,
-		Key: sim.BorderKey{PAt: 0, PRegion: 1, PSeq: 1}})
-	e.Run(2)
-	if got := e.Processed(); got < 2*uint64(b.N) {
-		b.Fatalf("retired %d edges, want at least %d", got, 2*b.N)
-	}
-}
-
-// scale10k runs one 10k-node session on the serial engine and one on the
-// region-parallel engine at 8 workers, timing only the data phase (session
-// construction, HELLO and discovery are engine-independent). Both
-// measurements land in the report; their ratio is Speedup10k.
-func scale10k() (serial, parallel Measurement, err error) {
-	n := 10000
-	fmt.Fprintf(os.Stderr, "benchreport: building the %d-node deployment...\n", n)
-	topo, err := mtmrp.RandomTopology(n, mtmrp.ScaledField(n), 40, 7)
-	if err != nil {
-		return serial, parallel, err
-	}
-	links := mtmrp.NewLinkTable(topo)
-	rcv, err := mtmrp.PickReceivers(topo, 0, 50, 8)
-	if err != nil {
-		return serial, parallel, err
-	}
-	measure := func(name string, workers int) (Measurement, error) {
-		fmt.Fprintf(os.Stderr, "benchreport: running %s...\n", name)
-		s, err := mtmrp.NewSession(mtmrp.Scenario{
-			Topo: topo, Source: 0, Receivers: rcv, Protocol: mtmrp.MTMRP,
-			Seed: 7, Links: links,
-			Traffic: mtmrp.TrafficOptions{DataPackets: 30},
-			Engine:  mtmrp.ParallelOptions{Workers: workers},
-		})
-		if err != nil {
-			return Measurement{}, err
-		}
-		s.RunHello()
-		s.RunDiscovery(0)
-		before := s.Events()
-		start := time.Now()
-		if _, err := s.RunData(0); err != nil {
-			return Measurement{}, err
-		}
-		elapsed := time.Since(start)
-		m := Measurement{
-			Name:       name,
-			NsPerOp:    float64(elapsed.Nanoseconds()),
-			Iterations: 1,
-		}
-		if elapsed > 0 {
-			m.EventsPerSec = float64(s.Events()-before) / elapsed.Seconds()
-		}
-		return m, nil
-	}
-	if serial, err = measure("ParallelRun10k/serial", 0); err != nil {
-		return serial, parallel, err
-	}
-	parallel, err = measure("ParallelRun10k/workers=8", 8)
-	return serial, parallel, err
+	fmt.Printf("benchreport: wrote %s (sweep %.0f ms/op, %.2fx vs pre-opt, %.3fx vs pr8, %.3fx vs pr9, %d allocs/op)\n",
+		*out, sweep.NsPerOp/1e6, rep.Speedup, rep.SpeedupPR8, rep.SpeedupPR9, sweep.AllocsPerOp)
 }
 
 // sessionConstruct times bare session construction at n nodes and records

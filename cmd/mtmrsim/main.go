@@ -3,7 +3,7 @@
 //
 //	mtmrsim -topo grid -proto mtmrp -receivers 20 -seed 7 -snapshot
 //	mtmrsim -topo random -nodes 200 -proto odmrp -receivers 15
-//	mtmrsim -topo random -nodes 10000 -side 0 -receivers 50 -workers 8 -stats
+//	mtmrsim -topo random -nodes 10000 -side 0 -receivers 50 -stats
 //
 // Protocols: mtmrp, mtmrp-nophs, dodmrp, odmrp, flood.
 package main
@@ -35,8 +35,6 @@ func main() {
 		rounds   = flag.Int("rounds", 0, "discovery rounds before sending data (0 = protocol default)")
 		snapshot = flag.Bool("snapshot", false, "render the forwarder field")
 		stats    = flag.Bool("stats", false, "print simulator throughput stats (events/sec, peak queue depth)")
-		workers  = flag.Int("workers", 0, "run on the region-parallel engine with this many workers (0 = serial)")
-		regions  = flag.Int("regions", 0, "region grid for -workers (regions x regions cells, 0 = derive from workers)")
 		verbose  = flag.Bool("v", false, "print per-type transmission counts and per-phase event totals")
 		traceOut = flag.String("trace", "", "write a JSONL event log to this file (see traceview)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -50,8 +48,7 @@ func main() {
 		os.Exit(1)
 	}
 	if err := run(*topoKind, *topoFile, *nodes, *side, *txRange, *protoArg, *rcvCount,
-		*seed, *nParam, *deltaMs, *packets, *rounds, *workers, *regions,
-		*snapshot, *stats, *verbose, *traceOut); err != nil {
+		*seed, *nParam, *deltaMs, *packets, *rounds, *snapshot, *stats, *verbose, *traceOut); err != nil {
 		fmt.Fprintln(os.Stderr, "mtmrsim:", err)
 		stopProf() // flush profiles on the error path too; defers skip os.Exit
 		os.Exit(1)
@@ -60,7 +57,7 @@ func main() {
 }
 
 func run(topoKind, topoFile string, nodes int, side, txRange float64, protoArg string,
-	rcvCount int, seed uint64, nParam int, deltaMs float64, packets, rounds, workers, regions int,
+	rcvCount int, seed uint64, nParam int, deltaMs float64, packets, rounds int,
 	snapshot, stats, verbose bool, traceOut string) error {
 
 	if side <= 0 {
@@ -103,10 +100,6 @@ func run(topoKind, topoFile string, nodes int, side, txRange float64, protoArg s
 		N:         nParam,
 		Delta:     mtmrp.Duration(deltaMs * float64(mtmrp.Millisecond)),
 		Seed:      seed,
-		Engine:    mtmrp.ParallelOptions{Workers: workers, RegionGrid: regions},
-		// The phases below send -packets explicitly; the scenario field
-		// sizes the parallel metrics tables at session build.
-		Traffic: mtmrp.TrafficOptions{DataPackets: packets},
 	}
 	if traceOut != "" {
 		f, err := os.Create(traceOut)
@@ -166,12 +159,6 @@ func run(topoKind, topoFile string, nodes int, side, txRange float64, protoArg s
 		fmt.Printf("peak queue depth:        %d\n", st.MaxPending)
 		fmt.Printf("event-loop wall time:    %s\n", st.RunWall)
 		fmt.Printf("throughput:              %.0f events/sec\n", st.EventsPerSec)
-		// Parallel runs get the per-region breakdown of those merged totals:
-		// each region's scheduler counters plus the border-protocol traffic.
-		for i, rs := range s.RegionStats() {
-			fmt.Printf("region %-2d:               events=%d border=%d sent=%d stalls=%d\n",
-				i, rs.Sim.Processed, rs.BorderEvents, rs.BorderSent, rs.Stalls)
-		}
 		mem.report(topo.N())
 	}
 	if snapshot {

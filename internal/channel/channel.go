@@ -156,13 +156,6 @@ type Channel struct {
 	OnAir func(from int, p *packet.Packet)
 	// OnDeliver, if set, observes every successful reception.
 	OnDeliver func(to int, p *packet.Packet)
-
-	// Parallel-engine wiring (zero in the serial engine). A shard owns the
-	// nodes of one region: fan links to other regions leave through the
-	// engine as border messages instead of the local batch (border.go).
-	engine   *sim.Engine
-	region   int32
-	regionOf []int32
 }
 
 // New builds a channel over the given node positions, computing a private
@@ -472,19 +465,10 @@ func (c *Channel) transmitInto(i int, p *packet.Packet) sim.Time {
 	rxl := c.links.rx[i]
 	ri := 0
 	refs := int32(1) // the tx-end event
-	now := c.sim.Now()
-	for k, l := range c.links.cs[i] {
+	for _, l := range c.links.cs[i] {
 		inRX := ri < len(rxl) && rxl[ri].to == l.to
 		if inRX {
 			ri++
-		}
-		// Parallel shard: links crossing the region border leave through
-		// the engine; the receiving shard replays the same carrier/arrival
-		// edges at the same timestamps (border.go). The sender holds no
-		// reference for them — the message carries its own deep copy.
-		if c.regionOf != nil && c.regionOf[l.to] != c.region {
-			c.sendBorder(l, p, now, dur, k, inRX && c.decodable(l))
-			continue
 		}
 		// The loss model sits after decodability: a frame the PHY could
 		// decode is corrupted link by link (chain step + degradation

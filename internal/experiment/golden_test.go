@@ -36,7 +36,7 @@ type goldenRun struct {
 // substreams, the same Scenario fields. Any drift in topology adjacency
 // order, link order, receiver draws, or event ordering shows up here as a
 // metrics mismatch.
-func goldenScenario(t *testing.T, kind TopoKind, size, run int, p Protocol, eng ParallelOptions) goldenRun {
+func goldenScenario(t *testing.T, kind TopoKind, size, run int, p Protocol) goldenRun {
 	t.Helper()
 	label := roundLabel(kind, size, run)
 	round := rng.New(2010).Derive(label)
@@ -51,8 +51,7 @@ func goldenScenario(t *testing.T, kind TopoKind, size, run int, p Protocol, eng 
 	out, err := Run(Scenario{
 		Topo: topo, Source: 0, Receivers: rcv, Protocol: p,
 		N: 4, Delta: sim.Millisecond,
-		Seed:   round.Derive("run").Uint64(),
-		Engine: eng,
+		Seed: round.Derive("run").Uint64(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +61,7 @@ func goldenScenario(t *testing.T, kind TopoKind, size, run int, p Protocol, eng 
 		Topo:     kind.String(),
 		Size:     size,
 		Run:      run,
-		Events:   out.Net.Processed(),
+		Events:   out.Net.Sim.Processed(),
 		Result:   out.Result,
 	}
 }
@@ -100,11 +99,11 @@ func TestGoldenFig5Cell(t *testing.T) {
 	var got []goldenRun
 	for _, p := range AllProtocols {
 		for run := 0; run < 2; run++ {
-			got = append(got, goldenScenario(t, GridTopo, 20, run, p, ParallelOptions{}))
+			got = append(got, goldenScenario(t, GridTopo, 20, run, p))
 		}
 	}
 	for _, p := range AllProtocols {
-		got = append(got, goldenScenario(t, RandomTopo, 15, 0, p, ParallelOptions{}))
+		got = append(got, goldenScenario(t, RandomTopo, 15, 0, p))
 	}
 
 	path := filepath.Join("testdata", "golden_fig5.json")
@@ -137,46 +136,6 @@ func TestGoldenFig5Cell(t *testing.T) {
 	for i := range want {
 		if !reflect.DeepEqual(want[i], got[i]) {
 			t.Errorf("golden mismatch for %s %s size=%d run=%d:\n want %+v\n  got %+v",
-				want[i].Protocol, want[i].Topo, want[i].Size, want[i].Run, want[i], got[i])
-		}
-	}
-}
-
-// TestGoldenFig5CellParallel replays the exact pinned cells of
-// TestGoldenFig5Cell on the region-parallel engine: the golden file is the
-// serial engine's word, and the parallel engine must reproduce it bit for
-// bit — Result and executed-event count included — at 4 workers on a 3×3
-// region grid. This is the golden half of the bit-identity pin (the
-// differential half is TestParallelMatchesSerial).
-func TestGoldenFig5CellParallel(t *testing.T) {
-	if *updateGolden {
-		t.Skip("golden files are written by the serial run")
-	}
-	eng := ParallelOptions{Workers: 4, RegionGrid: 3}
-	var got []goldenRun
-	for _, p := range AllProtocols {
-		for run := 0; run < 2; run++ {
-			got = append(got, goldenScenario(t, GridTopo, 20, run, p, eng))
-		}
-	}
-	for _, p := range AllProtocols {
-		got = append(got, goldenScenario(t, RandomTopo, 15, 0, p, eng))
-	}
-
-	data, err := os.ReadFile(filepath.Join("testdata", "golden_fig5.json"))
-	if err != nil {
-		t.Fatalf("golden: %v (run with -update on a known-good tree first)", err)
-	}
-	var want []goldenRun
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(got) {
-		t.Fatalf("golden: %d pinned runs, produced %d", len(want), len(got))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Errorf("parallel golden mismatch for %s %s size=%d run=%d:\n want %+v\n  got %+v",
 				want[i].Protocol, want[i].Topo, want[i].Size, want[i].Run, want[i], got[i])
 		}
 	}

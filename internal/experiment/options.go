@@ -94,30 +94,6 @@ func (m *MobilityOptions) active() bool {
 	return m.Model != mobility.None || m.Trace != nil
 }
 
-// ParallelOptions groups the execution-engine knobs of a Scenario
-// (Scenario.Engine). The zero value runs the ordinary serial simulator —
-// every existing experiment is byte-identical with the group absent. A
-// positive Workers switches the session to the region-parallel
-// conservative engine: the field is partitioned into a grid of regions,
-// each with its own event queue, and regions execute concurrently while
-// staying bit-identical to the serial run (see DESIGN.md §15). Parallel
-// execution requires the CSMA MAC and excludes the serial-only realism
-// knobs (shadowing, loss, fault schedules, mobility, tracing); NewSession
-// rejects the combinations.
-type ParallelOptions struct {
-	// Workers is the number of OS threads driving regions (0 = serial
-	// engine; the engine clamps to the region count at run time).
-	Workers int
-	// RegionGrid partitions the field into RegionGrid×RegionGrid cells
-	// (before zero-delay merging); 0 derives a grid from Workers, aiming
-	// for a few regions per worker so the conservative protocol has slack
-	// to balance load.
-	RegionGrid int
-}
-
-// active reports whether the scenario runs on the parallel engine.
-func (e *ParallelOptions) active() bool { return e.Workers > 0 }
-
 // normalize merges the deprecated flat Scenario fields into the grouped
 // options, applies the documented defaults, and mirrors the canonical
 // values back onto the flat aliases so readers of either spelling agree.
@@ -200,28 +176,6 @@ func (sc *Scenario) validate() error {
 		}
 		if tr := sc.Mobility.Trace; tr != nil && tr.N() != sc.Topo.N() {
 			return ErrMobilityTrace
-		}
-	}
-	if sc.Engine.active() {
-		// The parallel engine shards execution per region; everything that
-		// draws from a run-global sequential resource — the shadowing and
-		// loss random streams, the global fault clock, motion over a shared
-		// mutable link table, the global-order trace log — is serial-only.
-		// validate runs before normalize, so check both option spellings.
-		if sc.Radio.MAC != network.MACCSMA || sc.MAC != network.MACCSMA {
-			return ErrParallelMAC
-		}
-		if sc.Radio.ShadowingSigmaDB != 0 || sc.ShadowingSigmaDB != 0 {
-			return ErrParallelSerialOnly
-		}
-		if sc.Faults.Schedule != nil || sc.Faults.Loss != nil {
-			return ErrParallelSerialOnly
-		}
-		if sc.Mobility.active() {
-			return ErrParallelSerialOnly
-		}
-		if sc.TraceWriter != nil {
-			return ErrParallelSerialOnly
 		}
 	}
 	return nil

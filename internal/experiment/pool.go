@@ -52,9 +52,7 @@ func NewSessionPool() *SessionPool {
 // drivers extract their metrics before the next round, which satisfies
 // this by construction.
 func (p *SessionPool) Run(sc Scenario) (*Outcome, error) {
-	// Parallel sessions are also unpooled: a region plan is baked into
-	// every layer at construction and Reset cannot rewind it.
-	if sc.TraceWriter != nil || sc.Proto != nil || sc.Core != nil || sc.Topo == nil || sc.Engine.active() {
+	if sc.TraceWriter != nil || sc.Proto != nil || sc.Core != nil || sc.Topo == nil {
 		return Run(sc)
 	}
 	// Key off the normalized shape so the grouped and flat option

@@ -92,9 +92,6 @@ type Scenario struct {
 	// Mobility moves nodes during the paced data phase (zero = the
 	// paper's static field).
 	Mobility MobilityOptions
-	// Engine selects the execution engine (zero = serial; Workers > 0
-	// runs the session on the region-parallel conservative engine).
-	Engine ParallelOptions
 
 	// MAC and DisableCollisions select the channel realism.
 	//
@@ -165,18 +162,6 @@ var (
 	// ErrMobilityTrace rejects a motion trace that does not cover exactly
 	// the topology's nodes.
 	ErrMobilityTrace = errors.New("experiment: mobility trace does not match topology size")
-	// ErrParallelMAC rejects a parallel scenario on anything but the CSMA
-	// MAC: the conservative engine's lookahead floor is the CSMA reaction
-	// time, and the ideal MAC transmits synchronously inside the receive
-	// path.
-	ErrParallelMAC = errors.New("experiment: the parallel engine requires the CSMA MAC")
-	// ErrParallelSerialOnly rejects parallel scenarios using a serial-only
-	// feature: shadowing, the loss model, fault schedules, mobility, or
-	// trace logging.
-	ErrParallelSerialOnly = errors.New("experiment: shadowing/loss/faults/mobility/tracing are serial-only")
-	// ErrParallelReset rejects Session.Reset on a parallel session; pools
-	// build a fresh session per parallel run instead.
-	ErrParallelReset = errors.New("experiment: parallel sessions do not support Reset")
 )
 
 // Outcome bundles the metrics of one run with the session bookkeeping the

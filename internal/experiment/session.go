@@ -82,25 +82,6 @@ func NewSession(sc Scenario) (*Session, error) {
 		dyn = channel.NewDynamicLinkTable(sc.Topo.Positions, cfg.Radio)
 		cfg.Links = dyn.Table()
 	}
-	// A parallel session partitions the field before the network is built;
-	// the plan needs the link table, so materialize a shared one now.
-	var plan *channel.RegionPlan
-	if sc.Engine.active() {
-		if cfg.Links == nil {
-			cfg.Links = LinkTableFor(sc.Topo)
-		}
-		grid := sc.Engine.RegionGrid
-		if grid <= 0 {
-			grid = autoRegionGrid(sc.Engine.Workers)
-		}
-		var err error
-		plan, err = channel.PlanRegions(cfg.Links, sc.Topo.Positions, sc.Topo.Side, grid)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Regions = plan
-		cfg.Workers = sc.Engine.Workers
-	}
 	net := network.New(sc.Topo, cfg)
 
 	pcfg := proto.DefaultConfig()
@@ -131,34 +112,12 @@ func NewSession(sc Scenario) (*Session, error) {
 	s.setDestinations(sc)
 	s.applyFaults(sc)
 	s.applyMobility(sc)
-	if plan != nil {
-		// Parallel collection: shard the metrics along the region
-		// boundary, and account energy by replaying the merged
-		// transmission log at snapshot time instead of chaining the meter
-		// into the (now concurrent) transmit hook. The packet budget
-		// bounds the fixed per-packet buffers; 2x + slack leaves room for
-		// extra RunData calls on top of the scenario's configured count.
-		s.col.SetParallel(plan.RegionOf, plan.NumRegions(), 2*sc.Traffic.DataPackets+8)
-	} else {
-		s.meter.Attach(net)
-	}
+	s.meter.Attach(net)
 	if sc.TraceWriter != nil {
 		s.logger = trace.NewLogger(sc.TraceWriter)
 		s.logger.Attach(net)
 	}
 	return s, nil
-}
-
-// autoRegionGrid derives the region grid from the worker count: about two
-// regions per worker gives the conservative protocol slack to balance
-// load, while keeping regions — and the border traffic and stall churn
-// that grow with their count — as coarse as that balance allows.
-func autoRegionGrid(workers int) int {
-	g := 1
-	for g*g < 2*workers {
-		g++
-	}
-	return g
 }
 
 // applyFaults installs the scenario's fault options: the per-link loss
@@ -244,12 +203,6 @@ func (s *Session) setDestinations(sc Scenario) {
 // as construction derives it, a reset session is bit-identical to a fresh
 // one: same packets on the air, same metrics, same RNG draw order.
 func (s *Session) Reset(sc Scenario) error {
-	if s.net.Engine != nil || sc.Engine.active() {
-		// A parallel build bakes the region plan into every layer, and the
-		// plan is topology-specific; rewinding it in place is not worth
-		// the bookkeeping when the session's cost is dominated by the run.
-		return ErrParallelReset
-	}
 	if err := sc.validate(); err != nil {
 		return err
 	}
@@ -355,13 +308,6 @@ func (s *Session) RunData(n int) (DataReport, error) {
 	if n <= 0 {
 		n = 1
 	}
-	// A parallel session's metrics collector pre-sizes its packet tables
-	// from Traffic.DataPackets at build time (fixed-capacity, shard-safe
-	// state); asking for more here would blow that budget mid-run.
-	if s.net.Engine != nil && n > s.sc.Traffic.DataPackets {
-		return DataReport{}, fmt.Errorf("experiment: parallel session built for %d data packets, RunData(%d) exceeds it (set Traffic.DataPackets before NewSession)",
-			s.sc.Traffic.DataPackets, n)
-	}
 	start := s.col.DataPacketCount()
 	if iv := s.sc.Traffic.Interval; iv <= 0 {
 		for i := 0; i < n; i++ {
@@ -380,22 +326,15 @@ func (s *Session) RunData(n int) (DataReport, error) {
 // send uses the session's current key, so a refresh that completes between
 // two sends redirects the following packets down the new tree.
 func (s *Session) runPacedData(n int, iv sim.Time) {
-	// The sends execute at the source, so on a parallel build they are
-	// scheduled on the source's region queue (between runs all region
-	// clocks agree, so Now is unambiguous).
-	sm := s.net.Sim
-	if sm == nil {
-		sm = s.net.SimFor(s.sc.Source)
-	}
-	base := sm.Now()
+	base := s.net.Sim.Now()
 	for i := 0; i < n; i++ {
-		sm.At(base+sim.Time(i)*iv, func() {
+		s.net.Sim.At(base+sim.Time(i)*iv, func() {
 			s.routers[s.sc.Source].SendData(s.key, s.sc.Traffic.PayloadLen)
 		})
 	}
 	if rf := s.sc.Traffic.RefreshInterval; rf > 0 {
 		for at := base + rf; at < base+sim.Time(n)*iv; at += rf {
-			sm.At(at, func() {
+			s.net.Sim.At(at, func() {
 				if s.net.Nodes[s.sc.Source].Down() {
 					return // a crashed source cannot refresh
 				}
@@ -425,27 +364,14 @@ func (s *Session) Network() *network.Network { return s.net }
 func (s *Session) Routers() []proto.Router { return s.routers }
 
 // Events returns the number of simulator events processed so far — the
-// session's true work measure, surfaced per run by the sweep engine. On a
-// parallel session it sums over the regions.
-func (s *Session) Events() uint64 { return s.net.Processed() }
+// session's true work measure, surfaced per run by the sweep engine.
+func (s *Session) Events() uint64 { return s.net.Sim.Processed() }
 
 // Stats returns the underlying simulator's observability counters for
 // everything run so far: events processed, peak queue depth, wall time
 // inside the event loop and the resulting events/sec throughput
-// (cmd/mtmrsim -stats prints them). On a parallel session the counters
-// are merged over the regions; RegionStats has the breakdown.
-func (s *Session) Stats() sim.Stats { return s.net.AllStats() }
-
-// RegionStats returns the per-region scheduler and synchronization
-// counters of a parallel session (events processed per region, border
-// messages exchanged, conservative-horizon stalls); nil on a serial
-// session.
-func (s *Session) RegionStats() []sim.RegionStats {
-	if s.net.Engine == nil {
-		return nil
-	}
-	return s.net.Engine.RegionStats()
-}
+// (cmd/mtmrsim -stats prints them).
+func (s *Session) Stats() sim.Stats { return s.net.Sim.Stats() }
 
 // Err reports a trace-log write failure, if any.
 func (s *Session) Err() error {
@@ -458,17 +384,6 @@ func (s *Session) Err() error {
 // Metrics snapshots the paper's metrics for everything run so far,
 // including the energy accounting.
 func (s *Session) Metrics() metrics.Result {
-	if s.net.Engine != nil {
-		// Parallel runs account energy by replay: the meter's float sums
-		// are order-sensitive, so instead of charging from the concurrent
-		// transmit hook, charge from the collector's deterministic merged
-		// transmission log. Reset first so repeated snapshots stay
-		// idempotent.
-		s.meter.Reset()
-		s.col.EachTransmit(func(from packet.NodeID, size int) {
-			s.meter.Charge(int(from), size)
-		})
-	}
 	res := s.col.Snapshot()
 	res.EnergyTotalJ = s.meter.TotalEnergy()
 	_, res.EnergyMaxNodeJ = s.meter.MaxNodeEnergy()

@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -243,17 +245,17 @@ func TestSweepKindCanonicalization(t *testing.T) {
 	// Rejection paths: unknown kinds, kind-foreign fields, bad axes.
 	bad := []SweepSpec{
 		{Kind: "tuning"},
-		{FailFractions: []float64{0.1}},                  // fault field on group-size
-		{Speeds: []float64{5}},                           // mobility field on group-size
-		{Kind: "fault", Sizes: []int{5}},                 // group-size field on fault
-		{Kind: "fault", Model: "waypoint"},               // mobility field on fault
-		{Kind: "mobility", Loss: true},                   // fault field on mobility
-		{Kind: "mobility", N: 4},                         // backoff params are group-size-only
-		{Kind: "fault", FailFractions: []float64{1.5}},   // out of range
-		{Kind: "fault", IntervalMs: -1},                  // negative timing
-		{Kind: "mobility", Speeds: []float64{-3}},        // negative speed
-		{Kind: "mobility", Model: "brownian"},            // unknown model
-		{Kind: "group-size", RefreshIntervalMs: 200},     // axis-shape field on group-size
+		{FailFractions: []float64{0.1}},                // fault field on group-size
+		{Speeds: []float64{5}},                         // mobility field on group-size
+		{Kind: "fault", Sizes: []int{5}},               // group-size field on fault
+		{Kind: "fault", Model: "waypoint"},             // mobility field on fault
+		{Kind: "mobility", Loss: true},                 // fault field on mobility
+		{Kind: "mobility", N: 4},                       // backoff params are group-size-only
+		{Kind: "fault", FailFractions: []float64{1.5}}, // out of range
+		{Kind: "fault", IntervalMs: -1},                // negative timing
+		{Kind: "mobility", Speeds: []float64{-3}},      // negative speed
+		{Kind: "mobility", Model: "brownian"},          // unknown model
+		{Kind: "group-size", RefreshIntervalMs: 200},   // axis-shape field on group-size
 	}
 	for i, s := range bad {
 		if _, err := s.Key(); err == nil {
@@ -470,4 +472,63 @@ func TestGoldenKeys(t *testing.T) {
 	if !reflect.DeepEqual(want.Runs, got.Runs) {
 		t.Errorf("run keys drifted from the golden vectors:\ngolden: %v\nderived: %v", want.Runs, got.Runs)
 	}
+}
+
+// FuzzSweepSpecCanonical holds the content-address invariants on any wire
+// body that decodes (strictly, as mtmrd decodes it) and canonicalizes:
+// Canonical is idempotent, a spec and its canonical form share one key,
+// and the canonical form splits into sub-sweeps that each have a key. The
+// golden key fixtures seed the corpus; testdata/fuzz holds raw wire
+// spellings (aliases, whitespace, duplicates) the fixtures do not.
+func FuzzSweepSpecCanonical(f *testing.F) {
+	sweeps, _ := goldenSpecs()
+	names := make([]string, 0, len(sweeps))
+	for name := range sweeps {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		b, err := json.Marshal(sweeps[name])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var s SweepSpec
+		if dec.Decode(&s) != nil {
+			return
+		}
+		c, err := s.Canonical()
+		if err != nil {
+			return
+		}
+		cc, err := c.Canonical()
+		if err != nil {
+			t.Fatalf("canonical form %+v does not re-canonicalize: %v", c, err)
+		}
+		cj, _ := json.Marshal(c)
+		ccj, _ := json.Marshal(cc)
+		if !bytes.Equal(cj, ccj) {
+			t.Fatalf("Canonical not idempotent:\n once  %s\n twice %s", cj, ccj)
+		}
+		k, err := s.Key()
+		if err != nil {
+			t.Fatalf("spec canonicalizes but has no key: %v", err)
+		}
+		if kc, err := c.Key(); err != nil || kc != k {
+			t.Fatalf("Key(s) = %s, Key(Canonical(s)) = %s (%v)", k, kc, err)
+		}
+		subs, err := c.Split()
+		if err != nil || len(subs) == 0 {
+			t.Fatalf("canonical form %s does not split: %d subs, %v", cj, len(subs), err)
+		}
+		for _, sub := range subs {
+			if _, err := sub.Key(); err != nil {
+				t.Fatalf("sub-sweep %+v of %s has no key: %v", sub, cj, err)
+			}
+		}
+	})
 }

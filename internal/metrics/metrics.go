@@ -16,8 +16,6 @@
 package metrics
 
 import (
-	"sync/atomic"
-
 	"mtmrp/internal/bitset"
 	"mtmrp/internal/network"
 	"mtmrp/internal/packet"
@@ -59,14 +57,6 @@ type Collector struct {
 	perPkt []int            // receivers reached per packet (first copies)
 	rxPkt  bitset.Set       // bit pktIdx*n + node: first copy seen
 	rxAt   []sim.Time       // pktIdx*n + node -> first-copy arrival time
-
-	// Region-parallel mode (parallel.go): the hooks write per-region
-	// shards instead of the fields above, and fold rebuilds the serial
-	// view before any snapshot. nil on serial sessions.
-	shards   []colShard
-	regionOf []int32
-	maxPkts  int
-	npkts    atomic.Int32
 }
 
 // NewCollector wires a collector into the network's observation hooks,
@@ -120,10 +110,6 @@ func (c *Collector) Reset(source packet.NodeID, group packet.GroupID, receivers 
 }
 
 func (c *Collector) onTransmit(from *network.Node, p *packet.Packet) {
-	if c.shards != nil {
-		c.onTransmitParallel(from, p)
-		return
-	}
 	if c.prevOnAir != nil {
 		c.prevOnAir(from, p)
 	}
@@ -137,7 +123,7 @@ func (c *Collector) onTransmit(from *network.Node, p *packet.Packet) {
 			c.dataTx = append(c.dataTx, from.ID)
 		}
 		if from.ID == c.source {
-			c.registerPacket(from, p)
+			c.registerPacket(p)
 		}
 	default:
 		c.controlTx++
@@ -147,7 +133,7 @@ func (c *Collector) onTransmit(from *network.Node, p *packet.Packet) {
 // registerPacket records a source DATA transmission for per-packet
 // delivery tracking. Retransmissions of an already-registered key (route
 // repair resending a packet) do not register twice.
-func (c *Collector) registerPacket(from *network.Node, p *packet.Packet) {
+func (c *Collector) registerPacket(p *packet.Packet) {
 	key := dataKey(p)
 	// The packet being sent is almost always the newest; scan backwards.
 	for i := len(c.pkts) - 1; i >= 0; i-- {
@@ -156,7 +142,7 @@ func (c *Collector) registerPacket(from *network.Node, p *packet.Packet) {
 		}
 	}
 	c.pkts = append(c.pkts, key)
-	c.sendAt = append(c.sendAt, from.Now())
+	c.sendAt = append(c.sendAt, c.net.Sim.Now())
 	c.perPkt = append(c.perPkt, 0)
 	// rxAt grows one node-stride per packet; stale values are never read
 	// because rxPkt gates every access.
@@ -174,48 +160,39 @@ func dataKey(p *packet.Packet) packet.DataKey {
 	return p.Data.PacketKey()
 }
 
-// deliverCounts reports whether a received frame counts as a data
-// delivery for node `to` (shared by the serial and parallel hooks).
-func deliverCounts(to *network.Node, p *packet.Packet) bool {
-	switch p.Type {
-	case packet.TData:
-		// Tree-based data is one-to-all: any decode counts.
-		return true
-	case packet.TGeoData:
-		// Geographic data is served only to destinations named in the
-		// header; an overheard branch frame does not deliver.
-		for _, d := range p.Geo.DestsFor(to.ID) {
-			if d == to.ID {
-				return true
-			}
-		}
-		return false
-	default:
-		return false
-	}
-}
-
 func (c *Collector) onDeliver(to *network.Node, p *packet.Packet) {
-	if c.shards != nil {
-		c.onDeliverParallel(to, p)
-		return
-	}
 	if c.prevOnRecv != nil {
 		c.prevOnRecv(to, p)
 	}
 	c.bytesRx += uint64(p.Size)
-	if !deliverCounts(to, p) {
+	switch p.Type {
+	case packet.TData:
+		// Tree-based data is one-to-all: any decode counts.
+	case packet.TGeoData:
+		// Geographic data is served only to destinations named in the
+		// header; an overheard branch frame does not deliver.
+		served := false
+		for _, d := range p.Geo.DestsFor(to.ID) {
+			if d == to.ID {
+				served = true
+				break
+			}
+		}
+		if !served {
+			return
+		}
+	default:
 		return
 	}
 	if !c.rxData.Test(int(to.ID)) {
 		c.rxData.Set(int(to.ID))
 		c.firstFrom[to.ID] = p.From
 	}
-	c.markPacket(to, p)
+	c.markPacket(to.ID, p)
 }
 
 // markPacket records node `to`'s first copy of an individual data packet.
-func (c *Collector) markPacket(to *network.Node, p *packet.Packet) {
+func (c *Collector) markPacket(to packet.NodeID, p *packet.Packet) {
 	key := dataKey(p)
 	idx := -1
 	// In-flight packets cluster at the tail; scan backwards.
@@ -228,13 +205,13 @@ func (c *Collector) markPacket(to *network.Node, p *packet.Packet) {
 	if idx < 0 {
 		return // not a source-registered packet (e.g. injected by a test)
 	}
-	bit := idx*len(c.net.Nodes) + int(to.ID)
+	bit := idx*len(c.net.Nodes) + int(to)
 	if c.rxPkt.Test(bit) {
 		return
 	}
 	c.rxPkt.Set(bit)
-	c.rxAt[bit] = to.Now()
-	if to.ID != c.source && c.receivers.Test(int(to.ID)) {
+	c.rxAt[bit] = c.net.Sim.Now()
+	if to != c.source && c.receivers.Test(int(to)) {
 		c.perPkt[idx]++
 	}
 }
@@ -283,7 +260,6 @@ type Result struct {
 
 // Snapshot computes the session metrics accumulated so far.
 func (c *Collector) Snapshot() Result {
-	c.fold()
 	res := Result{
 		ControlTx:     c.controlTx,
 		TxByType:      c.txByType,
@@ -344,21 +320,13 @@ func (c *Collector) Snapshot() Result {
 
 // DataPacketCount returns the number of distinct data packets the source
 // has put on the air so far.
-func (c *Collector) DataPacketCount() int {
-	if c.shards != nil {
-		return int(c.npkts.Load())
-	}
-	return len(c.pkts)
-}
+func (c *Collector) DataPacketCount() int { return len(c.pkts) }
 
 // PacketCounts returns, for each source packet in send order, how many
 // multicast receivers a first copy has reached so far. The slice is
 // collector-owned storage: callers must not modify it or retain it across
 // Reset.
-func (c *Collector) PacketCounts() []int {
-	c.fold()
-	return c.perPkt
-}
+func (c *Collector) PacketCounts() []int { return c.perPkt }
 
 // Robustness is the fault-injection outcome of one session: how reliably
 // the tree delivered under dynamics, and how quickly it healed. It is a
@@ -389,7 +357,6 @@ type Robustness struct {
 // everything run so far. Unlike Snapshot it allocates its PDR slice; call
 // it once per run, outside reuse-sensitive loops.
 func (c *Collector) Robustness() Robustness {
-	c.fold()
 	n := len(c.net.Nodes)
 	m := len(c.pkts)
 	rb := Robustness{DataSent: m, PDR: make([]float64, len(c.recvs)), MeanPDR: 1, MinPDR: 1}

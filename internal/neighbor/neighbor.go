@@ -16,7 +16,7 @@
 // is (made) a table entry, so the slot index is a complete key: per-node
 // mark state is O(density · sessions) where the id-indexed layout cost
 // O(n) bits per session (O(n²) per deployment — the last whole-network
-// term at the 10k–100k-node scales of the parallel engine). The slot-reuse
+// term at 10k–100k-node scales). The slot-reuse
 // rule that makes this sound: a slot is bound to one id until Reset (the
 // id index never deletes; a recycled id re-admitted after Expire reuses
 // its old slot), and Expire clears the recycled slot's marks, so a

@@ -41,16 +41,6 @@ type Config struct {
 	// size and the Radio parameters; New panics on a mismatch rather than
 	// silently simulating a different PHY.
 	Links *channel.LinkTable
-
-	// Regions, when non-nil, builds the network on the region-parallel
-	// engine: one simulator and channel shard per region of the plan, with
-	// cross-region transmissions carried as border messages. Requires the
-	// CSMA MAC (the engine's lookahead floor is the DIFS reaction delay;
-	// the ideal MAC transmits synchronously and has no floor) and the
-	// deterministic disc (no shadowing). Workers is the worker-thread
-	// count Run uses (minimum 1).
-	Regions *channel.RegionPlan
-	Workers int
 }
 
 // DefaultConfig is the paper's PHY/MAC: two-ray ground sized to a 40 m
@@ -78,8 +68,6 @@ type Node struct {
 	ID       packet.NodeID
 	Pos      int // index into the topology (== int(ID))
 	net      *Network
-	sim      *sim.Simulator  // the node's scheduler: Network.Sim, or its region's
-	pkt      *packet.Factory // the node's frame pool: shared, or its region's
 	mac      mac.MAC
 	proto    Protocol
 	groups   []packet.GroupID // sorted memberships (small; linear scan)
@@ -90,22 +78,11 @@ type Node struct {
 
 // Network owns the simulation.
 type Network struct {
-	// Sim is the scheduler of a serial network. On a region-parallel build
-	// it is nil — there is one simulator per region — and callers go
-	// through SimFor, Run, Processed and AllStats instead; a stray serial
-	// access fails loudly rather than silently reading one region's clock.
 	Sim   *sim.Simulator
 	Topo  *topology.Topology
 	Chan  *channel.Channel
 	Nodes []*Node
 	Rand  *rng.RNG
-
-	// Parallel-build state (nil/empty on serial networks).
-	Engine  *sim.Engine
-	Plan    *channel.RegionPlan
-	Shards  []*channel.Channel
-	workers int
-	pools   []*packet.Factory // per-region frame factories
 
 	root     rng.RNG         // seed material all substreams derive from
 	chanRand *rng.RNG        // the channel's shadowing stream (reseeded on Reset)
@@ -161,13 +138,15 @@ func New(topo *topology.Topology, cfg Config) *Network {
 			panic("network: link table radio parameters differ from Config.Radio")
 		}
 	}
-	onAir := func(from int, p *packet.Packet) {
+	ch := channel.NewWithTable(s, links, chCfg)
+	net.Chan = ch
+	ch.OnAir = func(from int, p *packet.Packet) {
 		n := net.Nodes[from]
 		if net.OnTransmit != nil {
 			net.OnTransmit(n, p)
 		}
 	}
-	onDeliver := func(to int, p *packet.Packet) {
+	ch.OnDeliver = func(to int, p *packet.Packet) {
 		n := net.Nodes[to]
 		if n.down {
 			return
@@ -176,81 +155,27 @@ func New(topo *topology.Topology, cfg Config) *Network {
 			net.OnDeliver(n, p)
 		}
 	}
-
-	// Region-parallel build: one simulator and channel shard per region,
-	// one frame factory per region (factories are single-goroutine), the
-	// DIFS reaction floor as the engine's lookahead floor.
-	if plan := cfg.Regions; plan != nil {
-		if cfg.MAC != MACCSMA {
-			panic("network: the parallel engine requires the CSMA MAC")
-		}
-		if cfg.ShadowingSigmaDB > 0 {
-			panic("network: shadowing is serial-only")
-		}
-		if plan.N != topo.N() {
-			panic(fmt.Sprintf("network: region plan for %d nodes, topology has %d", plan.N, topo.N()))
-		}
-		net.Sim = nil
-		net.Plan = plan
-		net.workers = max(cfg.Workers, 1)
-		net.Engine = sim.NewEngine(sim.EngineConfig{
-			Regions:   plan.NumRegions(),
-			Neighbors: plan.Neighbors,
-			Lookahead: plan.Lookahead,
-			Floor:     cfg.CSMA.DIFS,
-		})
-		net.pools = make([]*packet.Factory, plan.NumRegions())
-		net.pools[0] = net.pkt
-		for r := 1; r < len(net.pools); r++ {
-			net.pools[r] = packet.NewFactory()
-		}
-		net.Shards = channel.NewShards(net.Engine, plan, links, chCfg, net.pools)
-		for _, sh := range net.Shards {
-			sh.OnAir = onAir
-			sh.OnDeliver = onDeliver
-		}
-		net.Chan = net.Shards[0]
-		for i := 0; i < topo.N(); i++ {
-			r := plan.RegionOf[i]
-			net.buildNode(i, net.Engine.Region(int(r)), net.Shards[r], net.pools[r], cfg)
-		}
-		return net
-	}
-
-	ch := channel.NewWithTable(s, links, chCfg)
-	net.Chan = ch
-	ch.OnAir = onAir
-	ch.OnDeliver = onDeliver
 	for i := 0; i < topo.N(); i++ {
-		net.buildNode(i, s, ch, net.pkt, cfg)
+		label := fmt.Sprintf("node-%d", i)
+		n := &Node{
+			ID:       packet.NodeID(i),
+			Pos:      i,
+			net:      net,
+			Rand:     net.root.Derive(label),
+			rngLabel: label,
+		}
+		switch cfg.MAC {
+		case MACCSMA:
+			n.mac = mac.NewCSMA(s, ch, i, cfg.CSMA, n.Rand.Derive("mac"))
+		case MACIdeal:
+			n.mac = mac.NewIdeal(s, ch, i)
+		default:
+			panic(fmt.Sprintf("network: unknown MAC kind %d", cfg.MAC))
+		}
+		net.Nodes[i] = n
+		n.mac.SetUpper(func(p *packet.Packet) { net.deliver(i, p) })
 	}
 	return net
-}
-
-// buildNode constructs node i on the given scheduler, channel (shard) and
-// frame factory — the whole network's on a serial build, its region's on a
-// parallel one.
-func (net *Network) buildNode(i int, s *sim.Simulator, ch *channel.Channel, pool *packet.Factory, cfg Config) {
-	label := fmt.Sprintf("node-%d", i)
-	n := &Node{
-		ID:       packet.NodeID(i),
-		Pos:      i,
-		net:      net,
-		sim:      s,
-		pkt:      pool,
-		Rand:     net.root.Derive(label),
-		rngLabel: label,
-	}
-	switch cfg.MAC {
-	case MACCSMA:
-		n.mac = mac.NewCSMA(s, ch, i, cfg.CSMA, n.Rand.Derive("mac"))
-	case MACIdeal:
-		n.mac = mac.NewIdeal(s, ch, i)
-	default:
-		panic(fmt.Sprintf("network: unknown MAC kind %d", cfg.MAC))
-	}
-	net.Nodes[i] = n
-	n.mac.SetUpper(func(p *packet.Packet) { net.deliver(i, p) })
 }
 
 func (net *Network) deliver(i int, p *packet.Packet) {
@@ -295,11 +220,6 @@ func (net *Network) Reset(topo *topology.Topology, links *channel.LinkTable, see
 	if links == nil {
 		panic("network: Reset requires a link table")
 	}
-	if net.Engine != nil {
-		// A new topology needs a new region plan (and hence new per-node
-		// simulator/shard bindings); parallel sessions are built fresh.
-		panic("network: Reset is not supported on a region-parallel build")
-	}
 	net.Sim.Reset()
 	net.root.Seed(seed)
 	net.root.DeriveInto("channel", net.chanRand)
@@ -329,42 +249,11 @@ func (net *Network) Degrade(i int, on bool) { net.Chan.SetDegraded(i, on) }
 // their outgoing frames through it so the channel can recycle them.
 func (net *Network) Packets() *packet.Factory { return net.pkt }
 
-// Run drives the simulation until the event queue drains — the serial
-// simulator's, or every region's under the conservative protocol.
-func (net *Network) Run() {
-	if net.Engine != nil {
-		net.Engine.Run(net.workers)
-		return
-	}
-	net.Sim.Run()
-}
+// Run drives the simulation until the event queue drains.
+func (net *Network) Run() { net.Sim.Run() }
 
-// RunUntil drives the simulation up to virtual time t (serial only: the
-// parallel engine always drains completely, which is how every session
-// phase runs).
+// RunUntil drives the simulation up to virtual time t.
 func (net *Network) RunUntil(t sim.Time) { net.Sim.RunUntil(t) }
-
-// SimFor returns the scheduler that drives node i: the network simulator,
-// or the node's region simulator on a parallel build. Between Run calls
-// all region clocks agree, so cross-phase scheduling through any node's
-// simulator is consistent.
-func (net *Network) SimFor(i int) *sim.Simulator { return net.Nodes[i].sim }
-
-// Processed sums events executed so far across the whole simulation.
-func (net *Network) Processed() uint64 {
-	if net.Engine != nil {
-		return net.Engine.Processed()
-	}
-	return net.Sim.Processed()
-}
-
-// AllStats returns the simulation's merged scheduler counters.
-func (net *Network) AllStats() sim.Stats {
-	if net.Engine != nil {
-		return net.Engine.Stats()
-	}
-	return net.Sim.Stats()
-}
 
 // --- Node services used by protocols ---
 
@@ -383,10 +272,10 @@ func (n *Node) Send(p *packet.Packet) {
 	n.mac.Send(p)
 }
 
-// After schedules fn on the node's simulator, skipping execution if the
-// node has failed by then.
+// After schedules fn on the simulator, skipping execution if the node has
+// failed by then.
 func (n *Node) After(d sim.Time, fn func()) sim.Event {
-	return n.sim.After(d, func() {
+	return n.net.Sim.After(d, func() {
 		if !n.down {
 			fn()
 		}
@@ -397,16 +286,14 @@ func (n *Node) After(d sim.Time, fn func()) sim.Event {
 // paths. Unlike After, it does not wrap the callback in a liveness check:
 // the callee must test Down() itself if the node may fail mid-simulation.
 func (n *Node) AfterCall(d sim.Time, cb sim.Callback, arg any, i int) sim.Event {
-	return n.sim.AfterCall(d, cb, arg, i)
+	return n.net.Sim.AfterCall(d, cb, arg, i)
 }
 
-// Packets returns the node's frame factory: the simulation-wide pool, or
-// the node's region pool on a parallel build.
-func (n *Node) Packets() *packet.Factory { return n.pkt }
+// Packets returns the shared frame factory (see Network.Packets).
+func (n *Node) Packets() *packet.Factory { return n.net.pkt }
 
-// Now returns the node's current virtual time (its region clock on a
-// parallel build).
-func (n *Node) Now() sim.Time { return n.sim.Now() }
+// Now returns the current virtual time.
+func (n *Node) Now() sim.Time { return n.net.Sim.Now() }
 
 // JoinGroup adds the node to a multicast group (a "multicast receiver").
 func (n *Node) JoinGroup(g packet.GroupID) {

@@ -686,8 +686,7 @@ func (f *Fanout) Handler() http.Handler {
 
 func (f *Fanout) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var spec experiment.SweepSpec
-	if err := decodeSpec(r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeSpec(w, r, &spec) {
 		return
 	}
 	res, err := f.Sweep(spec)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -387,13 +388,40 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// decodeSpec strictly decodes a JSON request body (unknown fields are
-// rejected: in a content-addressed API a typo'd knob would otherwise be
-// silently ignored while the caller believes it changed the experiment).
-func decodeSpec(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxSpecBytes bounds a request body. The largest real spec is a few
+// hundred bytes; the bound only stops one request from streaming an
+// unbounded body into a shard.
+const maxSpecBytes = 1 << 20
+
+// errTrailingData rejects a body with anything but whitespace after the
+// spec: serving the first of two JSON values would answer a request the
+// caller did not make.
+var errTrailingData = errors.New("service: trailing data after the JSON spec")
+
+// decodeSpec strictly decodes a JSON request body, writing the error
+// envelope and returning false on failure. Unknown fields are rejected: in
+// a content-addressed API a typo'd knob would otherwise be silently
+// ignored while the caller believes it changed the experiment. A body over
+// maxSpecBytes is 413 too_large; any other rejection is 400 bad_spec.
+func decodeSpec(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errTrailingData
+		}
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, err)
+	return false
 }
 
 // APIError is the structured error envelope every /v1/* endpoint writes:
@@ -429,6 +457,8 @@ func errCode(status int, err error) string {
 		return "upstream_failed"
 	case status == http.StatusBadRequest:
 		return "bad_spec"
+	case status == http.StatusRequestEntityTooLarge:
+		return "too_large"
 	}
 	return "internal"
 }
@@ -502,8 +532,7 @@ func (s *Service) writeResult(w http.ResponseWriter, res Result, err error) {
 
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var spec experiment.SweepSpec
-	if err := decodeSpec(r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeSpec(w, r, &spec) {
 		return
 	}
 	if _, err := spec.Canonical(); err != nil {
@@ -595,8 +624,7 @@ func (s *Service) streamSweep(w http.ResponseWriter, spec experiment.SweepSpec) 
 
 func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	var spec experiment.RunSpec
-	if err := decodeSpec(r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeSpec(w, r, &spec) {
 		return
 	}
 	res, err := s.Run(spec)
@@ -616,8 +644,7 @@ type splitItem struct {
 
 func (s *Service) handleSplit(w http.ResponseWriter, r *http.Request) {
 	var spec experiment.SweepSpec
-	if err := decodeSpec(r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeSpec(w, r, &spec) {
 		return
 	}
 	subs, err := spec.Split()

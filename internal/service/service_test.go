@@ -646,19 +646,32 @@ func TestErrorEnvelope(t *testing.T) {
 		t.Errorf("absent key: code %q key %q, want not_found/%s", env.Code, env.Key, absent)
 	}
 
-	// Spec rejection: bad_spec.
-	resp2, err := http.Post(ts.URL+"/v1/sweep", "application/json",
-		strings.NewReader(`{"topo":"bogus"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ = io.ReadAll(resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad spec: status %d, want 400", resp2.StatusCode)
-	}
-	if env := decode(t, b); env.Code != "bad_spec" {
-		t.Errorf("bad spec: code %q, want bad_spec", env.Code)
+	// Body rejections: an invalid spec, a second JSON value after a valid
+	// one (never served as the first spec's answer), and a valid spec
+	// behind padding that pushes the body over the size bound.
+	tiny, _ := json.Marshal(tinySweep())
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		code       string
+	}{
+		{"bad spec", `{"topo":"bogus"}`, http.StatusBadRequest, "bad_spec"},
+		{"trailing data", string(tiny) + `{"runs":1}`, http.StatusBadRequest, "bad_spec"},
+		{"oversized body", strings.Repeat(" ", maxSpecBytes) + string(tiny),
+			http.StatusRequestEntityTooLarge, "too_large"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
+		}
+		if env := decode(t, b); env.Code != tc.code {
+			t.Errorf("%s: code %q, want %s", tc.name, env.Code, tc.code)
+		}
 	}
 
 	// Key owned by another shard: 421 with code not_owned.
@@ -672,7 +685,7 @@ func TestErrorEnvelope(t *testing.T) {
 	ts2 := httptest.NewServer(other.Handler())
 	defer ts2.Close()
 	body, _ := json.Marshal(spec)
-	resp2, err = http.Post(ts2.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+	resp2, err := http.Post(ts2.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,23 +134,6 @@ type Stats struct {
 	EventsPerSec float64       // Processed / RunWall (0 before any run)
 }
 
-// Merge combines two snapshots into aggregate totals, for summing the
-// per-region simulators of a parallel run: Processed and MaxPending add
-// (the regions' queues coexist), RunWall takes the maximum (the regions
-// run concurrently, so the slowest wall dominates), and EventsPerSec is
-// recomputed from the merged values. Merging a zero Stats is the identity.
-func (s Stats) Merge(o Stats) Stats {
-	s.Processed += o.Processed
-	s.MaxPending += o.MaxPending
-	if o.RunWall > s.RunWall {
-		s.RunWall = o.RunWall
-	}
-	if s.RunWall > 0 {
-		s.EventsPerSec = float64(s.Processed) / s.RunWall.Seconds()
-	}
-	return s
-}
-
 // Stats returns the current counters. EventsPerSec measures the
 // scheduler's true throughput — virtual events retired per wall-clock
 // second of Run/RunUntil — independent of how much virtual time a run
