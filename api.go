@@ -67,9 +67,7 @@ const (
 	Second      = sim.Second
 )
 
-// Grouped Scenario options. The flat Scenario fields with the same names
-// remain as deprecated aliases; either spelling (or a mix) produces
-// bit-identical results.
+// Grouped Scenario options.
 type (
 	// RadioOptions groups the PHY/MAC knobs of a Scenario.
 	RadioOptions = experiment.RadioOptions
@@ -238,6 +236,11 @@ type (
 	// SweepErrors aggregates failed runs under CollectErrors; each element
 	// carries the failing run's label for reproduction.
 	SweepErrors = sweep.Errors
+	// Table is the one result shape every sweep driver embeds: a Summary
+	// per (row, axis point, metric) in Cells[row][axis][metric], with the
+	// row names (protocols or ablation variants), axis tick labels and
+	// metric names alongside, plus the engine's SweepStats.
+	Table = experiment.Table
 )
 
 // Error policies for EngineOptions.ErrorPolicy.
@@ -318,7 +321,8 @@ type (
 	SweepResult = experiment.SweepResult
 	// TuningConfig parameterises the N x delta sweep (Figures 7–8).
 	TuningConfig = experiment.TuningConfig
-	// TuningResult holds the overhead surface per protocol.
+	// TuningResult holds the overhead surface per protocol; its axis is
+	// the (N, delta) grid, N-major.
 	TuningResult = experiment.TuningResult
 	// Metric indexes the evaluation metrics of Figures 5–6.
 	Metric = experiment.Metric
@@ -358,8 +362,8 @@ type (
 	// SweepSpec is the wire form of a group-size sweep; Key() is its
 	// content address.
 	SweepSpec = experiment.SweepSpec
-	// RunSpec is the wire form of one session; flat and grouped option
-	// spellings canonicalize (and hash) identically.
+	// RunSpec is the wire form of one session; Key() is its content
+	// address.
 	RunSpec = experiment.RunSpec
 	// RunTopoSpec describes a RunSpec's deployment ("grid" or "random").
 	RunTopoSpec = experiment.TopoSpec
@@ -392,7 +396,7 @@ func RunFromSpec(s RunSpec, pool *SessionPool) (*Outcome, error) {
 type (
 	// AblationConfig parameterises the mechanism ablation study.
 	AblationConfig = experiment.AblationConfig
-	// AblationResult maps variant names to metric summaries.
+	// AblationResult holds per-(variant, metric) summaries.
 	AblationResult = experiment.AblationResult
 )
 

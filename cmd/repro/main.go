@@ -16,8 +16,10 @@
 // for a quick look. All sweeps run on the deterministic worker pool
 // (-workers, default all cores): results are bit-identical for any worker
 // count. Ctrl-C (or -timeout) stops a sweep early and still prints the
-// rounds completed so far. Output is plain text tables: each figure's
-// series with mean ± 95% CI.
+// rounds completed so far. Every sweep prints one table per metric — axis
+// points down, protocols (or ablation variants) across, mean ± 95% CI —
+// and -csv DIR also writes it to DIR/<study>.csv, one line per
+// (axis point, row, metric) with the full summary.
 package main
 
 import (
@@ -29,6 +31,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -37,6 +40,12 @@ import (
 	"mtmrp/internal/prof"
 )
 
+// figure is one -fig target.
+type figure struct {
+	name string
+	run  func() error
+}
+
 func main() {
 	var (
 		fig     = flag.String("fig", "all", "figure to reproduce: 1, 5, 6, 7, 8, 9, 10, ablation, amortize, shadowing, faults, mobility, or all")
@@ -44,13 +53,12 @@ func main() {
 		seed    = flag.Uint64("seed", 2010, "base seed for the sweep")
 		workers = flag.Int("workers", 0, "parallel workers (0 = all cores)")
 		timeout = flag.Duration("timeout", 0, "abort after this long, keeping partial results (0 = none)")
-		csvDir  = flag.String("csv", "", "also write each figure's series as CSV into this directory")
+		csvDir  = flag.String("csv", "", "also write each sweep's table as CSV into this directory")
 		gmr     = flag.Bool("with-gmr", false, "add the geographic multicast baseline to Figures 5-6")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
-	withGMR = *gmr
 	// Profiles must flush on every exit path — the deferred stop covers
 	// normal returns and the graceful SIGINT/timeout unwinding; the
 	// explicit calls cover the os.Exit error paths, where defers don't run.
@@ -60,9 +68,8 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProf()
-	csvOut = *csvDir
-	if csvOut != "" {
-		if err := os.MkdirAll(csvOut, 0o755); err != nil {
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
 			stopProf()
 			os.Exit(1)
@@ -77,56 +84,86 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	runCtx = ctx
-	workersFlag = *workers
+	s := sweeps{ctx: ctx, workers: *workers, csvDir: *csvDir}
+	r, sd := *runs, *seed
+	protos := mtmrp.AllProtocols
+	if *gmr {
+		protos = append(append([]mtmrp.Protocol(nil), protos...), mtmrp.GMR)
+	}
+	group := func(figNo int, kind mtmrp.TopoKind) figure {
+		return s.figure(fmt.Sprint(figNo), fmt.Sprintf("fig%d_%s", figNo, kind),
+			fmt.Sprintf("Figure %d: %s topology, group-size sweep (%d runs/point)", figNo, kind, r),
+			func(e mtmrp.EngineOptions) (*mtmrp.Table, error) {
+				res, err := mtmrp.GroupSizeSweep(mtmrp.SweepConfig{Topo: kind, Runs: r, Seed: sd, Protocols: protos, Engine: e})
+				return table(err, func() *mtmrp.Table { return &res.Table })
+			})
+	}
+	tuning := func(figNo int, kind mtmrp.TopoKind, size int) figure {
+		return s.figure(fmt.Sprint(figNo), fmt.Sprintf("fig%d_%s", figNo, kind),
+			fmt.Sprintf("Figure %d: tuning N and delta, %s topology, %d receivers (%d runs/point)", figNo, kind, size, r),
+			func(e mtmrp.EngineOptions) (*mtmrp.Table, error) {
+				res, err := mtmrp.TuningSweep(mtmrp.TuningConfig{Topo: kind, GroupSize: size, Runs: r, Seed: sd, Engine: e})
+				return table(err, func() *mtmrp.Table { return &res.Table })
+			})
+	}
+	figs := []figure{
+		{"1", fig1},
+		group(5, mtmrp.GridTopo),
+		group(6, mtmrp.RandomTopo),
+		tuning(7, mtmrp.GridTopo, 20),
+		tuning(8, mtmrp.RandomTopo, 15),
+		{"9", func() error { return figSnapshot(mtmrp.GridTopo, 20, sd) }},
+		{"10", func() error { return figSnapshot(mtmrp.RandomTopo, 15, sd) }},
+		// MTMRP with each mechanism removed in turn (the paper only
+		// ablates PHS).
+		s.figure("ablation", "ablation",
+			fmt.Sprintf("Extension: MTMRP mechanism ablation, grid, 20 receivers (%d runs)", r),
+			func(e mtmrp.EngineOptions) (*mtmrp.Table, error) {
+				res, err := mtmrp.AblationSweep(mtmrp.AblationConfig{Topo: mtmrp.GridTopo, GroupSize: 20, Runs: r, Seed: sd, Engine: e})
+				return table(err, func() *mtmrp.Table { return &res.Table })
+			}),
+		// How the one-time discovery cost amortises over data packets
+		// (§V.B.3's trade-off).
+		s.figure("amortize", "amortize",
+			fmt.Sprintf("Extension: discovery-cost amortization, grid, 20 receivers (%d runs)", r),
+			func(e mtmrp.EngineOptions) (*mtmrp.Table, error) {
+				res, err := mtmrp.AmortizeSweep(mtmrp.AmortizeConfig{Topo: mtmrp.GridTopo, GroupSize: 20, Runs: r, Seed: sd, Engine: e})
+				return table(err, func() *mtmrp.Table { return &res.Table })
+			}),
+		// The Figure 5 comparison point under log-normal fading (the
+		// paper disables shadowing).
+		s.figure("shadowing", "shadowing",
+			fmt.Sprintf("Extension: log-normal shadowing robustness, grid, 20 receivers (%d runs)", r),
+			func(e mtmrp.EngineOptions) (*mtmrp.Table, error) {
+				res, err := mtmrp.ShadowingSweep(mtmrp.ShadowingConfig{Topo: mtmrp.GridTopo, GroupSize: 20, Runs: r, Seed: sd, Engine: e})
+				return table(err, func() *mtmrp.Table { return &res.Table })
+			}),
+		// PDR and tree repair versus the per-node crash probability, with
+		// paced traffic, route refresh and forwarder expiry active.
+		s.figure("faults", "faults",
+			fmt.Sprintf("Extension: PDR vs node-failure rate, grid, 20 receivers (%d runs)", r),
+			func(e mtmrp.EngineOptions) (*mtmrp.Table, error) {
+				res, err := mtmrp.FaultSweep(mtmrp.FaultConfig{Topo: mtmrp.GridTopo, GroupSize: 20, Runs: r, Seed: sd, Engine: e})
+				return table(err, func() *mtmrp.Table { return &res.Table })
+			}),
+		// Delivery and control overhead versus random-waypoint speed and
+		// pause (speed 0 is the static control).
+		s.figure("mobility", "mobility",
+			fmt.Sprintf("Extension: PDR and overhead vs node speed, grid, 20 receivers (%d runs)", r),
+			func(e mtmrp.EngineOptions) (*mtmrp.Table, error) {
+				res, err := mtmrp.MobilitySweep(mtmrp.MobilityConfig{Topo: mtmrp.GridTopo, GroupSize: 20, Runs: r, Seed: sd, Engine: e})
+				return table(err, func() *mtmrp.Table { return &res.Table })
+			}),
+	}
 
 	start := time.Now()
-	switch *fig {
-	case "1":
-		err = fig1()
-	case "5":
-		err = figGroupSweep(mtmrp.GridTopo, *runs, *seed)
-	case "6":
-		err = figGroupSweep(mtmrp.RandomTopo, *runs, *seed)
-	case "7":
-		err = figTuning(mtmrp.GridTopo, *runs, *seed)
-	case "8":
-		err = figTuning(mtmrp.RandomTopo, *runs, *seed)
-	case "9":
-		err = figSnapshot(mtmrp.GridTopo, 20, *seed)
-	case "10":
-		err = figSnapshot(mtmrp.RandomTopo, 15, *seed)
-	case "ablation":
-		err = figAblation(*runs, *seed)
-	case "amortize":
-		err = figAmortize(*runs, *seed)
-	case "shadowing":
-		err = figShadowing(*runs, *seed)
-	case "faults":
-		err = figFaults(*runs, *seed)
-	case "mobility":
-		err = figMobility(*runs, *seed)
-	case "all":
-		for _, f := range []func() error{
-			fig1,
-			func() error { return figGroupSweep(mtmrp.GridTopo, *runs, *seed) },
-			func() error { return figGroupSweep(mtmrp.RandomTopo, *runs, *seed) },
-			func() error { return figTuning(mtmrp.GridTopo, *runs, *seed) },
-			func() error { return figTuning(mtmrp.RandomTopo, *runs, *seed) },
-			func() error { return figSnapshot(mtmrp.GridTopo, 20, *seed) },
-			func() error { return figSnapshot(mtmrp.RandomTopo, 15, *seed) },
-			func() error { return figAblation(*runs, *seed) },
-			func() error { return figAmortize(*runs, *seed) },
-			func() error { return figShadowing(*runs, *seed) },
-			func() error { return figFaults(*runs, *seed) },
-			func() error { return figMobility(*runs, *seed) },
-		} {
-			if err = f(); err != nil {
+	err = fmt.Errorf("unknown figure %q", *fig)
+	for _, f := range figs {
+		if *fig == "all" || *fig == f.name {
+			if err = f.run(); err != nil {
 				break
 			}
 		}
-	default:
-		err = fmt.Errorf("unknown figure %q", *fig)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "repro:", err)
@@ -136,25 +173,59 @@ func main() {
 	fmt.Printf("\n[done in %v]\n", time.Since(start).Round(time.Millisecond))
 }
 
-// runCtx cancels sweeps on SIGINT/SIGTERM or -timeout.
-var runCtx context.Context
+// sweeps holds what every sweep figure shares: the signal-aware context,
+// the -workers pool size and the -csv directory.
+type sweeps struct {
+	ctx     context.Context
+	workers int
+	csvDir  string
+}
 
-// workersFlag is the -workers value, shared by every sweep.
-var workersFlag int
+// figure wraps a sweep driver as a -fig target: it runs the driver with
+// the shared engine options, prints its table and engine accounting, and
+// writes <csvName>.csv. A cancelled sweep still prints (and writes) the
+// rounds it completed.
+func (s sweeps) figure(name, csvName, title string, run func(mtmrp.EngineOptions) (*mtmrp.Table, error)) figure {
+	return figure{name, func() error {
+		fmt.Printf("=== %s ===\n", title)
+		t, err := run(s.engine())
+		if t == nil {
+			return err
+		}
+		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			fmt.Printf("  [interrupted: %d of %d runs done, %d skipped — tables below are partial]\n",
+				t.Stats.Completed, t.Stats.Total, t.Stats.Skipped)
+		}
+		printTable(t)
+		if s.csvDir != "" {
+			if werr := writeCSV(filepath.Join(s.csvDir, csvName+".csv"), t); werr != nil {
+				return werr
+			}
+		}
+		st := t.Stats
+		fmt.Printf("[engine] %d runs on %d workers in %v (%.1f ms/run, %.0f events/run)\n\n",
+			st.Completed, st.Workers, st.Wall.Round(time.Millisecond),
+			1e3*st.RunWall.Mean, st.RunEvents.Mean)
+		return err
+	}}
+}
 
-// csvOut, when non-empty, is the directory CSV series are written into.
-var csvOut string
+// table keeps a driver's table unless err is a fail-fast abort, the one
+// case in which a driver returns no result.
+func table(err error, get func() *mtmrp.Table) (*mtmrp.Table, error) {
+	if err != nil && !mtmrp.PartialOK(err) {
+		return nil, err
+	}
+	return get(), err
+}
 
-// withGMR adds the geographic baseline to the group-size sweeps.
-var withGMR bool
-
-// engine builds the sweep options every figure shares: the signal-aware
-// context, the -workers pool size, and a throttled progress meter.
-func engine() mtmrp.EngineOptions {
+// engine builds the sweep options: the signal-aware context, the -workers
+// pool size, and a throttled progress meter on stderr.
+func (s sweeps) engine() mtmrp.EngineOptions {
 	var last time.Time
 	return mtmrp.EngineOptions{
-		Workers: workersFlag,
-		Ctx:     runCtx,
+		Workers: s.workers,
+		Ctx:     s.ctx,
 		Progress: func(p mtmrp.Progress) {
 			now := time.Now()
 			if p.Done < p.Total && now.Sub(last) < 500*time.Millisecond {
@@ -171,40 +242,53 @@ func engine() mtmrp.EngineOptions {
 	}
 }
 
-// interrupted reports a cancelled-but-usable sweep and tells the reader
-// the tables below are partial. Any other error aborts the figure.
-func interrupted(err error) bool {
-	return err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-}
-
-func notePartial(st mtmrp.SweepStats) {
-	fmt.Printf("  [interrupted: %d of %d runs done, %d skipped — tables below are partial]\n",
-		st.Completed, st.Total, st.Skipped)
-}
-
-// printStats summarises the engine's accounting for one sweep.
-func printStats(st mtmrp.SweepStats) {
-	fmt.Printf("[engine] %d runs on %d workers in %v (%.1f ms/run, %.0f events/run)\n",
-		st.Completed, st.Workers, st.Wall.Round(time.Millisecond),
-		1e3*st.RunWall.Mean, st.RunEvents.Mean)
-}
-
-// writeCSV writes rows (first row = header) to <csvDir>/<name>.csv.
-func writeCSV(name string, rows [][]string) error {
-	if csvOut == "" {
-		return nil
+// printTable prints one block per metric: axis points down, rows across,
+// each cell "mean ± ci95", right-aligned.
+func printTable(t *mtmrp.Table) {
+	aw, cw := len(t.AxisName), 17
+	for _, x := range t.Axis {
+		aw = max(aw, len(x))
 	}
-	f, err := os.Create(filepath.Join(csvOut, name+".csv"))
+	for _, row := range t.Rows {
+		cw = max(cw, len(row))
+	}
+	for m, metric := range t.Metrics {
+		fmt.Printf("\n--- %s ---\n%*s", metric, aw, t.AxisName)
+		for _, row := range t.Rows {
+			fmt.Printf("  %*s", cw, row)
+		}
+		fmt.Println()
+		for ai, x := range t.Axis {
+			fmt.Printf("%*s", aw, x)
+			for r := range t.Rows {
+				s := t.Cells[r][ai][m]
+				fmt.Printf("  %*s", cw, fmt.Sprintf("%.3f ± %.3f", s.Mean, s.CI95))
+			}
+			fmt.Println()
+		}
+	}
+}
+
+// writeCSV writes a table to path in long form: one line per
+// (axis point, row, metric) with the full summary.
+func writeCSV(path string, t *mtmrp.Table) error {
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	lines := [][]string{{t.AxisName, "row", "metric", "n", "mean", "std", "ci95", "min", "max"}}
+	for ai, x := range t.Axis {
+		for r, row := range t.Rows {
+			for m, metric := range t.Metrics {
+				s := t.Cells[r][ai][m]
+				lines = append(lines, []string{x, row, metric, strconv.Itoa(s.N),
+					g(s.Mean), g(s.Std), g(s.CI95), g(s.Min), g(s.Max)})
+			}
+		}
+	}
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	w := csv.NewWriter(f)
-	if err := w.WriteAll(rows); err != nil {
-		f.Close()
-		return err
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
+	if err := w.WriteAll(lines); err != nil {
 		f.Close()
 		return err
 	}
@@ -241,334 +325,6 @@ func fig1() error {
 			b.name, tr.Transmissions(), tr.ExtraNodes())
 	}
 	return nil
-}
-
-func figGroupSweep(kind mtmrp.TopoKind, runs int, seed uint64) error {
-	figNo := 5
-	if kind == mtmrp.RandomTopo {
-		figNo = 6
-	}
-	fmt.Printf("=== Figure %d: %s topology, group-size sweep (%d runs/point) ===\n",
-		figNo, kind, runs)
-	protos := mtmrp.AllProtocols
-	if withGMR {
-		protos = append(append([]mtmrp.Protocol(nil), protos...), mtmrp.GMR)
-	}
-	res, err := mtmrp.GroupSizeSweep(mtmrp.SweepConfig{
-		Topo: kind, Runs: runs, Seed: seed, Protocols: protos,
-		Engine: engine(),
-	})
-	if res == nil {
-		return err
-	}
-	if interrupted(err) {
-		notePartial(res.Stats)
-	}
-	sizes := res.Config.Sizes
-	metrics := []struct {
-		m     mtmrp.Metric
-		label string
-	}{
-		{mtmrp.MetricOverhead, fmt.Sprintf("(%da) normalized transmission overhead", figNo)},
-		{mtmrp.MetricExtraNodes, fmt.Sprintf("(%db) number of extra nodes", figNo)},
-		{mtmrp.MetricRelayProfit, fmt.Sprintf("(%dc) average relay profit", figNo)},
-		{mtmrp.MetricDelivery, "(extra) delivery ratio"},
-	}
-	for mi, mm := range metrics {
-		fmt.Printf("\n--- %s ---\n", mm.label)
-		fmt.Printf("%6s", "size")
-		for _, p := range res.Config.Protocols {
-			fmt.Printf("  %-16s", p)
-		}
-		fmt.Println()
-		rows := [][]string{{"size"}}
-		for _, p := range res.Config.Protocols {
-			rows[0] = append(rows[0], p.String()+"_mean", p.String()+"_ci95")
-		}
-		for si, size := range sizes {
-			fmt.Printf("%6d", size)
-			row := []string{fmt.Sprint(size)}
-			for _, p := range res.Config.Protocols {
-				s := res.Cell(p, si, mm.m)
-				fmt.Printf("  %7.2f ± %-5.2f ", s.Mean, s.CI95)
-				row = append(row, fmt.Sprintf("%.4f", s.Mean), fmt.Sprintf("%.4f", s.CI95))
-			}
-			rows = append(rows, row)
-			fmt.Println()
-		}
-		name := fmt.Sprintf("fig%d%c_%s", figNo, 'a'+mi, kind)
-		if err := writeCSV(name, rows); err != nil {
-			return err
-		}
-	}
-	printStats(res.Stats)
-	fmt.Println()
-	return err
-}
-
-func figTuning(kind mtmrp.TopoKind, runs int, seed uint64) error {
-	figNo, size := 7, 20
-	if kind == mtmrp.RandomTopo {
-		figNo, size = 8, 15
-	}
-	fmt.Printf("=== Figure %d: tuning N and delta, %s topology, %d receivers (%d runs/point) ===\n",
-		figNo, kind, size, runs)
-	res, err := mtmrp.TuningSweep(mtmrp.TuningConfig{
-		Topo: kind, GroupSize: size, Runs: runs, Seed: seed,
-		Engine: engine(),
-	})
-	if res == nil {
-		return err
-	}
-	if interrupted(err) {
-		notePartial(res.Stats)
-	}
-	for _, p := range res.Config.Protocols {
-		fmt.Printf("\n--- %s: normalized transmission overhead ---\n", p)
-		fmt.Printf("%8s", "N \\ δms")
-		rows := [][]string{{"N"}}
-		for _, d := range res.Config.Deltas {
-			fmt.Printf("  %6.0f", d.Millis())
-			rows[0] = append(rows[0], fmt.Sprintf("delta_%.0fms", d.Millis()))
-		}
-		fmt.Println()
-		for ni, n := range res.Config.Ns {
-			fmt.Printf("%8d", n)
-			row := []string{fmt.Sprint(n)}
-			for di := range res.Config.Deltas {
-				fmt.Printf("  %6.2f", res.Surface[p][ni][di].Mean)
-				row = append(row, fmt.Sprintf("%.4f", res.Surface[p][ni][di].Mean))
-			}
-			rows = append(rows, row)
-			fmt.Println()
-		}
-		name := fmt.Sprintf("fig%d_%s_%s", figNo, kind, sanitize(p.String()))
-		if err := writeCSV(name, rows); err != nil {
-			return err
-		}
-	}
-	printStats(res.Stats)
-	fmt.Println()
-	return err
-}
-
-// sanitize turns a protocol legend into a file-name fragment.
-func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
-}
-
-// figAblation is this repository's extension study: MTMRP with each
-// mechanism removed in turn (the paper only ablates PHS).
-func figAblation(runs int, seed uint64) error {
-	fmt.Printf("=== Extension: MTMRP mechanism ablation, grid, 20 receivers (%d runs) ===\n\n", runs)
-	res, err := mtmrp.AblationSweep(mtmrp.AblationConfig{
-		Topo: mtmrp.GridTopo, GroupSize: 20, Runs: runs, Seed: seed,
-		Engine: engine(),
-	})
-	if res == nil {
-		return err
-	}
-	if interrupted(err) {
-		notePartial(res.Stats)
-	}
-	fmt.Printf("%-22s %18s %14s %12s\n", "variant", "transmissions", "extra nodes", "delivery")
-	for _, v := range res.Variants {
-		row := res.Summary[v.Name]
-		fmt.Printf("%-22s %10.2f ± %-5.2f %10.2f %12.3f\n",
-			v.Name,
-			row[mtmrp.MetricOverhead].Mean, row[mtmrp.MetricOverhead].CI95,
-			row[mtmrp.MetricExtraNodes].Mean,
-			row[mtmrp.MetricDelivery].Mean)
-	}
-	printStats(res.Stats)
-	fmt.Println()
-	return err
-}
-
-// figAmortize is this repository's second extension study: how the
-// one-time discovery cost amortises over data packets (§V.B.3's
-// trade-off).
-func figAmortize(runs int, seed uint64) error {
-	fmt.Printf("=== Extension: discovery-cost amortization, grid, 20 receivers (%d runs) ===\n\n", runs)
-	res, err := mtmrp.AmortizeSweep(mtmrp.AmortizeConfig{
-		Topo: mtmrp.GridTopo, GroupSize: 20, Runs: runs, Seed: seed,
-		Engine: engine(),
-	})
-	if res == nil {
-		return err
-	}
-	if interrupted(err) {
-		notePartial(res.Stats)
-	}
-	fmt.Printf("%10s", "packets")
-	for _, p := range res.Config.Protocols {
-		fmt.Printf("  %-24s", p)
-	}
-	fmt.Println()
-	fmt.Printf("%10s", "")
-	for range res.Config.Protocols {
-		fmt.Printf("  %-11s %-11s", "frames/pkt", "data/pkt")
-	}
-	fmt.Println()
-	for pi, packets := range res.Config.Packets {
-		fmt.Printf("%10d", packets)
-		for _, p := range res.Config.Protocols {
-			pt := res.Points[p][pi]
-			fmt.Printf("  %11.2f %11.2f", pt.FramesPerPacket.Mean, pt.DataPerPacket.Mean)
-		}
-		fmt.Println()
-	}
-	printStats(res.Stats)
-	fmt.Println()
-	return err
-}
-
-// figShadowing is this repository's third extension study: the Figure 5
-// comparison point under log-normal fading (the paper disables shadowing).
-func figShadowing(runs int, seed uint64) error {
-	fmt.Printf("=== Extension: log-normal shadowing robustness, grid, 20 receivers (%d runs) ===\n\n", runs)
-	res, err := mtmrp.ShadowingSweep(mtmrp.ShadowingConfig{
-		Topo: mtmrp.GridTopo, GroupSize: 20, Runs: runs, Seed: seed,
-		Engine: engine(),
-	})
-	if res == nil {
-		return err
-	}
-	if interrupted(err) {
-		notePartial(res.Stats)
-	}
-	fmt.Printf("%10s", "sigma dB")
-	for _, p := range res.Config.Protocols {
-		fmt.Printf("  %-22s", p)
-	}
-	fmt.Println()
-	fmt.Printf("%10s", "")
-	for range res.Config.Protocols {
-		fmt.Printf("  %-10s %-10s ", "tx", "delivery")
-	}
-	fmt.Println()
-	for si, sigma := range res.Config.SigmasDB {
-		fmt.Printf("%10.1f", sigma)
-		for _, p := range res.Config.Protocols {
-			fmt.Printf("  %10.2f %10.3f ", res.Overhead[p][si].Mean, res.Delivery[p][si].Mean)
-		}
-		fmt.Println()
-	}
-	printStats(res.Stats)
-	fmt.Println()
-	return err
-}
-
-// figFaults runs the fault-injection extension: PDR and tree-repair
-// behaviour versus the per-node crash probability, with paced traffic,
-// periodic route refresh and forwarder soft-state expiry active.
-func figFaults(runs int, seed uint64) error {
-	fmt.Printf("=== Extension: PDR vs node-failure rate, grid, 20 receivers (%d runs) ===\n\n", runs)
-	res, err := mtmrp.FaultSweep(mtmrp.FaultConfig{
-		Topo: mtmrp.GridTopo, GroupSize: 20, Runs: runs, Seed: seed,
-		Engine: engine(),
-	})
-	if res == nil {
-		return err
-	}
-	if interrupted(err) {
-		notePartial(res.Stats)
-	}
-	fmt.Printf("%10s", "fail rate")
-	for _, p := range res.Config.Protocols {
-		fmt.Printf("  %-33s", p)
-	}
-	fmt.Println()
-	fmt.Printf("%10s", "")
-	for range res.Config.Protocols {
-		fmt.Printf("  %-10s %-10s %-10s ", "mean PDR", "min PDR", "repairs")
-	}
-	fmt.Println()
-	rows := [][]string{{"fraction", "protocol", "mean_pdr", "min_pdr", "repairs", "repair_ms"}}
-	for fi, frac := range res.Config.FailFractions {
-		fmt.Printf("%10.2f", frac)
-		for _, p := range res.Config.Protocols {
-			mean := res.Cell(p, fi, mtmrp.FaultMeanPDR).Mean
-			min := res.Cell(p, fi, mtmrp.FaultMinPDR).Mean
-			rep := res.Cell(p, fi, mtmrp.FaultRepairs).Mean
-			fmt.Printf("  %10.3f %10.3f %10.2f ", mean, min, rep)
-			rows = append(rows, []string{
-				fmt.Sprintf("%g", frac), p.String(),
-				fmt.Sprintf("%g", mean), fmt.Sprintf("%g", min),
-				fmt.Sprintf("%g", rep),
-				fmt.Sprintf("%g", res.Cell(p, fi, mtmrp.FaultRepairMs).Mean),
-			})
-		}
-		fmt.Println()
-	}
-	if err := writeCSV("faults", rows); err != nil {
-		return err
-	}
-	printStats(res.Stats)
-	fmt.Println()
-	return err
-}
-
-// figMobility runs the mobility extension: delivery and control overhead
-// versus node speed and pause time under random-waypoint motion, with
-// paced traffic, periodic route refresh and forwarder soft-state expiry
-// active (speed 0 is the static control row).
-func figMobility(runs int, seed uint64) error {
-	fmt.Printf("=== Extension: PDR and overhead vs node speed, grid, 20 receivers (%d runs) ===\n\n", runs)
-	res, err := mtmrp.MobilitySweep(mtmrp.MobilityConfig{
-		Topo: mtmrp.GridTopo, GroupSize: 20, Runs: runs, Seed: seed,
-		Engine: engine(),
-	})
-	if res == nil {
-		return err
-	}
-	if interrupted(err) {
-		notePartial(res.Stats)
-	}
-	fmt.Printf("%16s", "speed/pause")
-	for _, p := range res.Config.Protocols {
-		fmt.Printf("  %-33s", p)
-	}
-	fmt.Println()
-	fmt.Printf("%16s", "")
-	for range res.Config.Protocols {
-		fmt.Printf("  %-10s %-10s %-10s ", "mean PDR", "min PDR", "control")
-	}
-	fmt.Println()
-	rows := [][]string{{"speed", "pause_ms", "protocol", "mean_pdr", "min_pdr", "control_tx", "repairs"}}
-	for xi, pt := range res.Points {
-		fmt.Printf("%16s", pt)
-		for _, p := range res.Config.Protocols {
-			mean := res.Cell(p, xi, mtmrp.MobilityMeanPDR).Mean
-			min := res.Cell(p, xi, mtmrp.MobilityMinPDR).Mean
-			ctl := res.Cell(p, xi, mtmrp.MobilityControlTx).Mean
-			fmt.Printf("  %10.3f %10.3f %10.0f ", mean, min, ctl)
-			rows = append(rows, []string{
-				fmt.Sprintf("%g", pt.Speed),
-				fmt.Sprintf("%d", int64(pt.Pause/mtmrp.Millisecond)),
-				p.String(),
-				fmt.Sprintf("%g", mean), fmt.Sprintf("%g", min),
-				fmt.Sprintf("%g", ctl),
-				fmt.Sprintf("%g", res.Cell(p, xi, mtmrp.MobilityRepairs).Mean),
-			})
-		}
-		fmt.Println()
-	}
-	if err := writeCSV("mobility", rows); err != nil {
-		return err
-	}
-	printStats(res.Stats)
-	fmt.Println()
-	return err
 }
 
 func figSnapshot(kind mtmrp.TopoKind, size int, seed uint64) error {

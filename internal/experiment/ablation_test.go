@@ -34,10 +34,11 @@ func TestAblationSweepSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Summary) != 6 {
-		t.Fatalf("summary rows = %d", len(res.Summary))
+	if len(res.Rows) != 6 || len(res.Cells) != 6 {
+		t.Fatalf("summary rows = %d", len(res.Cells))
 	}
-	for name, row := range res.Summary {
+	for vi, name := range res.Rows {
+		row := res.Cells[vi][0]
 		if row[MetricOverhead].N != 3 {
 			t.Errorf("%s: n = %d", name, row[MetricOverhead].N)
 		}

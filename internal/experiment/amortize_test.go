@@ -11,7 +11,7 @@ func TestMultiPacketSession(t *testing.T) {
 	topo := topology.PaperGrid()
 	out, err := Run(Scenario{
 		Topo: topo, Source: 0, Receivers: []int{55, 99}, Protocol: MTMRP,
-		DataPackets: 5, Seed: 3,
+		Traffic: TrafficOptions{DataPackets: 5}, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,20 +48,21 @@ func TestAmortizeSweepSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []Protocol{MTMRP, Flooding} {
-		pts := res.Points[p]
+	const frames, data = 0, 1 // metric indexes
+	for pi, p := range []Protocol{MTMRP, Flooding} {
+		pts := res.Cells[pi]
 		if len(pts) != 2 {
 			t.Fatalf("%v: %d points", p, len(pts))
 		}
 		// Amortisation: per-packet total cost must fall as the packet
 		// count grows (the constructed tree is reused).
-		if pts[1].FramesPerPacket.Mean >= pts[0].FramesPerPacket.Mean && p == MTMRP {
+		if pts[1][frames].Mean >= pts[0][frames].Mean && p == MTMRP {
 			t.Errorf("%v: no amortisation: %.1f -> %.1f",
-				p, pts[0].FramesPerPacket.Mean, pts[1].FramesPerPacket.Mean)
+				p, pts[0][frames].Mean, pts[1][frames].Mean)
 		}
 	}
 	// Steady-state data cost: MTMRP's tree must beat flooding decisively.
-	if res.Points[MTMRP][1].DataPerPacket.Mean >= res.Points[Flooding][1].DataPerPacket.Mean {
+	if res.Cells[0][1][data].Mean >= res.Cells[1][1][data].Mean {
 		t.Error("MTMRP steady-state cost should be far below flooding")
 	}
 }

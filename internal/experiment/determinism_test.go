@@ -22,7 +22,7 @@ func TestGroupSizeSweepDeterministicAcrossWorkers(t *testing.T) {
 			Runs:      6,
 			Seed:      2010,
 			Protocols: []Protocol{MTMRP, ODMRP},
-			Workers:   workers,
+			Engine:    EngineOptions{Workers: workers},
 		}
 	}
 	a, err := GroupSizeSweep(cfg(1))
@@ -33,9 +33,9 @@ func TestGroupSizeSweepDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Summary, b.Summary) {
+	if !reflect.DeepEqual(a.Cells, b.Cells) {
 		t.Fatalf("summary tables diverged across worker counts:\nW=1: %+v\nW=8: %+v",
-			a.Summary, b.Summary)
+			a.Cells, b.Cells)
 	}
 	// Spot-check exact equality of one cell, in case DeepEqual is ever
 	// weakened around the Summary type.
@@ -57,7 +57,7 @@ func TestAmortizeShadowingDeterministicAcrossWorkers(t *testing.T) {
 	am := func(workers int) *AmortizeResult {
 		res, err := AmortizeSweep(AmortizeConfig{
 			Topo: GridTopo, GroupSize: 8, Packets: []int{1, 5}, Runs: 3,
-			Seed: 4, Protocols: []Protocol{MTMRP, Flooding}, Workers: workers,
+			Seed: 4, Protocols: []Protocol{MTMRP, Flooding}, Engine: EngineOptions{Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -65,14 +65,14 @@ func TestAmortizeShadowingDeterministicAcrossWorkers(t *testing.T) {
 		return res
 	}
 	a, b := am(1), am(6)
-	if !reflect.DeepEqual(a.Points, b.Points) {
+	if !reflect.DeepEqual(a.Cells, b.Cells) {
 		t.Error("AmortizeSweep diverged across worker counts")
 	}
 
 	sh := func(workers int) *ShadowingResult {
 		res, err := ShadowingSweep(ShadowingConfig{
 			Topo: GridTopo, GroupSize: 8, SigmasDB: []float64{0, 1}, Runs: 3,
-			Seed: 6, Protocols: []Protocol{MTMRP}, Workers: workers,
+			Seed: 6, Protocols: []Protocol{MTMRP}, Engine: EngineOptions{Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -80,7 +80,7 @@ func TestAmortizeShadowingDeterministicAcrossWorkers(t *testing.T) {
 		return res
 	}
 	c, d := sh(1), sh(6)
-	if !reflect.DeepEqual(c.Overhead, d.Overhead) || !reflect.DeepEqual(c.Delivery, d.Delivery) {
+	if !reflect.DeepEqual(c.Cells, d.Cells) {
 		t.Error("ShadowingSweep diverged across worker counts")
 	}
 }

@@ -241,15 +241,13 @@ func TestTuningSweepSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	surf := res.Surface[MTMRP]
-	if len(surf) != 2 || len(surf[0]) != 2 {
-		t.Fatalf("surface shape %dx%d", len(surf), len(surf[0]))
+	surf := res.Cells[0] // MTMRP; axis point ni*len(Deltas)+di
+	if len(surf) != 4 {
+		t.Fatalf("surface has %d points, want 2x2", len(surf))
 	}
-	for ni := range surf {
-		for di := range surf[ni] {
-			if surf[ni][di].N != 3 || surf[ni][di].Mean <= 0 {
-				t.Errorf("cell (%d,%d) = %+v", ni, di, surf[ni][di])
-			}
+	for ai, cell := range surf {
+		if cell[0].N != 3 || cell[0].Mean <= 0 {
+			t.Errorf("cell (%d,%d) = %+v", ai/2, ai%2, cell[0])
 		}
 	}
 }

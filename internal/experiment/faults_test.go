@@ -25,7 +25,7 @@ func miniFaultConfig(workers int) FaultConfig {
 		Seed:          77,
 		Protocols:     []Protocol{MTMRP, ODMRP, DODMRP},
 		Packets:       8,
-		Workers:       workers,
+		Engine:        EngineOptions{Workers: workers},
 	}
 }
 
@@ -46,9 +46,9 @@ func TestFaultSweepBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r1.Metrics, r4.Metrics) {
+	if !reflect.DeepEqual(r1.Cells, r4.Cells) {
 		t.Errorf("fault sweep diverged across worker counts:\n 1: %+v\n 4: %+v",
-			r1.Metrics, r4.Metrics)
+			r1.Cells, r4.Cells)
 	}
 
 	// Fresh vs pooled, on a scenario with crashes, loss and soft state all

@@ -26,7 +26,7 @@ func miniMobilityConfig(workers int) MobilityConfig {
 		Seed:      99,
 		Protocols: []Protocol{MTMRP, ODMRP, DODMRP},
 		Packets:   8,
-		Workers:   workers,
+		Engine:    EngineOptions{Workers: workers},
 	}
 }
 
@@ -67,9 +67,9 @@ func TestMobilitySweepBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r1.Metrics, r4.Metrics) {
+	if !reflect.DeepEqual(r1.Cells, r4.Cells) {
 		t.Errorf("mobility sweep diverged across worker counts:\n 1: %+v\n 4: %+v",
-			r1.Metrics, r4.Metrics)
+			r1.Cells, r4.Cells)
 	}
 
 	// Fresh vs pooled, on a scenario with motion and soft state active. The
@@ -271,7 +271,7 @@ func TestGoldenMobilitySweep(t *testing.T) {
 	}
 	var got []cell
 	for _, p := range res.Config.Protocols {
-		for xi, pt := range res.Points {
+		for xi, pt := range res.Config.Points() {
 			for m := MobilityMetric(0); m < NumMobilityMetrics; m++ {
 				s := res.Cell(p, xi, m)
 				got = append(got, cell{p.String(), pt.Speed,

@@ -33,7 +33,12 @@ type TrafficOptions struct {
 	// cost — the trade-off §V.B.3 discusses.
 	DataPackets int
 	// DiscoveryRounds is how many times the source floods a JoinQuery
-	// before the data phase (default 2); see Scenario.DiscoveryRounds.
+	// before the data phase (default 2). On-demand mesh protocols refresh
+	// their routes with periodic JoinQuery floods (ODMRP's refresh
+	// interval); without at least one refresh, a single collision in the
+	// JoinReply phase can orphan a partially-built tree — later replies
+	// stop at nodes already flagged as forwarders whose own path to the
+	// source never completed. Data flows down the tree of the last round.
 	DiscoveryRounds int
 	// Interval paces the data phase: successive packets are sent this far
 	// apart in virtual time, so fault events and soft-state timers can
@@ -94,31 +99,9 @@ func (m *MobilityOptions) active() bool {
 	return m.Model != mobility.None || m.Trace != nil
 }
 
-// normalize merges the deprecated flat Scenario fields into the grouped
-// options, applies the documented defaults, and mirrors the canonical
-// values back onto the flat aliases so readers of either spelling agree.
-// Both NewSession and Reset call it first, which is what makes the two
-// spellings bit-identical: after normalize there is only one scenario.
+// normalize applies the documented Scenario defaults. Both NewSession and
+// Reset call it first.
 func (sc *Scenario) normalize() {
-	// Deprecated flat spellings fill whatever the groups leave zero
-	// (booleans OR: either spelling can switch realism off).
-	if sc.Radio.MAC == 0 {
-		sc.Radio.MAC = sc.MAC
-	}
-	sc.Radio.DisableCollisions = sc.Radio.DisableCollisions || sc.DisableCollisions
-	if sc.Radio.ShadowingSigmaDB == 0 {
-		sc.Radio.ShadowingSigmaDB = sc.ShadowingSigmaDB
-	}
-	if sc.Traffic.PayloadLen == 0 {
-		sc.Traffic.PayloadLen = sc.PayloadLen
-	}
-	if sc.Traffic.DataPackets == 0 {
-		sc.Traffic.DataPackets = sc.DataPackets
-	}
-	if sc.Traffic.DiscoveryRounds == 0 {
-		sc.Traffic.DiscoveryRounds = sc.DiscoveryRounds
-	}
-
 	if sc.N == 0 {
 		sc.N = 4
 	}
@@ -135,8 +118,8 @@ func (sc *Scenario) normalize() {
 		sc.Traffic.DiscoveryRounds = 2
 	}
 
-	// Mobility has no flat aliases; defaults apply only when the group is
-	// active, so an all-zero group stays exactly zero (static path).
+	// Mobility defaults apply only when the group is active, so an
+	// all-zero group stays exactly zero (static path).
 	if sc.Mobility.active() {
 		if sc.Mobility.Step <= 0 {
 			sc.Mobility.Step = mobility.DefaultStep
@@ -148,13 +131,6 @@ func (sc *Scenario) normalize() {
 			sc.Mobility.MinSpeed = sc.Mobility.MaxSpeed / 10
 		}
 	}
-
-	sc.MAC = sc.Radio.MAC
-	sc.DisableCollisions = sc.Radio.DisableCollisions
-	sc.ShadowingSigmaDB = sc.Radio.ShadowingSigmaDB
-	sc.PayloadLen = sc.Traffic.PayloadLen
-	sc.DataPackets = sc.Traffic.DataPackets
-	sc.DiscoveryRounds = sc.Traffic.DiscoveryRounds
 }
 
 // validate reports the scenario errors shared by NewSession and Reset.
@@ -166,8 +142,6 @@ func (sc *Scenario) validate() error {
 		return ErrBadSource
 	}
 	if sc.Mobility.active() {
-		// Traffic.Interval has no flat alias, so it is readable before
-		// normalize runs.
 		if sc.Traffic.Interval <= 0 {
 			return ErrMobilityUnpaced
 		}

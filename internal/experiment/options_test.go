@@ -1,182 +1,46 @@
 package experiment
 
 import (
-	"reflect"
 	"testing"
 
 	"mtmrp/internal/channel"
 	"mtmrp/internal/fault"
-	"mtmrp/internal/mobility"
 	"mtmrp/internal/network"
 	"mtmrp/internal/rng"
 	"mtmrp/internal/sim"
 	"mtmrp/internal/topology"
 )
 
-// optionScenarios returns the same non-default scenario spelled two ways:
-// through the deprecated flat fields and through the grouped options.
-func optionScenarios(t *testing.T) (flat, grouped Scenario) {
-	t.Helper()
-	topo := topology.PaperGrid()
-	recv, err := topo.PickReceivers(0, 10, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Scenario{
-		Topo: topo, Source: 0, Receivers: recv,
-		Protocol: ODMRP, Seed: 11,
-	}
-	// Mobility has no flat spelling — it is grouped-only — but it must
-	// behave identically whichever way the rest of the scenario is spelled,
-	// so both sides carry the same motion (over a paced data phase, which
-	// mobility requires).
-	base.Mobility = MobilityOptions{Model: mobility.RandomWaypoint, MaxSpeed: 10}
-	base.Traffic.Interval = 50 * sim.Millisecond
-
-	flat = base
-	flat.MAC = network.MACIdeal
-	flat.DisableCollisions = true
-	flat.ShadowingSigmaDB = 4
-	flat.PayloadLen = 128
-	flat.DataPackets = 3
-	flat.DiscoveryRounds = 1
-
-	grouped = base
-	grouped.Radio = RadioOptions{MAC: network.MACIdeal, DisableCollisions: true, ShadowingSigmaDB: 4}
-	grouped.Traffic = TrafficOptions{
-		PayloadLen: 128, DataPackets: 3, DiscoveryRounds: 1,
-		Interval: 50 * sim.Millisecond,
-	}
-	return flat, grouped
-}
-
-// TestFlatAndGroupedSpellingsIdentical is the alias vet: the deprecated
-// flat Scenario fields and the grouped option structs must produce
-// bit-identical outcomes, through both the one-shot Run and a pooled
-// session.
-func TestFlatAndGroupedSpellingsIdentical(t *testing.T) {
-	flat, grouped := optionScenarios(t)
-
-	a, err := Run(flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(grouped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Result, b.Result) {
-		t.Errorf("flat vs grouped Run diverged:\n%+v\n%+v", a.Result, b.Result)
-	}
-	if !reflect.DeepEqual(a.Robustness, b.Robustness) {
-		t.Errorf("flat vs grouped Robustness diverged:\n%+v\n%+v", a.Robustness, b.Robustness)
-	}
-
-	// A pooled session keyed by one spelling must be reusable by the other
-	// (the pool keys off the normalized shape) and reproduce the result.
-	pool := NewSessionPool()
-	c, err := pool.Run(flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Result, c.Result) {
-		t.Fatalf("pooled flat run diverged from fresh")
-	}
-	d, err := pool.Run(grouped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Result, d.Result) {
-		t.Errorf("pooled grouped run diverged from fresh flat run")
-	}
-	if len(pool.sessions) != 1 {
-		t.Errorf("pool built %d sessions for one normalized shape, want 1", len(pool.sessions))
-	}
-
-	// The identity extends to cache-key derivation: the same session spelled
-	// through RunSpec's deprecated flat aliases and through its grouped
-	// specs must canonicalize — and therefore hash — identically, so the
-	// sweep service can never compute or store one experiment twice.
-	specFlat, specGrouped := optionRunSpecs()
-	cf, err := specFlat.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg, err := specGrouped.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cf, cg) {
-		t.Errorf("flat vs grouped RunSpec canonical forms diverged:\n%+v\n%+v", cf, cg)
-	}
-	kf, err := specFlat.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kg, err := specGrouped.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kf != kg {
-		t.Errorf("flat vs grouped RunSpec keys diverged:\n%s\n%s", kf, kg)
-	}
-}
-
-// optionRunSpecs mirrors optionScenarios at the wire level: the same
-// non-default run spec spelled through the deprecated flat aliases and
-// through the grouped specs.
-func optionRunSpecs() (flat, grouped RunSpec) {
-	base := RunSpec{
+// optionRunSpec is a non-default mobile run spec spelled through every
+// grouped option (a golden-key fixture).
+func optionRunSpec() RunSpec {
+	return RunSpec{
 		Topo:      TopoSpec{Kind: "grid"},
 		GroupSize: 10,
 		Protocol:  "odmrp",
 		Seed:      11,
+		Radio:     RadioSpec{MAC: "ideal", DisableCollisions: true, ShadowingSigmaDB: 4},
+		Traffic:   TrafficSpec{PayloadLen: 128, DataPackets: 3, DiscoveryRounds: 1, IntervalMs: 50},
 		Mobility:  MobilitySpec{Model: "waypoint", MaxSpeed: 10},
 	}
-	base.Traffic.IntervalMs = 50 // grouped-only field (no flat alias)
-
-	flat = base
-	flat.MAC = "Ideal" // spelling is case-insensitive
-	flat.DisableCollisions = true
-	flat.ShadowingSigmaDB = 4
-	flat.PayloadLen = 128
-	flat.DataPackets = 3
-	flat.DiscoveryRounds = 1
-
-	grouped = base
-	grouped.Radio = RadioSpec{MAC: "ideal", DisableCollisions: true, ShadowingSigmaDB: 4}
-	grouped.Traffic.PayloadLen = 128
-	grouped.Traffic.DataPackets = 3
-	grouped.Traffic.DiscoveryRounds = 1
-	return flat, grouped
 }
 
-// TestNormalizeMirrorsCanonicalValues pins the merge direction: after
-// normalization both spellings read the same values, with the groups
-// winning when both are set.
-func TestNormalizeMirrorsCanonicalValues(t *testing.T) {
+// TestNormalizeAppliesDefaults pins normalize: set group fields survive,
+// zero ones take the documented defaults.
+func TestNormalizeAppliesDefaults(t *testing.T) {
 	sc := Scenario{
-		MAC:              network.MACIdeal, // flat fills an unset group field
-		ShadowingSigmaDB: 2,
-		Radio:            RadioOptions{ShadowingSigmaDB: 6}, // group wins over flat
-		DataPackets:      5,
+		Radio:   RadioOptions{MAC: network.MACIdeal, ShadowingSigmaDB: 6},
+		Traffic: TrafficOptions{DataPackets: 5},
 	}
 	sc.normalize()
-	if sc.Radio.MAC != network.MACIdeal || sc.MAC != network.MACIdeal {
-		t.Errorf("MAC merge: group=%v flat=%v", sc.Radio.MAC, sc.MAC)
+	if sc.Radio.MAC != network.MACIdeal || sc.Radio.ShadowingSigmaDB != 6 {
+		t.Errorf("radio group changed: %+v", sc.Radio)
 	}
-	if sc.Radio.ShadowingSigmaDB != 6 || sc.ShadowingSigmaDB != 6 {
-		t.Errorf("sigma merge: group=%v flat=%v", sc.Radio.ShadowingSigmaDB, sc.ShadowingSigmaDB)
+	if sc.Traffic.DataPackets != 5 {
+		t.Errorf("packets = %d, want 5", sc.Traffic.DataPackets)
 	}
-	if sc.Traffic.DataPackets != 5 || sc.DataPackets != 5 {
-		t.Errorf("packets merge: group=%v flat=%v", sc.Traffic.DataPackets, sc.DataPackets)
-	}
-	// Defaults land in both spellings.
-	if sc.Traffic.PayloadLen != 64 || sc.PayloadLen != 64 {
-		t.Errorf("payload default: group=%v flat=%v", sc.Traffic.PayloadLen, sc.PayloadLen)
-	}
-	if sc.Traffic.DiscoveryRounds != 2 || sc.DiscoveryRounds != 2 {
-		t.Errorf("rounds default: group=%v flat=%v", sc.Traffic.DiscoveryRounds, sc.DiscoveryRounds)
+	if sc.Traffic.PayloadLen != 64 || sc.Traffic.DiscoveryRounds != 2 {
+		t.Errorf("traffic defaults: payload=%d rounds=%d", sc.Traffic.PayloadLen, sc.Traffic.DiscoveryRounds)
 	}
 	if sc.N != 4 || sc.Delta != sim.Millisecond {
 		t.Errorf("backoff defaults: N=%d Delta=%v", sc.N, sc.Delta)

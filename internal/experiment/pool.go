@@ -55,9 +55,6 @@ func (p *SessionPool) Run(sc Scenario) (*Outcome, error) {
 	if sc.TraceWriter != nil || sc.Proto != nil || sc.Core != nil || sc.Topo == nil {
 		return Run(sc)
 	}
-	// Key off the normalized shape so the grouped and flat option
-	// spellings of the same scenario share a pooled session.
-	sc.normalize()
 	key := poolKey{
 		Protocol:          sc.Protocol,
 		MAC:               sc.Radio.MAC,

@@ -54,7 +54,7 @@ func TestPooledRunMatchesFresh(t *testing.T) {
 					name: "random1",
 					sc: Scenario{
 						Topo: rand1, Source: 0, Protocol: p,
-						Links: rand1Links, DataPackets: 2,
+						Links: rand1Links, Traffic: TrafficOptions{DataPackets: 2},
 					},
 				},
 				{
@@ -120,7 +120,7 @@ func TestPooledSweepMatchesFreshSweep(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			values[pi] = metricsVector(out.Result)
+			measureFigure(out, 0, values[pi][:])
 		}
 		return values, nil
 	}

@@ -36,7 +36,7 @@ func TestPerfectChannelAlwaysDelivers(t *testing.T) {
 		for _, p := range []Protocol{MTMRP, MTMRPNoPHS, DODMRP, ODMRP} {
 			out, err := Run(Scenario{
 				Topo: topo, Source: 0, Receivers: rcv, Protocol: p,
-				Seed: seed, MAC: network.MACCSMA, DisableCollisions: true,
+				Seed: seed, Radio: RadioOptions{MAC: network.MACCSMA, DisableCollisions: true},
 			})
 			if err != nil {
 				t.Logf("%v: %v", p, err)
@@ -80,7 +80,7 @@ func TestPHSNeverCostsOnAverage(t *testing.T) {
 		for _, p := range []Protocol{MTMRP, MTMRPNoPHS} {
 			out, err := Run(Scenario{
 				Topo: topo, Source: 0, Receivers: rcv, Protocol: p,
-				Seed: seed, MAC: network.MACIdeal, DisableCollisions: true,
+				Seed: seed, Radio: RadioOptions{MAC: network.MACIdeal, DisableCollisions: true},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -30,14 +30,14 @@ func TestRefreshHealsOrphanedTrees(t *testing.T) {
 	}
 
 	single := base
-	single.DiscoveryRounds = 1
+	single.Traffic.DiscoveryRounds = 1
 	out1, err := Run(single)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	double := base
-	double.DiscoveryRounds = 2
+	double.Traffic.DiscoveryRounds = 2
 	out2, err := Run(double)
 	if err != nil {
 		t.Fatal(err)

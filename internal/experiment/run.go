@@ -21,7 +21,6 @@ import (
 	"mtmrp/internal/packet"
 	"mtmrp/internal/proto"
 	"mtmrp/internal/radio"
-	"mtmrp/internal/rng"
 	"mtmrp/internal/sim"
 	"mtmrp/internal/topology"
 )
@@ -63,12 +62,9 @@ func (p Protocol) String() string {
 // AllProtocols lists the four protocols of Figures 5–8 in legend order.
 var AllProtocols = []Protocol{MTMRP, MTMRPNoPHS, DODMRP, ODMRP}
 
-// Scenario describes one simulated session. Options come in three groups —
-// Radio (channel realism), Traffic (workload shape) and Faults (injected
-// dynamics) — plus the identity fields below. The flat option fields that
-// predate the groups remain as deprecated aliases: both spellings are
-// merged during NewSession/Reset validation and behave identically, but
-// new code should use the groups.
+// Scenario describes one simulated session. Options come in four groups —
+// Radio (channel realism), Traffic (workload shape), Faults (injected
+// dynamics) and Mobility (node motion) — plus the identity fields below.
 type Scenario struct {
 	Topo      *topology.Topology
 	Source    int
@@ -92,39 +88,6 @@ type Scenario struct {
 	// Mobility moves nodes during the paced data phase (zero = the
 	// paper's static field).
 	Mobility MobilityOptions
-
-	// MAC and DisableCollisions select the channel realism.
-	//
-	// Deprecated: set Radio.MAC / Radio.DisableCollisions instead.
-	MAC               network.MACKind
-	DisableCollisions bool
-
-	// ShadowingSigmaDB enables log-normal fading.
-	//
-	// Deprecated: set Radio.ShadowingSigmaDB instead.
-	ShadowingSigmaDB float64
-
-	// PayloadLen is the DATA payload size in bytes (default 64).
-	//
-	// Deprecated: set Traffic.PayloadLen instead.
-	PayloadLen int
-
-	// DataPackets is how many data packets the source pushes down the
-	// constructed tree (default 1).
-	//
-	// Deprecated: set Traffic.DataPackets instead.
-	DataPackets int
-
-	// DiscoveryRounds is how many times the source floods a JoinQuery
-	// before the data phase (default 2). On-demand mesh protocols refresh
-	// their routes with periodic JoinQuery floods (ODMRP's refresh
-	// interval); without at least one refresh, a single collision in the
-	// JoinReply phase can orphan a partially-built tree — later replies
-	// stop at nodes already flagged as forwarders whose own path to the
-	// source never completed. Data flows down the tree of the last round.
-	//
-	// Deprecated: set Traffic.DiscoveryRounds instead.
-	DiscoveryRounds int
 
 	// Proto overrides the shared protocol timing; nil takes defaults.
 	Proto *proto.Config
@@ -238,9 +201,4 @@ func buildRouter(sc Scenario, pcfg proto.Config) proto.Router {
 	default:
 		panic(fmt.Sprintf("experiment: unknown protocol %d", sc.Protocol))
 	}
-}
-
-// PickReceivers draws a fresh receiver set for a Monte-Carlo round.
-func PickReceivers(t *topology.Topology, source, k int, r *rng.RNG) ([]int, error) {
-	return t.PickReceivers(source, k, r)
 }

@@ -59,9 +59,8 @@ type Session struct {
 	dests []packet.NodeID // SetDestinations scratch, reused across Reset
 }
 
-// NewSession validates the scenario, applies its defaults (merging the
-// deprecated flat option fields into the Radio/Traffic/Faults groups), and
-// builds the network with a router on every node. No virtual time elapses
+// NewSession validates the scenario, applies its defaults, and builds the
+// network with a router on every node. No virtual time elapses
 // yet, but the scenario's fault schedule is already armed on the simulator.
 func NewSession(sc Scenario) (*Session, error) {
 	if err := sc.validate(); err != nil {

@@ -14,13 +14,14 @@ func TestShadowingSweepSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []Protocol{MTMRP, ODMRP} {
-		if len(res.Overhead[p]) != 2 || res.Overhead[p][0].N != 3 {
+	const overhead, delivery = 0, 1 // metric indexes
+	for pi, p := range []Protocol{MTMRP, ODMRP} {
+		if len(res.Cells[pi]) != 2 || res.Cells[pi][0][overhead].N != 3 {
 			t.Fatalf("%v: malformed result", p)
 		}
 		// Mild fading (1 dB) must not collapse delivery: the link-quality
 		// gate keeps trees on solid links.
-		if s := res.Delivery[p][1]; s.Mean < 0.6 {
+		if s := res.Cells[pi][1][delivery]; s.Mean < 0.6 {
 			t.Errorf("%v at 1 dB: delivery %.2f collapsed", p, s.Mean)
 		}
 	}
@@ -28,7 +29,7 @@ func TestShadowingSweepSmall(t *testing.T) {
 
 func TestShadowedChannelStillDelivers(t *testing.T) {
 	sc := gridScenario(t, MTMRP, 9, 10)
-	sc.ShadowingSigmaDB = 1
+	sc.Radio.ShadowingSigmaDB = 1
 	out, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +51,7 @@ func TestQualityGateMatters(t *testing.T) {
 		const runs = 8
 		for s := uint64(0); s < runs; s++ {
 			sc := gridScenario(t, MTMRP, 50+s, 15)
-			sc.ShadowingSigmaDB = 1
+			sc.Radio.ShadowingSigmaDB = 1
 			pc := defaultProtoForTest()
 			pc.MinHelloCount = minHello
 			sc.Proto = &pc

@@ -2,7 +2,7 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"mtmrp/internal/channel"
@@ -66,12 +66,6 @@ func sweepKindOf(name string) (*sweepKind, error) {
 	return k, nil
 }
 
-// SweepKindNames lists the canonical kind names in registration order
-// (the group-size kind prints as "group-size", its non-empty alias).
-func SweepKindNames() []string {
-	return []string{"group-size", "fault", "mobility"}
-}
-
 // RunSweepFromSpec executes the sweep a spec describes through its kind's
 // run hook, returning one cell matrix per canonical protocol. Like every
 // driver, the result is a pure function of the canonical spec:
@@ -94,7 +88,7 @@ func init() {
 	registerSweepKind(&sweepKind{
 		name:         "",
 		aliases:      []string{"group-size", "group_size", "groupsize"},
-		metrics:      []string{"overhead", "extra_nodes", "relay_profit", "delivery"},
+		metrics:      figureMetrics,
 		canonicalize: canonGroupSizeKind,
 		split:        splitGroupSizeKind,
 		run:          runGroupSizeKind,
@@ -102,7 +96,7 @@ func init() {
 	registerSweepKind(&sweepKind{
 		name:         "fault",
 		aliases:      []string{"faults"},
-		metrics:      []string{"mean_pdr", "min_pdr", "repairs", "repair_time_ms"},
+		metrics:      faultMetrics,
 		canonicalize: canonFaultKind,
 		split:        splitFaultKind,
 		run:          runFaultKind,
@@ -110,7 +104,7 @@ func init() {
 	registerSweepKind(&sweepKind{
 		name:         "mobility",
 		aliases:      []string{"mobile"},
-		metrics:      []string{"mean_pdr", "min_pdr", "control_tx", "repairs"},
+		metrics:      mobilityMetrics,
 		canonicalize: canonMobilityKind,
 		split:        splitMobilityKind,
 		run:          runMobilityKind,
@@ -136,16 +130,9 @@ func rejectForeign(kind string, fields ...kindField) error {
 
 // canonSortedFloats copies, sorts and dedups a float axis.
 func canonSortedFloats(vals []float64) []float64 {
-	out := append([]float64(nil), vals...)
-	sort.Float64s(out)
-	n := 0
-	for i, v := range out {
-		if i == 0 || v != out[i-1] {
-			out[n] = v
-			n++
-		}
-	}
-	return out[:n]
+	out := slices.Clone(vals)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // canonAxisShape applies the shared fault/mobility axis-point defaults
@@ -208,12 +195,15 @@ func canonGroupSizeKind(c *SweepSpec) error {
 	if c.DeltaMs == 0 {
 		c.DeltaMs = 1
 	}
-	c.Sizes = append([]int(nil), c.Sizes...)
+	if err := checkSpecBackoff(c.N, c.DeltaMs); err != nil {
+		return err
+	}
+	c.Sizes = slices.Clone(c.Sizes)
 	if len(c.Sizes) == 0 {
 		c.Sizes = PaperSizes()
 	}
-	sort.Ints(c.Sizes)
-	c.Sizes = dedupInts(c.Sizes)
+	slices.Sort(c.Sizes)
+	c.Sizes = slices.Compact(c.Sizes)
 	if c.Sizes[0] <= 0 {
 		return ErrSpecSizes
 	}
@@ -240,11 +230,17 @@ func runGroupSizeKind(c SweepSpec, eng EngineOptions) ([]SweepCells, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SweepCells, len(cfg.Protocols))
-	for i, p := range cfg.Protocols {
-		out[i] = SweepCells{Protocol: protocolSpecName(p), Cells: res.Summary[p]}
+	return specCells(cfg.Protocols, &res.Table), nil
+}
+
+// specCells passes a protocol comparison's table rows through as payload
+// cells, named by the protocols' wire spellings.
+func specCells(protos []Protocol, t *Table) []SweepCells {
+	out := make([]SweepCells, len(protos))
+	for i, p := range protos {
+		out[i] = SweepCells{Protocol: protocolSpecName(p), Cells: t.Cells[i]}
 	}
-	return out, nil
+	return out
 }
 
 // --- fault kind (robustness study) -------------------------------------
@@ -322,16 +318,7 @@ func runFaultKind(c SweepSpec, eng EngineOptions) ([]SweepCells, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SweepCells, len(protos))
-	for i, p := range protos {
-		rows := res.Metrics[p]
-		cells := make([][]stats.Summary, len(rows))
-		for fi, row := range rows {
-			cells[fi] = append([]stats.Summary(nil), row[:]...)
-		}
-		out[i] = SweepCells{Protocol: protocolSpecName(p), Cells: cells}
-	}
-	return out, nil
+	return specCells(protos, &res.Table), nil
 }
 
 // --- mobility kind ------------------------------------------------------
@@ -426,16 +413,7 @@ func runMobilityKind(c SweepSpec, eng EngineOptions) ([]SweepCells, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SweepCells, len(protos))
-	for i, p := range protos {
-		rows := res.Metrics[p]
-		cells := make([][]stats.Summary, len(rows))
-		for xi, row := range rows {
-			cells[xi] = append([]stats.Summary(nil), row[:]...)
-		}
-		out[i] = SweepCells{Protocol: protocolSpecName(p), Cells: cells}
-	}
-	return out, nil
+	return specCells(protos, &res.Table), nil
 }
 
 // topoKindOf maps the canonical topo string to the driver enum.

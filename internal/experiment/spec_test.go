@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -87,8 +88,20 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := (RunSpec{Mobility: MobilitySpec{Model: "waypoint", MaxSpeed: 5}}).Key(); err == nil {
 		t.Error("mobile spec without a traffic interval accepted")
 	}
-	if _, err := (RunSpec{MAC: "tdma"}).Key(); err == nil {
+	if _, err := (RunSpec{Radio: RadioSpec{MAC: "tdma"}}).Key(); err == nil {
 		t.Error("unknown MAC accepted")
+	}
+	// Backoff parameters the protocols cannot run are spec errors, not
+	// worker panics.
+	for _, s := range []SweepSpec{{N: -1}, {DeltaMs: -1}, {DeltaMs: 1e-9}} {
+		if _, err := s.Key(); !errors.Is(err, ErrSpecBackoff) {
+			t.Errorf("sweep n=%d delta_ms=%g: err = %v, want ErrSpecBackoff", s.N, s.DeltaMs, err)
+		}
+	}
+	for _, s := range []RunSpec{{N: -2}, {DeltaMs: -1}} {
+		if _, err := RunFromSpec(s, nil); !errors.Is(err, ErrSpecBackoff) {
+			t.Errorf("run n=%d delta_ms=%g: err = %v, want ErrSpecBackoff", s.N, s.DeltaMs, err)
+		}
 	}
 }
 
@@ -153,8 +166,8 @@ func TestSweepSplitComposes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range cfg.Protocols {
-			if !reflect.DeepEqual(part.Summary[p][0], full.Summary[p][si]) {
+		for pi, p := range cfg.Protocols {
+			if !reflect.DeepEqual(part.Cells[pi][0], full.Cells[pi][si]) {
 				t.Errorf("%v size %d: sub-sweep cells diverged from the full sweep",
 					p, canon.Sizes[si])
 			}
@@ -382,7 +395,7 @@ func TestRunFromSpecDeterministic(t *testing.T) {
 // canonical JSON layout, or to the version constants shifts these hashes
 // and fails TestGoldenKeys.
 func goldenSpecs() (sweeps map[string]SweepSpec, runs map[string]RunSpec) {
-	_, mobileGrouped := optionRunSpecs()
+	mobileGrouped := optionRunSpec()
 	sweeps = map[string]SweepSpec{
 		"fig5-default":    {},
 		"fig6-random":     {Topo: "random", Seed: 7},
@@ -513,6 +526,11 @@ func FuzzSweepSpecCanonical(f *testing.F) {
 		ccj, _ := json.Marshal(cc)
 		if !bytes.Equal(cj, ccj) {
 			t.Fatalf("Canonical not idempotent:\n once  %s\n twice %s", cj, ccj)
+		}
+		// A canonical group-size spec carries backoff parameters every
+		// protocol can run, so serving it can never panic a sweep worker.
+		if c.Kind == "" && (c.N < 1 || !(c.DeltaMs > 0)) {
+			t.Fatalf("canonical group-size spec %s has n=%d delta_ms=%g", cj, c.N, c.DeltaMs)
 		}
 		k, err := s.Key()
 		if err != nil {

@@ -701,6 +701,7 @@ func isSpecErr(err error) bool {
 		errors.Is(err, experiment.ErrSpecSpeeds) ||
 		errors.Is(err, experiment.ErrSpecTiming) ||
 		errors.Is(err, experiment.ErrSpecModel) ||
+		errors.Is(err, experiment.ErrSpecBackoff) ||
 		errors.Is(err, experiment.ErrMobilityUnpaced) ||
 		errors.Is(err, experiment.ErrMobilitySpeed)
 }

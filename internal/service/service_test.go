@@ -283,7 +283,7 @@ func TestDrainServesHitsRefusesComputes(t *testing.T) {
 }
 
 // TestRunSpecServing covers the single-session endpoint path end to end:
-// miss, hit, byte identity, flat/grouped aliases sharing one cache slot.
+// miss, hit, byte identity.
 func TestRunSpecServing(t *testing.T) {
 	svc := newTestService(t, Config{})
 	spec := experiment.RunSpec{GroupSize: 8, Protocol: "mtmrp", Seed: 5}
@@ -305,33 +305,6 @@ func TestRunSpecServing(t *testing.T) {
 	if pl.Kind != "run" || pl.Result.ReceiverCount != 8 {
 		t.Fatalf("run payload = %+v", pl)
 	}
-
-	// A flat-alias spelling of an equivalent spec hits the same slot
-	// without computing (the key-identity satellite, observed end to end).
-	flat, grouped := specAliases()
-	if _, err := svc.Run(grouped); err != nil {
-		t.Fatal(err)
-	}
-	res, err := svc.Run(flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Hit {
-		t.Error("flat alias spelling missed the grouped spelling's cache slot")
-	}
-}
-
-// specAliases returns one session spelled through flat aliases and through
-// grouped specs (no mobility, so it stays cheap).
-func specAliases() (flat, grouped experiment.RunSpec) {
-	base := experiment.RunSpec{GroupSize: 6, Protocol: "odmrp", Seed: 17}
-	flat, grouped = base, base
-	flat.MAC = "ideal"
-	flat.DisableCollisions = true
-	flat.PayloadLen = 96
-	grouped.Radio = experiment.RadioSpec{MAC: "ideal", DisableCollisions: true}
-	grouped.Traffic.PayloadLen = 96
-	return flat, grouped
 }
 
 // TestShardOwnership pins key-range ownership: a 2-shard instance serves
@@ -647,20 +620,27 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 
 	// Body rejections: an invalid spec, a second JSON value after a valid
-	// one (never served as the first spec's answer), and a valid spec
-	// behind padding that pushes the body over the size bound.
+	// one (never served as the first spec's answer), a valid spec behind
+	// padding that pushes the body over the size bound, backoff parameters
+	// no protocol can run (which once panicked a sweep worker and killed
+	// the process) and a removed flat RunSpec alias.
 	tiny, _ := json.Marshal(tinySweep())
 	for _, tc := range []struct {
-		name, body string
-		status     int
-		code       string
+		name, path, body string
+		status           int
+		code             string
 	}{
-		{"bad spec", `{"topo":"bogus"}`, http.StatusBadRequest, "bad_spec"},
-		{"trailing data", string(tiny) + `{"runs":1}`, http.StatusBadRequest, "bad_spec"},
-		{"oversized body", strings.Repeat(" ", maxSpecBytes) + string(tiny),
+		{"bad spec", "/v1/sweep", `{"topo":"bogus"}`, http.StatusBadRequest, "bad_spec"},
+		{"trailing data", "/v1/sweep", string(tiny) + `{"runs":1}`, http.StatusBadRequest, "bad_spec"},
+		{"oversized body", "/v1/sweep", strings.Repeat(" ", maxSpecBytes) + string(tiny),
 			http.StatusRequestEntityTooLarge, "too_large"},
+		{"sweep negative n", "/v1/sweep", `{"sizes":[5],"runs":1,"n":-1}`, http.StatusBadRequest, "bad_spec"},
+		{"sweep negative delta", "/v1/sweep", `{"sizes":[5],"runs":1,"delta_ms":-1}`, http.StatusBadRequest, "bad_spec"},
+		{"run negative n", "/v1/run", `{"n":-2}`, http.StatusBadRequest, "bad_spec"},
+		{"run negative delta", "/v1/run", `{"delta_ms":-1}`, http.StatusBadRequest, "bad_spec"},
+		{"run flat alias", "/v1/run", `{"mac":"ideal"}`, http.StatusBadRequest, "bad_spec"},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(tc.body))
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
