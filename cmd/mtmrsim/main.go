@@ -34,7 +34,7 @@ func main() {
 		packets  = flag.Int("packets", 1, "data packets to send down the constructed tree")
 		rounds   = flag.Int("rounds", 0, "discovery rounds before sending data (0 = protocol default)")
 		snapshot = flag.Bool("snapshot", false, "render the forwarder field")
-		stats    = flag.Bool("stats", false, "print simulator throughput stats (events/sec, peak queue depth)")
+		stats    = flag.Bool("stats", false, "print simulator throughput stats (events/sec, queue entries, peak queue depth)")
 		verbose  = flag.Bool("v", false, "print per-type transmission counts and per-phase event totals")
 		traceOut = flag.String("trace", "", "write a JSONL event log to this file (see traceview)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -156,6 +156,10 @@ func run(topoKind, topoFile string, nodes int, side, txRange float64, protoArg s
 	if stats {
 		st := s.Stats()
 		fmt.Printf("simulator events:        %d\n", st.Processed)
+		if st.Entries > 0 {
+			fmt.Printf("queue entries:           %d (%.2f events/entry)\n",
+				st.Entries, float64(st.Processed)/float64(st.Entries))
+		}
 		fmt.Printf("peak queue depth:        %d\n", st.MaxPending)
 		fmt.Printf("event-loop wall time:    %s\n", st.RunWall)
 		fmt.Printf("throughput:              %.0f events/sec\n", st.EventsPerSec)

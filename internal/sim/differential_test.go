@@ -162,17 +162,25 @@ func (m *refModel) reset() {
 
 // TestSchedulerDifferential runs the full Simulator and the refModel
 // through the same randomized op script — AfterCall and ScheduleBatch
-// schedules (including massive tie storms), cancels of live, fired and
-// stale handles, Step bursts, RunUntil hops, and Resets — and requires
-// the two fired-event streams to match exactly, (time, tag) for
-// (time, tag), plus agreeing pending counts at every checkpoint.
+// schedules (including massive tie storms), AfterCallN runs (which the
+// model expands into n single calls), cancels of live, fired and stale
+// handles, Step bursts, RunUntil hops and Stops that land in the middle
+// of a run, and Resets with runs pending — and requires the two
+// fired-event streams to match exactly, (time, tag) for (time, tag),
+// plus agreeing pending counts at every checkpoint.
 func TestSchedulerDifferential(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		s := New()
 		m := newRefModel()
 		var fired []firedEvent
-		cb := func(_ any, tag int) { fired = append(fired, firedEvent{at: s.Now(), tag: tag}) }
+		stopAt := -1 // Stop the running drain once fired reaches this length
+		cb := func(_ any, tag int) {
+			fired = append(fired, firedEvent{at: s.Now(), tag: tag})
+			if len(fired) == stopAt {
+				s.Stop()
+			}
+		}
 
 		var handles []Event   // scheduler handles, index-aligned with...
 		var modelSeq []uint64 // ...model sequence numbers
@@ -196,7 +204,7 @@ func TestSchedulerDifferential(t *testing.T) {
 		}
 		var batch Batch
 		for op := 0; op < 600; op++ {
-			switch r.Intn(10) {
+			switch r.Intn(12) {
 			case 0, 1, 2:
 				schedule(offset())
 			case 3:
@@ -245,6 +253,45 @@ func TestSchedulerDifferential(t *testing.T) {
 				m.runUntil(until)
 				if s.Now() != m.now {
 					t.Logf("clock mismatch after RunUntil: sim %v model %v", s.Now(), m.now)
+					return false
+				}
+			case 10:
+				// A fan of runs and single calls, like a transmission's
+				// delay runs: some runs share a delay with each other or
+				// with a single call, so same-timestamp order is exercised.
+				var ds []Time
+				for i := r.Intn(12) + 1; i > 0; i-- {
+					if len(ds) > 0 && r.Bool(0.3) {
+						ds = append(ds, ds[r.Intn(len(ds))])
+					} else {
+						ds = append(ds, offset())
+					}
+				}
+				for _, d := range ds {
+					n := 1
+					if r.Bool(0.7) {
+						n = r.Intn(60) + 1
+					}
+					batch.AfterCallN(d, cb, nil, tag, n)
+					for i := 0; i < n; i++ {
+						m.schedule(d, tag)
+						tag++
+					}
+				}
+				s.ScheduleBatch(&batch)
+			case 11:
+				// Run, stopped after k calls: usually mid-run.
+				k := r.Intn(80) + 1
+				stopAt = len(fired) + k
+				s.Run()
+				stopAt = -1
+				for ; k > 0; k-- {
+					if _, ok := m.pop(); !ok {
+						break
+					}
+				}
+				if len(fired) != len(m.fired) {
+					t.Logf("Stop mismatch: sim fired %d, model %d", len(fired), len(m.fired))
 					return false
 				}
 			case 9:
