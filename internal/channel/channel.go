@@ -21,6 +21,7 @@ import (
 	"mtmrp/internal/radio"
 	"mtmrp/internal/rng"
 	"mtmrp/internal/sim"
+	"mtmrp/internal/sparse"
 )
 
 // Radio is the node-side endpoint the channel talks to (implemented by the
@@ -32,15 +33,48 @@ type Radio interface {
 	CarrierChanged(busy bool)
 }
 
-// arrival tracks one frame in flight toward one receiver. Arrivals are
-// pooled: Transmit takes one from the channel's free list per decodable
-// link and endArrival returns it once the reception resolves, so a
-// steady-state transmission allocates nothing per neighbor.
+// arrival tracks one frame in flight toward one receiver. It lives inside
+// its transmission's fan record (member.arr), so a steady-state
+// transmission allocates nothing per neighbor.
 type arrival struct {
-	ch       *Channel
 	pkt      *packet.Packet
 	collided bool
 	aborted  bool // receiver transmitted during reception
+}
+
+// fan is one transmission's carrier-sense fan, staged by fanOut and
+// consumed by its start and end runs: mem holds the CS neighbors grouped
+// by propagation delay (CS-list order inside a group), and each group is
+// one start run and one end run over its index range. Members copy the
+// destination out of the link table and carry their own arrival, so a
+// DynamicLinkTable.Move while the frame is in flight — which edits the
+// link lists in place — cannot reach it. Fans are pooled by the channel
+// and recycled after their last end call.
+type fan struct {
+	c    *Channel
+	left int // end calls not yet run
+	mem  []member
+}
+
+// member is one CS neighbor of a fan.
+type member struct {
+	to  int
+	rx  bool    // decodes the frame: arr is live
+	arr arrival // the frame in flight toward to, when rx
+}
+
+// delaySlot stamps one propagation delay (the slot index, in ns) with the
+// fan group it maps to during the transmission of generation gen.
+type delaySlot struct {
+	gen uint32
+	g   int32
+}
+
+// delayGroup is one distinct propagation delay of a fan: n members, and
+// next, the fill cursor into fan.mem (the group's end, once filled).
+type delayGroup struct {
+	d       sim.Time
+	n, next int32
 }
 
 // nodeState is the per-node radio state machine.
@@ -140,16 +174,25 @@ type Channel struct {
 	uid    uint64
 	stats  Stats
 
-	arrFree []*arrival // recycled arrival records
-	batch   sim.Batch  // per-transmission fan, flushed by ScheduleBatch
+	batch   sim.Batch // per-transmission entries, flushed by ScheduleBatch
+	fanFree []*fan    // recycled fan records
 
-	// Loss-model state. loss is the active config (nil = off); geBad holds
-	// one bit per directed link (from*n+to), set while the link's chain is
-	// in the Bad state; degraded flags nodes hit by a link-degradation
-	// fault event. All of it is lazily allocated and rewound by Reset, so
+	// Per-transmission delay-grouping scratch (fanOut): slots maps a delay
+	// in ns to its group, valid only where stamped with slotGen, so no
+	// transmission clears it; groups and linkGroup are reused storage.
+	slots     []delaySlot
+	slotGen   uint32
+	groups    []delayGroup
+	linkGroup []int32
+
+	// Loss-model state. loss is the active config (nil = off); geBad maps
+	// a directed link (from*n+to) to 1 while its chain is in the Bad state
+	// — a sparse map, so it grows with the links frames actually cross,
+	// not with n²; degraded flags nodes hit by a link-degradation fault
+	// event. All of it is lazily allocated and rewound by Reset, so
 	// lossless simulations pay nothing.
 	loss     *LossConfig
-	geBad    []uint64
+	geBad    sparse.Map
 	degraded []bool
 
 	// OnAir, if set, observes every transmission (for metrics/tracing).
@@ -191,12 +234,7 @@ func (c *Channel) SetLoss(cfg *LossConfig) {
 		panic("channel: loss model requires a random source")
 	}
 	c.loss = cfg
-	if cfg != nil && c.geBad == nil {
-		c.geBad = make([]uint64, (c.links.n*c.links.n+63)/64)
-	}
-	for i := range c.geBad {
-		c.geBad[i] = 0
-	}
+	c.geBad.Reset()
 }
 
 // SetDegraded marks (or clears) node i as link-degraded: every frame on a
@@ -227,19 +265,20 @@ func (c *Channel) Degraded(i int) bool {
 func (c *Channel) linkUp(i, j int) bool {
 	drop := false
 	if l := c.loss; l != nil {
-		idx := i*c.links.n + j
-		bad := c.geBad[idx>>6]&(1<<(idx&63)) != 0
+		key := uint64(i)*uint64(c.links.n) + uint64(j)
+		v, _ := c.geBad.Get(key)
+		bad := v != 0
 		// Step the chain, then apply the (new) state's drop probability:
 		// a Good->Bad transition corrupts the frame that triggered it,
 		// which is what makes back-to-back losses bursty.
 		if bad {
 			if c.cfg.LossRand.Bool(l.PBadGood) {
 				bad = false
-				c.geBad[idx>>6] &^= 1 << (idx & 63)
+				c.geBad.Put(key, 0)
 			}
 		} else if c.cfg.LossRand.Bool(l.PGoodBad) {
 			bad = true
-			c.geBad[idx>>6] |= 1 << (idx & 63)
+			c.geBad.Put(key, 1)
 		}
 		p := l.DropGood
 		if bad {
@@ -288,7 +327,7 @@ func (c *Channel) Attach(i int, r Radio) {
 
 // Reset returns the channel to its initial state over a (possibly new)
 // link table of the same size and radio parameters, keeping the attached
-// radios and the arrival free list. Session pooling uses it to rebind a
+// radios and the fan free list. Session pooling uses it to rebind a
 // long-lived channel to the next Monte-Carlo round's topology.
 func (c *Channel) Reset(links *LinkTable) {
 	if links.n != c.links.n {
@@ -313,9 +352,7 @@ func (c *Channel) Reset(links *LinkTable) {
 	}
 	c.uid = 0
 	c.stats = Stats{}
-	for i := range c.geBad {
-		c.geBad[i] = 0
-	}
+	c.geBad.Reset()
 	for i := range c.degraded {
 		c.degraded[i] = false
 	}
@@ -336,26 +373,6 @@ func (c *Channel) Duration(sizeBytes int) sim.Time {
 // (used by tests and diagnostics).
 func (c *Channel) NeighborCount(i int) int { return len(c.links.rx[i]) }
 
-// newArrival takes an arrival record from the free list (or allocates).
-func (c *Channel) newArrival(p *packet.Packet) *arrival {
-	if n := len(c.arrFree); n > 0 {
-		a := c.arrFree[n-1]
-		c.arrFree[n-1] = nil
-		c.arrFree = c.arrFree[:n-1]
-		a.pkt = p
-		a.collided = false
-		a.aborted = false
-		return a
-	}
-	return &arrival{ch: c, pkt: p}
-}
-
-// freeArrival returns a resolved arrival to the free list.
-func (c *Channel) freeArrival(a *arrival) {
-	a.pkt = nil
-	c.arrFree = append(c.arrFree, a)
-}
-
 // Package-level event callbacks: scheduling through sim.AfterCall with a
 // pre-existing func value and pointer arguments keeps the hot path free of
 // per-event closure allocations.
@@ -370,33 +387,29 @@ var (
 		}
 		c.signalEnd(i)
 	}
-	sigStartCB = func(arg any, i int) { arg.(*Channel).signalStart(i) }
-	sigEndCB   = func(arg any, i int) { arg.(*Channel).signalEnd(i) }
-	arrStartCB = func(arg any, i int) {
-		a := arg.(*arrival)
-		a.ch.startArrival(i, a)
+	// A fan member's carrier edge and, when it decodes, its arrival edge
+	// land at the same instant; one call does both, carrier first. Within
+	// one transmission's fan the only calls that fall between a member's
+	// two edges are other members' edges, which commute with them.
+	fanStartCB = func(arg any, k int) {
+		f := arg.(*fan)
+		m := &f.mem[k]
+		f.c.signalStart(m.to)
+		if m.rx {
+			f.c.startArrival(m.to, &m.arr)
+		}
 	}
-	arrEndCB = func(arg any, i int) {
-		a := arg.(*arrival)
-		a.ch.endArrival(i, a)
-	}
-	// Fused callbacks for decodable links: a receiver inside the decode
-	// disc is also inside the CS disc, and its carrier edge and arrival
-	// edge land at the same instant — one event does both, halving the
-	// per-receiver event count. The intra-node order (carrier first, then
-	// arrival) matches the order the split events fired in: within one
-	// transmission's fan the sequence numbers are contiguous, so the only
-	// events that sat between a node's signal and arrival edges were other
-	// nodes' edges from the same fan, which commute with this node's.
-	sigArrStartCB = func(arg any, i int) {
-		a := arg.(*arrival)
-		a.ch.signalStart(i)
-		a.ch.startArrival(i, a)
-	}
-	sigArrEndCB = func(arg any, i int) {
-		a := arg.(*arrival)
-		a.ch.signalEnd(i)
-		a.ch.endArrival(i, a)
+	fanEndCB = func(arg any, k int) {
+		f := arg.(*fan)
+		m := &f.mem[k]
+		c := f.c
+		c.signalEnd(m.to)
+		if m.rx {
+			c.endArrival(m.to, &m.arr)
+		}
+		if f.left--; f.left == 0 {
+			c.fanFree = append(c.fanFree, f)
+		}
 	}
 )
 
@@ -423,11 +436,9 @@ func (c *Channel) TransmitThen(i int, p *packet.Packet, cb sim.Callback, arg any
 	return dur
 }
 
-// transmitInto stages the whole per-link event fan of one transmission —
-// tx end, carrier sense edges, frame arrivals — into c.batch. The
-// timestamps are all computed here together, so the ladder queue places
-// them with O(1) bucket appends in one bulk insertion instead of
-// per-event scheduling.
+// transmitInto stages one transmission into c.batch: the tx-end event,
+// then the carrier-sense fan as one start run and one end run per
+// distinct propagation delay (fanOut).
 func (c *Channel) transmitInto(i int, p *packet.Packet) sim.Time {
 	st := &c.state[i]
 	if st.transmitting {
@@ -453,42 +464,130 @@ func (c *Channel) transmitInto(i int, p *packet.Packet) sim.Time {
 	c.signalStart(i)
 	c.batch.AfterCall(dur, txEndCB, c, i)
 
-	// One pass over the CS disc, walking the rx list (a subset, both
-	// ascending by destination) in lockstep. A node that decodes the frame
-	// gets one fused carrier+arrival event per edge; a node that only
-	// senses it gets plain carrier events. With shadowing enabled the
-	// arrival candidates widen to the whole carrier disc and each link
-	// rolls its own fading draw, in CS-list order (the same draw order as
-	// the separate arrival loop this replaces).
-	shadow := c.cfg.ShadowingSigmaDB > 0
-	lossy := c.loss != nil || c.degraded != nil
-	rxl := c.links.rx[i]
-	ri := 0
 	refs := int32(1) // the tx-end event
-	for _, l := range c.links.cs[i] {
-		inRX := ri < len(rxl) && rxl[ri].to == l.to
-		if inRX {
-			ri++
-		}
-		// The loss model sits after decodability: a frame the PHY could
-		// decode is corrupted link by link (chain step + degradation
-		// draws, in CS-list order), and a dropped frame still occupies the
-		// medium — the receiver senses carrier without getting a packet.
-		if (inRX || shadow) && c.decodable(l) && (!lossy || c.linkUp(i, l.to)) {
-			a := c.newArrival(p)
-			refs++
-			c.batch.AfterCall(l.delay, sigArrStartCB, a, l.to)
-			c.batch.AfterCall(l.delay+dur, sigArrEndCB, a, l.to)
-		} else {
-			c.batch.AfterCall(l.delay, sigStartCB, c, l.to)
-			c.batch.AfterCall(l.delay+dur, sigEndCB, c, l.to)
-		}
+	if cs := c.links.cs[i]; len(cs) > 0 {
+		refs += c.fanOut(i, p, dur, cs)
 	}
 	if c.cfg.Pool != nil {
 		c.cfg.Pool.Hold(p, refs)
 		st.txPkt = p
 	}
 	return dur
+}
+
+// fanOut stages node i's carrier-sense fan into a pooled fan record,
+// grouped by propagation delay, and appends one start run (at the delay)
+// and one end run (at delay + dur) per distinct delay to c.batch. It
+// returns the number of arrivals staged. On the paper's grid an interior
+// node's 44 CS neighbors sit at 8 distinct delays: 16 queue entries
+// instead of 88.
+//
+// Why the execution order is exactly that of one start and one end event
+// per link, appended in CS-list order:
+//   - A batch gets fresh, contiguous seqs, so at any one timestamp all of
+//     its calls are adjacent in (at, seq) order, and a run's calls are
+//     adjacent too (sim.Batch.AfterCallN). Inside a delay, the run keeps
+//     CS-list order.
+//   - Every frame outlasts the largest delay (asserted below: frames carry
+//     192 µs of PLCP, CS-disc delays are below 0.3 µs). So no start run
+//     shares a timestamp with an end run, and a start never shares one with
+//     the tx-end event; a zero-delay end run does, and queues behind it as
+//     before, since tx-end is appended first.
+//   - Distinct delays mean distinct timestamps, so runs of different
+//     groups never tie with each other.
+//
+// The loss, shadowing and degradation draws are made in the second pass
+// below, which walks the CS list in destination order as before.
+// Grouping costs O(1) per link — the delay indexes the generation-stamped
+// slot table — and adds no work to DynamicLinkTable.Move.
+func (c *Channel) fanOut(i int, p *packet.Packet, dur sim.Time, cs []link) int32 {
+	// Pass 1: assign each link its delay group and count the groups.
+	c.slotGen++
+	if c.slotGen == 0 {
+		clear(c.slots) // stamps wrapped: no stale stamp may match again
+		c.slotGen = 1
+	}
+	gen := c.slotGen
+	groups := c.groups[:0]
+	lg := c.linkGroup[:0]
+	for _, l := range cs {
+		d := l.delay
+		if int(d) >= len(c.slots) || c.slots[d].gen != gen {
+			if d >= dur {
+				panic(fmt.Sprintf("channel: %v frame does not outlast the %v propagation delay from node %d to %d",
+					dur, d, i, l.to))
+			}
+			if int(d) >= len(c.slots) {
+				c.slots = append(c.slots, make([]delaySlot, int(d)+1-len(c.slots))...)
+			}
+			c.slots[d] = delaySlot{gen: gen, g: int32(len(groups))}
+			groups = append(groups, delayGroup{d: d})
+		}
+		g := c.slots[d].g
+		groups[g].n++
+		lg = append(lg, g)
+	}
+	var off int32
+	for k := range groups {
+		groups[k].next = off
+		off += groups[k].n
+	}
+
+	// Pass 2, in CS-list order: decide each link's fate and file it under
+	// its group. The rx list is a subset of the CS list, both ascending by
+	// destination, walked in lockstep. With shadowing enabled the arrival
+	// candidates widen to the whole carrier disc and each link rolls its
+	// own fading draw. The loss model sits after decodability: a frame the
+	// PHY could decode is corrupted link by link (chain step + degradation
+	// draws), and a dropped frame still occupies the medium — the receiver
+	// senses carrier without getting a packet.
+	f := c.newFan(len(cs))
+	shadow := c.cfg.ShadowingSigmaDB > 0
+	lossy := c.loss != nil || c.degraded != nil
+	rxl := c.links.rx[i]
+	ri := 0
+	var arrivals int32
+	for k, l := range cs {
+		inRX := ri < len(rxl) && rxl[ri].to == l.to
+		if inRX {
+			ri++
+		}
+		g := &groups[lg[k]]
+		m := &f.mem[g.next]
+		g.next++
+		m.to = l.to
+		m.rx = (inRX || shadow) && c.decodable(l) && (!lossy || c.linkUp(i, l.to))
+		if m.rx {
+			m.arr = arrival{pkt: p}
+			arrivals++
+		}
+	}
+	for _, g := range groups {
+		c.batch.AfterCallN(g.d, fanStartCB, f, int(g.next-g.n), int(g.n))
+	}
+	for _, g := range groups {
+		c.batch.AfterCallN(g.d+dur, fanEndCB, f, int(g.next-g.n), int(g.n))
+	}
+	c.groups, c.linkGroup = groups, lg
+	return arrivals
+}
+
+// newFan takes a fan record for n members from the free list (or builds
+// one).
+func (c *Channel) newFan(n int) *fan {
+	var f *fan
+	if k := len(c.fanFree); k > 0 {
+		f = c.fanFree[k-1]
+		c.fanFree = c.fanFree[:k-1]
+	} else {
+		f = &fan{c: c}
+	}
+	if cap(f.mem) < n {
+		f.mem = make([]member, n)
+	}
+	f.mem = f.mem[:n]
+	f.left = n
+	return f
 }
 
 func (c *Channel) signalStart(i int) {
@@ -547,7 +646,7 @@ func (c *Channel) endArrival(i int, a *arrival) {
 		}
 	}
 	collided, aborted, pkt := a.collided, a.aborted, a.pkt
-	c.freeArrival(a)
+	a.pkt = nil // the fan record outlives the frame; do not pin it
 	if collided || aborted {
 		if c.cfg.Pool != nil {
 			c.cfg.Pool.Release(pkt)

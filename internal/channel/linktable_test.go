@@ -72,10 +72,9 @@ func (nopRadio) FrameReceived(*packet.Packet) {}
 func (nopRadio) CarrierChanged(bool)          {}
 
 // TestTransmitAllocs is the hot-path allocation guard: once the event pool
-// and arrival free list are warm, a transmission — tx-end event, two
-// carrier events per CS neighbor, two arrival events plus an arrival
-// record per RX neighbor, and the full drain — must run without touching
-// the heap allocator.
+// and the fan records are warm, a transmission — tx-end event, a start and
+// an end run per distinct delay, an arrival per RX neighbor, and the full
+// drain — must run without touching the heap allocator.
 func TestTransmitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")

@@ -1,10 +1,13 @@
 package channel
 
 import (
+	"runtime"
 	"testing"
 
 	"mtmrp/internal/geom"
+	"mtmrp/internal/radio"
 	"mtmrp/internal/rng"
+	"mtmrp/internal/sim"
 )
 
 // lossPair builds a two-node in-range channel with the given loss setup.
@@ -109,10 +112,8 @@ func TestResetClearsLossState(t *testing.T) {
 	if c.Degraded(0) {
 		t.Error("Reset left node 0 degraded")
 	}
-	for i, w := range c.geBad {
-		if w != 0 {
-			t.Errorf("Reset left chain word %d = %#x", i, w)
-		}
+	if n := c.geBad.Len(); n != 0 {
+		t.Errorf("Reset left %d link chains recorded", n)
 	}
 	if st := c.Stats(); st.LossDrops != 0 || st.DegradeDrops != 0 {
 		t.Errorf("Reset left stats %+v", st)
@@ -182,4 +183,23 @@ func TestSetLossWithoutRandPanics(t *testing.T) {
 	}()
 	cfg := DefaultLossConfig()
 	c.SetLoss(&cfg)
+}
+
+// TestSetLossMemoryIsSparse is the regression test for the O(n²) loss
+// state: installing the loss model on a 20k-node network used to
+// allocate one Bad bit per ordered node pair (~48 MiB), before the first
+// frame. Chain state now grows with the links frames actually cross.
+func TestSetLossMemoryIsSparse(t *testing.T) {
+	const n = 20_000
+	pts := randomField(n, 20_000, rng.New(3)) // sparse: the table stays small
+	c := NewWithTable(sim.New(), NewLinkTable(pts, radio.MustDefault80211Params(40, 2.2)),
+		Config{LossRand: rng.New(1)})
+	cfg := DefaultLossConfig()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.SetLoss(&cfg)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("SetLoss on %d nodes allocated %d bytes, want < 1 MiB", n, got)
+	}
 }

@@ -205,7 +205,7 @@ func (net *Network) Start() {
 
 // Reset rewinds the network to the state New would have produced for
 // (topo, links, seed), reusing every long-lived structure: the simulator's
-// pools, the channel (and its arrival free list), the MAC instances, the
+// pools, the channel (and its fan records), the MAC instances, the
 // packet factory and the per-node RNGs. The topology must have the same
 // node count and radio parameters as the one the network was built with.
 //
