@@ -15,6 +15,7 @@ package channel
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mtmrp/internal/geom"
 	"mtmrp/internal/packet"
@@ -43,17 +44,18 @@ type arrival struct {
 }
 
 // fan is one transmission's carrier-sense fan, staged by fanOut and
-// consumed by its start and end runs: mem holds the CS neighbors grouped
-// by propagation delay (CS-list order inside a group), and each group is
-// one start run and one end run over its index range. Members copy the
-// destination out of the link table and carry their own arrival, so a
-// DynamicLinkTable.Move while the frame is in flight — which edits the
-// link lists in place — cannot reach it. Fans are pooled by the channel
-// and recycled after their last end call.
+// consumed by its start and end cursors: mem holds the CS neighbors
+// sorted by (propagation delay, CS index), and offs[j] is mem[j]'s delay,
+// the offset both cursors share. Members copy the destination out of the
+// link table and carry their own arrival, so a DynamicLinkTable.Move
+// while the frame is in flight — which edits the link lists in place —
+// cannot reach it. Fans are pooled by the channel and recycled after
+// their last end call.
 type fan struct {
 	c    *Channel
 	left int // end calls not yet run
 	mem  []member
+	offs []sim.Time
 }
 
 // member is one CS neighbor of a fan.
@@ -61,20 +63,6 @@ type member struct {
 	to  int
 	rx  bool    // decodes the frame: arr is live
 	arr arrival // the frame in flight toward to, when rx
-}
-
-// delaySlot stamps one propagation delay (the slot index, in ns) with the
-// fan group it maps to during the transmission of generation gen.
-type delaySlot struct {
-	gen uint32
-	g   int32
-}
-
-// delayGroup is one distinct propagation delay of a fan: n members, and
-// next, the fill cursor into fan.mem (the group's end, once filled).
-type delayGroup struct {
-	d       sim.Time
-	n, next int32
 }
 
 // nodeState is the per-node radio state machine.
@@ -177,13 +165,10 @@ type Channel struct {
 	batch   sim.Batch // per-transmission entries, flushed by ScheduleBatch
 	fanFree []*fan    // recycled fan records
 
-	// Per-transmission delay-grouping scratch (fanOut): slots maps a delay
-	// in ns to its group, valid only where stamped with slotGen, so no
-	// transmission clears it; groups and linkGroup are reused storage.
-	slots     []delaySlot
-	slotGen   uint32
-	groups    []delayGroup
-	linkGroup []int32
+	// Per-transmission sorting scratch (fanOut): fanKeys holds the
+	// (delay, CS index) sort keys, fanPos each CS link's sorted position.
+	fanKeys []uint64
+	fanPos  []int32
 
 	// Loss-model state. loss is the active config (nil = off); geBad maps
 	// a directed link (from*n+to) to 1 while its chain is in the Bad state
@@ -437,8 +422,8 @@ func (c *Channel) TransmitThen(i int, p *packet.Packet, cb sim.Callback, arg any
 }
 
 // transmitInto stages one transmission into c.batch: the tx-end event,
-// then the carrier-sense fan as one start run and one end run per
-// distinct propagation delay (fanOut).
+// then the carrier-sense fan as one start cursor and one end cursor
+// (fanOut).
 func (c *Channel) transmitInto(i int, p *packet.Packet) sim.Time {
 	st := &c.state[i]
 	if st.transmitting {
@@ -476,72 +461,72 @@ func (c *Channel) transmitInto(i int, p *packet.Packet) sim.Time {
 }
 
 // fanOut stages node i's carrier-sense fan into a pooled fan record,
-// grouped by propagation delay, and appends one start run (at the delay)
-// and one end run (at delay + dur) per distinct delay to c.batch. It
-// returns the number of arrivals staged. On the paper's grid an interior
-// node's 44 CS neighbors sit at 8 distinct delays: 16 queue entries
-// instead of 88.
+// sorted by (propagation delay, CS index), and appends two cursors to
+// c.batch: the start edges, each at its delay, and the end edges, each at
+// its delay + dur. It returns the number of arrivals staged. Every
+// transmission takes two queue entries for its whole fan, however many
+// distinct delays the fan has.
 //
 // Why the execution order is exactly that of one start and one end event
 // per link, appended in CS-list order:
-//   - A batch gets fresh, contiguous seqs, so at any one timestamp all of
-//     its calls are adjacent in (at, seq) order, and a run's calls are
-//     adjacent too (sim.Batch.AfterCallN). Inside a delay, the run keeps
-//     CS-list order.
-//   - Every frame outlasts the largest delay (asserted below: frames carry
-//     192 µs of PLCP, CS-disc delays are below 0.3 µs). So no start run
-//     shares a timestamp with an end run, and a start never shares one with
-//     the tx-end event; a zero-delay end run does, and queues behind it as
+//   - ScheduleBatch reserves each cursor the contiguous seqs its calls
+//     would get as single appends, and a cursor is always queued under
+//     its next call's exact (at, seq). The ladder's tiers are a strict
+//     partition by at, so it pops any key, old seq or new, in exact
+//     (at, seq) order (sim.Batch.AfterCursor).
+//   - Within one timestamp, the per-link fan runs its starts (and its
+//     ends) in CS-list order. Sorting by (delay, CS index) keeps that
+//     order among equal delays, and their reserved seqs ascend with it.
+//   - Every frame outlasts every delay (asserted below: frames carry
+//     192 µs of PLCP, CS-disc delays are below 0.3 µs). So no start edge
+//     shares a timestamp with an end edge, which lets the two cursors
+//     hold their seqs as two blocks where the per-link fan interleaved
+//     them link by link. No start shares a timestamp with the tx-end
+//     event either; a zero-delay end does, and queues behind it as
 //     before, since tx-end is appended first.
-//   - Distinct delays mean distinct timestamps, so runs of different
-//     groups never tie with each other.
+//   - Both cursors read f.offs, which stays intact until the last end
+//     call has run: the fan is recycled only by that call, after the
+//     simulator has dropped its cursor.
 //
 // The loss, shadowing and degradation draws are made in the second pass
-// below, which walks the CS list in destination order as before.
-// Grouping costs O(1) per link — the delay indexes the generation-stamped
-// slot table — and adds no work to DynamicLinkTable.Move.
+// below, which walks the CS list in destination order as before and
+// files each link at its sorted position. Sorting adds nothing to
+// DynamicLinkTable.Move.
 func (c *Channel) fanOut(i int, p *packet.Packet, dur sim.Time, cs []link) int32 {
-	// Pass 1: assign each link its delay group and count the groups.
-	c.slotGen++
-	if c.slotGen == 0 {
-		clear(c.slots) // stamps wrapped: no stale stamp may match again
-		c.slotGen = 1
-	}
-	gen := c.slotGen
-	groups := c.groups[:0]
-	lg := c.linkGroup[:0]
-	for _, l := range cs {
-		d := l.delay
-		if int(d) >= len(c.slots) || c.slots[d].gen != gen {
-			if d >= dur {
-				panic(fmt.Sprintf("channel: %v frame does not outlast the %v propagation delay from node %d to %d",
-					dur, d, i, l.to))
-			}
-			if int(d) >= len(c.slots) {
-				c.slots = append(c.slots, make([]delaySlot, int(d)+1-len(c.slots))...)
-			}
-			c.slots[d] = delaySlot{gen: gen, g: int32(len(groups))}
-			groups = append(groups, delayGroup{d: d})
+	// Pass 1: sort the links by (delay, CS index), packed in one key
+	// (delays in ns fit 32 bits many times over: 2^32 ns is 1.3 million
+	// km of propagation).
+	keys := c.fanKeys[:0]
+	for k, l := range cs {
+		if l.delay >= dur {
+			panic(fmt.Sprintf("channel: %v frame does not outlast the %v propagation delay from node %d to %d",
+				dur, l.delay, i, l.to))
 		}
-		g := c.slots[d].g
-		groups[g].n++
-		lg = append(lg, g)
+		keys = append(keys, uint64(l.delay)<<32|uint64(k))
 	}
-	var off int32
-	for k := range groups {
-		groups[k].next = off
-		off += groups[k].n
-	}
-
-	// Pass 2, in CS-list order: decide each link's fate and file it under
-	// its group. The rx list is a subset of the CS list, both ascending by
-	// destination, walked in lockstep. With shadowing enabled the arrival
-	// candidates widen to the whole carrier disc and each link rolls its
-	// own fading draw. The loss model sits after decodability: a frame the
-	// PHY could decode is corrupted link by link (chain step + degradation
-	// draws), and a dropped frame still occupies the medium — the receiver
-	// senses carrier without getting a packet.
+	slices.Sort(keys)
 	f := c.newFan(len(cs))
+	if cap(c.fanPos) < len(cs) {
+		c.fanPos = make([]int32, len(cs))
+	}
+	pos := c.fanPos[:len(cs)]
+	for j, key := range keys {
+		k := uint32(key)
+		pos[k] = int32(j)
+		f.offs[j] = sim.Time(key >> 32)
+		f.mem[j].to = cs[k].to
+	}
+	c.fanKeys = keys
+
+	// Pass 2, in CS-list order: decide each link's fate and file it at
+	// its sorted position. The rx list is a subset of the CS list, both
+	// ascending by destination, walked in lockstep. With shadowing
+	// enabled the arrival candidates widen to the whole carrier disc and
+	// each link rolls its own fading draw. The loss model sits after
+	// decodability: a frame the PHY could decode is corrupted link by
+	// link (chain step + degradation draws), and a dropped frame still
+	// occupies the medium — the receiver senses carrier without getting a
+	// packet.
 	shadow := c.cfg.ShadowingSigmaDB > 0
 	lossy := c.loss != nil || c.degraded != nil
 	rxl := c.links.rx[i]
@@ -552,23 +537,15 @@ func (c *Channel) fanOut(i int, p *packet.Packet, dur sim.Time, cs []link) int32
 		if inRX {
 			ri++
 		}
-		g := &groups[lg[k]]
-		m := &f.mem[g.next]
-		g.next++
-		m.to = l.to
+		m := &f.mem[pos[k]]
 		m.rx = (inRX || shadow) && c.decodable(l) && (!lossy || c.linkUp(i, l.to))
 		if m.rx {
 			m.arr = arrival{pkt: p}
 			arrivals++
 		}
 	}
-	for _, g := range groups {
-		c.batch.AfterCallN(g.d, fanStartCB, f, int(g.next-g.n), int(g.n))
-	}
-	for _, g := range groups {
-		c.batch.AfterCallN(g.d+dur, fanEndCB, f, int(g.next-g.n), int(g.n))
-	}
-	c.groups, c.linkGroup = groups, lg
+	c.batch.AfterCursor(0, fanStartCB, f, 0, f.offs)
+	c.batch.AfterCursor(dur, fanEndCB, f, 0, f.offs)
 	return arrivals
 }
 
@@ -584,8 +561,10 @@ func (c *Channel) newFan(n int) *fan {
 	}
 	if cap(f.mem) < n {
 		f.mem = make([]member, n)
+		f.offs = make([]sim.Time, n)
 	}
 	f.mem = f.mem[:n]
+	f.offs = f.offs[:n]
 	f.left = n
 	return f
 }

@@ -13,7 +13,7 @@ import (
 	"mtmrp/internal/topology"
 )
 
-// This file is the proof obligation for the delay-run fan (fanOut): the
+// This file is the proof obligation for the cursor fan (fanOut): the
 // channel must produce, carrier edge for carrier edge and frame for frame,
 // the trace of the per-link fan it replaced — one start and one end event
 // per carrier-sense link, scheduled in CS-list order. refTransmit below is
@@ -98,7 +98,7 @@ type traceRec struct {
 // workload on a DynamicLinkTable. Radios react to what they observe —
 // a deferred send goes out inside the carrier-idle callback, and some
 // receptions are forwarded at once or a random-free moment later — so
-// the channel's own callbacks transmit while delay runs are mid-way,
+// the channel's own callbacks transmit while the fan's cursors are mid-way,
 // exactly where an ordering slip would show.
 type fanRig struct {
 	sc    *fanScript
@@ -239,7 +239,7 @@ func (sc *fanScript) run(ref bool, seed uint64) ([]traceRec, Stats, sim.Stats) {
 // TestFanMatchesPerLinkReference is the channel-level differential: grid
 // and random tables, shadowing, Gilbert–Elliott loss and endpoint
 // degradation all on, nodes moving while frames are in flight, and
-// radios transmitting from inside the fan's own callbacks. The delay-run
+// radios transmitting from inside the fan's own callbacks. The cursor
 // fan must reproduce the per-link reference's full (time, node,
 // CarrierChanged/FrameReceived) trace and every channel counter, and run
 // the same number of events from fewer queue entries.
@@ -286,11 +286,26 @@ func TestFanMatchesPerLinkReference(t *testing.T) {
 	}
 }
 
+// fanEntries transmits once from node on a quiet channel, with a MAC
+// tx-done riding in the same batch, drains the simulator, and returns
+// its counters.
+func fanEntries(t *testing.T, s *sim.Simulator, c *Channel, node int) sim.Stats {
+	t.Helper()
+	txDone := 0
+	c.TransmitThen(node, hello(packet.NodeID(node)), func(any, int) { txDone++ }, nil, 0)
+	s.Run()
+	st := s.Stats()
+	if want := uint64(2*len(c.links.cs[node]) + 2); st.Processed != want || txDone != 1 {
+		t.Errorf("processed %d events (tx-done ran %d times), want %d (1)", st.Processed, txDone, want)
+	}
+	return st
+}
+
 // TestPaperGridFanEntries pins the queue cost of one interior-node
 // transmission on the paper's grid (22.2 m spacing, 40 m range, 2.2x
-// carrier sense): 44 CS neighbors at 8 distinct distances make 90 events
-// — tx end, a start and an end edge per neighbor, and the MAC's tx-done —
-// carried by at most 18 queue entries.
+// carrier sense): 44 CS neighbors make 90 events — tx end, a start and an
+// end edge per neighbor, and the MAC's tx-done — carried by exactly 4
+// queue entries: tx-end, the start cursor, the end cursor and tx-done.
 func TestPaperGridFanEntries(t *testing.T) {
 	s := sim.New()
 	c := New(s, topology.PaperGrid().Positions, radio.MustDefault80211Params(40, 2.2), Config{})
@@ -298,14 +313,30 @@ func TestPaperGridFanEntries(t *testing.T) {
 	if n := len(c.links.cs[node]); n != 44 {
 		t.Fatalf("node %d has %d CS neighbors, want 44", node, n)
 	}
-	txDone := 0
-	c.TransmitThen(node, hello(node), func(any, int) { txDone++ }, nil, 0)
-	s.Run()
-	st := s.Stats()
-	if st.Processed != 90 || txDone != 1 {
-		t.Errorf("processed %d events (tx-done ran %d times), want 90 (1)", st.Processed, txDone)
+	if st := fanEntries(t, s, c, node); st.Entries != 4 {
+		t.Errorf("%d events took %d queue entries, want 4", st.Processed, st.Entries)
 	}
-	if st.Entries > 18 {
-		t.Errorf("%d events took %d queue entries, want at most 18", st.Processed, st.Entries)
+}
+
+// TestRandomFieldFanEntries is the same pin on a paper-density random
+// field, where nearly every carrier-sense link has its own propagation
+// delay: a fan's entry count must not grow with its distinct delays.
+func TestRandomFieldFanEntries(t *testing.T) {
+	s, c := denseChannel(200)
+	node, delays := 0, 0
+	for i, cs := range c.links.cs {
+		seen := map[sim.Time]bool{}
+		for _, l := range cs {
+			seen[l.delay] = true
+		}
+		if len(seen) > delays {
+			node, delays = i, len(seen)
+		}
+	}
+	if delays < 30 {
+		t.Fatalf("busiest node %d has %d distinct delays, want at least 30", node, delays)
+	}
+	if st := fanEntries(t, s, c, node); st.Entries != 4 {
+		t.Errorf("%d events over %d distinct delays took %d queue entries, want 4", st.Processed, delays, st.Entries)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mtmrp/internal/metrics"
+	"mtmrp/internal/rng"
 	"mtmrp/internal/topology"
 )
 
@@ -117,4 +118,38 @@ func TestSessionHelloIdempotent(t *testing.T) {
 	if s.Events() != ev {
 		t.Errorf("second RunHello did work: %d -> %d events", ev, s.Events())
 	}
+}
+
+// TestRandomFieldEventsPerEntry pins the scheduler's queue economy on a
+// paper-scale random field (200 nodes, 200 m, 40 m range, seed 1, 20
+// receivers, one data packet — `mtmrsim -topo random -stats`), where
+// nearly every carrier-sense link has its own propagation delay. Each
+// transmission's fan is two cursor entries whatever its delays, so the
+// session must run at least 5 events per queue entry, cursor re-queues
+// included.
+func TestRandomFieldEventsPerEntry(t *testing.T) {
+	topo, err := topology.RandomConnected(200, 200, 40, rng.New(1), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcv, err := topo.PickReceivers(0, 20, rng.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(Scenario{Topo: topo, Source: 0, Receivers: rcv, Protocol: MTMRP, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunHello()
+	s.RunDiscovery(0)
+	if _, err := s.RunData(1); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Entries == 0 || float64(st.Processed) < 5*float64(st.Entries) {
+		t.Errorf("%d events took %d queue entries (%.2f per entry), want at least 5 per entry",
+			st.Processed, st.Entries, float64(st.Processed)/float64(st.Entries))
+	}
+	t.Logf("%d events, %d queue entries (%.2f per entry)",
+		st.Processed, st.Entries, float64(st.Processed)/float64(st.Entries))
 }

@@ -162,12 +162,12 @@ func (m *refModel) reset() {
 
 // TestSchedulerDifferential runs the full Simulator and the refModel
 // through the same randomized op script — AfterCall and ScheduleBatch
-// schedules (including massive tie storms), AfterCallN runs (which the
-// model expands into n single calls), cancels of live, fired and stale
-// handles, Step bursts, RunUntil hops and Stops that land in the middle
-// of a run, and Resets with runs pending — and requires the two
-// fired-event streams to match exactly, (time, tag) for (time, tag),
-// plus agreeing pending counts at every checkpoint.
+// schedules (including massive tie storms), AfterCursor entries (which
+// the model expands into single calls in offset order), cancels of live,
+// fired and stale handles, Step bursts, RunUntil hops and Stops that land
+// in the middle of a cursor, and Resets with cursors pending — and
+// requires the two fired-event streams to match exactly, (time, tag) for
+// (time, tag), plus agreeing pending counts at every checkpoint.
 func TestSchedulerDifferential(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -256,9 +256,10 @@ func TestSchedulerDifferential(t *testing.T) {
 					return false
 				}
 			case 10:
-				// A fan of runs and single calls, like a transmission's
-				// delay runs: some runs share a delay with each other or
-				// with a single call, so same-timestamp order is exercised.
+				// A fan of cursors and single calls, like a transmission's
+				// start and end cursors: offsets are nondecreasing with
+				// ties, zero and equal runs, and some cursors and calls
+				// share a delay, so same-timestamp order is exercised.
 				var ds []Time
 				for i := r.Intn(12) + 1; i > 0; i-- {
 					if len(ds) > 0 && r.Bool(0.3) {
@@ -268,19 +269,22 @@ func TestSchedulerDifferential(t *testing.T) {
 					}
 				}
 				for _, d := range ds {
-					n := 1
-					if r.Bool(0.7) {
-						n = r.Intn(60) + 1
-					}
-					batch.AfterCallN(d, cb, nil, tag, n)
-					for i := 0; i < n; i++ {
+					if r.Bool(0.3) {
+						batch.AfterCall(d, cb, nil, tag)
 						m.schedule(d, tag)
+						tag++
+						continue
+					}
+					offs := cursorOffsets(r)
+					batch.AfterCursor(d, cb, nil, tag, offs)
+					for _, o := range offs {
+						m.schedule(d+o, tag)
 						tag++
 					}
 				}
 				s.ScheduleBatch(&batch)
 			case 11:
-				// Run, stopped after k calls: usually mid-run.
+				// Run, stopped after k calls: usually mid-cursor.
 				k := r.Intn(80) + 1
 				stopAt = len(fired) + k
 				s.Run()
@@ -331,6 +335,31 @@ func TestSchedulerDifferential(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// cursorOffsets draws a fresh nondecreasing offset list for one cursor:
+// sometimes a run (all offsets equal), otherwise steps mixing ties,
+// nanosecond fan spreads and millisecond gaps, from zero or not.
+func cursorOffsets(r *rng.RNG) []Time {
+	offs := make([]Time, r.Intn(60)+1)
+	var o Time
+	if r.Bool(0.5) {
+		o = Time(r.Intn(300))
+	}
+	run := r.Bool(0.2)
+	for j := range offs {
+		if j > 0 && !run {
+			switch r.Intn(4) {
+			case 0: // tie with the previous call
+			case 1, 2:
+				o += Time(r.Intn(300))
+			default:
+				o += Time(r.Intn(2_000_000))
+			}
+		}
+		offs[j] = o
+	}
+	return offs
 }
 
 // countCancelledQueued counts still-queued model entries that were

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // nop is a preallocated callback so the alloc tests measure the scheduler,
 // not the caller's closure.
@@ -129,11 +132,11 @@ func TestLazyCancelAccounting(t *testing.T) {
 	}
 }
 
-// TestRunEntryCounts pins the run-entry accounting: one queue entry, n
-// events for Processed, Pending and MaxPending; Step, RunUntil and Stop
-// each landing mid-run with the entry held at the front; and a
-// same-instant event scheduled mid-run queuing behind the run's
-// remaining calls.
+// TestRunEntryCounts pins the accounting of a run — a cursor whose
+// offsets are all equal: one queue entry, n events for Processed, Pending
+// and MaxPending; Step, RunUntil and Stop each landing mid-run with the
+// entry held at the front; and a same-instant event scheduled mid-run
+// queuing behind the run's remaining calls.
 func TestRunEntryCounts(t *testing.T) {
 	s := New()
 	var got []int
@@ -147,7 +150,7 @@ func TestRunEntryCounts(t *testing.T) {
 		}
 	}
 	var b Batch
-	b.AfterCallN(5, cb, nil, 10, 4)
+	b.AfterCursor(5, cb, nil, 10, []Time{0, 0, 0, 0})
 	s.ScheduleBatch(&b)
 	if st := s.Stats(); s.Pending() != 4 || st.MaxPending != 4 || st.Entries != 1 {
 		t.Fatalf("after scheduling: pending %d, stats %+v; want 4 pending in 1 entry", s.Pending(), st)
@@ -171,5 +174,64 @@ func TestRunEntryCounts(t *testing.T) {
 	}
 	if st := s.Stats(); st.Processed != 5 || st.Entries != 2 || s.Pending() != 0 {
 		t.Errorf("after drain: stats %+v pending %d; want 5 events in 2 entries", st, s.Pending())
+	}
+}
+
+// TestCursorEntryCounts pins a cursor with distinct offsets: its calls
+// interleave with single events by exact (at, seq) — an event queued
+// before the batch precedes a tied call, one queued after follows it —
+// while Step, RunUntil and Stop land mid-cursor and each call counts as
+// one event; a Reset with the cursor pending drops its remaining calls.
+func TestCursorEntryCounts(t *testing.T) {
+	s := New()
+	var got []int
+	cb := func(_ any, i int) {
+		got = append(got, i)
+		if i == 2 {
+			s.Stop()
+		}
+	}
+	s.AtCall(15, cb, nil, 200)
+	var b Batch
+	b.AfterCursor(10, cb, nil, 0, []Time{0, 0, 5, 5, 20})
+	b.AfterCall(12, cb, nil, 100)
+	s.ScheduleBatch(&b)
+	s.AtCall(15, cb, nil, 300)
+	if st := s.Stats(); s.Pending() != 8 || st.MaxPending != 8 || st.Entries != 4 {
+		t.Fatalf("after scheduling: pending %d, stats %+v; want 8 pending in 4 entries", s.Pending(), st)
+	}
+	if !s.Step() || s.Now() != 10 || s.Pending() != 7 {
+		t.Fatalf("Step: now %v pending %d, ran %v", s.Now(), s.Pending(), got)
+	}
+	s.RunUntil(12)
+	s.Run() // stopped by call 2, mid-cursor
+	want := []int{0, 1, 100, 200, 2}
+	if !slices.Equal(got, want) || s.Now() != 15 || s.Pending() != 3 || s.Processed() != 5 {
+		t.Fatalf("ran %v to %v with %d pending, %d processed; want %v to 15 with 3 pending, 5 processed",
+			got, s.Now(), s.Pending(), s.Processed(), want)
+	}
+	s.Run()
+	want = append(want, 3, 300, 4)
+	if !slices.Equal(got, want) || s.Now() != 30 || s.Pending() != 0 {
+		t.Fatalf("ran %v to %v, want %v to 30", got, s.Now(), want)
+	}
+	if st := s.Stats(); st.Processed != 8 || st.Entries < 4 {
+		t.Errorf("after drain: stats %+v; want 8 events in at least 4 entries", st)
+	}
+
+	// A Reset with a cursor pending: none of its calls may run after.
+	got = got[:0]
+	b.AfterCursor(0, cb, nil, 10, []Time{1, 2, 3})
+	s.ScheduleBatch(&b)
+	s.Step()
+	s.Reset()
+	if s.Pending() != 0 || s.Stats() != (Stats{}) {
+		t.Fatalf("after Reset: pending %d, stats %+v", s.Pending(), s.Stats())
+	}
+	b.AfterCursor(0, cb, nil, 20, []Time{4, 4})
+	s.ScheduleBatch(&b)
+	s.Run()
+	if want := []int{10, 20, 21}; !slices.Equal(got, want) {
+		t.Errorf("ran %v across the Reset, want %v", got, want)
 	}
 }

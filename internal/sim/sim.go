@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"time"
 )
@@ -52,17 +51,27 @@ type entry struct {
 }
 
 // event is the pooled callback record. at/seq live only in the queue
-// entry; the record holds what must survive until the event fires. A run
-// record (Batch.AfterCallN) stands for the calls cb(arg, argi) …
-// cb(arg, argi+more): each execution runs one call and advances argi,
-// and the record is recycled only once more has counted down to zero.
+// entry; the record holds what must survive until the event fires. A
+// cursor's record (Batch.AfterCursor) stands for its remaining calls
+// cb(arg, argi), cb(arg, argi+1), …: each execution runs one call and
+// advances argi, and cur indexes the cursor record that keys the calls
+// after it. The cursor data lives in that side table, not here, so a
+// single event's record stays 48 bytes.
 type event struct {
 	gen  uint32
-	more uint32 // calls left after the next one (run entries only)
+	cur  uint32 // 1 + index into Simulator.cursors while calls follow; 0 otherwise
 	fn   func()
 	cb   Callback
 	arg  any
 	argi int
+}
+
+// cursor keys the calls of a cursor entry after the one queued: call j
+// of them is due at base + offs[j]. Its seqs need no storage, since a
+// cursor's calls hold contiguous seqs and each follows its predecessor.
+type cursor struct {
+	base Time
+	offs []Time // offsets of the calls after the queued one; never empty
 }
 
 // Simulator is a single-threaded discrete-event scheduler. All simulated
@@ -72,9 +81,11 @@ type event struct {
 //
 // Execution order is a pure function of the (at, seq) total order, so the
 // internal queue representation (and the event pooling underneath it) can
-// never perturb a run. The queue is a two-tier ladder queue (ladder.go);
-// the binary heap it replaced survives as the differential-test reference
-// (refheap.go).
+// never perturb a run. The queue is a ladder queue (ladder.go) whose
+// entries are single calls or cursors: a cursor (Batch.AfterCursor) is
+// one entry for a sequence of calls, keyed at any moment by its next
+// call's exact (at, seq). The binary heap the ladder replaced survives as
+// the differential-test reference (refheap.go).
 //
 // Simulator is not safe for concurrent use: the whole point of a DES is
 // that virtual concurrency is multiplexed onto one goroutine.
@@ -83,11 +94,13 @@ type Simulator struct {
 	q         ladder
 	events    []event  // arena of pooled event records, indexed by entry.id
 	free      []uint32 // free list of recycled arena slots
+	cursors   []cursor // cursor records, indexed by event.cur-1
+	curFree   []uint32 // free list of recycled cursor records
 	live      int      // scheduled events not yet fired or cancelled
 	maxLive   int      // high-water mark of live (queue depth)
 	seq       uint64
 	processed uint64
-	entries   uint64        // queue entries pushed; a run entry carries several events
+	entries   uint64        // queue entries pushed, cursor re-queues included
 	runWall   time.Duration // wall time spent inside Run/RunUntil
 	running   bool
 }
@@ -107,12 +120,13 @@ func New() *Simulator {
 func (s *Simulator) Reset() {
 	// Drop lingering callback references so recycled slots do not pin the
 	// previous run's objects; the slice lengths (not capacities) go to 0.
-	for i := range s.events {
-		s.events[i] = event{}
-	}
+	clear(s.events)
+	clear(s.cursors)
 	s.q.reset()
 	s.events = s.events[:0]
 	s.free = s.free[:0]
+	s.cursors = s.cursors[:0]
+	s.curFree = s.curFree[:0]
 	s.now = 0
 	s.live = 0
 	s.maxLive = 0
@@ -130,14 +144,14 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) Processed() uint64 { return s.processed }
 
 // Pending returns the number of events currently queued (each call of a
-// run entry counts as one event).
+// cursor entry counts as one event).
 func (s *Simulator) Pending() int { return s.live }
 
 // Stats is a snapshot of the simulator's observability counters, reset
 // alongside the simulator (so "per run" means "since the last Reset").
 type Stats struct {
 	Processed    uint64        // events executed
-	Entries      uint64        // queue entries pushed; Processed/Entries is the events per entry
+	Entries      uint64        // queue entries pushed, cursor re-queues included; Processed/Entries is the events per entry
 	MaxPending   int           // high-water mark of the pending-event queue
 	RunWall      time.Duration // wall time spent inside Run/RunUntil
 	EventsPerSec float64       // Processed / RunWall (0 before any run)
@@ -240,41 +254,59 @@ type batchCall struct {
 	cb   Callback
 	arg  any
 	argi int
-	n    int
+	offs []Time // cursor offsets; nil for a single call
 }
 
 // AfterCall appends cb(arg, i), to run d after the simulator's clock at
 // the moment the batch is flushed by ScheduleBatch. Arguments are
 // validated here, at the call site that computed them.
 func (b *Batch) AfterCall(d Time, cb Callback, arg any, i int) {
-	b.AfterCallN(d, cb, arg, i, 1)
+	b.check(d, cb)
+	b.calls = append(b.calls, batchCall{d: d, cb: cb, arg: arg, argi: i})
 }
 
-// AfterCallN appends a run: the n calls cb(arg, i) … cb(arg, i+n-1), in
-// that order, all d after the clock at flush time. The run takes one
-// queue entry, which stays at the front of the queue until its last call
-// has run; every other counter (Processed, Pending, MaxPending) and every
-// driver (Step runs one call, Stop takes effect between calls, RunUntil)
-// sees n events.
+// AfterCursor appends a cursor: the calls cb(arg, i+j), each at the
+// flush-time clock + d + offs[j], for j = 0 … len(offs)-1. offs must be
+// nondecreasing and nonnegative, and the caller must keep it intact
+// until the last call has run; a run of calls at one instant is a cursor
+// whose offsets are all equal.
 //
-// Execution order is exactly that of n consecutive AfterCall appends:
-// the entry's single seq sits where their n consecutive seqs would, and
-// no other event can fall between those seqs — anything scheduled while
-// the run executes gets a later one.
-func (b *Batch) AfterCallN(d Time, cb Callback, arg any, i, n int) {
+// The cursor takes one queue entry, keyed by its next call's (at, seq).
+// Before each call but the last runs, the entry takes the following
+// call's key — in place at the front of the queue while that key still
+// precedes everything else, re-queued (and counted in Stats.Entries)
+// otherwise. Every other counter (Processed, Pending, MaxPending) and
+// every driver (Step runs one call, Stop takes effect between calls,
+// RunUntil) sees len(offs) events.
+//
+// Execution order is exactly that of len(offs) consecutive AfterCall
+// appends in offs order: ScheduleBatch reserves the contiguous seqs they
+// would get, each call keeps its own, and the ladder orders any key
+// exactly. Anything scheduled while the cursor runs gets a later seq.
+func (b *Batch) AfterCursor(d Time, cb Callback, arg any, i int, offs []Time) {
+	b.check(d, cb)
+	if len(offs) == 0 || offs[0] < 0 {
+		panic(fmt.Sprintf("sim: cursor offsets %v", offs))
+	}
+	for j := 1; j < len(offs); j++ {
+		if offs[j] < offs[j-1] {
+			panic(fmt.Sprintf("sim: cursor offset %v after %v", offs[j], offs[j-1]))
+		}
+	}
+	b.calls = append(b.calls, batchCall{d: d, cb: cb, arg: arg, argi: i, offs: offs})
+}
+
+func (b *Batch) check(d Time, cb Callback) {
 	if cb == nil {
 		panic("sim: scheduling nil callback")
 	}
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	if n < 1 || uint64(n) > math.MaxUint32 {
-		panic(fmt.Sprintf("sim: run of %d calls", n))
-	}
-	b.calls = append(b.calls, batchCall{d: d, cb: cb, arg: arg, argi: i, n: n})
 }
 
-// Len returns the number of accumulated queue entries (a run counts once).
+// Len returns the number of accumulated queue entries (a cursor counts
+// once).
 func (b *Batch) Len() int { return len(b.calls) }
 
 // reset empties the batch. The retained storage keeps the last flush's
@@ -286,9 +318,9 @@ func (b *Batch) reset() {
 }
 
 // ScheduleBatch schedules every entry in b, in append order, exactly as
-// the equivalent sequence of AfterCall invocations would (runs expanded
-// call by call): the same (at, seq) order, hence bit-identical execution
-// order. Then it empties b.
+// the equivalent sequence of AfterCall invocations would (cursors
+// expanded call by call): the same (at, seq) order, hence bit-identical
+// execution order. Then it empties b.
 //
 // The bulk path exists for fan-out schedules — one transmission arming a
 // whole carrier-sense fan — where the ladder queue places each entry
@@ -305,10 +337,18 @@ func (s *Simulator) ScheduleBatch(b *Batch) {
 		ev.cb = c.cb
 		ev.arg = c.arg
 		ev.argi = c.argi
-		ev.more = uint32(c.n - 1)
-		s.q.push(entry{at: s.now + c.d, seq: s.seq, id: id, gen: ev.gen})
-		s.seq++
-		calls += c.n
+		at := s.now + c.d
+		n := 1
+		if c.offs != nil {
+			n = len(c.offs)
+			if n > 1 {
+				ev.cur = s.newCursor(at, c.offs[1:])
+			}
+			at += c.offs[0]
+		}
+		s.q.push(entry{at: at, seq: s.seq, id: id, gen: ev.gen})
+		s.seq += uint64(n) // reserve the cursor's contiguous seqs
+		calls += n
 	}
 	s.entries += uint64(len(b.calls))
 	s.live += calls
@@ -316,6 +356,21 @@ func (s *Simulator) ScheduleBatch(b *Batch) {
 		s.maxLive = s.live
 	}
 	b.reset()
+}
+
+// newCursor takes a cursor record from the free list (or grows the
+// table) and returns its event.cur reference.
+func (s *Simulator) newCursor(base Time, offs []Time) uint32 {
+	var k uint32
+	if n := len(s.curFree); n > 0 {
+		k = s.curFree[n-1]
+		s.curFree = s.curFree[:n-1]
+	} else {
+		s.cursors = append(s.cursors, cursor{})
+		k = uint32(len(s.cursors) - 1)
+	}
+	s.cursors[k] = cursor{base: base, offs: offs}
+	return k + 1
 }
 
 // Cancel removes e from the queue. Cancelling an already-fired or
@@ -361,11 +416,21 @@ func (s *Simulator) next() (entry, bool) {
 func (s *Simulator) exec(en entry) {
 	ev := &s.events[en.id]
 	fn, cb, arg, argi := ev.fn, ev.cb, ev.arg, ev.argi
-	if ev.more > 0 {
-		// A run with calls left stays at the front: whatever the call
-		// schedules has a later seq (and at >= now), so it queues behind.
-		ev.more--
+	if ev.cur != 0 {
+		// A cursor with calls left takes its next call's key before this
+		// call runs. That key is at least this one (offsets never
+		// decrease) and its seq precedes whatever the call schedules.
+		c := &s.cursors[ev.cur-1]
+		next := entry{at: c.base + c.offs[0], seq: en.seq + 1, id: en.id, gen: en.gen}
+		if c.offs = c.offs[1:]; len(c.offs) == 0 {
+			c.offs = nil // do not pin the caller's offsets
+			s.curFree = append(s.curFree, ev.cur-1)
+			ev.cur = 0
+		}
 		ev.argi++
+		if s.q.replaceFront(next) {
+			s.entries++
+		}
 	} else {
 		// Recycle before running: the callback may schedule new events
 		// straight into the freed slot, and any surviving handles are
@@ -385,7 +450,7 @@ func (s *Simulator) exec(en entry) {
 	}
 }
 
-// Step executes the next event (one call of a run), if any, and reports
+// Step executes the next event (one call of a cursor), if any, and reports
 // whether one ran.
 func (s *Simulator) Step() bool {
 	en, ok := s.next()
@@ -433,7 +498,7 @@ func (s *Simulator) RunUntil(t Time) {
 }
 
 // Stop makes the current Run/RunUntil return after the active callback,
-// also between two calls of one run.
+// also between two calls of one cursor.
 func (s *Simulator) Stop() { s.running = false }
 
 // less orders entries by (at, seq) lexicographically, computed as one

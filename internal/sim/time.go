@@ -1,6 +1,8 @@
 // Package sim implements the discrete-event simulation engine at the heart
-// of the reproduction: a virtual clock, a binary-heap event queue with
-// stable FIFO ordering for simultaneous events, and cancellable timers.
+// of the reproduction: a virtual clock, a ladder event queue with stable
+// FIFO ordering for simultaneous events, cancellable timers, and cursor
+// entries that carry a whole sequence of calls (a transmission's
+// carrier-sense fan) in one queue entry.
 //
 // This substitutes for ns-2's scheduler (see DESIGN.md §2). Protocol code
 // never sees wall-clock time; everything is driven by Simulator callbacks.
