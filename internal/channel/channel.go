@@ -81,6 +81,7 @@ type Stats struct {
 	HalfDuplex    uint64 // receptions lost because the receiver was transmitting
 	LossDrops     uint64 // receptions lost to the Gilbert–Elliott chain
 	DegradeDrops  uint64 // receptions lost to a degraded endpoint
+	FanSorts      uint64 // fan orders sorted: cache misses of fanOrder
 }
 
 // LossConfig parameterises the Gilbert–Elliott bursty packet-loss model:
@@ -165,10 +166,13 @@ type Channel struct {
 	batch   sim.Batch // per-transmission entries, flushed by ScheduleBatch
 	fanFree []*fan    // recycled fan records
 
-	// Per-transmission sorting scratch (fanOut): fanKeys holds the
-	// (delay, CS index) sort keys, fanPos each CS link's sorted position.
+	// Fan-order cache (fanOrder): rank[i][k] is the position of cs[i][k]
+	// in node i's fan, sorted by (delay, CS index). It is valid while
+	// rankVer[i] == links.version(i)+1; rankVer[i] == 0 means never
+	// computed. fanKeys is the sorting scratch.
+	rank    [][]int32
+	rankVer []uint64
 	fanKeys []uint64
-	fanPos  []int32
 
 	// Loss-model state. loss is the active config (nil = off); geBad maps
 	// a directed link (from*n+to) to 1 while its chain is in the Bad state
@@ -200,11 +204,13 @@ func NewWithTable(s *sim.Simulator, links *LinkTable, cfg Config) *Channel {
 		panic("channel: shadowing requires a random source")
 	}
 	c := &Channel{
-		sim:    s,
-		links:  links,
-		cfg:    cfg,
-		radios: make([]Radio, links.n),
-		state:  make([]nodeState, links.n),
+		sim:     s,
+		links:   links,
+		cfg:     cfg,
+		radios:  make([]Radio, links.n),
+		state:   make([]nodeState, links.n),
+		rank:    make([][]int32, links.n),
+		rankVer: make([]uint64, links.n),
 	}
 	c.SetLoss(cfg.Loss)
 	return c
@@ -312,8 +318,9 @@ func (c *Channel) Attach(i int, r Radio) {
 
 // Reset returns the channel to its initial state over a (possibly new)
 // link table of the same size and radio parameters, keeping the attached
-// radios and the fan free list. Session pooling uses it to rebind a
-// long-lived channel to the next Monte-Carlo round's topology.
+// radios, the fan free list and, when links is the table the channel
+// already holds, the cached fan orders. Session pooling uses it to rebind
+// a long-lived channel to the next Monte-Carlo round's topology.
 func (c *Channel) Reset(links *LinkTable) {
 	if links.n != c.links.n {
 		panic(fmt.Sprintf("channel: Reset with %d-node link table, channel has %d", links.n, c.links.n))
@@ -323,6 +330,12 @@ func (c *Channel) Reset(links *LinkTable) {
 		lp.CSThresh != rp.CSThresh || lp.BitRate != rp.BitRate ||
 		lp.Model.Name() != rp.Model.Name() {
 		panic("channel: Reset with different radio parameters")
+	}
+	// The old table is still held here, so a different table cannot
+	// share its address: pointer equality means the same table, whose
+	// versions keep the cached orders honest.
+	if links != c.links {
+		clear(c.rankVer)
 	}
 	c.links = links
 	for i := range c.state {
@@ -461,11 +474,11 @@ func (c *Channel) transmitInto(i int, p *packet.Packet) sim.Time {
 }
 
 // fanOut stages node i's carrier-sense fan into a pooled fan record,
-// sorted by (propagation delay, CS index), and appends two cursors to
-// c.batch: the start edges, each at its delay, and the end edges, each at
-// its delay + dur. It returns the number of arrivals staged. Every
-// transmission takes two queue entries for its whole fan, however many
-// distinct delays the fan has.
+// in node i's fan order (fanOrder: sorted by propagation delay, then CS
+// index), and appends two cursors to c.batch: the start edges, each at
+// its delay, and the end edges, each at its delay + dur. It returns the
+// number of arrivals staged. Every transmission takes two queue entries
+// for its whole fan, however many distinct delays the fan has.
 //
 // Why the execution order is exactly that of one start and one end event
 // per link, appended in CS-list order:
@@ -488,56 +501,38 @@ func (c *Channel) transmitInto(i int, p *packet.Packet) sim.Time {
 //     call has run: the fan is recycled only by that call, after the
 //     simulator has dropped its cursor.
 //
-// The loss, shadowing and degradation draws are made in the second pass
-// below, which walks the CS list in destination order as before and
-// files each link at its sorted position. Sorting adds nothing to
-// DynamicLinkTable.Move.
+// One pass walks the CS list in destination order, so the loss,
+// shadowing and degradation draws keep their order, and files each
+// link's destination, delay and fate at its cached rank. The sort runs
+// only when node i's links have changed since its last transmission.
 func (c *Channel) fanOut(i int, p *packet.Packet, dur sim.Time, cs []link) int32 {
-	// Pass 1: sort the links by (delay, CS index), packed in one key
-	// (delays in ns fit 32 bits many times over: 2^32 ns is 1.3 million
-	// km of propagation).
-	keys := c.fanKeys[:0]
-	for k, l := range cs {
-		if l.delay >= dur {
-			panic(fmt.Sprintf("channel: %v frame does not outlast the %v propagation delay from node %d to %d",
-				dur, l.delay, i, l.to))
-		}
-		keys = append(keys, uint64(l.delay)<<32|uint64(k))
-	}
-	slices.Sort(keys)
+	rank := c.fanOrder(i, cs)
 	f := c.newFan(len(cs))
-	if cap(c.fanPos) < len(cs) {
-		c.fanPos = make([]int32, len(cs))
-	}
-	pos := c.fanPos[:len(cs)]
-	for j, key := range keys {
-		k := uint32(key)
-		pos[k] = int32(j)
-		f.offs[j] = sim.Time(key >> 32)
-		f.mem[j].to = cs[k].to
-	}
-	c.fanKeys = keys
-
-	// Pass 2, in CS-list order: decide each link's fate and file it at
-	// its sorted position. The rx list is a subset of the CS list, both
-	// ascending by destination, walked in lockstep. With shadowing
-	// enabled the arrival candidates widen to the whole carrier disc and
-	// each link rolls its own fading draw. The loss model sits after
-	// decodability: a frame the PHY could decode is corrupted link by
-	// link (chain step + degradation draws), and a dropped frame still
-	// occupies the medium — the receiver senses carrier without getting a
-	// packet.
+	// The rx list is a subset of the CS list, both ascending by
+	// destination, walked in lockstep. With shadowing enabled the arrival
+	// candidates widen to the whole carrier disc and each link rolls its
+	// own fading draw. The loss model sits after decodability: a frame the
+	// PHY could decode is corrupted link by link (chain step + degradation
+	// draws), and a dropped frame still occupies the medium — the receiver
+	// senses carrier without getting a packet.
 	shadow := c.cfg.ShadowingSigmaDB > 0
 	lossy := c.loss != nil || c.degraded != nil
 	rxl := c.links.rx[i]
 	ri := 0
 	var arrivals int32
 	for k, l := range cs {
+		if l.delay >= dur {
+			panic(fmt.Sprintf("channel: %v frame does not outlast the %v propagation delay from node %d to %d",
+				dur, l.delay, i, l.to))
+		}
 		inRX := ri < len(rxl) && rxl[ri].to == l.to
 		if inRX {
 			ri++
 		}
-		m := &f.mem[pos[k]]
+		j := rank[k]
+		f.offs[j] = l.delay
+		m := &f.mem[j]
+		m.to = l.to
 		m.rx = (inRX || shadow) && c.decodable(l) && (!lossy || c.linkUp(i, l.to))
 		if m.rx {
 			m.arr = arrival{pkt: p}
@@ -547,6 +542,36 @@ func (c *Channel) fanOut(i int, p *packet.Packet, dur sim.Time, cs []link) int32
 	c.batch.AfterCursor(0, fanStartCB, f, 0, f.offs)
 	c.batch.AfterCursor(dur, fanEndCB, f, 0, f.offs)
 	return arrivals
+}
+
+// fanOrder returns node i's fan order, rank[k] being the position of
+// cs[k] when the CS links are sorted by (delay, CS index). It sorts only
+// when the cached order is missing or older than node i's links.
+func (c *Channel) fanOrder(i int, cs []link) []int32 {
+	ver := c.links.version(i) + 1
+	if c.rankVer[i] == ver {
+		return c.rank[i]
+	}
+	c.stats.FanSorts++
+	// Pack (delay, CS index) in one key: delays in ns fit 32 bits many
+	// times over (2^32 ns is 1.3 million km of propagation).
+	keys := c.fanKeys[:0]
+	for k, l := range cs {
+		keys = append(keys, uint64(l.delay)<<32|uint64(k))
+	}
+	slices.Sort(keys)
+	rank := c.rank[i]
+	if cap(rank) < len(cs) {
+		rank = make([]int32, len(cs))
+	}
+	rank = rank[:len(cs)]
+	for j, key := range keys {
+		rank[uint32(key)] = int32(j)
+	}
+	c.fanKeys = keys
+	c.rank[i] = rank
+	c.rankVer[i] = ver
+	return rank
 }
 
 // newFan takes a fan record for n members from the free list (or builds

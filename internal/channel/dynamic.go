@@ -14,10 +14,11 @@ import (
 // run. Where the static table is built once and shared immutably, the
 // dynamic table keeps a private position array and a mutable GridIndex so
 // that moving one node recomputes only that node's incident RX/CS edges:
-// the old reverse edges are deleted from its current carrier-sense
-// neighbors, the grid re-buckets the node, and the new edge set is rebuilt
-// from the grid's candidates — O(density) work per move, independent of
-// the total node count.
+// the grid re-buckets the node, its own lists are rebuilt from the grid's
+// candidates, and each neighbor's reverse edge is overwritten in place,
+// inserted or removed — O(density) work per move, independent of the
+// total node count. Every edited list bumps its node's version, which
+// invalidates the channel's cached fan order for that node.
 //
 // The channel reads the table's per-node link lists at transmit time, so
 // mutations are consumed mid-run with no further plumbing: a frame put on
@@ -37,6 +38,10 @@ type DynamicLinkTable struct {
 	positions []geom.Point
 	grid      *geom.GridIndex
 	cand      []int // grid-query scratch
+
+	// Move swaps the mover's lists with these spares, so it can rebuild
+	// them while it still reads the old ones.
+	spareCS, spareRX []link
 }
 
 // NewDynamicLinkTable builds a dynamic table over the starting positions.
@@ -72,6 +77,10 @@ func (d *DynamicLinkTable) Rebind(positions []geom.Point) {
 	if len(d.t.rx) != n {
 		d.t.rx = make([][]link, n)
 		d.t.cs = make([][]link, n)
+		d.t.ver = make([]uint64, n)
+	}
+	for i := range d.t.ver {
+		d.t.ver[i]++
 	}
 	d.grid = geom.NewGridIndex(d.positions, d.t.params.CSRange()/2)
 	d.cand = d.t.fillGrid(d.positions, d.grid, d.cand)
@@ -90,24 +99,34 @@ func (d *DynamicLinkTable) Position(i int) geom.Point { return d.positions[i] }
 // Move relocates node i to p and incrementally updates every edge
 // incident to it. The carrier-sense disc is symmetric, so cs[i] lists
 // exactly the nodes holding a reverse edge back to i — no scan over the
-// other n-1 nodes is ever needed.
+// other n-1 nodes is ever needed. Node i's lists are rebuilt from the
+// grid; the old and new lists, both ascending by destination, are then
+// merge-walked so a neighbor that stays inside the CS disc has its
+// reverse edge overwritten in place, and only neighbors that left or
+// arrived (or crossed the RX radius) pay a list insert or remove.
 func (d *DynamicLinkTable) Move(i int, p geom.Point) {
 	if p == d.positions[i] {
 		return
 	}
-	for _, l := range d.t.cs[i] {
-		d.t.cs[l.to] = removeLinkTo(d.t.cs[l.to], i)
-	}
-	for _, l := range d.t.rx[i] {
-		d.t.rx[l.to] = removeLinkTo(d.t.rx[l.to], i)
-	}
+	t := &d.t
+	oldCS, oldRX := t.cs[i], t.rx[i]
+	t.cs[i], t.rx[i] = d.spareCS[:0], d.spareRX[:0]
 	d.positions[i] = p
 	d.grid.Move(i, p)
-	rx := d.t.params.TxRange()
-	cs := d.t.params.CSRange()
-	model, txPower := d.t.params.Model, d.t.params.TxPower
-	d.t.cs[i] = d.t.cs[i][:0]
-	d.t.rx[i] = d.t.rx[i][:0]
+	rx := t.params.TxRange()
+	cs := t.params.CSRange()
+	model, txPower := t.params.Model, t.params.TxPower
+	t.ver[i]++
+	oc, orx := 0, 0 // cursors into oldCS and oldRX
+	// wasRX reports whether oldCS[oc] was also an RX neighbor, advancing
+	// the RX cursor in lockstep (oldRX is a subset of oldCS).
+	wasRX := func() bool {
+		if orx < len(oldRX) && oldRX[orx].to == oldCS[oc].to {
+			orx++
+			return true
+		}
+		return false
+	}
 	d.cand = d.grid.Candidates(p, cs, d.cand[:0])
 	for _, j := range d.cand {
 		if j == i {
@@ -117,27 +136,79 @@ func (d *DynamicLinkTable) Move(i int, p geom.Point) {
 		// forward and reverse edges carry identical delay and power — the
 		// same values a from-scratch rebuild computes for both directions.
 		dist := p.Dist(d.positions[j])
-		if dist <= cs {
-			fwd := link{
-				to:    j,
-				delay: sim.Seconds(radio.PropDelay(dist)),
-				power: model.ReceivedPower(txPower, dist),
+		if dist > cs {
+			continue
+		}
+		for ; oc < len(oldCS) && oldCS[oc].to < j; oc++ {
+			d.unlink(oldCS[oc].to, i, wasRX())
+		}
+		fwd := link{
+			to:    j,
+			delay: sim.Seconds(radio.PropDelay(dist)),
+			power: model.ReceivedPower(txPower, dist),
+		}
+		t.cs[i] = append(t.cs[i], fwd)
+		inRX := dist <= rx
+		if inRX {
+			t.rx[i] = append(t.rx[i], fwd)
+		}
+		rev := link{to: i, delay: fwd.delay, power: fwd.power}
+		t.ver[j]++
+		if oc < len(oldCS) && oldCS[oc].to == j {
+			// Still inside the CS disc: edit the reverse edges in place.
+			setLinkTo(t.cs[j], rev)
+			switch was := wasRX(); {
+			case inRX && was:
+				setLinkTo(t.rx[j], rev)
+			case inRX:
+				t.rx[j] = insertLinkTo(t.rx[j], rev)
+			case was:
+				t.rx[j] = removeLinkTo(t.rx[j], i)
 			}
-			d.t.cs[i] = append(d.t.cs[i], fwd)
-			rev := link{to: i, delay: fwd.delay, power: fwd.power}
-			d.t.cs[j] = insertLinkTo(d.t.cs[j], rev)
-			if dist <= rx {
-				d.t.rx[i] = append(d.t.rx[i], fwd)
-				d.t.rx[j] = insertLinkTo(d.t.rx[j], rev)
+			oc++
+		} else {
+			t.cs[j] = insertLinkTo(t.cs[j], rev)
+			if inRX {
+				t.rx[j] = insertLinkTo(t.rx[j], rev)
 			}
 		}
 	}
+	for ; oc < len(oldCS); oc++ {
+		d.unlink(oldCS[oc].to, i, wasRX())
+	}
+	d.spareCS, d.spareRX = oldCS, oldRX
+}
+
+// unlink removes node j's reverse edges back to i, which has left j's
+// carrier-sense disc.
+func (d *DynamicLinkTable) unlink(j, i int, rx bool) {
+	d.t.ver[j]++
+	d.t.cs[j] = removeLinkTo(d.t.cs[j], i)
+	if rx {
+		d.t.rx[j] = removeLinkTo(d.t.rx[j], i)
+	}
+}
+
+// searchLinkTo returns the index of the first edge in ls, a list
+// ascending by destination, whose destination is at least to.
+func searchLinkTo(ls []link, to int) int {
+	return sort.Search(len(ls), func(k int) bool { return ls[k].to >= to })
+}
+
+// setLinkTo overwrites the edge to l.to in a list ascending by
+// destination.
+func setLinkTo(ls []link, l link) {
+	i := searchLinkTo(ls, l.to)
+	if i >= len(ls) || ls[i].to != l.to {
+		panic(fmt.Sprintf("channel: dynamic link table missing reverse edge to %d", l.to))
+	}
+	ls[i] = l
 }
 
 // removeLinkTo deletes the edge to the given destination from a list
 // ascending by destination, preserving order.
 func removeLinkTo(ls []link, to int) []link {
-	i := sort.Search(len(ls), func(k int) bool { return ls[k].to >= to })
+	i := searchLinkTo(ls, to)
 	if i >= len(ls) || ls[i].to != to {
 		panic(fmt.Sprintf("channel: dynamic link table missing reverse edge to %d", to))
 	}
@@ -147,7 +218,7 @@ func removeLinkTo(ls []link, to int) []link {
 
 // insertLinkTo inserts l into a list ascending by destination.
 func insertLinkTo(ls []link, l link) []link {
-	i := sort.Search(len(ls), func(k int) bool { return ls[k].to >= l.to })
+	i := searchLinkTo(ls, l.to)
 	if i < len(ls) && ls[i].to == l.to {
 		panic(fmt.Sprintf("channel: dynamic link table duplicate edge to %d", l.to))
 	}

@@ -36,10 +36,100 @@ func linksEqual(a, b *LinkTable) error {
 	return cmp("cs", a.cs, b.cs)
 }
 
+// Move kinds for the differentials. A teleport keeps no neighbor; a
+// step (±0.5–2 m per axis: one 100 ms mobility tick at 5–20 m/s) keeps
+// almost all of them, so their reverse edges are edited in place; an RX
+// hop crosses one neighbor's decode radius while staying inside its
+// carrier-sense disc, so that neighbor's rx list alone gains or loses the
+// mover.
+const (
+	teleport = iota
+	step
+	rxHop
+	moveKinds
+)
+
+// drawMove draws the target of one move of node id. Teleports land
+// anywhere in [lo, hi)².
+func drawMove(r *rng.RNG, dyn *DynamicLinkTable, id, kind int, lo, hi float64) geom.Point {
+	p := dyn.Position(id)
+	switch kind {
+	case step:
+		axis := func() float64 {
+			d := r.Range(0.5, 2)
+			if r.Bool(0.5) {
+				return -d
+			}
+			return d
+		}
+		return geom.Point{X: p.X + axis(), Y: p.Y + axis()}
+	case rxHop:
+		cs := dyn.t.cs[id]
+		if len(cs) == 0 {
+			break
+		}
+		j := cs[r.Intn(len(cs))].to
+		q := dyn.Position(j)
+		dir := p.Sub(q)
+		if n := dir.Norm(); n > 0 {
+			dir = dir.Scale(1 / n)
+		} else {
+			dir = geom.Point{X: 1}
+		}
+		rx := dyn.t.params.TxRange()
+		d := rx + r.Range(0.1, 1)
+		if p.Dist(q) > rx {
+			d = rx - r.Range(0.1, 1)
+		}
+		return q.Add(dir.Scale(d))
+	}
+	return geom.Point{X: r.Range(lo, hi), Y: r.Range(lo, hi)}
+}
+
+// moveCoverage counts what one move did to the mover's neighbors, so the
+// differentials can assert that every path of Move ran.
+type moveCoverage struct {
+	kept, rxFlips, exits, arrivals int
+}
+
+func (c *moveCoverage) add(dyn *DynamicLinkTable, id int, p geom.Point) {
+	before := map[int]bool{} // CS neighbor -> in RX
+	rxl := dyn.t.rx[id]
+	for _, l := range dyn.t.cs[id] {
+		before[l.to] = len(rxl) > 0 && rxl[0].to == l.to
+		if before[l.to] {
+			rxl = rxl[1:]
+		}
+	}
+	dyn.Move(id, p)
+	rxl = dyn.t.rx[id]
+	for _, l := range dyn.t.cs[id] {
+		inRX := len(rxl) > 0 && rxl[0].to == l.to
+		if inRX {
+			rxl = rxl[1:]
+		}
+		wasRX, kept := before[l.to]
+		switch {
+		case !kept:
+			c.arrivals++
+		case wasRX != inRX:
+			c.rxFlips++
+		default:
+			c.kept++
+		}
+		delete(before, l.to)
+	}
+	c.exits += len(before)
+}
+
+func (c moveCoverage) complete() bool {
+	return c.kept > 0 && c.rxFlips > 0 && c.exits > 0 && c.arrivals > 0
+}
+
 // TestDynamicLinkTableMatchesRebuild is the incremental-update proof
-// obligation: after every move in a random sequence, the dynamic table
-// must equal — edge for edge, bit for bit — a LinkTable rebuilt from
-// scratch over the current positions.
+// obligation: after every move in a random sequence of teleports, small
+// steps and RX hops, the dynamic table must equal — edge for edge, bit
+// for bit — a LinkTable rebuilt from scratch over the current positions.
 func TestDynamicLinkTableMatchesRebuild(t *testing.T) {
 	params := radio.MustDefault80211Params(40, 2.2)
 	r := rng.New(3)
@@ -52,24 +142,30 @@ func TestDynamicLinkTableMatchesRebuild(t *testing.T) {
 	if err := linksEqual(dyn.Table(), NewLinkTable(pts, params)); err != nil {
 		t.Fatalf("initial build: %v", err)
 	}
-	for m := 0; m < 400; m++ {
-		id := r.Intn(len(pts))
-		// A quarter of the moves leave the original field, exercising the
-		// grid's clamped border cells.
-		p := geom.Point{X: r.Range(-side/3, 4*side/3), Y: r.Range(-side/3, 4*side/3)}
+	var cov [moveKinds]moveCoverage
+	for m := 0; m < 1200; m++ {
+		id, kind := r.Intn(len(pts)), m%moveKinds
+		// A quarter of the teleports leave the original field, exercising
+		// the grid's clamped border cells.
+		p := drawMove(r, dyn, id, kind, -side/3, 4*side/3)
 		pts[id] = p
-		dyn.Move(id, p)
+		cov[kind].add(dyn, id, p)
 		if err := linksEqual(dyn.Table(), NewLinkTable(pts, params)); err != nil {
-			t.Fatalf("after move %d (node %d to %v): %v", m, id, p, err)
+			t.Fatalf("after move %d (kind %d, node %d to %v): %v", m, kind, id, p, err)
 		}
+	}
+	t.Logf("teleports %+v, steps %+v, RX hops %+v", cov[teleport], cov[step], cov[rxHop])
+	if !cov[step].complete() || cov[rxHop].rxFlips == 0 {
+		t.Errorf("moves missed a path of Move: steps %+v, RX hops %+v", cov[step], cov[rxHop])
 	}
 }
 
 // TestDynamicLinkTableQuick widens the differential over random field
-// shapes, densities and move counts, with moves biased across grid-cell
-// and field boundaries.
+// shapes, densities and move counts, with teleports biased across
+// grid-cell and field boundaries, small steps and RX hops.
 func TestDynamicLinkTableQuick(t *testing.T) {
 	params := radio.MustDefault80211Params(40, 2.2)
+	var cov moveCoverage
 	f := func(seed uint64, nRaw, moves uint8) bool {
 		r := rng.New(seed)
 		n := int(nRaw%80) + 2
@@ -81,14 +177,18 @@ func TestDynamicLinkTableQuick(t *testing.T) {
 		dyn := NewDynamicLinkTable(pts, params)
 		for m := 0; m < int(moves%30)+1; m++ {
 			id := r.Intn(n)
-			p := geom.Point{X: r.Range(-side/2, 1.5*side), Y: r.Range(-side/2, 1.5*side)}
+			p := drawMove(r, dyn, id, r.Intn(moveKinds), -side/2, 1.5*side)
 			pts[id] = p
-			dyn.Move(id, p)
+			cov.add(dyn, id, p)
 		}
 		return linksEqual(dyn.Table(), NewLinkTable(pts, params)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+	t.Logf("%+v", cov)
+	if !cov.complete() {
+		t.Errorf("moves missed a path of Move: %+v", cov)
 	}
 }
 
@@ -113,35 +213,49 @@ func TestDynamicLinkTableRebind(t *testing.T) {
 }
 
 // BenchmarkLinkTableMove measures the incremental-update cost per move.
-// The two sizes share one density (the field area scales with the node
-// count), so the per-move cost should stay roughly flat from 200 to 800
-// nodes — it drifts up somewhat because a disc clamped inside the larger
-// field keeps more of its area (higher mean in-disc population) and the
-// table no longer fits in cache, but nowhere near the 4x of an O(n)
-// incident scan or the 16x of an O(n²) rebuild-style update.
+// The two teleport sizes share one density (the field area scales with
+// the node count), so the per-move cost should stay roughly flat from 200
+// to 800 nodes — it drifts up somewhat because a disc clamped inside the
+// larger field keeps more of its area (higher mean in-disc population)
+// and the table no longer fits in cache, but nowhere near the 4x of an
+// O(n) incident scan or the 16x of an O(n²) rebuild-style update. A
+// teleport keeps no neighbor, so the step case (±1 m per axis on the
+// 200-node field, a 100 ms mobility tick at up to 10 m/s) is the one
+// that exercises the in-place edits of surviving edges.
 func BenchmarkLinkTableMove(b *testing.B) {
 	params := radio.MustDefault80211Params(40, 2.2)
 	for _, bc := range []struct {
+		name string
 		n    int
 		side float64
-	}{{200, 200}, {800, 400}} {
-		n, side := bc.n, bc.side
-		b.Run(fmt.Sprintf("%dnodes", n), func(b *testing.B) {
+		step float64 // 0 = teleport anywhere in the field
+	}{{"200nodes", 200, 200, 0}, {"800nodes", 800, 400, 0}, {"step-200nodes", 200, 200, 1}} {
+		n, side, step := bc.n, bc.side, bc.step
+		b.Run(bc.name, func(b *testing.B) {
 			r := rng.New(7)
 			pts := make([]geom.Point, n)
 			for i := range pts {
 				pts[i] = geom.Point{X: r.Range(0, side), Y: r.Range(0, side)}
 			}
 			dyn := NewDynamicLinkTable(pts, params)
-			// Pre-draw the move targets so the RNG stays off the clock.
+			// Pre-draw the move targets (teleports) or offsets (steps)
+			// so the RNG stays off the clock.
 			targets := make([]geom.Point, 1024)
 			for i := range targets {
-				targets[i] = geom.Point{X: r.Range(0, side), Y: r.Range(0, side)}
+				if step > 0 {
+					targets[i] = geom.Point{X: r.Range(-step, step), Y: r.Range(-step, step)}
+				} else {
+					targets[i] = geom.Point{X: r.Range(0, side), Y: r.Range(0, side)}
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dyn.Move(i%n, targets[i%len(targets)])
+				id, p := i%n, targets[i%len(targets)]
+				if step > 0 {
+					p = dyn.Position(id).Add(p)
+				}
+				dyn.Move(id, p)
 			}
 		})
 	}

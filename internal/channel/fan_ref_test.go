@@ -268,6 +268,13 @@ func TestFanMatchesPerLinkReference(t *testing.T) {
 					t.Logf("seed %d: trace length: fan %d, reference %d", seed, len(got), len(want))
 					return false
 				}
+				// The reference never sorts; the fan sorts at most once
+				// per transmission.
+				if gotSt.FanSorts == 0 || gotSt.FanSorts > gotSt.Transmissions {
+					t.Logf("seed %d: %d fan sorts for %d transmissions", seed, gotSt.FanSorts, gotSt.Transmissions)
+					return false
+				}
+				gotSt.FanSorts = 0
 				if gotSt != wantSt {
 					t.Logf("seed %d: stats: fan %+v, reference %+v", seed, gotSt, wantSt)
 					return false

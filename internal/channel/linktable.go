@@ -27,6 +27,10 @@ type LinkTable struct {
 	n      int
 	rx     [][]link // links within decode range, ascending by destination
 	cs     [][]link // links within carrier-sense range (superset of rx)
+
+	// ver[i] counts the edits to node i's lists; a channel keys its cached
+	// fan order on it. Nil on a static table, whose lists never change.
+	ver []uint64
 }
 
 // NewLinkTable precomputes the link table for the given node positions and
@@ -124,6 +128,15 @@ func newLinkTableNaive(positions []geom.Point, params radio.Params) *LinkTable {
 		}
 	}
 	return t
+}
+
+// version returns the edit count of node i's link lists: always 0 on a
+// static table, bumped by every DynamicLinkTable edit to cs[i] or rx[i].
+func (t *LinkTable) version(i int) uint64 {
+	if t.ver == nil {
+		return 0
+	}
+	return t.ver[i]
 }
 
 // N returns the number of nodes the table was built for.

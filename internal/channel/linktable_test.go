@@ -71,10 +71,11 @@ type nopRadio struct{}
 func (nopRadio) FrameReceived(*packet.Packet) {}
 func (nopRadio) CarrierChanged(bool)          {}
 
-// TestTransmitAllocs is the hot-path allocation guard: once the event pool
-// and the fan records are warm, a transmission — tx-end event, a start and
-// an end run per distinct delay, an arrival per RX neighbor, and the full
-// drain — must run without touching the heap allocator.
+// TestTransmitAllocs is the hot-path allocation guard: once the event pool,
+// the fan records and the node's cached fan order are warm, a transmission
+// — tx-end event, a start and an end cursor over the whole fan, an arrival
+// per RX neighbor, and the full drain — must run without touching the heap
+// allocator.
 func TestTransmitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")

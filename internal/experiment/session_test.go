@@ -153,3 +153,57 @@ func TestRandomFieldEventsPerEntry(t *testing.T) {
 	t.Logf("%d events, %d queue entries (%.2f per entry)",
 		st.Processed, st.Entries, float64(st.Processed)/float64(st.Entries))
 }
+
+// TestFanSortCounts pins channel.Stats.FanSorts, the channel's count of
+// fan-order sorts. On the paper grid a session sorts each transmitting
+// node's fan at most once, far fewer times than it transmits; a pooled
+// session Reset onto the same shared table keeps every order and sorts
+// nothing; a mobile run, whose moves edit link lists, sorts again after
+// its Reset rewinds the dynamic table, and re-sorts the fans its moves
+// touch, so it sorts more than once per node.
+func TestFanSortCounts(t *testing.T) {
+	run := func(s *Session) (fanSorts, tx uint64) {
+		t.Helper()
+		s.RunHello()
+		s.RunDiscovery(0)
+		if _, err := s.RunData(0); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Network().Chan.Stats()
+		return st.FanSorts, st.Transmissions
+	}
+
+	sc := gridScenario(t, MTMRP, 3, 20)
+	sc.Links = LinkTableFor(sc.Topo)
+	s, err := NewSession(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorts, tx := run(s)
+	if sorts == 0 || sorts > uint64(sc.Topo.N()) || 4*sorts > tx {
+		t.Errorf("grid session: %d fan sorts for %d transmissions by %d nodes", sorts, tx, sc.Topo.N())
+	}
+	t.Logf("grid session: %d fan sorts, %d transmissions", sorts, tx)
+	sc.Seed = 4
+	if err := s.Reset(sc); err != nil {
+		t.Fatal(err)
+	}
+	if sorts, tx := run(s); sorts != 0 || tx == 0 {
+		t.Errorf("pooled rerun on the same table: %d fan sorts for %d transmissions, want 0", sorts, tx)
+	}
+
+	mobile := mobileScenario(t, MTMRP)
+	m, err := NewSession(mobile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _ := run(m)
+	if err := m.Reset(mobile); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("mobile session: %d fan sorts", first)
+	if again, _ := run(m); first <= uint64(mobile.Topo.N()) || again != first {
+		t.Errorf("mobile runs sorted %d then %d fans, want equal and above one per node (%d)",
+			first, again, mobile.Topo.N())
+	}
+}
