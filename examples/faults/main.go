@@ -1,5 +1,5 @@
 // Faults: inject node crashes and bursty channel loss into a session and
-// watch the protocol's soft state repair the multicast tree mid-traffic.
+// watch the protocol's soft state keep the multicast tree delivering.
 //
 //	go run ./examples/faults
 package main
@@ -20,8 +20,10 @@ func main() {
 	}
 
 	// Draw a crash schedule: every node except the source faults with 20%
-	// probability, at a uniform time inside the data phase (the HELLO and
-	// discovery phases drain at about 1.15 s of virtual time). Crashes are
+	// probability, at a uniform time in [1.2 s, 1.8 s). The schedule is
+	// armed when the session starts, and the HELLO phase runs until the
+	// event queue drains, so every crash happens before route discovery
+	// begins: the tree is built around the dead nodes. Crashes are
 	// permanent here — set Downtime to let nodes come back.
 	schedule := mtmrp.PlanFaults(mtmrp.FaultPlan{
 		Nodes:        topo.N(),

@@ -356,6 +356,36 @@ func (c *Channel) Reset(links *LinkTable) {
 	}
 }
 
+// AdoptIdle gives c the run state of src, a channel of the same size
+// with nothing on the air: the frame uid counter, the statistics, the
+// loss chains' Bad states and the degraded flags. FanSorts stays c's own,
+// since it counts c's fan-order cache misses. Call it after Reset, with
+// the same loss model installed on both. The radios, fan pool and
+// fan-order cache are c's and are not touched.
+func (c *Channel) AdoptIdle(src *Channel) {
+	if src.links.n != c.links.n {
+		panic(fmt.Sprintf("channel: AdoptIdle from a %d-node channel, channel has %d", src.links.n, c.links.n))
+	}
+	for i := range src.state {
+		if st := &src.state[i]; st.busySignals != 0 || st.transmitting {
+			panic(fmt.Sprintf("channel: AdoptIdle from a busy channel (node %d)", i))
+		}
+	}
+	c.uid = src.uid
+	sorts := c.stats.FanSorts
+	c.stats = src.stats
+	c.stats.FanSorts = sorts
+	c.geBad.CopyFrom(&src.geBad)
+	if src.degraded == nil {
+		clear(c.degraded)
+		return
+	}
+	if c.degraded == nil {
+		c.degraded = make([]bool, c.links.n)
+	}
+	copy(c.degraded, src.degraded)
+}
+
 // Busy reports whether node i currently senses the medium busy.
 func (c *Channel) Busy(i int) bool { return c.state[i].busySignals > 0 }
 

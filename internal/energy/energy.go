@@ -112,6 +112,16 @@ func (m *Meter) Reset() {
 	}
 }
 
+// AdoptIdle copies src's per-node transmit and receive energy into m, a
+// meter of the same size.
+func (m *Meter) AdoptIdle(src *Meter) {
+	if len(src.tx) != len(m.tx) {
+		panic("energy: AdoptIdle with different node count")
+	}
+	copy(m.tx, src.tx)
+	copy(m.rx, src.rx)
+}
+
 // Rebind points the meter at a different same-size topology and zeroes the
 // meters; session reuse swaps random topologies under a pooled network.
 // The radio parameters (and hence airtimes) are unchanged.

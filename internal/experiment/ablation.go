@@ -109,8 +109,8 @@ func AblationSweep(cfg AblationConfig) (*AblationResult, error) {
 		},
 		group: fixedGroup(cfg.GroupSize),
 		check: func(int) error { return checkBackoff(cfg.N, cfg.Delta) },
-		// Core overrides opt out of pooling; poolRun falls back to a
-		// fresh Run per variant.
+		// Core overrides opt out of pooling: RunRound runs every variant
+		// fresh, HELLO included.
 		scenario: func(sc Scenario, row, _ int, _ *rng.RNG) Scenario {
 			vc := variants[row].Config
 			sc.Protocol, sc.Core = MTMRP, &vc

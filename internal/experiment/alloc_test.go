@@ -64,4 +64,45 @@ func TestSessionReuseSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
+
+	// A paired round of every protocol through the pool: the rows take
+	// their sessions, the first proto.Base row runs HELLO and the others
+	// adopt it, Flooding and GMR run their own, and every row runs
+	// discovery and data — RunRound without the outcome extraction.
+	t.Run("round", func(t *testing.T) {
+		pool := NewSessionPool()
+		scs := make([]Scenario, len(allProtocolsPlus))
+		rcv := []int{7, 23, 42, 58, 76, 91}
+		round := func(seed uint64) {
+			for r, p := range allProtocolsPlus {
+				scs[r] = Scenario{Topo: grid, Source: 0, Protocol: p, Seed: seed, Receivers: rcv, Links: links}
+			}
+			if err := pool.startRound(scs); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range pool.rows {
+				s.RunDiscovery(0)
+				if _, err := s.RunData(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for range 2 {
+			for _, seed := range seeds {
+				round(seed)
+			}
+		}
+		before := pool.adopted
+		i := 0
+		allocs := testing.AllocsPerRun(2*len(seeds), func() {
+			round(seeds[i%len(seeds)])
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state round allocated %.1f objects/op, want 0", allocs)
+		}
+		if pool.adopted == before {
+			t.Fatal("no row adopted a HELLO phase")
+		}
+	})
 }

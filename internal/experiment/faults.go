@@ -15,9 +15,12 @@ import (
 // node alive for the whole session; this driver re-runs the evaluation
 // point under increasing node-failure rates to measure how well each
 // protocol's soft state (forwarder expiry + periodic JoinQuery refresh)
-// repairs the multicast structure mid-traffic. The x-axis is the per-node
-// crash probability; the y-axes are delivery (mean/min PDR over the
-// group) and repair behaviour (closed gaps, time to close them).
+// copes with the failures. The x-axis is the per-node crash probability;
+// the y-axes are delivery (mean/min PDR over the group) and repair
+// behaviour (closed gaps, time to close them). The schedule is armed when
+// the session starts, and the HELLO phase's drain fires all of it (see
+// FaultConfig.FaultStart): today every crash happens before discovery,
+// not during the traffic.
 
 // FaultMetric indexes the robustness metric vector of a fault sweep.
 type FaultMetric int
@@ -65,9 +68,15 @@ type FaultConfig struct {
 	// repair mechanism the sweep measures (defaults 200 ms / 300 ms).
 	RefreshInterval sim.Time
 	ForwarderExpiry sim.Time
-	// FaultStart/FaultWindow bound crash onsets. The defaults (1.2 s + 800 ms)
-	// put them inside the paced data phase, which begins once the HELLO
-	// rounds (3 x 500 ms) and discovery floods drain at about 1.15 s.
+	// FaultStart/FaultWindow bound crash onsets, in virtual time from the
+	// session start (defaults 1.2 s + 800 ms). The schedule is armed at
+	// session start and Session.RunHello drains the event queue, so every
+	// fault fires inside the HELLO phase whatever its time: the defaults
+	// land after the last beacon (about 1.1 s) but before the first
+	// discovery flood, which starts once the last crash has happened (at
+	// f=0.2 on the grid the clock reads about 2 s). Discovery and the
+	// paced traffic then run on the already-damaged network; no crash
+	// lands mid-traffic.
 	FaultStart  sim.Time
 	FaultWindow sim.Time
 	// Downtime, when nonzero, revives each crashed node after that long;

@@ -57,7 +57,9 @@ type TrafficOptions struct {
 // zero value injects nothing — the pristine field of the paper.
 type FaultOptions struct {
 	// Schedule lists the node crash/recover and link degrade/restore
-	// events armed on the simulator at session start (nil = none).
+	// events armed on the simulator at session start (nil = none). The
+	// HELLO phase drains the queue, so every event fires before discovery
+	// starts, whatever its time (Session.RunHello).
 	Schedule fault.Schedule
 	// Loss enables the Gilbert–Elliott bursty per-link loss model
 	// (nil = the lossless disc).

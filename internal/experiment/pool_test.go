@@ -97,9 +97,11 @@ func TestPooledRunMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestPooledSweepMatchesFreshSweep runs the same tiny sweep with and
-// without per-worker session pools, at one worker and at four: the
-// per-round metric vectors must agree bitwise in all four executions.
+// TestPooledSweepMatchesFreshSweep runs the same tiny sweep of paired
+// rounds twice: through the per-worker pool's RunRound, at one worker and
+// at four, and as fresh Runs row by row. The rows cover every protocol,
+// so rounds mix rows that share one HELLO phase with Flooding and GMR,
+// which run their own. The per-round metric vectors must agree bitwise.
 func TestPooledSweepMatchesFreshSweep(t *testing.T) {
 	grid := topology.PaperGrid()
 	links := LinkTableFor(grid)
@@ -110,17 +112,28 @@ func TestPooledSweepMatchesFreshSweep(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		values := make([][NumMetrics]float64, len(allProtocolsPlus))
+		scs := make([]Scenario, len(allProtocolsPlus))
 		for pi, p := range allProtocolsPlus {
-			out, err := poolRun(job, Scenario{
+			scs[pi] = Scenario{
 				Topo: grid, Source: 0, Receivers: rcv, Protocol: p,
 				Seed:  job.RNG.Derive("run").Uint64(),
 				Links: links,
+			}
+		}
+		values := make([][NumMetrics]float64, len(scs))
+		if pool, ok := job.State.(*SessionPool); ok {
+			_, err := pool.RunRound(scs, func(r int, out *Outcome) error {
+				measureFigure(out, 0, values[r][:])
+				return nil
 			})
+			return values, err
+		}
+		for r, sc := range scs {
+			out, err := Run(sc)
 			if err != nil {
 				return nil, err
 			}
-			measureFigure(out, 0, values[pi][:])
+			measureFigure(out, 0, values[r][:])
 		}
 		return values, nil
 	}

@@ -151,11 +151,7 @@ func Run(sc Scenario) (*Outcome, error) {
 		return nil, err
 	}
 	s.RunHello()
-	s.RunDiscovery(sc.Traffic.DiscoveryRounds)
-	if _, err := s.RunData(sc.Traffic.DataPackets); err != nil {
-		return nil, err
-	}
-	return s.Outcome()
+	return s.finish()
 }
 
 // radioFor derives PHY parameters matching the topology's nominal range,

@@ -3,6 +3,7 @@ package experiment
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mtmrp/internal/channel"
 	"mtmrp/internal/energy"
@@ -49,6 +50,9 @@ type Session struct {
 	key        packet.FloodKey
 	helloDone  bool
 	discovered bool
+	// adoptedEvents counts the HELLO events adoptHello took from another
+	// session: Processed includes them, but this session did not run them.
+	adoptedEvents uint64
 
 	// dyn is the session-owned dynamic link table of a mobile scenario
 	// (nil for static runs, which share an immutable table); mover drives
@@ -239,11 +243,18 @@ func (s *Session) Reset(sc Scenario) error {
 	s.key = packet.FloodKey{}
 	s.helloDone = false
 	s.discovered = false
+	s.adoptedEvents = 0
 	return nil
 }
 
 // RunHello runs the HELLO beacon exchange that populates neighbor tables.
 // It is idempotent; the discovery phase calls it automatically if needed.
+//
+// The phase drains the event queue, so it also fires every fault event
+// the scenario armed, whatever its time: after RunHello every scheduled
+// crash, recovery, degradation and restoration has happened, and the
+// clock stands at the last of them if that is later than the last
+// beacon.
 func (s *Session) RunHello() {
 	if s.helloDone {
 		return
@@ -252,6 +263,53 @@ func (s *Session) RunHello() {
 	s.net.Start()
 	s.net.Run()
 	s.helloDone = true
+}
+
+// adoptHello gives s the state src reached in its HELLO phase instead of
+// simulating that phase again. src must have run HELLO and nothing else,
+// both sessions must run on proto.Base routers, and sameHello(src.sc,
+// s.sc) must hold: then s continues bit-identically to a session that
+// ran its own HELLO. Processed and Stats count the adopted events as
+// s's own.
+func (s *Session) adoptHello(src *Session) {
+	if !src.helloDone || src.discovered || s.helloDone {
+		panic("experiment: adoptHello needs a source just past HELLO and a freshly reset session")
+	}
+	s.net.AdoptIdle(src.net)
+	for i, r := range s.routers {
+		helloBase(r).AdoptHello(helloBase(src.routers[i]))
+	}
+	s.col.AdoptIdle(src.col)
+	s.meter.AdoptIdle(src.meter)
+	s.helloDone = true
+	s.adoptedEvents = src.net.Sim.Processed()
+}
+
+// helloBase returns the proto.Base engine a router runs on, or nil for
+// routers (Flooding, GMR) that keep their own state and send no HELLOs.
+func helloBase(r proto.Router) *proto.Base {
+	if e, ok := r.(interface{ Engine() *proto.Base }); ok {
+		return e.Engine()
+	}
+	return nil
+}
+
+// sameHello reports whether two scenarios run the same HELLO phase: the
+// same nodes, links, memberships, random streams, PHY and MAC, and the
+// same faults firing while the beacons drain. Protocol, N, δ, Traffic
+// and ForwarderExpiry act only after HELLO and are not compared. A
+// scenario with construction-time overrides (Proto, Core) or a trace
+// log never matches.
+func sameHello(a, b Scenario) bool {
+	la, lb := a.Faults.Loss, b.Faults.Loss
+	return a.Proto == nil && b.Proto == nil && a.Core == nil && b.Core == nil &&
+		a.TraceWriter == nil && b.TraceWriter == nil &&
+		a.Topo == b.Topo && a.Links == b.Links && a.Source == b.Source &&
+		slices.Equal(a.Receivers, b.Receivers) && a.Seed == b.Seed &&
+		a.Radio == b.Radio &&
+		slices.Equal(a.Faults.Schedule, b.Faults.Schedule) &&
+		(la == lb || la != nil && lb != nil && *la == *lb) &&
+		a.Mobility.active() == b.Mobility.active()
 }
 
 // RunDiscovery floods rounds JoinQuerys from the source (rounds <= 0
@@ -293,8 +351,10 @@ type DataReport struct {
 //
 // With Traffic.Interval 0 each packet is sent and the event queue drained
 // before the next — the legacy back-to-back workload. A positive Interval
-// paces the sends in virtual time instead, so armed fault events and
-// soft-state expiry interleave with the traffic; Traffic.RefreshInterval
+// paces the sends in virtual time instead, so soft-state expiry — and
+// any fault event a caller arms on the simulator after discovery —
+// interleaves with the traffic (the scenario's own fault schedule has
+// already fired in the HELLO phase; see RunHello); Traffic.RefreshInterval
 // then re-floods a JoinQuery periodically inside the data phase (ODMRP's
 // route refresh) and subsequent packets flow down the refreshed tree.
 func (s *Session) RunData(n int) (DataReport, error) {
@@ -362,8 +422,10 @@ func (s *Session) Network() *network.Network { return s.net }
 // Routers exposes the per-node protocol instances.
 func (s *Session) Routers() []proto.Router { return s.routers }
 
-// Events returns the number of simulator events processed so far — the
-// session's true work measure, surfaced per run by the sweep engine.
+// Events returns the number of simulator events processed so far. After
+// a SessionPool round handed this session another row's HELLO phase, the
+// count includes the HELLO events that row ran, so it matches a session
+// that ran its own HELLO.
 func (s *Session) Events() uint64 { return s.net.Sim.Processed() }
 
 // Stats returns the underlying simulator's observability counters for
@@ -394,6 +456,16 @@ func (s *Session) Metrics() metrics.Result {
 // repairs) and the mean time to repair. Meaningful for any run; without
 // faults it reports an all-ones PDR.
 func (s *Session) Robustness() metrics.Robustness { return s.col.Robustness() }
+
+// finish runs the scenario's discovery and data phases on a session past
+// HELLO and returns its outcome.
+func (s *Session) finish() (*Outcome, error) {
+	s.RunDiscovery(s.sc.Traffic.DiscoveryRounds)
+	if _, err := s.RunData(s.sc.Traffic.DataPackets); err != nil {
+		return nil, err
+	}
+	return s.Outcome()
+}
 
 // Outcome bundles the session state in the form Run returns.
 func (s *Session) Outcome() (*Outcome, error) {

@@ -115,16 +115,26 @@ func (s *study) run(eng EngineOptions) (*Table, error) {
 				return nil, err
 			}
 			seed := round.Derive("run").Uint64()
-			values := make([]float64, nr*nm)
-			for r, name := range s.rows {
-				sc := s.scenario(Scenario{Topo: topo, Source: 0, Receivers: rcv, Seed: seed, Links: links}, r, ai, round)
-				out, err := poolRun(job, sc)
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", name, err)
-				}
-				job.AddEvents(out.Net.Sim.Processed())
-				s.measure(out, ai, values[r*nm:(r+1)*nm])
+			scs := make([]Scenario, nr)
+			for r := range scs {
+				scs[r] = s.scenario(Scenario{Topo: topo, Source: 0, Receivers: rcv, Seed: seed, Links: links}, r, ai, round)
 			}
+			rr, ok := job.State.(roundRunner)
+			if !ok {
+				rr = NewSessionPool()
+			}
+			values := make([]float64, nr*nm)
+			events, err := rr.RunRound(scs, func(r int, out *Outcome) error {
+				s.measure(out, ai, values[r*nm:(r+1)*nm])
+				return nil
+			})
+			if re := (*RowError)(nil); errors.As(err, &re) {
+				return nil, fmt.Errorf("%s: %w", s.rows[re.Row], re.Err)
+			}
+			if err != nil {
+				return nil, err
+			}
+			job.AddEvents(events)
 			return values, nil
 		})
 	if err != nil && !sweep.PartialOK(err) {
@@ -211,14 +221,11 @@ func engineConfig(seed uint64, opts EngineOptions) sweep.Config {
 	}
 }
 
-// poolRun executes sc through the job's per-worker session pool when the
-// engine supplied one, falling back to a fresh Run otherwise. Results are
-// bit-identical either way; the pool only removes per-run construction.
-func poolRun(job *sweep.Job, sc Scenario) (*Outcome, error) {
-	if p, ok := job.State.(*SessionPool); ok {
-		return p.Run(sc)
-	}
-	return Run(sc)
+// roundRunner runs the rows of one paired round (SessionPool.RunRound).
+// The engine's worker state provides it; tests wrap a pool to inspect
+// every round.
+type roundRunner interface {
+	RunRound(scs []Scenario, each func(row int, out *Outcome) error) (uint64, error)
 }
 
 // sharedGrid caches the one deterministic paper grid and its link table.

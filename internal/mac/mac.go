@@ -30,6 +30,11 @@ type MAC interface {
 	// simulator must have been reset first: pending timer handles are
 	// discarded, not cancelled.
 	Reset(parent *rng.RNG)
+	// AdoptIdle gives the MAC, just Reset, the state of src, a MAC of
+	// the same kind that is idle (no frame queued or in contention,
+	// carrier idle): its counters and random stream. It panics if src is
+	// busy.
+	AdoptIdle(src MAC)
 }
 
 // CSMAConfig carries the 802.11 DCF timing constants. DefaultCSMAConfig
@@ -109,6 +114,19 @@ func (m *CSMA) Reset(parent *rng.RNG) {
 	m.busy = false
 	m.Dropped = 0
 	parent.DeriveInto("mac", m.rnd)
+}
+
+// AdoptIdle implements MAC.
+func (m *CSMA) AdoptIdle(src MAC) {
+	s := src.(*CSMA)
+	// An idle MAC with an idle carrier holds no backoff: slots are drawn
+	// only for a queued frame and cleared when it goes on the air. So s
+	// matches the reset m but for its drop counter and stream.
+	if s.state != csmaIdle || s.QueueLen() != 0 || s.busy || s.slots >= 0 {
+		panic("mac: AdoptIdle from a busy CSMA")
+	}
+	m.Dropped = s.Dropped
+	*m.rnd = *s.rnd
 }
 
 // QueueLen reports the number of frames waiting (for tests).
@@ -286,6 +304,14 @@ func (m *Ideal) Reset(parent *rng.RNG) {
 	m.queue = m.queue[:0]
 	m.head = 0
 	m.sending = false
+}
+
+// AdoptIdle implements MAC. Ideal keeps no counters or random stream, so
+// there is nothing to take: it only checks that src is idle.
+func (m *Ideal) AdoptIdle(src MAC) {
+	if s := src.(*Ideal); s.sending || s.head != len(s.queue) {
+		panic("mac: AdoptIdle from a busy Ideal MAC")
+	}
 }
 
 // Send implements MAC.

@@ -185,3 +185,37 @@ func TestCSMAReceiveDuringContention(t *testing.T) {
 		t.Errorf("node 0 received %d frames, want 1", got0)
 	}
 }
+
+// TestCSMAAdoptIdle: a reset MAC adopting an idle one takes its drop
+// count and its random stream, and a MAC with a frame in contention
+// cannot be adopted.
+func TestCSMAAdoptIdle(t *testing.T) {
+	s, ch := rig([]geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}})
+	cfg := DefaultCSMAConfig()
+	cfg.MaxQueue = 2
+	src := NewCSMA(s, ch, 0, cfg, rng.New(1))
+	other := NewCSMA(s, ch, 1, cfg, rng.New(2))
+	for i := 0; i < 5; i++ {
+		src.Send(hello(0))
+		other.Send(hello(1))
+	}
+	s.Run()
+	if src.Dropped == 0 || *src.rnd == *rng.New(1) {
+		t.Fatalf("source dropped %d frames and drew no backoff; the test needs both", src.Dropped)
+	}
+
+	s2, ch2 := rig([]geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}})
+	dst := NewCSMA(s2, ch2, 0, cfg, rng.New(3))
+	dst.AdoptIdle(src)
+	if dst.Dropped != src.Dropped || *dst.rnd != *src.rnd || dst.state != csmaIdle || dst.slots != -1 {
+		t.Errorf("adopted: dropped %d, slots %d, state %d; source dropped %d", dst.Dropped, dst.slots, dst.state, src.Dropped)
+	}
+
+	src.Send(hello(0))
+	defer func() {
+		if recover() == nil {
+			t.Error("AdoptIdle from a MAC with a queued frame did not panic")
+		}
+	}()
+	dst.AdoptIdle(src)
+}

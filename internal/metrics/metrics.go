@@ -109,6 +109,20 @@ func (c *Collector) Reset(source packet.NodeID, group packet.GroupID, receivers 
 	c.rxAt = c.rxAt[:0]
 }
 
+// AdoptIdle gives c the control-traffic counters of src, a collector on
+// a network that has sent no DATA yet: transmissions per frame type,
+// bytes on the air and received, and the control transmission count.
+// Call it after Reset, for the same source, group and receivers.
+func (c *Collector) AdoptIdle(src *Collector) {
+	if src.dataTxTotal != 0 || len(src.pkts) != 0 {
+		panic("metrics: AdoptIdle from a collector that has seen DATA")
+	}
+	c.txByType = src.txByType
+	c.bytesTx = src.bytesTx
+	c.bytesRx = src.bytesRx
+	c.controlTx = src.controlTx
+}
+
 func (c *Collector) onTransmit(from *network.Node, p *packet.Packet) {
 	if c.prevOnAir != nil {
 		c.prevOnAir(from, p)

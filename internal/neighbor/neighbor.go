@@ -182,6 +182,36 @@ func (t *Table) Reset() {
 	}
 }
 
+// CopyFrom makes t a copy of src's entries: the same ids, timestamps,
+// HELLO counts and memberships, bound to the same slots in the same
+// iteration order, so any marks set later land on the bits they would
+// in src. It panics if src holds marks; a table is copied between its
+// HELLO phase and the first discovery. The expiry is a setting, not an
+// entry: t keeps its own.
+func (t *Table) CopyFrom(src *Table) {
+	if len(src.sessions) > 0 {
+		panic("neighbor: CopyFrom a table with session marks")
+	}
+	t.Reset()
+	for len(t.slabs)<<slabBits < src.nslots {
+		t.slabs = append(t.slabs, new([1 << slabBits]Entry))
+	}
+	for s := int32(0); s < int32(src.nslots); s++ {
+		se, e := src.at(s), t.at(s)
+		e.ID = se.ID
+		e.LastSeen = se.LastSeen
+		e.Count = se.Count
+		e.groups = append(e.groups[:0], se.groups...)
+		e.present = se.present
+		e.slot = s
+		e.t = t
+	}
+	t.nslots = src.nslots
+	t.order = append(t.order[:0], src.order...)
+	t.idx.CopyFrom(&src.idx)
+	t.n = src.n
+}
+
 // session returns the registry index of key, or -1.
 func (t *Table) session(key packet.FloodKey) int {
 	for i, k := range t.sessions {

@@ -235,6 +235,30 @@ func (net *Network) Reset(topo *topology.Topology, links *channel.LinkTable, see
 	}
 }
 
+// AdoptIdle gives net the state src reached by draining its event queue:
+// the simulator's clock and counters (events queued on net are dropped),
+// the channel's run state, every MAC, the channel's shadowing and loss
+// streams and each node's liveness. Both networks must have been Reset
+// onto the same topology, link table and seed, with the same group
+// memberships and loss model; the networks then run on bit-identically,
+// but the events src ran are not run again. The network and per-node
+// streams are seed material that is only derived from, never drawn, so
+// the Reset already made them equal. Protocol state is not touched here.
+func (net *Network) AdoptIdle(src *Network) {
+	if len(src.Nodes) != len(net.Nodes) {
+		panic(fmt.Sprintf("network: AdoptIdle from a %d-node network, network has %d", len(src.Nodes), len(net.Nodes)))
+	}
+	net.Sim.AdoptIdle(src.Sim)
+	net.Chan.AdoptIdle(src.Chan)
+	*net.chanRand = *src.chanRand
+	*net.lossRand = *src.lossRand
+	for i, n := range net.Nodes {
+		s := src.Nodes[i]
+		n.down = s.down
+		n.mac.AdoptIdle(s.mac)
+	}
+}
+
 // SetLoss installs (or, with nil, removes) a Gilbert–Elliott bursty-loss
 // model on the channel. Per-run: Reset clears the chain state, so callers
 // re-apply the model after every Reset.

@@ -265,6 +265,23 @@ func (b *Base) Reset() {
 	b.repairs = 0
 }
 
+// AdoptHello gives b the state src reached in the HELLO phase: the
+// protocol random stream and the neighbor table. Both nodes must have
+// been Reset onto the same seed and topology, and src must not have
+// started a discovery yet. The session harness uses it so that rows of
+// a paired round, which run the same HELLO phase, simulate it once.
+func (b *Base) AdoptHello(src *Base) {
+	if len(src.sessions) > 0 || src.nextSeq != 0 {
+		panic(fmt.Sprintf("proto(%s): AdoptHello from a node past its HELLO phase", b.name))
+	}
+	*b.rnd = *src.rnd
+	b.NT.CopyFrom(src.NT)
+}
+
+// Engine returns b itself. Routers that embed a Base inherit it, which
+// lets callers holding a Router reach the shared engine under it.
+func (b *Base) Engine() *Base { return b }
+
 // Name returns the protocol label.
 func (b *Base) Name() string { return b.name }
 

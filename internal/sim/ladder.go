@@ -420,6 +420,19 @@ func (q *ladder) reset() {
 	q.nRungs = 0
 }
 
+// adoptIdle gives the reset queue q the tier bounds of src, which must be
+// empty too. A drained ladder keeps bounds that decide where later pushes
+// land, and with them whether a cursor re-keys in place or re-queues;
+// taking them makes q count Stats.Entries exactly as src would. (topMin
+// is read only while the top holds entries, so it need not be taken.)
+func (q *ladder) adoptIdle(src *ladder) {
+	if src.bHead != len(src.bottom) || src.nRungs != 0 || len(src.top) != 0 {
+		panic("sim: adoptIdle from a non-empty queue")
+	}
+	q.bBound = src.bBound
+	q.topStart = src.topStart
+}
+
 // sortEntries sorts es ascending by (at, seq): insertion sort at bucket
 // sizes (transfer buckets are <= ladderSpawnAbove except at the rung
 // cap), pdqsort above.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -234,4 +235,77 @@ func TestCursorEntryCounts(t *testing.T) {
 	if want := []int{10, 20, 21}; !slices.Equal(got, want) {
 		t.Errorf("ran %v across the Reset, want %v", got, want)
 	}
+}
+
+// TestAdoptIdle pins Simulator.AdoptIdle: a simulator that adopts a
+// drained one — dropping what was queued on it — must run any later
+// schedule exactly as the source does: the same calls in the same order
+// at the same times, and the same Processed, Entries and MaxPending. The
+// schedule mixes time scales and cursors, so the queue's tier bounds
+// decide where cursors re-key, and Entries shows any mismatch.
+func TestAdoptIdle(t *testing.T) {
+	type call struct {
+		at  Time
+		tag int
+	}
+	phase := func(s *Simulator, seed int64, got *[]call) {
+		r := rand.New(rand.NewSource(seed))
+		var cb Callback
+		cb = func(_ any, i int) {
+			*got = append(*got, call{s.Now(), i})
+			if i%7 == 0 && i < 1000 {
+				s.AfterCall(Time(r.Intn(50)), cb, nil, i+1000)
+			}
+		}
+		var b Batch
+		for i := 0; i < 400; i++ {
+			d := Time(r.Intn(1 << (4 + 4*r.Intn(5))))
+			if r.Intn(4) == 0 {
+				offs := make([]Time, 1+r.Intn(6))
+				for j := range offs {
+					offs[j] = Time(r.Intn(30))
+				}
+				slices.Sort(offs)
+				b.AfterCursor(d, cb, nil, 10*i, offs)
+				s.ScheduleBatch(&b)
+				continue
+			}
+			s.AfterCall(d, cb, nil, 10*i)
+		}
+		s.Run()
+	}
+	counters := func(s *Simulator) Stats {
+		st := s.Stats()
+		st.RunWall, st.EventsPerSec = 0, 0
+		return st
+	}
+
+	src := New()
+	var srcCalls, dstCalls []call
+	phase(src, 1, &srcCalls)
+	dst := New()
+	dst.AfterCall(5, func(any, int) { t.Error("an event queued before AdoptIdle ran") }, nil, 0)
+	dst.AdoptIdle(src)
+	if dst.Now() != src.Now() || counters(dst) != counters(src) || dst.Pending() != 0 {
+		t.Fatalf("after AdoptIdle: now %v stats %+v, source now %v stats %+v",
+			dst.Now(), counters(dst), src.Now(), counters(src))
+	}
+	srcCalls = srcCalls[:0]
+	phase(src, 2, &srcCalls)
+	phase(dst, 2, &dstCalls)
+	if !slices.Equal(dstCalls, srcCalls) {
+		t.Fatal("the adopting simulator ran the next phase differently")
+	}
+	if counters(dst) != counters(src) {
+		t.Fatalf("after the next phase: stats %+v, source %+v", counters(dst), counters(src))
+	}
+
+	busy := New()
+	busy.After(10, nop)
+	defer func() {
+		if recover() == nil {
+			t.Error("AdoptIdle from a simulator with a pending event did not panic")
+		}
+	}()
+	New().AdoptIdle(busy)
 }

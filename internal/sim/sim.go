@@ -137,6 +137,27 @@ func (s *Simulator) Reset() {
 	s.running = false
 }
 
+// AdoptIdle resets s and then gives it the clock, counters and queue
+// bounds of src, which must be idle: its queue drained by Run or RunUntil,
+// and not inside either. Afterwards s schedules, orders and counts exactly
+// as src would from here on: the same clock, the same next seq, the same
+// queue layout for whatever is pushed next, and Stats carrying src's
+// Processed, Entries and MaxPending. Events already queued on s are
+// dropped with the reset. A session that copies another's finished HELLO
+// phase uses this, so the events src ran count as s's own.
+func (s *Simulator) AdoptIdle(src *Simulator) {
+	if src.live != 0 || src.running {
+		panic(fmt.Sprintf("sim: AdoptIdle from a busy simulator (%d pending)", src.live))
+	}
+	s.Reset()
+	s.q.adoptIdle(&src.q)
+	s.now = src.now
+	s.seq = src.seq
+	s.processed = src.processed
+	s.entries = src.entries
+	s.maxLive = src.maxLive
+}
+
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 

@@ -83,6 +83,31 @@ func (m *Map) Reset() {
 	m.used = 0
 }
 
+// CopyFrom makes m hold exactly src's keys and values. A table larger
+// than src's is kept and refilled, so a pooled map keeps the size earlier
+// runs grew it to; otherwise src's table is copied cell for cell, reusing
+// m's storage when it is large enough.
+func (m *Map) CopyFrom(src *Map) {
+	if len(m.keys) > len(src.keys) {
+		m.Reset()
+		for i, k := range src.keys {
+			if k != emptyKey {
+				m.Put(k-1, src.vals[i])
+			}
+		}
+		return
+	}
+	n := len(src.keys)
+	if cap(m.keys) < n || cap(m.vals) < n {
+		m.keys = make([]uint64, n)
+		m.vals = make([]int32, n)
+	}
+	m.keys, m.vals = m.keys[:n], m.vals[:n]
+	copy(m.keys, src.keys)
+	copy(m.vals, src.vals)
+	m.used = src.used
+}
+
 func (m *Map) rehash() {
 	oldK, oldV := m.keys, m.vals
 	n := 2 * len(oldK)

@@ -121,3 +121,44 @@ func TestResetKeepsStorage(t *testing.T) {
 		t.Fatal("Set Reset left key behind")
 	}
 }
+
+// TestMapCopyFrom copies maps of several sizes into targets both smaller
+// and larger than the source: the copy must answer every lookup as the
+// source does, including absent keys, and keep accepting inserts.
+func TestMapCopyFrom(t *testing.T) {
+	fill := func(m *Map, n int, seed int64) map[uint64]int32 {
+		rng := rand.New(rand.NewSource(seed))
+		ref := map[uint64]int32{}
+		for i := 0; i < n; i++ {
+			k, v := uint64(rng.Intn(1<<16)), int32(rng.Intn(1<<20))
+			m.Put(k, v)
+			ref[k] = v
+		}
+		return ref
+	}
+	for _, srcN := range []int{0, 3, 200} {
+		for _, dstN := range []int{0, 5, 1000} {
+			var src, dst Map
+			ref := fill(&src, srcN, 1)
+			fill(&dst, dstN, 2)
+			dst.CopyFrom(&src)
+			if dst.Len() != src.Len() {
+				t.Fatalf("src %d dst %d: Len = %d, want %d", srcN, dstN, dst.Len(), src.Len())
+			}
+			for k := uint64(0); k < 1<<16; k++ {
+				got, ok := dst.Get(k)
+				want, wok := ref[k]
+				if ok != wok || got != want {
+					t.Fatalf("src %d dst %d: Get(%d) = %d,%v want %d,%v", srcN, dstN, k, got, ok, want, wok)
+				}
+			}
+			dst.Put(1<<20, 7)
+			if v, ok := dst.Get(1 << 20); !ok || v != 7 {
+				t.Fatalf("src %d dst %d: insert after copy lost", srcN, dstN)
+			}
+			if _, ok := src.Get(1 << 20); ok {
+				t.Fatalf("src %d dst %d: insert into copy reached the source", srcN, dstN)
+			}
+		}
+	}
+}
