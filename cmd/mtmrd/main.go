@@ -13,10 +13,10 @@
 // With -fanout, the instance becomes a multi-instance coordinator instead:
 // full sweeps are split into per-axis-point sub-jobs, routed to the -peers
 // instance owning each sub-key's range (421 redirects honored), executed
-// with timeouts, retries under jittered exponential backoff, per-peer
-// circuit breakers and optional tail-latency hedging, then composed and
-// cached under the full sweep's key — byte-identical to a single-instance
-// run, with dead owners' ranges recomputed locally.
+// with timeouts, retries under jittered exponential backoff and per-peer
+// circuit breakers, then composed and cached under the full sweep's key —
+// byte-identical to a single-instance run, with dead owners' ranges
+// recomputed locally.
 //
 //	mtmrd -addr :8090 -fanout -peers http://shard0:8080,http://shard1:8080
 //
@@ -57,7 +57,6 @@ func main() {
 		peers         = flag.String("peers", "", "comma-separated peer base URLs, in shard order (fanout mode)")
 		fanoutTimeout = flag.Duration("fanout-timeout", 10*time.Minute, "per-attempt timeout for peer requests")
 		fanoutRetries = flag.Int("fanout-retries", 2, "retry budget per sub-job after the first attempt")
-		fanoutHedge   = flag.Duration("fanout-hedge", 0, "fire a duplicate request to the next peer after this delay (0 = off)")
 		fanoutProbe   = flag.Duration("fanout-probe", 5*time.Second, "peer health-probe interval")
 	)
 	flag.Parse()
@@ -87,7 +86,6 @@ func main() {
 			Peers:   splitPeers(*peers),
 			Timeout: *fanoutTimeout,
 			Retries: *fanoutRetries,
-			Hedge:   *fanoutHedge,
 		})
 		if err != nil {
 			svc.Close()

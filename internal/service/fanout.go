@@ -23,10 +23,10 @@ import (
 // The fan-out coordinator: a front-end that accepts a full SweepSpec,
 // splits it into per-axis-point sub-sweeps, routes each sub-job to the
 // peer owning its key range, executes them concurrently with per-request
-// timeouts, bounded exponential backoff with jitter, a retry budget and
-// optional tail-latency hedging, then composes the cells deterministically
-// and caches the composed payload under the full sweep's key — so a repeat
-// submission is a plain single-instance cache hit.
+// timeouts, bounded exponential backoff with jitter and a retry budget,
+// then composes the cells deterministically and caches the composed
+// payload under the full sweep's key — so a repeat submission is a plain
+// single-instance cache hit.
 //
 // Failure handling is graceful by construction: when every route to a
 // sub-job's owner is exhausted (dead process, open circuit, drained peer),
@@ -75,13 +75,7 @@ type FanoutConfig struct {
 	// its nominal value plus a uniform draw of the other half.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Hedge, when positive, fires a duplicate request to the next peer in
-	// ring order if the owner has not answered after this long, taking
-	// whichever response lands first. Meant for replicated (unsharded)
-	// peer sets; against sharded peers the hedge follows the 421 redirect
-	// back, degenerating to an early retry.
-	Hedge time.Duration
-	// FailureThreshold consecutive transport failures open a peer's
+	// CircuitThreshold consecutive transport failures open a peer's
 	// circuit (default 3); while open, requests fail fast to the local
 	// fallback instead of queueing on a dead host.
 	CircuitThreshold int
@@ -108,7 +102,6 @@ type peerState struct {
 	requests    uint64
 	failures    uint64
 	retries     uint64
-	hedges      uint64
 }
 
 // admit reports whether a request may be sent: true while the circuit is
@@ -159,7 +152,6 @@ func (p *peerState) fail(threshold int, cooldown time.Duration) {
 
 func (p *peerState) addRequest() { p.mu.Lock(); p.requests++; p.mu.Unlock() }
 func (p *peerState) addRetry()   { p.mu.Lock(); p.retries++; p.mu.Unlock() }
-func (p *peerState) addHedge()   { p.mu.Lock(); p.hedges++; p.mu.Unlock() }
 
 // Fanout is the coordinator. It wraps an unsharded local Service that
 // provides the composed-result cache/store and the local-recompute
@@ -175,7 +167,6 @@ type Fanout struct {
 	composed       atomic.Uint64 // composed payloads cached
 	subJobs        atomic.Uint64 // sub-jobs dispatched
 	retries        atomic.Uint64 // retry attempts across all sub-jobs
-	hedges         atomic.Uint64 // hedged duplicate requests fired
 	localFallbacks atomic.Uint64 // sub-ranges recomputed locally
 }
 
@@ -308,10 +299,10 @@ type subResult struct {
 	err     error
 }
 
-// runSub executes one sub-sweep: route to its owner (with retries,
-// redirects and optional hedging), and fall back to a local recompute when
-// every remote route is exhausted. Determinism makes the fallback exact —
-// the local bytes are the bytes the owner would have served.
+// runSub executes one sub-sweep: route to its owner (with retries and
+// redirects), and fall back to a local recompute when every remote route
+// is exhausted. Determinism makes the fallback exact — the local bytes are
+// the bytes the owner would have served.
 func (f *Fanout) runSub(sub experiment.SweepSpec) subResult {
 	f.subJobs.Add(1)
 	subKey, err := sub.Key()
@@ -323,7 +314,7 @@ func (f *Fanout) runSub(sub experiment.SweepSpec) subResult {
 		return subResult{key: subKey, err: err}
 	}
 	owner := Shard{Count: len(f.peers)}.Owner(subKey)
-	payload, rerr := f.fetchHedged(owner, subKey, body)
+	payload, rerr := f.fetchFrom(owner, subKey, body)
 	if rerr == nil {
 		return subResult{key: subKey, payload: payload}
 	}
@@ -337,56 +328,6 @@ func (f *Fanout) runSub(sub experiment.SweepSpec) subResult {
 		return subResult{key: subKey, err: errors.Join(rerr, lerr)}
 	}
 	return subResult{key: subKey, payload: res.Payload}
-}
-
-// fetchHedged runs the owner fetch, firing a duplicate to the next peer in
-// ring order if the owner has not answered within the hedge delay. The
-// first successful response wins; with no success, the last error is
-// returned once every launched request has finished.
-func (f *Fanout) fetchHedged(owner int, subKey string, body []byte) ([]byte, error) {
-	if f.cfg.Hedge <= 0 || len(f.peers) < 2 {
-		return f.fetchFrom(owner, subKey, body)
-	}
-	type out struct {
-		payload []byte
-		err     error
-	}
-	ch := make(chan out, 2)
-	go func() {
-		p, err := f.fetchFrom(owner, subKey, body)
-		ch <- out{p, err}
-	}()
-	timer := time.NewTimer(f.cfg.Hedge)
-	defer timer.Stop()
-	pending := 1
-	hedged := false
-	var lastErr error
-	for {
-		select {
-		case o := <-ch:
-			pending--
-			if o.err == nil {
-				return o.payload, nil
-			}
-			lastErr = o.err
-			if pending == 0 {
-				return nil, lastErr
-			}
-		case <-timer.C:
-			if hedged {
-				continue
-			}
-			hedged = true
-			hedge := (owner + 1) % len(f.peers)
-			f.hedges.Add(1)
-			f.peers[hedge].addHedge()
-			pending++
-			go func() {
-				p, err := f.fetchFrom(hedge, subKey, body)
-				ch <- out{p, err}
-			}()
-		}
-	}
 }
 
 // fetchFrom posts the sub-spec to a peer, following 421 ownership
@@ -618,7 +559,10 @@ func (f *Fanout) StartProbing(interval time.Duration) (stop func()) {
 	}
 }
 
-// FanoutStats is the coordinator section of /v1/stats.
+// FanoutStats is the coordinator section of /v1/stats. Hedges is always
+// 0: the coordinator fires no hedged duplicate requests. The field stays
+// because /v1/stats readers report it (the bench module's serve-mix
+// compiles against it as fanout.hedges).
 type FanoutStats struct {
 	Peers          []PeerStats `json:"peers"`
 	Sweeps         uint64      `json:"sweeps"`
@@ -638,7 +582,6 @@ type PeerStats struct {
 	Requests            uint64 `json:"requests"`
 	Failures            uint64 `json:"failures"`
 	Retries             uint64 `json:"retries"`
-	Hedges              uint64 `json:"hedges"`
 }
 
 // StatsSnapshot collects the coordinator counters and per-peer state.
@@ -648,7 +591,6 @@ func (f *Fanout) StatsSnapshot() FanoutStats {
 		Composed:       f.composed.Load(),
 		SubJobs:        f.subJobs.Load(),
 		Retries:        f.retries.Load(),
-		Hedges:         f.hedges.Load(),
 		LocalFallbacks: f.localFallbacks.Load(),
 	}
 	for _, p := range f.peers {
@@ -661,7 +603,6 @@ func (f *Fanout) StatsSnapshot() FanoutStats {
 			Requests:            p.requests,
 			Failures:            p.failures,
 			Retries:             p.retries,
-			Hedges:              p.hedges,
 		})
 		p.mu.Unlock()
 	}

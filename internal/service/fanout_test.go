@@ -336,53 +336,6 @@ func TestFanoutPermanentErrorDoesNotFallBack(t *testing.T) {
 	}
 }
 
-// TestFanoutHedging delays the owner replica past the hedge threshold and
-// asserts the duplicate request to the next peer wins.
-func TestFanoutHedging(t *testing.T) {
-	spec := experiment.SweepSpec{Topo: "grid", Sizes: []int{5}, Runs: 2, Seed: 42,
-		Protocols: []string{"mtmrp", "odmrp"}}
-	owner := subOwners(t, spec, 2)[0]
-
-	var servers [2]*httptest.Server
-	for i := 0; i < 2; i++ {
-		peer := newTestService(t, Config{})
-		slow := i == owner
-		servers[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if slow && r.URL.Path == "/v1/sweep" {
-				// The owner replica stalls far past the hedge threshold;
-				// bounded so server shutdown can always drain it.
-				time.Sleep(400 * time.Millisecond)
-			}
-			peer.Handler().ServeHTTP(w, r)
-		}))
-		defer servers[i].Close()
-	}
-
-	front := newTestService(t, Config{})
-	cfg := fastFanout(t, servers[0].URL, servers[1].URL)
-	cfg.Hedge = 5 * time.Millisecond
-	fan, err := NewFanout(front, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := fan.Sweep(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := newTestService(t, Config{}).Sweep(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Payload, want.Payload) {
-		t.Fatal("hedged payload diverged")
-	}
-	st := fan.StatsSnapshot()
-	if st.Hedges != 1 || st.Peers[(owner+1)%2].Hedges != 1 {
-		t.Errorf("hedges = %d (peer %d: %d), want 1 fired at the non-owner",
-			st.Hedges, (owner+1)%2, st.Peers[(owner+1)%2].Hedges)
-	}
-}
-
 // TestFanoutCircuitBreaker opens a dead peer's circuit at threshold 1,
 // verifies requests shed to the local fallback, then revives the peer and
 // checks a health probe closes the circuit again.

@@ -45,10 +45,6 @@ func (g *flightGroup) Do(key string, fn func() ([]byte, error)) (payload []byte,
 	return c.payload, false, c.err
 }
 
-// FlightGroup exposes the singleflight group to cmd/benchreport, which
-// freezes its contention latency in the release report.
-type FlightGroup = flightGroup
-
 // Waiters reports how many callers are currently blocked on key's
 // in-flight execution (0 when none is in flight). Test instrumentation:
 // the collapse tests use it to release a gated compute only after every
