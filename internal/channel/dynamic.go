@@ -12,23 +12,33 @@ import (
 
 // DynamicLinkTable owns a LinkTable whose node positions change during a
 // run. Where the static table is built once and shared immutably, the
-// dynamic table keeps a private position array and a mutable GridIndex so
-// that moving one node recomputes only that node's incident RX/CS edges:
-// the grid re-buckets the node, its own lists are rebuilt from the grid's
-// candidates, and each neighbor's reverse edge is overwritten in place,
-// inserted or removed — O(density) work per move, independent of the
-// total node count. Every edited list bumps its node's version, which
-// invalidates the channel's cached fan order for that node.
+// dynamic table keeps a private position array and a mutable GridIndex
+// and offers two edits:
+//
+//   - MoveAll is the motion tick: it re-buckets every node that moved and
+//     refills the whole table through fillGrid, the fill NewLinkTable and
+//     Rebind use, computing each pair's distance once. A tick in which
+//     (nearly) every node moves costs one build, and build, rebind and
+//     motion share one path.
+//   - Move relocates a single node and recomputes only its incident RX/CS
+//     edges: the grid re-buckets the node, its own lists are rebuilt from
+//     the grid's candidates, and each neighbor's reverse edge is
+//     overwritten in place, inserted or removed — O(density) work per
+//     move, independent of the total node count.
+//
+// An edit bumps the version of every node whose lists it edits, which
+// invalidates the channel's cached fan order for that node; MoveAll bumps
+// only the nodes whose lists came out different.
 //
 // The channel reads the table's per-node link lists at transmit time, so
 // mutations are consumed mid-run with no further plumbing: a frame put on
 // the air after a move propagates over the moved topology, while frames
 // already in flight keep the delay they were launched with — exactly the
-// physical semantics. The incremental update is bit-identical to a full
-// NewLinkTable rebuild over the moved positions (the differential test in
-// dynamic_test.go pins this), because edge values are pure functions of
-// the symmetric pairwise distance and both paths order lists ascending by
-// destination.
+// physical semantics. Both edits are bit-identical to a full NewLinkTable
+// rebuild over the moved positions (the differential tests in
+// dynamic_test.go pin this), because edge values are pure functions of
+// the symmetric pairwise distance and every path orders lists ascending
+// by destination.
 //
 // A DynamicLinkTable is single-goroutine, like the simulation that owns
 // it. Sessions must never hand the shared static table of a sweep to a
@@ -37,7 +47,7 @@ type DynamicLinkTable struct {
 	t         LinkTable
 	positions []geom.Point
 	grid      *geom.GridIndex
-	cand      []int // grid-query scratch
+	scratch   fillScratch // fill and grid-query scratch
 
 	// Move swaps the mover's lists with these spares, so it can rebuild
 	// them while it still reads the old ones.
@@ -57,7 +67,7 @@ func NewDynamicLinkTable(positions []geom.Point, params radio.Params) *DynamicLi
 	if !(cs > 0) || math.IsInf(cs, 1) {
 		panic("channel: dynamic link table requires a positive, finite carrier-sense range")
 	}
-	d := &DynamicLinkTable{t: LinkTable{params: params}}
+	d := &DynamicLinkTable{t: LinkTable{params: params, rxRange: rx, csRange: cs}}
 	d.Rebind(positions)
 	return d
 }
@@ -82,8 +92,8 @@ func (d *DynamicLinkTable) Rebind(positions []geom.Point) {
 	for i := range d.t.ver {
 		d.t.ver[i]++
 	}
-	d.grid = geom.NewGridIndex(d.positions, d.t.params.CSRange()/2)
-	d.cand = d.t.fillGrid(d.positions, d.grid, d.cand)
+	d.grid = geom.NewGridIndex(d.positions, d.t.csRange/2)
+	d.t.fillGrid(d.positions, d.grid, &d.scratch)
 }
 
 // Table returns the live link table. The pointer stays valid across moves
@@ -95,6 +105,37 @@ func (d *DynamicLinkTable) N() int { return d.t.n }
 
 // Position returns node i's current position.
 func (d *DynamicLinkTable) Position(i int) geom.Point { return d.positions[i] }
+
+// MoveAll relocates every node i to ps[i] — one motion tick — and
+// refills the whole table over the new positions. Nodes whose position is
+// unchanged are not re-bucketed, and a tick in which no node moved returns
+// at once. The refill runs through fillGrid, which compares each node's
+// new lists with the ones it overwrites: only a node whose CS or RX list
+// came out different has its version bumped, and an unchanged node keeps
+// its cached fan order. Once every list's storage has reached its
+// high-water mark, a tick allocates nothing.
+func (d *DynamicLinkTable) MoveAll(ps []geom.Point) {
+	if len(ps) != d.t.n {
+		panic(fmt.Sprintf("channel: MoveAll got %d positions for %d nodes", len(ps), d.t.n))
+	}
+	moved := false
+	for i, p := range ps {
+		if p != d.positions[i] {
+			d.positions[i] = p
+			d.grid.Move(i, p)
+			moved = true
+		}
+	}
+	if !moved {
+		return
+	}
+	d.t.fillGrid(d.positions, d.grid, &d.scratch)
+	for i, changed := range d.scratch.changed {
+		if changed {
+			d.t.ver[i]++
+		}
+	}
+}
 
 // Move relocates node i to p and incrementally updates every edge
 // incident to it. The carrier-sense disc is symmetric, so cs[i] lists
@@ -113,8 +154,7 @@ func (d *DynamicLinkTable) Move(i int, p geom.Point) {
 	t.cs[i], t.rx[i] = d.spareCS[:0], d.spareRX[:0]
 	d.positions[i] = p
 	d.grid.Move(i, p)
-	rx := t.params.TxRange()
-	cs := t.params.CSRange()
+	rx, cs := t.rxRange, t.csRange
 	model, txPower := t.params.Model, t.params.TxPower
 	t.ver[i]++
 	oc, orx := 0, 0 // cursors into oldCS and oldRX
@@ -127,8 +167,8 @@ func (d *DynamicLinkTable) Move(i int, p geom.Point) {
 		}
 		return false
 	}
-	d.cand = d.grid.Candidates(p, cs, d.cand[:0])
-	for _, j := range d.cand {
+	d.scratch.cand = d.grid.Candidates(p, cs, d.scratch.cand[:0])
+	for _, j := range d.scratch.cand {
 		if j == i {
 			continue
 		}

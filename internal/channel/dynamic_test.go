@@ -2,6 +2,7 @@ package channel
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -212,6 +213,157 @@ func TestDynamicLinkTableRebind(t *testing.T) {
 	}
 }
 
+// Tick kinds for the MoveAll differential: every node steps, a few nodes
+// move (teleports, steps, RX hops and exact-radius placements), no node
+// moves, and some nodes teleport out of the grid's original bounding box.
+const (
+	tickAll = iota
+	tickFew
+	tickNone
+	tickOut
+	tickKinds
+)
+
+// placeBoundary moves three random nodes of ps onto the boundary cases of
+// the exact distance test: b exactly on a's RX or CS radius and c
+// co-located with a. Anchoring a at X = 0 on b's row keeps the difference
+// exact, so Dist returns the radius bit for bit.
+func placeBoundary(r *rng.RNG, ps []geom.Point, rx, cs float64) {
+	perm := r.Perm(len(ps))
+	a, b, c := perm[0], perm[1], perm[2]
+	y := r.Range(0, 100)
+	ps[a] = geom.Point{X: 0, Y: y}
+	ps[b] = geom.Point{X: rx, Y: y}
+	if r.Bool(0.5) {
+		ps[b].X = cs
+	}
+	ps[c] = ps[a]
+}
+
+// cloneLists deep-copies a table's per-node lists, so a later tick cannot
+// edit the copy through shared storage.
+func cloneLists(ls [][]link) [][]link {
+	out := make([][]link, len(ls))
+	for i, l := range ls {
+		out[i] = append([]link(nil), l...)
+	}
+	return out
+}
+
+// TestDynamicLinkTableMoveAll is the per-tick refill's proof obligation.
+// After every tick of a random sequence — every node steps, a few move,
+// none move, some leave the original bounding box, with co-located nodes
+// and distances exactly at the RX and CS radii — the table must equal a
+// fresh NewLinkTable over the same positions and the same moves applied
+// one node at a time with Move, edge for edge and bit for bit. Exactly
+// the nodes whose lists changed must have their versions bumped.
+func TestDynamicLinkTableMoveAll(t *testing.T) {
+	params := radio.MustDefault80211Params(40, 2.2)
+	rx, cs := params.TxRange(), params.CSRange()
+	r := rng.New(5)
+	side := 150.0
+	pts := randomField(80, side, r)
+	dyn := NewDynamicLinkTable(pts, params)
+	ref := NewDynamicLinkTable(pts, params)
+	ps := append([]geom.Point(nil), pts...)
+	var bumped, kept, exactRX, exactCS, coLocated int
+	for tick := 0; tick < 400; tick++ {
+		kind := tick % tickKinds
+		switch kind {
+		case tickAll:
+			for i := range ps {
+				ps[i] = drawMove(r, dyn, i, step, 0, side)
+			}
+		case tickFew:
+			for k := r.Intn(4); k > 0; k-- {
+				id := r.Intn(len(ps))
+				ps[id] = drawMove(r, dyn, id, r.Intn(moveKinds), 0, side)
+			}
+			if r.Bool(0.5) {
+				placeBoundary(r, ps, rx, cs)
+			}
+		case tickOut:
+			for k := r.Intn(6) + 1; k > 0; k-- {
+				ps[r.Intn(len(ps))] = geom.Point{X: r.Range(-side, 2*side), Y: r.Range(-side, 2*side)}
+			}
+		}
+		beforeCS, beforeRX := cloneLists(dyn.t.cs), cloneLists(dyn.t.rx)
+		beforeVer := slices.Clone(dyn.t.ver)
+
+		dyn.MoveAll(ps)
+		for i, p := range ps {
+			ref.Move(i, p)
+		}
+		if err := linksEqual(dyn.Table(), NewLinkTable(ps, params)); err != nil {
+			t.Fatalf("tick %d (kind %d) vs NewLinkTable: %v", tick, kind, err)
+		}
+		if err := linksEqual(dyn.Table(), ref.Table()); err != nil {
+			t.Fatalf("tick %d (kind %d) vs per-node Move: %v", tick, kind, err)
+		}
+		for i := range ps {
+			changed := !slices.Equal(dyn.t.cs[i], beforeCS[i]) || !slices.Equal(dyn.t.rx[i], beforeRX[i])
+			want := beforeVer[i]
+			if changed {
+				want++
+				bumped++
+			} else {
+				kept++
+			}
+			if dyn.t.ver[i] != want {
+				t.Fatalf("tick %d (kind %d): node %d version %d, want %d (lists changed: %v)",
+					tick, kind, i, dyn.t.ver[i], want, changed)
+			}
+			if kind == tickNone && changed {
+				t.Fatalf("tick %d: node %d's lists changed on a tick with no motion", tick, i)
+			}
+			for j := range ps[:i] {
+				switch d := ps[i].Dist(ps[j]); d {
+				case rx:
+					exactRX++
+				case cs:
+					exactCS++
+				case 0:
+					coLocated++
+				}
+			}
+		}
+	}
+	t.Logf("versions bumped %d, kept %d; pairs exactly at RX %d, at CS %d, co-located %d",
+		bumped, kept, exactRX, exactCS, coLocated)
+	if bumped == 0 || kept == 0 || exactRX == 0 || exactCS == 0 || coLocated == 0 {
+		t.Error("ticks missed a case: want bumped and kept versions, exact-radius and co-located pairs")
+	}
+}
+
+// TestDynamicLinkTableMoveAllAllocs pins that a warm tick allocates
+// nothing: alternating between two position sets, every list's storage
+// reaches its high-water mark after the first two ticks.
+func TestDynamicLinkTableMoveAllAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	params := radio.MustDefault80211Params(40, 2.2)
+	r := rng.New(4)
+	a := randomField(100, 200, r)
+	b := slices.Clone(a)
+	for i := range b {
+		b[i] = b[i].Add(geom.Point{X: r.Range(-1, 1), Y: r.Range(-1, 1)})
+	}
+	dyn := NewDynamicLinkTable(a, params)
+	dyn.MoveAll(b)
+	dyn.MoveAll(a)
+	k := 0
+	if got := testing.AllocsPerRun(20, func() {
+		if k++; k%2 == 1 {
+			dyn.MoveAll(b)
+		} else {
+			dyn.MoveAll(a)
+		}
+	}); got != 0 {
+		t.Fatalf("a warm MoveAll tick allocated %.1f objects, want 0", got)
+	}
+}
+
 // BenchmarkLinkTableMove measures the incremental-update cost per move.
 // The two teleport sizes share one density (the field area scales with
 // the node count), so the per-move cost should stay roughly flat from 200
@@ -256,6 +408,49 @@ func BenchmarkLinkTableMove(b *testing.B) {
 					p = dyn.Position(id).Add(p)
 				}
 				dyn.Move(id, p)
+			}
+		})
+	}
+
+	// One motion tick on a 100-node field of the paper grid's density:
+	// every node steps ±1 m per axis (reflected at the field border), then
+	// one MoveAll refills the table. The pernode case applies the same
+	// tick through one Move per node, the path MoveAll replaced.
+	for _, perNode := range []bool{false, true} {
+		name := "tick-100nodes"
+		if perNode {
+			name += "-pernode"
+		}
+		b.Run(name, func(b *testing.B) {
+			const n, side = 100, 200.0
+			r := rng.New(7)
+			ps := randomField(n, side, r)
+			dyn := NewDynamicLinkTable(ps, params)
+			steps := make([]geom.Point, 1021) // prime, so nodes see varied steps
+			for i := range steps {
+				steps[i] = geom.Point{X: r.Range(-1, 1), Y: r.Range(-1, 1)}
+			}
+			reflect := func(x, d float64) float64 {
+				if x+d < 0 || x+d > side {
+					return x - d
+				}
+				return x + d
+			}
+			k := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for id := range ps {
+					s := steps[k%len(steps)]
+					k++
+					ps[id] = geom.Point{X: reflect(ps[id].X, s.X), Y: reflect(ps[id].Y, s.Y)}
+					if perNode {
+						dyn.Move(id, ps[id])
+					}
+				}
+				if !perNode {
+					dyn.MoveAll(ps)
+				}
 			}
 		})
 	}

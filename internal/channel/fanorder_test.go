@@ -14,8 +14,8 @@ import (
 // This file pins the fan-order cache (fanOrder): a channel sorts a node's
 // fan once and reuses the order until that node's links change, so every
 // path that changes a link list — Channel.Reset onto another table, and
-// DynamicLinkTable.Move and Rebind — must invalidate exactly the orders
-// it makes stale.
+// DynamicLinkTable.Move, MoveAll and Rebind — must invalidate exactly the
+// orders it makes stale.
 
 // traceRadio records what one node observes into a shared trace.
 type traceRadio struct {
@@ -120,12 +120,12 @@ func TestFanOrderCacheReset(t *testing.T) {
 	}
 }
 
-// TestFanOrderCacheFollowsMoves puts a one-metre Move and then a Rebind
-// between rounds in which every node transmits, and checks each round
-// against the per-link reference fan. The geometry makes the step touch
-// every kind of list edit: the mover's own fan reorders, node 1 keeps the
-// mover but now ranks it behind node 2, node 3 gains it, node 4 loses it,
-// and nodes 5 and 6 cross its RX radius inside the CS disc.
+// TestFanOrderCacheFollowsMoves puts a one-metre Move, a MoveAll tick and
+// then a Rebind between rounds in which every node transmits, and checks
+// each round against the per-link reference fan. The geometry makes the
+// step touch every kind of list edit: the mover's own fan reorders, node
+// 1 keeps the mover but now ranks it behind node 2, node 3 gains it, node
+// 4 loses it, and nodes 5 and 6 cross its RX radius inside the CS disc.
 func TestFanOrderCacheFollowsMoves(t *testing.T) {
 	params := radio.MustDefault80211Params(40, 2.2)
 	rx, cs := params.TxRange(), params.CSRange()
@@ -173,6 +173,26 @@ func TestFanOrderCacheFollowsMoves(t *testing.T) {
 		t.Fatal("the step leaves the mover's or node 1's fan in its old order")
 	}
 	sorts := g.c.Stats().FanSorts
+
+	// A MoveAll tick steps node 3 one metre further out, off the
+	// mover's CS disc: only nodes 0, 3 and 6 see their lists change, so
+	// the next round sorts their three fans and reuses the other four.
+	tick := make([]geom.Point, len(start))
+	for i := range tick {
+		tick[i] = dyns[0].Position(i)
+	}
+	tick[3].X--
+	for _, d := range dyns {
+		d.MoveAll(tick)
+	}
+	if hasLinkTo(tab.cs[3], 0) || !hasLinkTo(tab.cs[6], 3) {
+		t.Fatal("the tick does not move node 3 off the mover's CS disc only")
+	}
+	check("after the MoveAll tick")
+	if st := g.c.Stats(); st.FanSorts != sorts+3 {
+		t.Errorf("MoveAll round sorted %d fans, want 3", st.FanSorts-sorts)
+	}
+	sorts = g.c.Stats().FanSorts
 
 	for _, d := range dyns {
 		d.Rebind(start)

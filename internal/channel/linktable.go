@@ -2,6 +2,7 @@ package channel
 
 import (
 	"math"
+	"slices"
 
 	"mtmrp/internal/geom"
 	"mtmrp/internal/radio"
@@ -28,6 +29,10 @@ type LinkTable struct {
 	rx     [][]link // links within decode range, ascending by destination
 	cs     [][]link // links within carrier-sense range (superset of rx)
 
+	// rxRange and csRange are params.TxRange() and params.CSRange(),
+	// bisected once at construction instead of on every fill or move.
+	rxRange, csRange float64
+
 	// ver[i] counts the edits to node i's lists; a channel keys its cached
 	// fan order on it. Nil on a static table, whose lists never change.
 	ver []uint64
@@ -51,47 +56,103 @@ func NewLinkTable(positions []geom.Point, params radio.Params) *LinkTable {
 		return newLinkTableNaive(positions, params)
 	}
 	t := &LinkTable{
-		params: params,
-		n:      len(positions),
-		rx:     make([][]link, len(positions)),
-		cs:     make([][]link, len(positions)),
+		params:  params,
+		n:       len(positions),
+		rx:      make([][]link, len(positions)),
+		cs:      make([][]link, len(positions)),
+		rxRange: rx,
+		csRange: cs,
 	}
-	t.fillGrid(positions, geom.NewGridIndex(positions, cs/2), nil)
+	t.fillGrid(positions, geom.NewGridIndex(positions, cs/2), &fillScratch{})
 	return t
 }
 
-// fillGrid populates t's per-node link lists from positions through the
-// spatial index, reusing each node's existing slice storage. Lists come
-// out ascending by destination — Candidates returns ascending indices —
-// exactly as the naive all-pairs scan orders them. It returns the
-// candidate scratch slice so callers can carry it across fills.
-func (t *LinkTable) fillGrid(positions []geom.Point, grid *geom.GridIndex, cand []int) []int {
-	rx := t.params.TxRange()
-	cs := t.params.CSRange()
-	model, txPower := t.params.Model, t.params.TxPower
-	for i := range positions {
-		t.cs[i] = t.cs[i][:0]
-		t.rx[i] = t.rx[i][:0]
-		cand = grid.Candidates(positions[i], cs, cand[:0])
-		for _, j := range cand {
-			if j == i {
-				continue
-			}
-			d := positions[i].Dist(positions[j])
-			if d <= cs {
-				l := link{
-					to:    j,
-					delay: sim.Seconds(radio.PropDelay(d)),
-					power: model.ReceivedPower(txPower, d),
-				}
-				t.cs[i] = append(t.cs[i], l)
-				if d <= rx {
-					t.rx[i] = append(t.rx[i], l)
-				}
-			}
+// fillScratch is fillGrid's working storage, kept by a caller that fills
+// repeatedly so that a warm fill allocates nothing.
+type fillScratch struct {
+	cand []int     // grid candidates of the node being filled
+	keys []uint64  // its higher neighbours: destination<<32 | index into dist
+	dist []float64 // their distances
+
+	// changed[i] reports whether node i's lists came out different from
+	// the ones the fill overwrote. A fill rewrites each list in place
+	// from its start, so it compares every edge with the one at its
+	// position before overwriting it; oldCS and oldRX hold the lengths
+	// the lists had before the fill.
+	changed      []bool
+	oldCS, oldRX []int
+}
+
+// add appends l to ls, which is node i's CS or RX list, old holding that
+// kind of list's lengths before the fill. It first marks node i changed
+// if l is not the edge ls held at that position.
+func (sc *fillScratch) add(ls []link, l link, i int, old []int) []link {
+	if !sc.changed[i] {
+		if k := len(ls); k >= old[i] || ls[:k+1][k] != l {
+			sc.changed[i] = true
 		}
 	}
-	return cand
+	return append(ls, l)
+}
+
+// fillGrid populates t's per-node link lists from positions through the
+// spatial index, reusing each node's existing slice storage. It computes
+// each pair once, from its lower index, and appends the edge to both
+// lists: node j receives its lower neighbours in ascending order (the
+// outer loop ascends) before its own turn appends the higher ones, which
+// that turn sorts first, since the grid hands candidates over in bucket
+// order. So every list comes out ascending by destination, exactly as the
+// naive all-pairs scan orders it, and because Dist is bitwise symmetric
+// both directions carry the delay and power that scan computes for each.
+// It reports in sc.changed which nodes' lists differ from the ones it
+// overwrote.
+func (t *LinkTable) fillGrid(positions []geom.Point, grid *geom.GridIndex, sc *fillScratch) {
+	rx, cs := t.rxRange, t.csRange
+	model, txPower := t.params.Model, t.params.TxPower
+	if n := len(positions); len(sc.changed) != n {
+		sc.changed = make([]bool, n)
+		sc.oldCS = make([]int, n)
+		sc.oldRX = make([]int, n)
+	}
+	for i := range positions {
+		sc.changed[i] = false
+		sc.oldCS[i], sc.oldRX[i] = len(t.cs[i]), len(t.rx[i])
+		t.cs[i] = t.cs[i][:0]
+		t.rx[i] = t.rx[i][:0]
+	}
+	for i, p := range positions {
+		sc.cand = grid.CandidatesUnsorted(p, cs, sc.cand[:0])
+		keys, dist := sc.keys[:0], sc.dist[:0]
+		for _, j := range sc.cand {
+			if j <= i {
+				continue
+			}
+			if d := p.Dist(positions[j]); d <= cs {
+				keys = append(keys, uint64(j)<<32|uint64(len(dist)))
+				dist = append(dist, d)
+			}
+		}
+		slices.Sort(keys)
+		for _, key := range keys {
+			j, d := int(key>>32), dist[uint32(key)]
+			delay := sim.Seconds(radio.PropDelay(d))
+			power := model.ReceivedPower(txPower, d)
+			fwd := link{to: j, delay: delay, power: power}
+			rev := link{to: i, delay: delay, power: power}
+			t.cs[i] = sc.add(t.cs[i], fwd, i, sc.oldCS)
+			t.cs[j] = sc.add(t.cs[j], rev, j, sc.oldCS)
+			if d <= rx {
+				t.rx[i] = sc.add(t.rx[i], fwd, i, sc.oldRX)
+				t.rx[j] = sc.add(t.rx[j], rev, j, sc.oldRX)
+			}
+		}
+		sc.keys, sc.dist = keys, dist
+	}
+	for i := range positions {
+		if len(t.cs[i]) != sc.oldCS[i] || len(t.rx[i]) != sc.oldRX[i] {
+			sc.changed[i] = true
+		}
+	}
 }
 
 // newLinkTableNaive is the reference O(n²) builder. It backs degenerate
@@ -103,10 +164,12 @@ func newLinkTableNaive(positions []geom.Point, params radio.Params) *LinkTable {
 		panic("channel: carrier-sense range smaller than reception range")
 	}
 	t := &LinkTable{
-		params: params,
-		n:      len(positions),
-		rx:     make([][]link, len(positions)),
-		cs:     make([][]link, len(positions)),
+		params:  params,
+		n:       len(positions),
+		rx:      make([][]link, len(positions)),
+		cs:      make([][]link, len(positions)),
+		rxRange: rx,
+		csRange: cs,
 	}
 	for i := range positions {
 		for j := range positions {

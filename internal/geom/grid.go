@@ -142,8 +142,31 @@ func (g *GridIndex) clamp(i, n int) int {
 //
 // Passing a reused out[:0] keeps queries allocation-free once warm.
 func (g *GridIndex) Candidates(p Point, r float64, out []int) []int {
+	out, runs := g.appendCells(p, r, out)
+	// Buckets are individually ascending, so the result of a query that
+	// hit one bucket is already sorted. Merging multiple runs by sorting
+	// keeps the contract (ascending output) with a trivially small
+	// constant at WSN densities.
+	if runs > 1 {
+		sort.Ints(out)
+	}
+	return out
+}
+
+// CandidatesUnsorted appends the same indices as Candidates, in bucket
+// order instead of ascending order: each bucket's run is ascending, the
+// runs are not merged. A caller that keeps only some candidates and
+// orders those itself skips sorting the ones it drops.
+func (g *GridIndex) CandidatesUnsorted(p Point, r float64, out []int) []int {
+	out, _ = g.appendCells(p, r, out)
+	return out
+}
+
+// appendCells appends the contents of every bucket overlapping the disc
+// of radius r around p and reports how many non-empty buckets it read.
+func (g *GridIndex) appendCells(p Point, r float64, out []int) ([]int, int) {
 	if r < 0 {
-		return out
+		return out, 0
 	}
 	ix0 := g.clamp(int((p.X-r-g.minX)/g.cell), g.nx)
 	ix1 := g.clamp(int((p.X+r-g.minX)/g.cell), g.nx)
@@ -163,11 +186,5 @@ func (g *GridIndex) Candidates(p Point, r float64, out []int) []int {
 			}
 		}
 	}
-	// Buckets are individually ascending; a single row is already one
-	// sorted run. Merging multiple runs by sorting keeps the contract
-	// (ascending output) with a trivially small constant at WSN densities.
-	if runs > 1 {
-		sort.Ints(out)
-	}
-	return out
+	return out, runs
 }

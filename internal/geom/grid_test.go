@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +11,8 @@ import (
 // TestGridIndexMatchesNaive is the correctness property behind the spatial
 // index: filtering Candidates by the exact distance test must select the
 // same points, in the same (ascending) order, as the naive O(n^2) scan —
-// for any placement, cell size, and query radius.
+// for any placement, cell size, and query radius. CandidatesUnsorted must
+// return the same candidates in some order.
 func TestGridIndexMatchesNaive(t *testing.T) {
 	f := func(seed uint64, nRaw uint8, cellRaw, rRaw uint16) bool {
 		r := rng.New(seed)
@@ -23,9 +25,14 @@ func TestGridIndexMatchesNaive(t *testing.T) {
 			pts[i] = Point{X: r.Range(0, side), Y: r.Range(0, side)}
 		}
 		g := NewGridIndex(pts, cell)
-		var cand []int
+		var cand, unsorted []int
 		for i := range pts {
 			cand = g.Candidates(pts[i], radius, cand[:0])
+			unsorted = g.CandidatesUnsorted(pts[i], radius, unsorted[:0])
+			slices.Sort(unsorted)
+			if !slices.Equal(unsorted, cand) {
+				return false // CandidatesUnsorted is not a reordering
+			}
 			var got []int
 			prev := -1
 			for _, j := range cand {

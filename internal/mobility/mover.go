@@ -4,15 +4,17 @@ import (
 	"fmt"
 
 	"mtmrp/internal/channel"
+	"mtmrp/internal/geom"
 	"mtmrp/internal/sim"
 )
 
 // Mover executes a Plan as ordinary simulator events: a self-rescheduling
 // tick sweeps every path, interpolates the position at the current virtual
-// time, and pushes changed positions into the dynamic link table. Ticks
-// are plain AtCall events — closure-free, pooled by the scheduler — so
-// motion interleaves with MAC, protocol and fault events under the normal
-// deterministic (time, seq) ordering.
+// time, and hands the tick's positions to DynamicLinkTable.MoveAll, which
+// refills the link table once per tick (and not at all when no node
+// moved). Ticks are plain AtCall events — closure-free, pooled by the
+// scheduler — so motion interleaves with MAC, protocol and fault events
+// under the normal deterministic (time, seq) ordering.
 //
 // Arming is idempotent per run: the session arms the mover once, at the
 // start of its paced data phase, and Session.Reset builds a fresh mover
@@ -25,6 +27,7 @@ type Mover struct {
 	base   sim.Time
 	end    sim.Time
 	cursor []int
+	pos    []geom.Point // the tick's positions, handed to MoveAll
 	armed  bool
 }
 
@@ -43,7 +46,8 @@ func NewMover(plan *Plan, dyn *channel.DynamicLinkTable, step sim.Time) *Mover {
 	if step <= 0 {
 		step = DefaultStep
 	}
-	return &Mover{plan: plan, dyn: dyn, step: step, cursor: make([]int, plan.N())}
+	n := plan.N()
+	return &Mover{plan: plan, dyn: dyn, step: step, cursor: make([]int, n), pos: make([]geom.Point, n)}
 }
 
 // Arm schedules the tick chain covering [base, base+span] — clamped to
@@ -79,10 +83,9 @@ func moverTickCB(arg any, _ int) {
 	t := m.s.Now()
 	rel := t - m.base
 	for i, path := range m.plan.Paths {
-		if p := path.At(rel, &m.cursor[i]); p != m.dyn.Position(i) {
-			m.dyn.Move(i, p)
-		}
+		m.pos[i] = path.At(rel, &m.cursor[i])
 	}
+	m.dyn.MoveAll(m.pos)
 	if next := t + m.step; next < m.end {
 		m.s.AtCall(next, moverTickCB, m, 0)
 	} else if t < m.end {

@@ -128,13 +128,6 @@ func NewTable(expiry sim.Time) *Table {
 	return &Table{expiry: expiry, expiry0: expiry}
 }
 
-// Grow is retained for compatibility: the sparse table sizes itself to
-// the neighborhood on demand, and slab storage keeps outstanding *Entry
-// pointers valid across growth, so pre-sizing to the network size — which
-// made per-node state O(n) and session construction O(n²) — is no longer
-// needed nor useful.
-func (t *Table) Grow(n int) {}
-
 // SetExpiry changes the aging window; used when a protocol switches from
 // discovery (no aging) to steady-state maintenance.
 func (t *Table) SetExpiry(d sim.Time) { t.expiry = d }

@@ -302,7 +302,6 @@ func (b *Base) Attach(n *network.Node) {
 	b.n = len(n.Net().Nodes)
 	b.rnd = n.Rand.Derive("proto")
 	b.NT = neighbor.NewTable(b.cfg.NeighborExpiry)
-	b.NT.Grow(b.n)
 }
 
 // Start implements network.Protocol: it schedules the HELLO rounds of the
