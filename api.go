@@ -210,6 +210,10 @@ func NewSession(sc Scenario) (*Session, error) { return experiment.NewSession(sc
 // ErrNoDiscovery is returned by Session.RunData before any discovery round.
 var ErrNoDiscovery = experiment.ErrNoDiscovery
 
+// ErrSessionShape is returned by Session.Reset onto a scenario of another
+// shape (protocol, MAC, channel settings, topology size, Core, tracing).
+var ErrSessionShape = experiment.ErrSessionShape
+
 // SessionPool reuses fully-built sessions across runs that share a shape
 // (same topology size and radio, protocol, MAC and channel settings),
 // resetting them in place instead of rebuilding — in the steady state a

@@ -109,11 +109,10 @@ func AblationSweep(cfg AblationConfig) (*AblationResult, error) {
 		},
 		group: fixedGroup(cfg.GroupSize),
 		check: func(int) error { return checkBackoff(cfg.N, cfg.Delta) },
-		// Core overrides opt out of pooling: RunRound runs every variant
-		// fresh, HELLO included.
+		// Each variant is a session shape of its own; all of them run the
+		// default protocol timing, so a round simulates HELLO once.
 		scenario: func(sc Scenario, row, _ int, _ *rng.RNG) Scenario {
-			vc := variants[row].Config
-			sc.Protocol, sc.Core = MTMRP, &vc
+			sc.Protocol, sc.Core = MTMRP, &variants[row].Config
 			return sc
 		},
 		measure: measureFigure,

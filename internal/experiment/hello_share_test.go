@@ -13,7 +13,6 @@ import (
 	"mtmrp/internal/mobility"
 	"mtmrp/internal/network"
 	"mtmrp/internal/packet"
-	"mtmrp/internal/proto"
 	"mtmrp/internal/rng"
 	"mtmrp/internal/sim"
 	"mtmrp/internal/topology"
@@ -207,9 +206,6 @@ func (c *checkingPool) RunRound(scs []Scenario, each func(row int, out *Outcome)
 	}
 	fresh := make([]*Session, len(scs))
 	for r, s := range p.rows {
-		if s == nil {
-			continue
-		}
 		f, err := NewSession(scs[r])
 		if err != nil {
 			return 0, err
@@ -220,14 +216,12 @@ func (c *checkingPool) RunRound(scs []Scenario, each func(row int, out *Outcome)
 		}
 		fresh[r] = f
 	}
-	events, err := p.finishRound(scs, func(r int, out *Outcome) error {
-		if s := p.rows[r]; s != nil {
-			if _, err := fresh[r].finish(); err != nil {
-				return err
-			}
-			if d := diffPrints(printOf(s), printOf(fresh[r])); d != "" {
-				return fmt.Errorf("row %d (%v) after the run: %s", r, scs[r].Protocol, d)
-			}
+	events, err := p.finishRound(func(r int, out *Outcome) error {
+		if _, err := fresh[r].finish(); err != nil {
+			return err
+		}
+		if d := diffPrints(printOf(p.rows[r]), printOf(fresh[r])); d != "" {
+			return fmt.Errorf("row %d (%v) after the run: %s", r, scs[r].Protocol, d)
 		}
 		return each(r, out)
 	})
@@ -296,6 +290,10 @@ func TestAdoptedHelloMatchesFreshSessions(t *testing.T) {
 		}},
 		{"amortize", func(e EngineOptions) error {
 			_, err := AmortizeSweep(AmortizeConfig{Topo: GridTopo, Packets: []int{2}, Runs: 2, Seed: 3, Engine: e})
+			return err
+		}},
+		{"ablation", func(e EngineOptions) error {
+			_, err := AblationSweep(AblationConfig{Topo: GridTopo, GroupSize: 10, Runs: 2, Seed: 3, Engine: e})
 			return err
 		}},
 	}
@@ -411,6 +409,7 @@ func TestSameHelloCompleteness(t *testing.T) {
 		{"interval", func(sc *Scenario) { sc.Traffic.Interval = 0 }},
 		{"refresh", func(sc *Scenario) { sc.Traffic.RefreshInterval = 100 * sim.Millisecond }},
 		{"forwarder expiry", func(sc *Scenario) { sc.Faults.ForwarderExpiry = 300 * sim.Millisecond }},
+		{"core variant", func(sc *Scenario) { sc.Core = &AblationVariants(4, sim.Millisecond)[5].Config }},
 	}
 	for _, m := range ignored {
 		sc := base
@@ -425,8 +424,8 @@ func TestSameHelloCompleteness(t *testing.T) {
 
 	// compared: each either changes the HELLO state, and then sameHello
 	// must say so, or leaves it alone; sameHello may still refuse those.
-	hp := proto.DefaultConfig()
-	hp.HelloRounds = 2
+	hello4 := AblationVariants(4, sim.Millisecond)[0].Config
+	hello4.Proto.HelloRounds = 4
 	shuffled := slices.Clone(base.Receivers)
 	shuffled[0], shuffled[1] = shuffled[1], shuffled[0]
 	compared := []struct {
@@ -455,8 +454,8 @@ func TestSameHelloCompleteness(t *testing.T) {
 		{"no loss", func(sc *Scenario) { sc.Faults.Loss = nil }},
 		{"loss rates", func(sc *Scenario) { l := loss; l.PGoodBad = 0.2; sc.Faults.Loss = &l }},
 		{"mobility", func(sc *Scenario) { sc.Mobility = MobilityOptions{Model: mobility.RandomWaypoint, MaxSpeed: 10} }},
-		{"proto override", func(sc *Scenario) { sc.Proto = &hp }},
 		{"core override", func(sc *Scenario) { c := AblationVariants(4, sim.Millisecond)[0].Config; sc.Core = &c }},
+		{"core HELLO timing", func(sc *Scenario) { sc.Core = &hello4 }},
 		{"trace", func(sc *Scenario) { sc.TraceWriter = io.Discard }},
 	}
 	changed := 0
@@ -474,13 +473,37 @@ func TestSameHelloCompleteness(t *testing.T) {
 	if changed < 10 {
 		t.Errorf("only %d of %d compared fields changed the HELLO state; the fingerprint is too coarse", changed, len(compared))
 	}
-	// Equal loss models behind different pointers are the same HELLO.
+	// Other HELLO timing in a Core override must never share.
 	sc := base
+	sc.Core = &hello4
+	if sameHello(base, sc) {
+		t.Error("core HELLO timing: sameHello = true")
+	}
+	// Equal loss models behind different pointers are the same HELLO.
+	sc = base
 	l := loss
 	sc.Faults.Loss = &l
 	if !sameHello(base, sc) {
 		t.Error("equal loss models behind two pointers: sameHello = false")
 	}
+}
+
+// ablationRows returns sc edited once per ablation variant, as the
+// ablation study's rounds are.
+func ablationRows(sc Scenario) []Scenario {
+	vs := AblationVariants(4, sim.Millisecond)
+	rows := make([]Scenario, len(vs))
+	for i := range vs {
+		rows[i] = sc
+		rows[i].Core = &vs[i].Config
+	}
+	return rows
+}
+
+// traced returns sc logging its frames to nowhere.
+func traced(sc Scenario) Scenario {
+	sc.TraceWriter = io.Discard
+	return sc
 }
 
 // TestRoundAdoptionCounts pins how many rows of a round take their HELLO
@@ -503,6 +526,9 @@ func TestRoundAdoptionCounts(t *testing.T) {
 		{"flooding first", []Scenario{row(Flooding, 1), row(GMR, 1), row(MTMRP, 1), row(ODMRP, 1)}, 1},
 		{"other seed", []Scenario{row(MTMRP, 1), row(ODMRP, 2)}, 0},
 		{"same shape twice", []Scenario{row(MTMRP, 1), row(MTMRP, 1)}, 1},
+		{"ablation", ablationRows(row(MTMRP, 1)), 5},
+		{"traced first", []Scenario{traced(row(MTMRP, 1)), row(ODMRP, 1), row(DODMRP, 1)}, 0},
+		{"traced later", []Scenario{row(MTMRP, 1), traced(row(ODMRP, 1)), row(DODMRP, 1)}, 1},
 	}
 	pool := NewSessionPool()
 	for _, c := range cases {

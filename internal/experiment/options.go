@@ -143,6 +143,10 @@ func (sc *Scenario) validate() error {
 	if sc.Topo == nil || sc.Source < 0 || sc.Source >= sc.Topo.N() {
 		return ErrBadSource
 	}
+	if t := sc.Traffic; t.PayloadLen < 0 || t.DataPackets < 0 || t.DiscoveryRounds < 0 ||
+		t.Interval < 0 || t.RefreshInterval < 0 {
+		return ErrTraffic
+	}
 	if sc.Mobility.active() {
 		if sc.Traffic.Interval <= 0 {
 			return ErrMobilityUnpaced

@@ -89,12 +89,10 @@ type Scenario struct {
 	// paper's static field).
 	Mobility MobilityOptions
 
-	// Proto overrides the shared protocol timing; nil takes defaults.
-	Proto *proto.Config
-
-	// Core overrides the full MTMRP configuration (ablation studies);
-	// nil derives it from Protocol/N/Delta. Ignored for non-MTMRP
-	// protocols.
+	// Core overrides the full MTMRP configuration, protocol timing
+	// included (ablation studies); nil derives it from Protocol, N and
+	// Delta with the default timing. Ignored for non-MTMRP protocols.
+	// Part of the session shape: sessions reset only onto an equal Core.
 	Core *core.Config
 
 	// TraceWriter, when non-nil, receives the JSONL event log of the run
@@ -115,6 +113,8 @@ type Scenario struct {
 var (
 	ErrNoReceivers = errors.New("experiment: scenario has no receivers")
 	ErrBadSource   = errors.New("experiment: source index out of range")
+	// ErrTraffic rejects a negative Traffic field.
+	ErrTraffic = errors.New("experiment: traffic fields must be non-negative")
 	// ErrMobilityUnpaced rejects a mobile scenario without a paced data
 	// phase (Traffic.Interval > 0): motion executes as scheduled events
 	// inside that phase, so without pacing nothing would ever move.
@@ -167,29 +167,38 @@ func LinkTableFor(t *topology.Topology) *channel.LinkTable {
 	return channel.NewLinkTable(t.Positions, radioFor(t))
 }
 
-func buildRouter(sc Scenario, pcfg proto.Config) proto.Router {
+// coreOverride returns the MTMRP configuration sc overrides, or nil when
+// its routers derive theirs from Protocol, N and Delta.
+func (sc *Scenario) coreOverride() *core.Config {
+	if sc.Protocol != MTMRP && sc.Protocol != MTMRPNoPHS {
+		return nil
+	}
+	return sc.Core
+}
+
+// protoConfig returns the shared protocol timing sc's routers run with.
+func protoConfig(sc Scenario) proto.Config {
+	if c := sc.coreOverride(); c != nil {
+		return c.Proto
+	}
+	return proto.DefaultConfig()
+}
+
+// buildRouter builds a router of sc's shape. The backoff (N, δ) is per
+// run: Session.Reset sets it, unless a Core override carries its own.
+func buildRouter(sc Scenario) proto.Router {
 	switch sc.Protocol {
 	case MTMRP, MTMRPNoPHS:
 		if sc.Core != nil {
 			return core.New(*sc.Core)
 		}
 		c := core.DefaultConfig()
-		c.N = sc.N
-		c.Delta = sc.Delta
 		c.PHS = sc.Protocol == MTMRP
-		c.Proto = pcfg
 		return core.New(c)
 	case DODMRP:
-		c := dodmrp.DefaultConfig()
-		c.N = sc.N
-		c.Delta = sc.Delta
-		c.Proto = pcfg
-		return dodmrp.New(c)
+		return dodmrp.New(dodmrp.DefaultConfig())
 	case ODMRP:
-		c := odmrp.DefaultConfig()
-		c.Jitter = sc.Delta
-		c.Proto = pcfg
-		return odmrp.New(c)
+		return odmrp.New(odmrp.DefaultConfig())
 	case Flooding:
 		return flood.New(flood.DefaultConfig())
 	case GMR:

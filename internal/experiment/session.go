@@ -22,6 +22,10 @@ import (
 // phase has built a tree to route down.
 var ErrNoDiscovery = errors.New("experiment: RunData before RunDiscovery")
 
+// ErrSessionShape is returned by Session.Reset for a scenario of another
+// shape than the session was built for (shapeOf, or tracing on or off).
+var ErrSessionShape = errors.New("experiment: Reset onto another session shape")
+
 // Session is one simulated multicast session, decomposed into its
 // protocol phases. Where Run executes the fixed
 // HELLO → discovery → data pipeline in one shot, a Session lets studies
@@ -37,15 +41,18 @@ var ErrNoDiscovery = errors.New("experiment: RunData before RunDiscovery")
 //
 // The amortization and refresh studies are built on this; dynamic
 // workloads (node failures between bursts, staggered joins) slot in the
-// same way. A Session is single-goroutine, like the simulator under it.
+// same way. NewSession is the first Reset of a session; later Resets
+// rewind it for another run of its shape. A Session is single-goroutine,
+// like the simulator under it.
 type Session struct {
 	sc      Scenario
+	shape   poolKey
 	group   packet.GroupID
 	net     *network.Network
 	routers []proto.Router
 	col     *metrics.Collector
 	meter   *energy.Meter
-	logger  *trace.Logger
+	logger  *trace.Logger // nil unless the session is traced
 
 	key        packet.FloodKey
 	helloDone  bool
@@ -54,8 +61,8 @@ type Session struct {
 	// session: Processed includes them, but this session did not run them.
 	adoptedEvents uint64
 
-	// dyn is the session-owned dynamic link table of a mobile scenario
-	// (nil for static runs, which share an immutable table); mover drives
+	// dyn is the session-owned dynamic link table of mobile runs (nil
+	// until the first; static runs share an immutable table); mover drives
 	// it along the run's motion plan during the paced data phase.
 	dyn   *channel.DynamicLinkTable
 	mover *mobility.Mover
@@ -63,72 +70,113 @@ type Session struct {
 	dests []packet.NodeID // SetDestinations scratch, reused across Reset
 }
 
-// NewSession validates the scenario, applies its defaults, and builds the
-// network with a router on every node. No virtual time elapses
-// yet, but the scenario's fault schedule is already armed on the simulator.
+// NewSession is Reset on an empty session: it builds the session's shape
+// for sc and sets up sc's run. No virtual time elapses yet, but the
+// scenario's fault schedule is already armed on the simulator.
 func NewSession(sc Scenario) (*Session, error) {
-	if err := sc.validate(); err != nil {
+	s := new(Session)
+	if err := s.Reset(sc); err != nil {
 		return nil, err
 	}
+	return s, nil
+}
+
+// Reset validates sc, applies its defaults and sets up sc's run, reusing
+// the session's shape: the network (simulator, channel, MACs, packet
+// factory, RNG streams), the routers, the collector and the meter. An
+// empty session builds them first (NewSession). In the steady state a
+// reset session runs a complete scenario without allocating. A scenario
+// of another shape (shapeOf, or tracing on or off) gets ErrSessionShape
+// and leaves the session as it was. All per-run setup lives here: the
+// link table, group joins, backoff, destinations, faults, motion and the
+// trace writer.
+//
+// Because every random substream is re-derived from the new seed exactly
+// as construction derives it, a reset session is bit-identical to a fresh
+// one: same packets on the air, same metrics, same RNG draw order.
+func (s *Session) Reset(sc Scenario) error {
+	if err := sc.validate(); err != nil {
+		return err
+	}
 	sc.normalize()
-
-	cfg := network.DefaultConfig(sc.Seed)
-	cfg.Radio = radioFor(sc.Topo)
-	cfg.MAC = sc.Radio.MAC
-	cfg.DisableCollisions = sc.Radio.DisableCollisions
-	cfg.ShadowingSigmaDB = sc.Radio.ShadowingSigmaDB
-	cfg.Links = sc.Links
-	// A mobile session owns its link table — motion mutates it in place,
-	// and a caller-shared (possibly cached) table must never be mutated.
-	var dyn *channel.DynamicLinkTable
+	if s.net != nil && (shapeOf(sc) != s.shape || (sc.TraceWriter != nil) != (s.logger != nil)) {
+		return ErrSessionShape
+	}
+	links := sc.Links
 	if sc.Mobility.active() {
-		dyn = channel.NewDynamicLinkTable(sc.Topo.Positions, cfg.Radio)
-		cfg.Links = dyn.Table()
+		// A mobile run needs the session-owned mutable table, rewound to
+		// the start positions: a shared table must never be mutated.
+		if s.dyn == nil {
+			s.dyn = channel.NewDynamicLinkTable(sc.Topo.Positions, radioFor(sc.Topo))
+		} else {
+			s.dyn.Rebind(sc.Topo.Positions)
+		}
+		links = s.dyn.Table()
+	} else if links == nil {
+		links = LinkTableFor(sc.Topo)
 	}
-	net := network.New(sc.Topo, cfg)
-
-	pcfg := proto.DefaultConfig()
-	if sc.Proto != nil {
-		pcfg = *sc.Proto
+	if s.net == nil {
+		s.build(sc, links)
+	} else {
+		s.net.Reset(sc.Topo, links, sc.Seed)
 	}
-
-	routers := make([]proto.Router, sc.Topo.N())
-	for i := 0; i < sc.Topo.N(); i++ {
-		routers[i] = buildRouter(sc, pcfg)
-		net.SetProtocol(i, routers[i])
+	backoff := sc.coreOverride() == nil
+	for _, r := range s.routers {
+		r.Reset()
+		if b, ok := r.(interface{ SetBackoff(int, sim.Time) }); ok && backoff {
+			b.SetBackoff(sc.N, sc.Delta)
+		}
 	}
-
-	const group packet.GroupID = 1
 	for _, r := range sc.Receivers {
-		net.Nodes[r].JoinGroup(group)
-	}
-	s := &Session{
-		sc:      sc,
-		group:   group,
-		net:     net,
-		routers: routers,
-		col:     metrics.NewCollector(net, packet.NodeID(sc.Source), group, sc.Receivers),
-		meter:   energy.NewMeter(sc.Topo, cfg.Radio, energy.DefaultModel()),
-		dyn:     dyn,
+		s.net.Nodes[r].JoinGroup(s.group)
 	}
 	// Geographic multicast assumes the source knows its receivers.
 	s.setDestinations(sc)
 	s.applyFaults(sc)
 	s.applyMobility(sc)
-	s.meter.Attach(net)
-	if sc.TraceWriter != nil {
-		s.logger = trace.NewLogger(sc.TraceWriter)
-		s.logger.Attach(net)
+	s.col.Reset(packet.NodeID(sc.Source), s.group, sc.Receivers)
+	s.meter.Rebind(sc.Topo)
+	if s.logger != nil {
+		*s.logger = *trace.NewLogger(sc.TraceWriter)
 	}
-	return s, nil
+	s.sc = sc
+	s.key = packet.FloodKey{}
+	s.helloDone = false
+	s.discovered = false
+	s.adoptedEvents = 0
+	return nil
+}
+
+// build makes the session's shape for sc over links: the network, a
+// router per node, the collector, the meter and, if traced, the logger.
+func (s *Session) build(sc Scenario, links *channel.LinkTable) {
+	cfg := network.DefaultConfig(sc.Seed)
+	cfg.Radio = radioFor(sc.Topo)
+	cfg.MAC = sc.Radio.MAC
+	cfg.DisableCollisions = sc.Radio.DisableCollisions
+	cfg.ShadowingSigmaDB = sc.Radio.ShadowingSigmaDB
+	cfg.Links = links
+	s.shape = shapeOf(sc)
+	s.group = 1
+	s.net = network.New(sc.Topo, cfg)
+	s.routers = make([]proto.Router, sc.Topo.N())
+	for i := range s.routers {
+		s.routers[i] = buildRouter(sc)
+		s.net.SetProtocol(i, s.routers[i])
+	}
+	s.col = metrics.NewCollector(s.net, packet.NodeID(sc.Source), s.group, sc.Receivers)
+	s.meter = energy.NewMeter(sc.Topo, cfg.Radio, energy.DefaultModel())
+	s.meter.Attach(s.net)
+	if sc.TraceWriter != nil {
+		s.logger = new(trace.Logger)
+		s.logger.Attach(s.net)
+	}
 }
 
 // applyFaults installs the scenario's fault options: the per-link loss
 // model, the soft-state forwarder lifetime, and the armed fault schedule.
-// NewSession and Reset both call it at the same point relative to the
-// other construction steps, so a pooled session replays a faulty run
-// bit-identically to a fresh one. Every setting is applied unconditionally
-// — a reused session must also shed the previous run's options.
+// Every setting is applied unconditionally — a reused session must also
+// shed the previous run's options.
 func (s *Session) applyFaults(sc Scenario) {
 	s.net.SetLoss(sc.Faults.Loss)
 	for _, r := range s.routers {
@@ -146,8 +194,8 @@ func (s *Session) applyFaults(sc Scenario) {
 // mover over the session's dynamic table. The mover is armed later, at the
 // start of the paced data phase, because each phase drains the event queue
 // completely — ticks armed at construction would be consumed by the HELLO
-// phase at topology-start positions. NewSession and Reset both call it
-// after applyFaults; an inactive group sheds any previous run's mover.
+// phase at topology-start positions. An inactive group sheds any previous
+// run's mover.
 func (s *Session) applyMobility(sc Scenario) {
 	if !sc.Mobility.active() {
 		s.mover = nil
@@ -186,65 +234,6 @@ func (s *Session) setDestinations(sc Scenario) {
 		s.dests = append(s.dests, packet.NodeID(r))
 	}
 	src.SetDestinations(s.dests)
-}
-
-// Reset rewinds the session to the state NewSession would have produced
-// for sc, reusing every long-lived structure: the network (simulator,
-// channel, MACs, packet factory, RNG streams), the per-node routers and
-// their tables, the metrics collector and the energy meter. In the steady
-// state a reset session runs a complete scenario without allocating.
-//
-// The scenario must match the session's shape — same topology size and
-// radio, same Protocol, MAC, collision and shadowing settings — because
-// those were baked in when the structures were built. Knobs that routers
-// expose for retuning (N, δ) are re-applied; everything else (seed, topo,
-// receivers, packet counts) is naturally per-run. Scenarios needing
-// construction-time features (TraceWriter, Proto or Core overrides) cannot
-// be applied by Reset; SessionPool routes them to a fresh Run instead.
-//
-// Because every random substream is re-derived from the new seed exactly
-// as construction derives it, a reset session is bit-identical to a fresh
-// one: same packets on the air, same metrics, same RNG draw order.
-func (s *Session) Reset(sc Scenario) error {
-	if err := sc.validate(); err != nil {
-		return err
-	}
-	sc.normalize()
-	links := sc.Links
-	if sc.Mobility.active() {
-		// A mobile run needs the session-owned mutable table, rewound to
-		// the topology's start positions (or built now if the pooled
-		// session's earlier runs were static).
-		if s.dyn == nil {
-			s.dyn = channel.NewDynamicLinkTable(sc.Topo.Positions, radioFor(sc.Topo))
-		} else {
-			s.dyn.Rebind(sc.Topo.Positions)
-		}
-		links = s.dyn.Table()
-	} else if links == nil {
-		links = LinkTableFor(sc.Topo)
-	}
-	s.net.Reset(sc.Topo, links, sc.Seed)
-	for _, r := range s.routers {
-		r.Reset()
-		if b, ok := r.(interface{ SetBackoff(int, sim.Time) }); ok {
-			b.SetBackoff(sc.N, sc.Delta)
-		}
-	}
-	for _, r := range sc.Receivers {
-		s.net.Nodes[r].JoinGroup(s.group)
-	}
-	s.setDestinations(sc)
-	s.applyFaults(sc)
-	s.applyMobility(sc)
-	s.col.Reset(packet.NodeID(sc.Source), s.group, sc.Receivers)
-	s.meter.Rebind(sc.Topo)
-	s.sc = sc
-	s.key = packet.FloodKey{}
-	s.helloDone = false
-	s.discovered = false
-	s.adoptedEvents = 0
-	return nil
 }
 
 // RunHello runs the HELLO beacon exchange that populates neighbor tables.
@@ -295,15 +284,15 @@ func helloBase(r proto.Router) *proto.Base {
 }
 
 // sameHello reports whether two scenarios run the same HELLO phase: the
-// same nodes, links, memberships, random streams, PHY and MAC, and the
-// same faults firing while the beacons drain. Protocol, N, δ, Traffic
-// and ForwarderExpiry act only after HELLO and are not compared. A
-// scenario with construction-time overrides (Proto, Core) or a trace
-// log never matches.
+// same nodes, links, memberships, random streams, PHY and MAC, the same
+// protocol timing (protoConfig) and the same faults firing while the
+// beacons drain. Protocol, N, δ, the rest of a Core override, Traffic and
+// ForwarderExpiry act only after HELLO and are not compared. A traced
+// scenario never matches: its log must see its own HELLO frames.
 func sameHello(a, b Scenario) bool {
 	la, lb := a.Faults.Loss, b.Faults.Loss
-	return a.Proto == nil && b.Proto == nil && a.Core == nil && b.Core == nil &&
-		a.TraceWriter == nil && b.TraceWriter == nil &&
+	return a.TraceWriter == nil && b.TraceWriter == nil &&
+		protoConfig(a) == protoConfig(b) &&
 		a.Topo == b.Topo && a.Links == b.Links && a.Source == b.Source &&
 		slices.Equal(a.Receivers, b.Receivers) && a.Seed == b.Seed &&
 		a.Radio == b.Radio &&

@@ -1,11 +1,16 @@
 package experiment
 
 import (
+	"bytes"
+	"io"
 	"reflect"
 	"testing"
 
+	"mtmrp/internal/core"
 	"mtmrp/internal/metrics"
+	"mtmrp/internal/network"
 	"mtmrp/internal/rng"
+	"mtmrp/internal/sim"
 	"mtmrp/internal/topology"
 )
 
@@ -53,6 +58,100 @@ func TestSessionValidation(t *testing.T) {
 	}
 	if _, err := NewSession(Scenario{Topo: topo, Source: -1, Receivers: []int{1}}); err != ErrBadSource {
 		t.Errorf("want ErrBadSource, got %v", err)
+	}
+	// Negative traffic fields: a negative payload once panicked the
+	// simulator with a negative delay, and negative counts ran as defaults.
+	for _, tc := range []struct {
+		name    string
+		traffic TrafficOptions
+	}{
+		{"payload", TrafficOptions{PayloadLen: -1000}},
+		{"data packets", TrafficOptions{DataPackets: -3}},
+		{"discovery rounds", TrafficOptions{DiscoveryRounds: -2}},
+		{"interval", TrafficOptions{Interval: -sim.Millisecond}},
+		{"refresh interval", TrafficOptions{Interval: sim.Millisecond, RefreshInterval: -sim.Millisecond}},
+	} {
+		sc := gridScenario(t, MTMRP, 1, 5)
+		sc.Traffic = tc.traffic
+		if _, err := NewSession(sc); err != ErrTraffic {
+			t.Errorf("negative %s: want ErrTraffic, got %v", tc.name, err)
+		}
+	}
+}
+
+// TestResetRefusesOtherShape: Reset onto a scenario of another shape
+// returns ErrSessionShape and leaves the session able to run its own
+// shape, bit-identically to a fresh session; a traced session logs each
+// run to that run's writer.
+func TestResetRefusesOtherShape(t *testing.T) {
+	sc := gridScenario(t, MTMRP, 3, 10)
+	other, err := topology.PaperRandom(rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noRelay := core.DefaultConfig()
+	noRelay.DisableRelayBias = true
+	for _, tc := range []struct {
+		name string
+		edit func(sc *Scenario)
+	}{
+		{"protocol", func(sc *Scenario) { sc.Protocol = ODMRP }},
+		{"MAC", func(sc *Scenario) { sc.Radio.MAC = network.MACIdeal }},
+		{"collisions", func(sc *Scenario) { sc.Radio.DisableCollisions = true }},
+		{"shadowing", func(sc *Scenario) { sc.Radio.ShadowingSigmaDB = 2 }},
+		{"core", func(sc *Scenario) { sc.Core = &noRelay }},
+		{"topology size", func(sc *Scenario) { sc.Topo = other }},
+		{"traced", func(sc *Scenario) { sc.TraceWriter = io.Discard }},
+	} {
+		s, err := NewSession(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := sc
+		tc.edit(&bad)
+		if err := s.Reset(bad); err != ErrSessionShape {
+			t.Errorf("%s: Reset = %v, want ErrSessionShape", tc.name, err)
+		}
+		s.RunHello()
+		got, err := s.finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Scenario.Protocol != sc.Protocol || !resultsEqual(got.Result, want.Result) {
+			t.Errorf("%s: the refused Reset changed the session's run", tc.name)
+		}
+	}
+
+	var first, second bytes.Buffer
+	logged := sc
+	logged.TraceWriter = &first
+	s, err := NewSession(logged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reset(sc); err != ErrSessionShape {
+		t.Errorf("untraced Reset of a traced session = %v, want ErrSessionShape", err)
+	}
+	s.RunHello()
+	if _, err := s.finish(); err != nil {
+		t.Fatal(err)
+	}
+	n := first.Len()
+	logged.TraceWriter = &second
+	if err := s.Reset(logged); err != nil {
+		t.Fatal(err)
+	}
+	s.RunHello()
+	if _, err := s.finish(); err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 || first.Len() != n || second.String() != first.String() {
+		t.Errorf("first writer: %d bytes after its run, %d after the next; second writer: %d bytes; "+
+			"want the next run logged to the second writer alone, identically", n, first.Len(), second.Len())
 	}
 }
 

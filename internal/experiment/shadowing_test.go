@@ -3,7 +3,7 @@ package experiment
 import (
 	"testing"
 
-	"mtmrp/internal/proto"
+	"mtmrp/internal/core"
 )
 
 func TestShadowingSweepSmall(t *testing.T) {
@@ -52,9 +52,9 @@ func TestQualityGateMatters(t *testing.T) {
 		for s := uint64(0); s < runs; s++ {
 			sc := gridScenario(t, MTMRP, 50+s, 15)
 			sc.Radio.ShadowingSigmaDB = 1
-			pc := defaultProtoForTest()
-			pc.MinHelloCount = minHello
-			sc.Proto = &pc
+			c := core.DefaultConfig()
+			c.Proto.MinHelloCount = minHello
+			sc.Core = &c
 			out, err := Run(sc)
 			if err != nil {
 				t.Fatal(err)
@@ -70,7 +70,3 @@ func TestQualityGateMatters(t *testing.T) {
 			gated, ungated)
 	}
 }
-
-// defaultProtoForTest returns the engine timing defaults for tests that
-// tweak a single knob.
-func defaultProtoForTest() proto.Config { return proto.DefaultConfig() }

@@ -413,6 +413,10 @@ func (s RunSpec) Canonical() (RunSpec, error) {
 	}
 
 	// Traffic defaults (normalize()'s).
+	if t := c.Traffic; t.PayloadLen < 0 || t.DataPackets < 0 || t.DiscoveryRounds < 0 ||
+		t.IntervalMs < 0 || t.RefreshIntervalMs < 0 {
+		return c, ErrSpecTiming
+	}
 	if c.Traffic.PayloadLen == 0 {
 		c.Traffic.PayloadLen = 64
 	}

@@ -98,29 +98,9 @@ type Network struct {
 
 // New builds a network over the topology. Protocols are attached
 // separately with SetProtocol so one network builder serves every routing
-// scheme.
+// scheme. It ends in Reset, which derives every random substream from
+// cfg.Seed.
 func New(topo *topology.Topology, cfg Config) *Network {
-	s := sim.New()
-	net := &Network{
-		Sim:   s,
-		Topo:  topo,
-		Nodes: make([]*Node, topo.N()),
-		pkt:   packet.NewFactory(),
-	}
-	net.root.Seed(cfg.Seed)
-	net.chanRand = net.root.Derive("channel")
-	// The loss stream is always derived — Derive is a pure function of the
-	// seed material and does not advance the parent, so carrying the stream
-	// even when no loss model is configured cannot perturb any other stream.
-	net.lossRand = net.root.Derive("loss")
-	net.Rand = net.root.Derive("network")
-	chCfg := channel.Config{
-		DisableCollisions: cfg.DisableCollisions,
-		ShadowingSigmaDB:  cfg.ShadowingSigmaDB,
-		Rand:              net.chanRand,
-		LossRand:          net.lossRand,
-		Pool:              net.pkt,
-	}
 	links := cfg.Links
 	if links == nil {
 		links = channel.NewLinkTable(topo.Positions, cfg.Radio)
@@ -138,7 +118,22 @@ func New(topo *topology.Topology, cfg Config) *Network {
 			panic("network: link table radio parameters differ from Config.Radio")
 		}
 	}
-	ch := channel.NewWithTable(s, links, chCfg)
+	s := sim.New()
+	net := &Network{
+		Sim:      s,
+		Nodes:    make([]*Node, topo.N()),
+		Rand:     new(rng.RNG),
+		chanRand: new(rng.RNG),
+		lossRand: new(rng.RNG),
+		pkt:      packet.NewFactory(),
+	}
+	ch := channel.NewWithTable(s, links, channel.Config{
+		DisableCollisions: cfg.DisableCollisions,
+		ShadowingSigmaDB:  cfg.ShadowingSigmaDB,
+		Rand:              net.chanRand,
+		LossRand:          net.lossRand,
+		Pool:              net.pkt,
+	})
 	net.Chan = ch
 	ch.OnAir = func(from int, p *packet.Packet) {
 		n := net.Nodes[from]
@@ -155,18 +150,17 @@ func New(topo *topology.Topology, cfg Config) *Network {
 			net.OnDeliver(n, p)
 		}
 	}
-	for i := 0; i < topo.N(); i++ {
-		label := fmt.Sprintf("node-%d", i)
+	for i := range net.Nodes {
 		n := &Node{
 			ID:       packet.NodeID(i),
 			Pos:      i,
 			net:      net,
-			Rand:     net.root.Derive(label),
-			rngLabel: label,
+			Rand:     new(rng.RNG),
+			rngLabel: fmt.Sprintf("node-%d", i),
 		}
 		switch cfg.MAC {
 		case MACCSMA:
-			n.mac = mac.NewCSMA(s, ch, i, cfg.CSMA, n.Rand.Derive("mac"))
+			n.mac = mac.NewCSMA(s, ch, i, cfg.CSMA, new(rng.RNG))
 		case MACIdeal:
 			n.mac = mac.NewIdeal(s, ch, i)
 		default:
@@ -175,6 +169,7 @@ func New(topo *topology.Topology, cfg Config) *Network {
 		net.Nodes[i] = n
 		n.mac.SetUpper(func(p *packet.Packet) { net.deliver(i, p) })
 	}
+	net.Reset(topo, links, cfg.Seed)
 	return net
 }
 
@@ -209,10 +204,10 @@ func (net *Network) Start() {
 // packet factory and the per-node RNGs. The topology must have the same
 // node count and radio parameters as the one the network was built with.
 //
-// Every random substream is re-derived from the new seed exactly as New
-// derives it (Derive is a pure function of seed material and name), so a
-// reset network is bit-identical to a freshly built one. Protocol state is
-// not touched here — callers reset their routers separately.
+// New ends in Reset, so every random substream is derived here and only
+// here (Derive is a pure function of seed material and name): a reset
+// network is bit-identical to a freshly built one. Protocol state is not
+// touched here — callers reset their routers separately.
 func (net *Network) Reset(topo *topology.Topology, links *channel.LinkTable, seed uint64) {
 	if topo.N() != len(net.Nodes) {
 		panic(fmt.Sprintf("network: Reset with %d-node topology, network has %d", topo.N(), len(net.Nodes)))
@@ -223,6 +218,9 @@ func (net *Network) Reset(topo *topology.Topology, links *channel.LinkTable, see
 	net.Sim.Reset()
 	net.root.Seed(seed)
 	net.root.DeriveInto("channel", net.chanRand)
+	// The loss stream is always derived — Derive is a pure function of the
+	// seed material and does not advance the parent, so carrying the stream
+	// even when no loss model is configured cannot perturb any other stream.
 	net.root.DeriveInto("loss", net.lossRand)
 	net.root.DeriveInto("network", net.Rand)
 	net.Topo = topo

@@ -623,7 +623,9 @@ func TestErrorEnvelope(t *testing.T) {
 	// one (never served as the first spec's answer), a valid spec behind
 	// padding that pushes the body over the size bound, backoff parameters
 	// no protocol can run (which once panicked a sweep worker and killed
-	// the process) and a removed flat RunSpec alias.
+	// the process), negative traffic fields (a negative payload once
+	// panicked the handler and wedged its key) and a removed flat RunSpec
+	// alias.
 	tiny, _ := json.Marshal(tinySweep())
 	for _, tc := range []struct {
 		name, path, body string
@@ -638,6 +640,11 @@ func TestErrorEnvelope(t *testing.T) {
 		{"sweep negative delta", "/v1/sweep", `{"sizes":[5],"runs":1,"delta_ms":-1}`, http.StatusBadRequest, "bad_spec"},
 		{"run negative n", "/v1/run", `{"n":-2}`, http.StatusBadRequest, "bad_spec"},
 		{"run negative delta", "/v1/run", `{"delta_ms":-1}`, http.StatusBadRequest, "bad_spec"},
+		{"run negative payload", "/v1/run", `{"topo":{"kind":"grid"},"traffic":{"payload_len":-1000}}`, http.StatusBadRequest, "bad_spec"},
+		{"run negative packets", "/v1/run", `{"traffic":{"data_packets":-3}}`, http.StatusBadRequest, "bad_spec"},
+		{"run negative rounds", "/v1/run", `{"traffic":{"discovery_rounds":-2}}`, http.StatusBadRequest, "bad_spec"},
+		{"run negative interval", "/v1/run", `{"traffic":{"interval_ms":-50}}`, http.StatusBadRequest, "bad_spec"},
+		{"run negative refresh", "/v1/run", `{"traffic":{"interval_ms":50,"refresh_interval_ms":-200}}`, http.StatusBadRequest, "bad_spec"},
 		{"run flat alias", "/v1/run", `{"mac":"ideal"}`, http.StatusBadRequest, "bad_spec"},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))

@@ -1,6 +1,9 @@
 package service
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
 
 // flightGroup is a singleflight: concurrent callers asking for the same
 // key share one execution of the compute function, so N identical
@@ -33,17 +36,24 @@ func (g *flightGroup) Do(key string, fn func() ([]byte, error)) (payload []byte,
 		<-c.done
 		return c.payload, true, c.err
 	}
-	c := &flightCall{done: make(chan struct{})}
+	// err stands until fn returns: if fn panics, the deferred release
+	// still frees the key and wakes the waiters, who get this error.
+	c := &flightCall{done: make(chan struct{}), err: errComputePanicked}
 	g.calls[key] = c
 	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		delete(g.calls, key)
+		g.mu.Unlock()
+		close(c.done)
+	}()
 
 	c.payload, c.err = fn()
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
 	return c.payload, false, c.err
 }
+
+// errComputePanicked is what the waiters of a panicking compute get.
+var errComputePanicked = errors.New("service: compute panicked")
 
 // Waiters reports how many callers are currently blocked on key's
 // in-flight execution (0 when none is in flight). Test instrumentation:

@@ -108,3 +108,50 @@ func TestFlightKeysIndependent(t *testing.T) {
 		t.Errorf("%d executions for 4 distinct keys, want 4", n)
 	}
 }
+
+// TestFlightPanicReleasesKey: a compute that panics still frees its key.
+// The leader's panic propagates, a waiter attached to the call gets an
+// error instead of blocking forever, and the next call for the key runs
+// its compute afresh.
+func TestFlightPanicReleasesKey(t *testing.T) {
+	var g flightGroup
+	started, gate := make(chan struct{}), make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		g.Do("k", func() ([]byte, error) {
+			close(started)
+			<-gate
+			panic("compute failed")
+		})
+	}()
+	<-started
+	deadline := time.Now().Add(5 * time.Second)
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := g.Do("k", func() ([]byte, error) { return nil, nil })
+		waiter <- err
+	}()
+	for g.Waiters("k") < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the waiter never attached")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	if p := <-leader; p != "compute failed" {
+		t.Fatalf("leader recovered %v, want its compute's panic", p)
+	}
+	select {
+	case err := <-waiter:
+		if err == nil {
+			t.Fatal("the waiter of a panicked compute got no error")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiter of a panicked compute is still blocked")
+	}
+	p, shared, err := g.Do("k", func() ([]byte, error) { return []byte("again"), nil })
+	if err != nil || shared || string(p) != "again" {
+		t.Fatalf("call after the panic: p=%q shared=%v err=%v", p, shared, err)
+	}
+}

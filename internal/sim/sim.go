@@ -56,11 +56,10 @@ type entry struct {
 // cb(arg, argi), cb(arg, argi+1), …: each execution runs one call and
 // advances argi, and cur indexes the cursor record that keys the calls
 // after it. The cursor data lives in that side table, not here, so a
-// single event's record stays 48 bytes.
+// single event's record stays 40 bytes.
 type event struct {
 	gen  uint32
 	cur  uint32 // 1 + index into Simulator.cursors while calls follow; 0 otherwise
-	fn   func()
 	cb   Callback
 	arg  any
 	argi int
@@ -224,10 +223,12 @@ func (s *Simulator) At(t Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	id := s.alloc()
-	s.events[id].fn = fn
-	return s.schedule(t, id)
+	return s.AtCall(t, callFunc, fn, 0)
 }
+
+// callFunc runs a func() scheduled by At: the func value rides in arg,
+// which boxes it without allocating.
+func callFunc(arg any, _ int) { arg.(func())() }
 
 // After schedules fn to run d after the current time.
 func (s *Simulator) After(d Time, fn func()) Event {
@@ -409,7 +410,7 @@ func (s *Simulator) Cancel(e Event) {
 		return // already fired or cancelled
 	}
 	ev.gen++
-	ev.fn, ev.cb, ev.arg = nil, nil, nil
+	ev.cb, ev.arg = nil, nil
 	e.s.live--
 	// The arena slot is recycled when the stale queue entry surfaces.
 }
@@ -436,7 +437,7 @@ func (s *Simulator) next() (entry, bool) {
 // the entry once its last call has run.
 func (s *Simulator) exec(en entry) {
 	ev := &s.events[en.id]
-	fn, cb, arg, argi := ev.fn, ev.cb, ev.arg, ev.argi
+	cb, arg, argi := ev.cb, ev.arg, ev.argi
 	if ev.cur != 0 {
 		// A cursor with calls left takes its next call's key before this
 		// call runs. That key is at least this one (offsets never
@@ -458,17 +459,13 @@ func (s *Simulator) exec(en entry) {
 		// invalidated by the generation bump.
 		s.q.popFront()
 		ev.gen++
-		ev.fn, ev.cb, ev.arg = nil, nil, nil
+		ev.cb, ev.arg = nil, nil
 		s.free = append(s.free, en.id)
 	}
 	s.live--
 	s.now = en.at
 	s.processed++
-	if cb != nil {
-		cb(arg, argi)
-	} else {
-		fn()
-	}
+	cb(arg, argi)
 }
 
 // Step executes the next event (one call of a cursor), if any, and reports
