@@ -220,7 +220,7 @@ func TestQueryDelayMonotonicity(t *testing.T) {
 			n.LeaveGroup(1)
 		}
 		for m := 0; m < members; m++ {
-			rr.NT.Observe(packet.NodeID(100+m), 0, []packet.GroupID{1})
+			rr.NT.Observe(packet.NodeID(100+m), []packet.GroupID{1})
 		}
 		q := packet.JoinQuery{SourceID: 0, GroupID: 1, SequenceNo: 1, PathProfit: pp}
 		return rr.queryDelay(rr.Base, q, 0)
@@ -255,8 +255,8 @@ func TestOutPathProfitAccumulates(t *testing.T) {
 	r := New(DefaultConfig())
 	net.SetProtocol(0, r)
 	// Two uncovered member neighbors -> RP=2.
-	r.NT.Observe(50, 0, []packet.GroupID{1})
-	r.NT.Observe(51, 0, []packet.GroupID{1})
+	r.NT.Observe(50, []packet.GroupID{1})
+	r.NT.Observe(51, []packet.GroupID{1})
 	q := packet.JoinQuery{SourceID: 9, GroupID: 1, SequenceNo: 1, PathProfit: 5}
 	if got := r.outPathProfit(r.Base, q); got != 7 {
 		t.Errorf("outPathProfit = %d, want 7", got)
@@ -269,12 +269,12 @@ func TestRelayProfitReflectsCoverage(t *testing.T) {
 	r := New(DefaultConfig())
 	net.SetProtocol(0, r)
 	key := packet.FloodKey{Source: 9, Group: 1, Seq: 1}
-	r.NT.Observe(50, 0, []packet.GroupID{1})
-	r.NT.Observe(51, 0, []packet.GroupID{1})
+	r.NT.Observe(50, []packet.GroupID{1})
+	r.NT.Observe(51, []packet.GroupID{1})
 	if got := r.RelayProfit(key); got != 2 {
 		t.Fatalf("RelayProfit = %d", got)
 	}
-	r.NT.MarkCovered(50, key, 1)
+	r.NT.MarkCovered(50, key)
 	if got := r.RelayProfit(key); got != 1 {
 		t.Fatalf("after coverage: RelayProfit = %d", got)
 	}

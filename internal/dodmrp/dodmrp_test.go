@@ -54,7 +54,7 @@ func delayRig(t *testing.T, selfMember bool, members int) *Router {
 		net.Nodes[0].JoinGroup(1)
 	}
 	for m := 0; m < members; m++ {
-		r.NT.Observe(packet.NodeID(100+m), 0, []packet.GroupID{1})
+		r.NT.Observe(packet.NodeID(100+m), []packet.GroupID{1})
 	}
 	return r
 }
@@ -90,7 +90,7 @@ func TestCoverageIgnored(t *testing.T) {
 	q := packet.JoinQuery{SourceID: 1, GroupID: 1, SequenceNo: 1}
 	r := delayRig(t, false, 2)
 	key := q.Key()
-	r.NT.MarkCovered(100, key, 0)
+	r.NT.MarkCovered(100, key)
 	d := sim.Millisecond
 	if got := r.queryDelay(r.Base, q, 1); got < 5*d || got >= 6*d {
 		t.Errorf("coverage must not matter: %v", got)

@@ -48,19 +48,17 @@ type sessionPrint struct {
 	// (Ideal).
 	MACs [][4]int64
 	// Neighbors is per node the neighbor table in iteration order; nil
-	// for routers without one. Tables holds each table's entry count,
-	// expiry and mark registry size.
+	// for routers without one. Tables holds each table's entry count and
+	// mark registry size.
 	Neighbors [][]neighborPrint
-	Tables    [][3]int64
+	Tables    [][2]int64
 }
 
 type neighborPrint struct {
-	ID       packet.NodeID
-	Present  bool
-	LastSeen sim.Time
-	Count    int
-	Slot     int64
-	Groups   []int64
+	ID     packet.NodeID
+	Count  int
+	Slot   int64
+	Groups []int64
 }
 
 // field follows a chain of field names from v, exported or not,
@@ -146,7 +144,7 @@ func printOf(s *Session) sessionPrint {
 		b := helloBase(s.routers[i])
 		if b == nil {
 			p.Neighbors = append(p.Neighbors, nil)
-			p.Tables = append(p.Tables, [3]int64{-1, -1, -1})
+			p.Tables = append(p.Tables, [2]int64{-1, -1})
 			continue
 		}
 		p.Streams = append(p.Streams, stream(field(b, "rnd")))
@@ -154,12 +152,7 @@ func printOf(s *Session) sessionPrint {
 		nbrs := []neighborPrint{}
 		for k := 0; k < nt.Slots(); k++ {
 			e := nt.At(k)
-			if e == nil {
-				nbrs = append(nbrs, neighborPrint{})
-				continue
-			}
-			np := neighborPrint{ID: e.ID, Present: true, LastSeen: e.LastSeen, Count: e.Count,
-				Slot: field(e, "slot").Int()}
+			np := neighborPrint{ID: e.ID, Count: e.Count, Slot: field(e, "slot").Int()}
 			g := field(e, "groups")
 			for j := 0; j < g.Len(); j++ {
 				np.Groups = append(np.Groups, g.Index(j).Int())
@@ -167,7 +160,7 @@ func printOf(s *Session) sessionPrint {
 			nbrs = append(nbrs, np)
 		}
 		p.Neighbors = append(p.Neighbors, nbrs)
-		p.Tables = append(p.Tables, [3]int64{int64(nt.Len()), field(nt, "expiry").Int(), int64(nt.Sessions())})
+		p.Tables = append(p.Tables, [2]int64{int64(nt.Len()), int64(nt.Sessions())})
 	}
 	return p
 }

@@ -84,11 +84,7 @@ func TestSlotMarksMatchIDMarksAllProtocols(t *testing.T) {
 // TestSlotMarksMatchIDMarksUnderChurn is the mobility variant: a mobile
 // paced run with periodic refreshes registers several session keys per
 // table while links come and go, so mark reads and writes interleave with
-// session-registry growth under the oracle on every node. (Expire-driven
-// slot recycling is not reachable through the harness — only the proto
-// maintenance layer ages tables — and is covered by the shadowed
-// maintenance test in internal/proto and the unit churn test in
-// internal/neighbor.)
+// session-registry growth under the oracle on every node.
 func TestSlotMarksMatchIDMarksUnderChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-run differential check; skipped in -short")

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+
 	"mtmrp/internal/channel"
 	"mtmrp/internal/fault"
 	"mtmrp/internal/mobility"
@@ -65,7 +67,8 @@ type FaultOptions struct {
 	// (nil = the lossless disc).
 	Loss *channel.LossConfig
 	// ForwarderExpiry soft-states the forwarding-group flags
-	// (proto.Config.FGLifetime); 0 keeps them for the whole run.
+	// (proto.Config.FGLifetime); 0 keeps the lifetime of a Scenario.Core
+	// override, and without one keeps the flags for the whole run.
 	ForwarderExpiry sim.Time
 }
 
@@ -146,6 +149,11 @@ func (sc *Scenario) validate() error {
 	if t := sc.Traffic; t.PayloadLen < 0 || t.DataPackets < 0 || t.DiscoveryRounds < 0 ||
 		t.Interval < 0 || t.RefreshInterval < 0 {
 		return ErrTraffic
+	}
+	if c := sc.coreOverride(); c != nil {
+		if err := c.Validate(); err != nil {
+			return fmt.Errorf("experiment: invalid Core: %w", err)
+		}
 	}
 	if sc.Mobility.active() {
 		if sc.Traffic.Interval <= 0 {

@@ -179,9 +179,13 @@ func (s *Session) build(sc Scenario, links *channel.LinkTable) {
 // shed the previous run's options.
 func (s *Session) applyFaults(sc Scenario) {
 	s.net.SetLoss(sc.Faults.Loss)
+	life := sc.Faults.ForwarderExpiry
+	if life == 0 {
+		life = protoConfig(sc).FGLifetime
+	}
 	for _, r := range s.routers {
 		if fg, ok := r.(interface{ SetFGLifetime(sim.Time) }); ok {
-			fg.SetFGLifetime(sc.Faults.ForwarderExpiry)
+			fg.SetFGLifetime(life)
 		}
 	}
 	fault.Arm(s.net, sc.Faults.Schedule)

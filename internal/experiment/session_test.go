@@ -77,6 +77,44 @@ func TestSessionValidation(t *testing.T) {
 			t.Errorf("negative %s: want ErrTraffic, got %v", tc.name, err)
 		}
 	}
+	// An invalid Core override once panicked in router construction.
+	sc := gridScenario(t, MTMRP, 1, 5)
+	sc.Core = &core.Config{}
+	if _, err := NewSession(sc); err == nil {
+		t.Error("invalid Core: want an error, got nil")
+	}
+}
+
+// TestCoreLifetimeWithoutForwarderExpiry: a Core override's forwarder
+// lifetime holds unless Faults.ForwarderExpiry sets one, also across
+// Reset.
+func TestCoreLifetimeWithoutForwarderExpiry(t *testing.T) {
+	soft := core.DefaultConfig()
+	soft.Proto.FGLifetime = 300 * sim.Millisecond
+	sc := gridScenario(t, MTMRP, 1, 5)
+	sc.Core = &soft
+	lifetime := func(s *Session) sim.Time {
+		return sim.Time(field(helloBase(s.Routers()[0]), "cfg", "FGLifetime").Int())
+	}
+	s, err := NewSession(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		expiry, want sim.Time
+	}{
+		{0, 300 * sim.Millisecond},
+		{50 * sim.Millisecond, 50 * sim.Millisecond},
+		{0, 300 * sim.Millisecond},
+	} {
+		sc.Faults.ForwarderExpiry = tc.expiry
+		if err := s.Reset(sc); err != nil {
+			t.Fatal(err)
+		}
+		if got := lifetime(s); got != tc.want {
+			t.Errorf("ForwarderExpiry %v: router lifetime %v, want %v", tc.expiry, got, tc.want)
+		}
+	}
 }
 
 // TestResetRefusesOtherShape: Reset onto a scenario of another shape

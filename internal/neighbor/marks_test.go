@@ -5,18 +5,16 @@ import (
 	"testing"
 
 	"mtmrp/internal/packet"
-	"mtmrp/internal/sim"
 )
 
 // TestDifferentialSlotMarksVsIDMarks drives a shadowed table through long
-// randomized op scripts — observe, mark, read, expire, reset — so every
+// randomized op scripts — observe, mark, read, reset — so every
 // slot-indexed mark read is cross-checked against the retained id-indexed
-// reference (marksref.go), which panics on the first divergence. This is
-// the pin on the slot-reuse rule: recycled ids keep their slot, and a
-// re-admitted neighbor starts unmarked in both layouts.
+// reference (marksref.go), which panics on the first divergence. Resets
+// rebind slots to other ids, so a slot's marks must not outlive its id.
 func TestDifferentialSlotMarksVsIDMarks(t *testing.T) {
 	const (
-		ids      = 40 // small universe → heavy slot recycling
+		ids      = 40 // small universe → every id is marked many times
 		sessions = 6
 		ops      = 30000
 	)
@@ -26,20 +24,18 @@ func TestDifferentialSlotMarksVsIDMarks(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 2, 3, 4} {
 		rng := rand.New(rand.NewSource(seed))
-		tb := NewTable(10)
+		tb := NewTable()
 		tb.Shadow()
-		now := sim.Time(0)
 		for op := 0; op < ops; op++ {
-			now += sim.Time(rng.Intn(3))
 			id := packet.NodeID(rng.Intn(ids))
 			key := keys[rng.Intn(sessions)]
-			switch rng.Intn(10) {
+			switch rng.Intn(9) {
 			case 0, 1:
-				tb.Observe(id, now, []packet.GroupID{1})
+				tb.Observe(id, []packet.GroupID{1})
 			case 2:
-				tb.MarkCovered(id, key, now)
+				tb.MarkCovered(id, key)
 			case 3:
-				tb.MarkForwarder(id, key, now)
+				tb.MarkForwarder(id, key)
 			case 4:
 				if e := tb.Entry(id); e != nil {
 					e.Covered(key)
@@ -50,76 +46,21 @@ func TestDifferentialSlotMarksVsIDMarks(t *testing.T) {
 			case 6:
 				tb.HasForwarder(key)
 			case 7:
-				tb.Expire(now)
-			case 8:
 				// Read every entry's marks for every session — the dense
 				// cross-check the random single reads might miss.
 				for i := 0; i < tb.Slots(); i++ {
-					if e := tb.At(i); e != nil {
-						for _, k := range keys {
-							e.Covered(k)
-							e.Forwarder(k)
-						}
+					e := tb.At(i)
+					for _, k := range keys {
+						e.Covered(k)
+						e.Forwarder(k)
 					}
 				}
-			case 9:
+			case 8:
 				if rng.Intn(50) == 0 {
 					tb.Reset()
-					now = 0
 				}
 			}
 		}
-	}
-}
-
-// TestSlotChurnMarkSemantics pins the slot-reuse rule directly: a
-// neighbor that is marked, evicted by Expire mid-session, and re-admitted
-// reuses its old storage slot but starts with clean marks — and the
-// recycled slot's stale bits cannot leak into another session's view.
-func TestSlotChurnMarkSemantics(t *testing.T) {
-	key := packet.FloodKey{Source: 9, Group: 1, Seq: 5}
-	tb := NewTable(10)
-	tb.Shadow() // cross-check against the id-indexed reference throughout
-
-	tb.Observe(3, 0, []packet.GroupID{1})
-	tb.MarkCovered(3, key, 0)
-	tb.MarkForwarder(3, key, 0)
-	e := tb.Entry(3)
-	slot := e.slot
-	if !e.Covered(key) || !e.Forwarder(key) || !tb.HasForwarder(key) {
-		t.Fatal("marks not set before churn")
-	}
-
-	// Evict: the entry ages out mid-session.
-	tb.Expire(20)
-	if tb.Entry(3) != nil {
-		t.Fatal("entry survived expiry")
-	}
-	if tb.HasForwarder(key) {
-		t.Fatal("evicted neighbor still counted as forwarder")
-	}
-
-	// Re-admit the same id: same slot, clean marks.
-	tb.Observe(3, 30, []packet.GroupID{1})
-	e = tb.Entry(3)
-	if e.slot != slot {
-		t.Fatalf("re-admitted id 3 got slot %d, want its old slot %d", e.slot, slot)
-	}
-	if e.Covered(key) || e.Forwarder(key) {
-		t.Fatal("re-admitted neighbor inherited marks from before eviction")
-	}
-	if got := tb.RelayProfit(key, packet.NoNode); got != 1 {
-		t.Fatalf("RelayProfit = %d, want 1 (re-admitted member is uncovered again)", got)
-	}
-
-	// A different id admitted after more churn must not see slot-stale
-	// bits either: mark id 3 again, evict, and admit a brand-new id — it
-	// gets a fresh slot, so prove the marks stayed with id 3's slot only.
-	tb.MarkCovered(3, key, 30)
-	tb.Expire(50)
-	tb.Observe(7, 60, []packet.GroupID{1})
-	if e7 := tb.Entry(7); e7.Covered(key) || e7.Forwarder(key) {
-		t.Fatal("fresh neighbor 7 sees another slot's marks")
 	}
 }
 
@@ -129,12 +70,12 @@ func TestSlotChurnMarkSemantics(t *testing.T) {
 // modest run-to-run jitter keeps its storage — the steady-state 0-alloc
 // contract.
 func TestResetTrimsMarkStorage(t *testing.T) {
-	tb := NewTable(0)
-	tb.Observe(1, 0, nil)
+	tb := NewTable()
+	tb.Observe(1, nil)
 	// A busy run: 100 sessions with marks.
 	for i := 0; i < 100; i++ {
 		k := packet.FloodKey{Source: 0, Group: 1, Seq: uint32(i)}
-		tb.MarkCovered(1, k, 0)
+		tb.MarkCovered(1, k)
 	}
 	if tb.Sessions() != 100 {
 		t.Fatalf("Sessions = %d, want 100", tb.Sessions())
@@ -144,10 +85,10 @@ func TestResetTrimsMarkStorage(t *testing.T) {
 
 	// A quiet run: 2 sessions. Its Reset must release the high-water
 	// leftovers (bound: 2*used+4 session rows).
-	tb.Observe(1, 0, nil)
+	tb.Observe(1, nil)
 	for i := 0; i < 2; i++ {
 		k := packet.FloodKey{Source: 0, Group: 1, Seq: uint32(i)}
-		tb.MarkCovered(1, k, 0)
+		tb.MarkCovered(1, k)
 	}
 	tb.Reset()
 	if w := tb.MarkWords(); w >= busyWords || w > 8 {
@@ -159,7 +100,7 @@ func TestResetTrimsMarkStorage(t *testing.T) {
 	refill := func() {
 		for i := 0; i < 2; i++ {
 			k := packet.FloodKey{Source: 0, Group: 1, Seq: uint32(i)}
-			tb.MarkCovered(1, k, 0)
+			tb.MarkCovered(1, k)
 		}
 	}
 	refill()
@@ -178,10 +119,10 @@ func TestResetTrimsMarkStorage(t *testing.T) {
 // deliberately corrupted slot mark must trip the cross-check panic.
 func TestShadowDetectsDivergence(t *testing.T) {
 	key := packet.FloodKey{Source: 0, Group: 1, Seq: 1}
-	tb := NewTable(0)
+	tb := NewTable()
 	tb.Shadow()
-	tb.Observe(3, 0, []packet.GroupID{1})
-	tb.MarkCovered(3, key, 0)
+	tb.Observe(3, []packet.GroupID{1})
+	tb.MarkCovered(3, key)
 	e := tb.Entry(3)
 	// Corrupt the live layout behind the oracle's back.
 	tb.covered[tb.session(key)].Clear(int(e.slot))

@@ -25,7 +25,7 @@ type RefMarks struct {
 
 // Shadow attaches (and returns) the table's differential oracle, creating
 // it on first call. Intended for tests: with a shadow attached, every
-// MarkCovered/MarkForwarder/Expire/Reset is mirrored into the id-indexed
+// MarkCovered/MarkForwarder/Reset is mirrored into the id-indexed
 // reference and every Covered/Forwarder/HasForwarder/RelayProfit read is
 // verified against it.
 func (t *Table) Shadow() *RefMarks {
@@ -86,15 +86,6 @@ func (r *RefMarks) Forwarder(id packet.NodeID, key packet.FloodKey) bool {
 func (r *RefMarks) HasForwarder(key packet.FloodKey) bool {
 	s := r.session(key)
 	return s >= 0 && r.forwarder[s].Count() > 0
-}
-
-// ClearNode clears every session's marks for id — the Expire path: the
-// whole record is recycled, marks included.
-func (r *RefMarks) ClearNode(id packet.NodeID) {
-	for s := range r.sessions {
-		r.covered[s].Clear(int(id))
-		r.forwarder[s].Clear(int(id))
-	}
 }
 
 // Reset empties the oracle, mirroring Table.Reset.

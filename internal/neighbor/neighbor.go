@@ -1,8 +1,11 @@
 // Package neighbor implements the one-hop neighbor table of §IV.B: entries
 // learned from periodic HELLO beacons, annotated with multicast group
-// membership, last-seen timestamps with expiry, and the per-session
-// overhearing marks ("covered receiver", "known forwarder") that MTMRP's
-// RelayProfit and path handover scheme are built on.
+// membership and HELLO counts, and the per-session overhearing marks
+// ("covered receiver", "known forwarder") that MTMRP's RelayProfit and
+// path handover scheme are built on. Entries are never aged out: a run's
+// HELLO rounds fill the table once, and the fault and mobility studies
+// drop dead routes through forwarder-flag expiry in internal/proto, not
+// here.
 //
 // A node only ever hears its one-hop neighborhood (~25 nodes at the
 // paper's density), so the table is sparse: entries live in fixed-size
@@ -16,13 +19,11 @@
 // is (made) a table entry, so the slot index is a complete key: per-node
 // mark state is O(density · sessions) where the id-indexed layout cost
 // O(n) bits per session (O(n²) per deployment — the last whole-network
-// term at 10k–100k-node scales). The slot-reuse
-// rule that makes this sound: a slot is bound to one id until Reset (the
-// id index never deletes; a recycled id re-admitted after Expire reuses
-// its old slot), and Expire clears the recycled slot's marks, so a
-// re-admitted neighbor always starts unmarked — exactly the id-indexed
-// semantics. The retained id-indexed implementation (marksref.go) pins
-// that equivalence under randomized differential tests.
+// term at 10k–100k-node scales). This is sound because a slot is bound
+// to one id from its admission until Reset, which clears ids and marks
+// together — exactly the id-indexed semantics. The retained id-indexed
+// implementation (marksref.go) pins that equivalence under randomized
+// differential tests.
 //
 // Everything resets in place for session reuse; Reset also trims the mark
 // registry's storage back to what the finished run actually used, so a
@@ -34,23 +35,20 @@ import (
 
 	"mtmrp/internal/bitset"
 	"mtmrp/internal/packet"
-	"mtmrp/internal/sim"
 	"mtmrp/internal/sparse"
 )
 
 // Entry is one neighbor record.
 type Entry struct {
-	ID       packet.NodeID
-	LastSeen sim.Time
+	ID packet.NodeID
 	// Count is the number of HELLOs heard from this neighbor — a crude
 	// link-quality estimator: under fading, marginal links deliver only a
 	// fraction of beacons.
 	Count int
 
-	groups  []packet.GroupID // announced memberships (small; linear scan)
-	present bool
-	slot    int32 // storage slot — the per-session mark bit for this entry
-	t       *Table
+	groups []packet.GroupID // announced memberships (small; linear scan)
+	slot   int32            // storage slot — the per-session mark bit for this entry
+	t      *Table
 }
 
 // InGroup reports whether the neighbor announced membership of g.
@@ -100,11 +98,7 @@ type Table struct {
 	slabs  []*[1 << slabBits]Entry
 	nslots int        // slots handed out; slot s lives at slabs[s>>slabBits][s&mask]
 	order  []int32    // slots sorted by entry id — ascending-id iteration
-	idx    sparse.Map // node id -> slot (insert-only: slot bindings survive recycling)
-	n      int        // entries currently present
-
-	expiry  sim.Time // entries older than this are recycled; 0 = never
-	expiry0 sim.Time // the NewTable value, restored by Reset
+	idx    sparse.Map // node id -> slot
 
 	sessions  []packet.FloodKey
 	covered   []bitset.Set // covered[session] bit slot — covered receiver marks
@@ -121,35 +115,24 @@ func (t *Table) at(s int32) *Entry {
 	return &t.slabs[s>>slabBits][s&(1<<slabBits-1)]
 }
 
-// NewTable returns an empty table. Entries not refreshed within expiry are
-// recycled by Expire (the paper's "overdue entries ... recycled after a
-// time"); expiry 0 disables aging.
-func NewTable(expiry sim.Time) *Table {
-	return &Table{expiry: expiry, expiry0: expiry}
-}
-
-// SetExpiry changes the aging window; used when a protocol switches from
-// discovery (no aging) to steady-state maintenance.
-func (t *Table) SetExpiry(d sim.Time) { t.expiry = d }
+// NewTable returns an empty table.
+func NewTable() *Table { return &Table{} }
 
 // Reset empties the table in place — entries, id index, session registry
-// and mark bitsets — keeping all storage, and restores the NewTable
-// expiry. Mark-registry storage beyond a small multiple of the finished
-// run's session count is released: such bitsets are leftovers of some
-// earlier, much busier run (a refresh-heavy sweep cell, say) and would
-// otherwise stay live in a pooled session forever.
+// and mark bitsets — keeping all storage. Mark-registry storage beyond a
+// small multiple of the finished run's session count is released: such
+// bitsets are leftovers of some earlier, much busier run (a refresh-heavy
+// sweep cell, say) and would otherwise stay live in a pooled session
+// forever.
 func (t *Table) Reset() {
 	for s := int32(0); s < int32(t.nslots); s++ {
 		e := t.at(s)
-		e.LastSeen = 0
 		e.Count = 0
 		e.groups = e.groups[:0]
-		e.present = false
 	}
 	t.nslots = 0
 	t.order = t.order[:0]
 	t.idx.Reset()
-	t.n = 0
 	// Trim with hysteresis, not to the exact count: session counts jitter
 	// per node from run to run (a node reached by one seed's flood may be
 	// missed by the next), and trimming to the exact count would make the
@@ -169,18 +152,16 @@ func (t *Table) Reset() {
 		t.forwarder[i].Reset()
 	}
 	t.sessions = t.sessions[:0]
-	t.expiry = t.expiry0
 	if t.ref != nil {
 		t.ref.Reset()
 	}
 }
 
-// CopyFrom makes t a copy of src's entries: the same ids, timestamps,
-// HELLO counts and memberships, bound to the same slots in the same
-// iteration order, so any marks set later land on the bits they would
-// in src. It panics if src holds marks; a table is copied between its
-// HELLO phase and the first discovery. The expiry is a setting, not an
-// entry: t keeps its own.
+// CopyFrom makes t a copy of src's entries: the same ids, HELLO counts
+// and memberships, bound to the same slots in the same iteration order,
+// so any marks set later land on the bits they would in src. It panics
+// if src holds marks; a table is copied between its HELLO phase and the
+// first discovery.
 func (t *Table) CopyFrom(src *Table) {
 	if len(src.sessions) > 0 {
 		panic("neighbor: CopyFrom a table with session marks")
@@ -192,17 +173,14 @@ func (t *Table) CopyFrom(src *Table) {
 	for s := int32(0); s < int32(src.nslots); s++ {
 		se, e := src.at(s), t.at(s)
 		e.ID = se.ID
-		e.LastSeen = se.LastSeen
 		e.Count = se.Count
 		e.groups = append(e.groups[:0], se.groups...)
-		e.present = se.present
 		e.slot = s
 		e.t = t
 	}
 	t.nslots = src.nslots
 	t.order = append(t.order[:0], src.order...)
 	t.idx.CopyFrom(&src.idx)
-	t.n = src.n
 }
 
 // session returns the registry index of key, or -1.
@@ -246,19 +224,11 @@ func (t *Table) MarkWords() int {
 
 // Observe records a HELLO from id carrying the given group memberships,
 // inserting or refreshing the entry.
-func (t *Table) Observe(id packet.NodeID, now sim.Time, groups []packet.GroupID) {
-	e := t.ensure(id, now)
+func (t *Table) Observe(id packet.NodeID, groups []packet.GroupID) {
+	e := t.ensure(id)
 	e.Count++
 	// Membership is replaced wholesale: HELLO carries the full set.
 	e.groups = append(e.groups[:0], groups...)
-}
-
-// Touch refreshes the timestamp of a known neighbor without changing
-// membership, e.g. on overheard data traffic. Unknown ids are ignored.
-func (t *Table) Touch(id packet.NodeID, now sim.Time) {
-	if e := t.Entry(id); e != nil {
-		e.LastSeen = now
-	}
 }
 
 // Entry returns the record for id, or nil.
@@ -267,60 +237,24 @@ func (t *Table) Entry(id packet.NodeID) *Entry {
 	if !ok {
 		return nil
 	}
-	if e := t.at(s); e.present {
-		return e
-	}
-	return nil
+	return t.at(s)
 }
 
 // Len returns the number of entries.
-func (t *Table) Len() int { return t.n }
+func (t *Table) Len() int { return t.nslots }
 
 // Slots returns the number of iteration slots; At(i) for i in [0, Slots())
 // visits every entry in ascending id order. Together they replace map
 // iteration without allocating an id slice.
 func (t *Table) Slots() int { return len(t.order) }
 
-// At returns the entry in iteration slot i, or nil if the neighbor that
-// occupied it has been recycled.
-func (t *Table) At(i int) *Entry {
-	if e := t.at(t.order[i]); e.present {
-		return e
-	}
-	return nil
-}
-
-// Expire recycles entries not seen within the expiry window, clearing
-// their per-session marks as well (the whole record is recycled — the
-// slot-reuse rule: a slot freed here keeps its id binding, and the id's
-// re-admission starts with a clean mark row).
-func (t *Table) Expire(now sim.Time) {
-	if t.expiry == 0 {
-		return
-	}
-	for _, s := range t.order {
-		e := t.at(s)
-		if e.present && now-e.LastSeen > t.expiry {
-			e.LastSeen = 0
-			e.Count = 0
-			e.groups = e.groups[:0]
-			e.present = false
-			t.n--
-			for i := range t.sessions {
-				t.covered[i].Clear(int(e.slot))
-				t.forwarder[i].Clear(int(e.slot))
-			}
-			if t.ref != nil {
-				t.ref.ClearNode(e.ID)
-			}
-		}
-	}
-}
+// At returns the entry in iteration slot i.
+func (t *Table) At(i int) *Entry { return t.at(t.order[i]) }
 
 // MarkCovered marks neighbor id as a covered receiver for the session.
 // Unknown neighbors get a skeleton entry (we clearly can hear them).
-func (t *Table) MarkCovered(id packet.NodeID, key packet.FloodKey, now sim.Time) {
-	e := t.ensure(id, now)
+func (t *Table) MarkCovered(id packet.NodeID, key packet.FloodKey) {
+	e := t.ensure(id)
 	t.covered[t.ensureSession(key)].Set(int(e.slot))
 	if t.ref != nil {
 		t.ref.MarkCovered(id, key)
@@ -328,20 +262,19 @@ func (t *Table) MarkCovered(id packet.NodeID, key packet.FloodKey, now sim.Time)
 }
 
 // MarkForwarder marks neighbor id as a known forwarder for the session.
-func (t *Table) MarkForwarder(id packet.NodeID, key packet.FloodKey, now sim.Time) {
-	e := t.ensure(id, now)
+func (t *Table) MarkForwarder(id packet.NodeID, key packet.FloodKey) {
+	e := t.ensure(id)
 	t.forwarder[t.ensureSession(key)].Set(int(e.slot))
 	if t.ref != nil {
 		t.ref.MarkForwarder(id, key)
 	}
 }
 
-func (t *Table) ensure(id packet.NodeID, now sim.Time) *Entry {
+func (t *Table) ensure(id packet.NodeID) *Entry {
 	s, ok := t.idx.Get(uint64(uint32(id)))
 	if !ok {
-		// New id: take the next slot (a recycled id reuses its old slot —
-		// the index keeps the binding, as the dense layout did), splice it
-		// into the sorted iteration order, register it.
+		// New id: take the next slot, splice it into the sorted iteration
+		// order, register it.
 		s = int32(t.nslots)
 		t.nslots++
 		if int(s)>>slabBits >= len(t.slabs) {
@@ -359,13 +292,7 @@ func (t *Table) ensure(id packet.NodeID, now sim.Time) *Entry {
 		t.order[i] = s
 		t.idx.Put(uint64(uint32(id)), s)
 	}
-	e := t.at(s)
-	if !e.present {
-		e.present = true
-		t.n++
-	}
-	e.LastSeen = now
-	return e
+	return t.at(s)
 }
 
 // Reliable reports whether id has been heard in at least minCount HELLOs.
@@ -398,7 +325,7 @@ func (t *Table) RelayProfit(key packet.FloodKey, exclude packet.NodeID) int {
 	n := 0
 	for _, o := range t.order {
 		e := t.at(o)
-		if !e.present || e.ID == exclude || e.ID == key.Source {
+		if e.ID == exclude || e.ID == key.Source {
 			continue
 		}
 		cov := s >= 0 && t.covered[s].Test(int(e.slot))
@@ -418,7 +345,7 @@ func (t *Table) MemberCount(g packet.GroupID, exclude packet.NodeID) int {
 	n := 0
 	for _, o := range t.order {
 		e := t.at(o)
-		if !e.present || e.ID == exclude {
+		if e.ID == exclude {
 			continue
 		}
 		if e.InGroup(g) {
@@ -430,11 +357,9 @@ func (t *Table) MemberCount(g packet.GroupID, exclude packet.NodeID) int {
 
 // IDs returns the neighbor ids currently in the table in ascending order.
 func (t *Table) IDs() []packet.NodeID {
-	out := make([]packet.NodeID, 0, t.n)
+	out := make([]packet.NodeID, 0, len(t.order))
 	for _, o := range t.order {
-		if e := t.at(o); e.present {
-			out = append(out, e.ID)
-		}
+		out = append(out, t.at(o).ID)
 	}
 	return out
 }

@@ -1,77 +1,42 @@
 package neighbor
 
 import (
+	"math/rand"
 	"testing"
 
 	"mtmrp/internal/packet"
-	"mtmrp/internal/sim"
 )
 
 var key = packet.FloodKey{Source: 0, Group: 1, Seq: 1}
 
 func TestObserveInsertAndRefresh(t *testing.T) {
-	tb := NewTable(0)
-	tb.Observe(3, 100, []packet.GroupID{1})
+	tb := NewTable()
+	tb.Observe(3, []packet.GroupID{1})
 	if tb.Len() != 1 {
 		t.Fatalf("Len = %d", tb.Len())
 	}
 	e := tb.Entry(3)
-	if e == nil || !e.InGroup(1) || e.LastSeen != 100 {
+	if e == nil || !e.InGroup(1) {
 		t.Fatalf("entry = %+v", e)
 	}
 	// Refresh with changed membership: replaced wholesale.
-	tb.Observe(3, 200, []packet.GroupID{2})
+	tb.Observe(3, []packet.GroupID{2})
 	e = tb.Entry(3)
-	if e.InGroup(1) || !e.InGroup(2) || e.LastSeen != 200 {
+	if e.InGroup(1) || !e.InGroup(2) || e.Count != 2 {
 		t.Errorf("refresh failed: %+v", e)
 	}
 }
 
-func TestExpire(t *testing.T) {
-	tb := NewTable(50)
-	tb.Observe(1, 100, nil)
-	tb.Observe(2, 140, nil)
-	tb.Expire(160)
-	if tb.Entry(1) != nil {
-		t.Error("stale entry should be recycled")
-	}
-	if tb.Entry(2) == nil {
-		t.Error("fresh entry should survive")
-	}
-}
-
-func TestExpireDisabled(t *testing.T) {
-	tb := NewTable(0)
-	tb.Observe(1, 0, nil)
-	tb.Expire(sim.Time(1) * sim.Second)
-	if tb.Entry(1) == nil {
-		t.Error("expiry 0 must never recycle")
-	}
-}
-
-func TestTouch(t *testing.T) {
-	tb := NewTable(0)
-	tb.Observe(1, 10, nil)
-	tb.Touch(1, 99)
-	if tb.Entry(1).LastSeen != 99 {
-		t.Error("Touch did not refresh")
-	}
-	tb.Touch(2, 99) // unknown: ignored
-	if tb.Entry(2) != nil {
-		t.Error("Touch must not insert")
-	}
-}
-
 func TestRelayProfitCountsUncoveredMembers(t *testing.T) {
-	tb := NewTable(0)
-	tb.Observe(1, 0, []packet.GroupID{1})
-	tb.Observe(2, 0, []packet.GroupID{1})
-	tb.Observe(3, 0, []packet.GroupID{2}) // other group
-	tb.Observe(4, 0, nil)                 // non-member
+	tb := NewTable()
+	tb.Observe(1, []packet.GroupID{1})
+	tb.Observe(2, []packet.GroupID{1})
+	tb.Observe(3, []packet.GroupID{2}) // other group
+	tb.Observe(4, nil)                 // non-member
 	if got := tb.RelayProfit(key, packet.NoNode); got != 2 {
 		t.Fatalf("RelayProfit = %d, want 2", got)
 	}
-	tb.MarkCovered(1, key, 5)
+	tb.MarkCovered(1, key)
 	if got := tb.RelayProfit(key, packet.NoNode); got != 1 {
 		t.Fatalf("after covering one: RelayProfit = %d, want 1", got)
 	}
@@ -83,9 +48,9 @@ func TestRelayProfitCountsUncoveredMembers(t *testing.T) {
 }
 
 func TestRelayProfitExcludesSourceAndExcluded(t *testing.T) {
-	tb := NewTable(0)
-	tb.Observe(0, 0, []packet.GroupID{1}) // the session source
-	tb.Observe(5, 0, []packet.GroupID{1})
+	tb := NewTable()
+	tb.Observe(0, []packet.GroupID{1}) // the session source
+	tb.Observe(5, []packet.GroupID{1})
 	if got := tb.RelayProfit(key, packet.NoNode); got != 1 {
 		t.Errorf("source must not count: %d", got)
 	}
@@ -95,10 +60,10 @@ func TestRelayProfitExcludesSourceAndExcluded(t *testing.T) {
 }
 
 func TestMemberCount(t *testing.T) {
-	tb := NewTable(0)
-	tb.Observe(1, 0, []packet.GroupID{1})
-	tb.Observe(2, 0, []packet.GroupID{1})
-	tb.MarkCovered(1, key, 0) // coverage is irrelevant to MemberCount
+	tb := NewTable()
+	tb.Observe(1, []packet.GroupID{1})
+	tb.Observe(2, []packet.GroupID{1})
+	tb.MarkCovered(1, key) // coverage is irrelevant to MemberCount
 	if got := tb.MemberCount(1, packet.NoNode); got != 2 {
 		t.Errorf("MemberCount = %d, want 2", got)
 	}
@@ -108,11 +73,11 @@ func TestMemberCount(t *testing.T) {
 }
 
 func TestForwarderMarks(t *testing.T) {
-	tb := NewTable(0)
+	tb := NewTable()
 	if tb.HasForwarder(key) {
 		t.Error("empty table has no forwarders")
 	}
-	tb.MarkForwarder(7, key, 10)
+	tb.MarkForwarder(7, key)
 	if !tb.HasForwarder(key) {
 		t.Error("forwarder mark not visible")
 	}
@@ -127,10 +92,10 @@ func TestForwarderMarks(t *testing.T) {
 }
 
 func TestMarksCreateSkeletonEntries(t *testing.T) {
-	tb := NewTable(0)
-	tb.MarkCovered(9, key, 42)
+	tb := NewTable()
+	tb.MarkCovered(9, key)
 	e := tb.Entry(9)
-	if e == nil || !e.Covered(key) || e.LastSeen != 42 {
+	if e == nil || !e.Covered(key) {
 		t.Fatalf("skeleton entry = %+v", e)
 	}
 	// A skeleton has no memberships until a HELLO arrives.
@@ -140,15 +105,15 @@ func TestMarksCreateSkeletonEntries(t *testing.T) {
 }
 
 func TestHelloCountAndReliable(t *testing.T) {
-	tb := NewTable(0)
-	tb.Observe(1, 10, nil)
+	tb := NewTable()
+	tb.Observe(1, nil)
 	if !tb.Reliable(1, 1) {
 		t.Error("one hello should satisfy minCount 1")
 	}
 	if tb.Reliable(1, 2) {
 		t.Error("one hello should not satisfy minCount 2")
 	}
-	tb.Observe(1, 20, nil)
+	tb.Observe(1, nil)
 	if !tb.Reliable(1, 2) {
 		t.Error("two hellos should satisfy minCount 2")
 	}
@@ -166,27 +131,17 @@ func TestHelloCountAndReliable(t *testing.T) {
 }
 
 func TestMarksDoNotInflateCount(t *testing.T) {
-	tb := NewTable(0)
-	tb.MarkForwarder(5, key, 1)
+	tb := NewTable()
+	tb.MarkForwarder(5, key)
 	if tb.Reliable(5, 1) {
 		t.Error("overhearing marks must not count as beacons")
 	}
 }
 
-func TestSetExpiry(t *testing.T) {
-	tb := NewTable(0)
-	tb.Observe(1, 0, nil)
-	tb.SetExpiry(10)
-	tb.Expire(100)
-	if tb.Entry(1) != nil {
-		t.Error("SetExpiry not applied")
-	}
-}
-
 func TestIDs(t *testing.T) {
-	tb := NewTable(0)
-	tb.Observe(1, 0, nil)
-	tb.Observe(2, 0, nil)
+	tb := NewTable()
+	tb.Observe(1, nil)
+	tb.Observe(2, nil)
 	ids := tb.IDs()
 	if len(ids) != 2 {
 		t.Fatalf("IDs = %v", ids)
@@ -197,5 +152,54 @@ func TestIDs(t *testing.T) {
 	}
 	if !seen[1] || !seen[2] {
 		t.Errorf("IDs = %v", ids)
+	}
+}
+
+// TestEveryIterationSlotHoldsAnEntry pins the invariant that entries are
+// never evicted: after any mix of Observe, Mark, Reset and CopyFrom, the
+// table has one entry per iteration slot, At never returns nil, and
+// iteration visits each entry once in ascending id order.
+func TestEveryIterationSlotHoldsAnEntry(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tb, src := NewTable(), NewTable()
+	for op := 0; op < 5000; op++ {
+		id := packet.NodeID(rng.Intn(60))
+		k := packet.FloodKey{Source: 0, Group: 1, Seq: uint32(rng.Intn(4))}
+		switch rng.Intn(8) {
+		case 0, 1:
+			tb.Observe(id, []packet.GroupID{1})
+		case 2:
+			tb.MarkCovered(id, k)
+		case 3:
+			tb.MarkForwarder(id, k)
+		case 4:
+			src.Observe(id, nil)
+		case 5:
+			if rng.Intn(20) == 0 {
+				tb.Reset()
+			}
+		case 6:
+			if rng.Intn(20) == 0 {
+				tb.CopyFrom(src)
+			}
+		case 7:
+			if rng.Intn(40) == 0 {
+				src.Reset()
+			}
+		}
+		if tb.Len() != tb.Slots() {
+			t.Fatalf("op %d: Len = %d, Slots = %d", op, tb.Len(), tb.Slots())
+		}
+		last := packet.NodeID(-1)
+		for i := 0; i < tb.Slots(); i++ {
+			e := tb.At(i)
+			if e == nil {
+				t.Fatalf("op %d: At(%d) = nil", op, i)
+			}
+			if e.ID <= last || tb.Entry(e.ID) != e {
+				t.Fatalf("op %d: At(%d) = id %d after id %d", op, i, e.ID, last)
+			}
+			last = e.ID
+		}
 	}
 }

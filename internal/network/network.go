@@ -359,7 +359,8 @@ func (n *Node) InGroup(g packet.GroupID) bool {
 func (n *Node) Groups() []packet.GroupID { return n.groups }
 
 // Fail takes the node down: it stops sending, receiving and timing out.
-// Used by the failure-injection tests and the route-repair extension.
+// Used by the fault schedule (internal/fault) and the failure-injection
+// tests.
 func (n *Node) Fail() { n.down = true }
 
 // Recover brings a failed node back (fresh protocol state is the caller's

@@ -28,13 +28,12 @@ import (
 
 // Config carries the timing shared by all protocols.
 type Config struct {
-	HelloInterval  sim.Time // beacon period during initialization
-	HelloRounds    int      // beacons per node (finite so runs quiesce)
-	HelloJitter    sim.Time // uniform jitter on each beacon
-	NeighborExpiry sim.Time // neighbor-table aging; 0 disables
-	ReplyJitter    sim.Time // delay before a receiver originates a JoinReply
-	RelayJitter    sim.Time // delay before a forwarder relays a JoinReply
-	DataJitter     sim.Time // delay before a forwarder relays DATA
+	HelloInterval sim.Time // beacon period during initialization
+	HelloRounds   int      // beacons per node (finite so runs quiesce)
+	HelloJitter   sim.Time // uniform jitter on each beacon
+	ReplyJitter   sim.Time // delay before a receiver originates a JoinReply
+	RelayJitter   sim.Time // delay before a forwarder relays a JoinReply
+	DataJitter    sim.Time // delay before a forwarder relays DATA
 
 	// MinHelloCount gates route learning on link quality: a JoinQuery is
 	// accepted for reverse-path learning only from senders heard in at
@@ -182,11 +181,6 @@ type Base struct {
 	pendFree []*pending
 
 	nextSeq uint32
-
-	// Route-maintenance extension state (repair.go).
-	maint       *MaintenanceConfig
-	onRouteLoss func(packet.FloodKey)
-	repairs     int
 }
 
 // NewBase constructs the engine for one node. name labels the protocol in
@@ -245,9 +239,9 @@ func (b *Base) freePending(pd *pending) {
 // Reset rewinds the node to its just-attached state for session reuse:
 // all per-session state and the neighbor table are emptied in place and
 // the protocol RNG is re-derived from the node's (already reseeded)
-// stream, exactly as Attach derived it. Maintenance extensions are
-// disarmed; pending blocks still referenced by the previous simulator are
-// simply dropped (the simulator's Reset released them to the GC).
+// stream, exactly as Attach derived it. Pending blocks still referenced
+// by the previous simulator are simply dropped (the simulator's Reset
+// released them to the GC).
 func (b *Base) Reset() {
 	if b.node == nil {
 		panic(fmt.Sprintf("proto(%s): Reset before Attach", b.name))
@@ -260,9 +254,6 @@ func (b *Base) Reset() {
 	}
 	b.sessions = b.sessions[:0]
 	b.nextSeq = 0
-	b.maint = nil
-	b.onRouteLoss = nil
-	b.repairs = 0
 }
 
 // AdoptHello gives b the state src reached in the HELLO phase: the
@@ -301,7 +292,7 @@ func (b *Base) Attach(n *network.Node) {
 	b.node = n
 	b.n = len(n.Net().Nodes)
 	b.rnd = n.Rand.Derive("proto")
-	b.NT = neighbor.NewTable(b.cfg.NeighborExpiry)
+	b.NT = neighbor.NewTable()
 }
 
 // Start implements network.Protocol: it schedules the HELLO rounds of the
@@ -359,7 +350,7 @@ func (b *Base) Receive(p *packet.Packet) {
 }
 
 func (b *Base) onHello(p *packet.Packet) {
-	b.NT.Observe(p.From, b.node.Now(), p.Hello.Groups)
+	b.NT.Observe(p.From, p.Hello.Groups)
 }
 
 // --- Multicast session API (used by the experiment harness) ---
@@ -409,10 +400,6 @@ func (b *Base) IsForwarder(key packet.FloodKey) bool {
 	s := b.sess(key)
 	return s != nil && b.fgActive(s)
 }
-
-// SetForwarder force-sets the FG flag (used by route-repair extensions and
-// tests).
-func (b *Base) SetForwarder(key packet.FloodKey) { b.markForwarder(b.ensureSess(key)) }
 
 // SetFGLifetime retunes the soft-state forwarder lifetime (0 = flags never
 // expire). The session harness applies scenario traffic options through
@@ -486,7 +473,7 @@ func (b *Base) HasUphillForwarder(key packet.FloodKey) bool {
 	}
 	for i, slots := 0, b.NT.Slots(); i < slots; i++ {
 		e := b.NT.At(i)
-		if e == nil || !e.Forwarder(key) {
+		if !e.Forwarder(key) {
 			continue
 		}
 		if h, ok := s.nbrHop.Get(uint64(uint32(e.ID))); ok && h < s.route.HopCount {
@@ -617,9 +604,9 @@ func (b *Base) onJoinReply(p *packet.Packet) {
 		// forwarder would poison the path handover scheme.
 		if b.hooks.Overhear && b.NT.Entry(p.From) != nil {
 			if r.ReceiverID != r.NodeID {
-				b.NT.MarkForwarder(p.From, key, b.node.Now())
+				b.NT.MarkForwarder(p.From, key)
 			} else {
-				b.NT.MarkCovered(p.From, key, b.node.Now())
+				b.NT.MarkCovered(p.From, key)
 			}
 		}
 		return

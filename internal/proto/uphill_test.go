@@ -44,11 +44,11 @@ func TestHasUphillForwarderRequiresSmallerHop(t *testing.T) {
 	}
 	// A downhill forwarder must NOT enable handover: mark node 3 (hop 3).
 	b3 := bases[3]
-	b3.NT.MarkForwarder(2, key, 0) // irrelevant, just exercise the path
-	b2.NT.MarkForwarder(3, key, 0)
+	b3.NT.MarkForwarder(2, key) // irrelevant, just exercise the path
+	b2.NT.MarkForwarder(3, key)
 	// Remove the uphill mark to isolate the check.
 	fresh := packet.FloodKey{Source: 0, Group: 1, Seq: 99}
-	b2.NT.MarkForwarder(3, fresh, 0)
+	b2.NT.MarkForwarder(3, fresh)
 	if b2.HasUphillForwarder(fresh) {
 		t.Error("session with no route must never report an uphill forwarder")
 	}
@@ -80,7 +80,7 @@ func TestDownhillAnchorRejected(t *testing.T) {
 	key := bases[0].FloodQuery(1)
 
 	// Poison node 1's table mid-flood: claim node 2 (downhill) forwards.
-	bases[1].NT.MarkForwarder(2, key, 0)
+	bases[1].NT.MarkForwarder(2, key)
 	net.Run()
 
 	// Node 1 must still have relayed the JR toward the source rather than
