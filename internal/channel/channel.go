@@ -399,7 +399,15 @@ func (c *Channel) Duration(sizeBytes int) sim.Time {
 
 // NeighborCount returns the number of decode-range neighbors of node i
 // (used by tests and diagnostics).
-func (c *Channel) NeighborCount(i int) int { return len(c.links.rx[i]) }
+func (c *Channel) NeighborCount(i int) int {
+	n := 0
+	for _, l := range c.links.cs[i] {
+		if l.rx() {
+			n++
+		}
+	}
+	return n
+}
 
 // Package-level event callbacks: scheduling through sim.AfterCall with a
 // pre-existing func value and pointer arguments keeps the hot path free of
@@ -538,32 +546,27 @@ func (c *Channel) transmitInto(i int, p *packet.Packet) sim.Time {
 func (c *Channel) fanOut(i int, p *packet.Packet, dur sim.Time, cs []link) int32 {
 	rank := c.fanOrder(i, cs)
 	f := c.newFan(len(cs))
-	// The rx list is a subset of the CS list, both ascending by
-	// destination, walked in lockstep. With shadowing enabled the arrival
-	// candidates widen to the whole carrier disc and each link rolls its
-	// own fading draw. The loss model sits after decodability: a frame the
-	// PHY could decode is corrupted link by link (chain step + degradation
-	// draws), and a dropped frame still occupies the medium — the receiver
-	// senses carrier without getting a packet.
+	// A link flagged rx lies inside the decode disc. With shadowing
+	// enabled the arrival candidates widen to the whole carrier disc and
+	// each link rolls its own fading draw. The loss model sits after
+	// decodability: a frame the PHY could decode is corrupted link by
+	// link (chain step + degradation draws), and a dropped frame still
+	// occupies the medium — the receiver senses carrier without getting a
+	// packet.
 	shadow := c.cfg.ShadowingSigmaDB > 0
 	lossy := c.loss != nil || c.degraded != nil
-	rxl := c.links.rx[i]
-	ri := 0
 	var arrivals int32
 	for k, l := range cs {
-		if l.delay >= dur {
+		to, delay := l.to(), l.delay()
+		if delay >= dur {
 			panic(fmt.Sprintf("channel: %v frame does not outlast the %v propagation delay from node %d to %d",
-				dur, l.delay, i, l.to))
-		}
-		inRX := ri < len(rxl) && rxl[ri].to == l.to
-		if inRX {
-			ri++
+				dur, delay, i, to))
 		}
 		j := rank[k]
-		f.offs[j] = l.delay
+		f.offs[j] = delay
 		m := &f.mem[j]
-		m.to = l.to
-		m.rx = (inRX || shadow) && c.decodable(l) && (!lossy || c.linkUp(i, l.to))
+		m.to = to
+		m.rx = (l.rx() || shadow) && c.decodable(l) && (!lossy || c.linkUp(i, to))
 		if m.rx {
 			m.arr = arrival{pkt: p}
 			arrivals++
@@ -587,7 +590,7 @@ func (c *Channel) fanOrder(i int, cs []link) []int32 {
 	// times over (2^32 ns is 1.3 million km of propagation).
 	keys := c.fanKeys[:0]
 	for k, l := range cs {
-		keys = append(keys, uint64(l.delay)<<32|uint64(k))
+		keys = append(keys, uint64(l.delayNS)<<32|uint64(k))
 	}
 	slices.Sort(keys)
 	rank := c.rank[i]

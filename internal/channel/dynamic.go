@@ -20,13 +20,18 @@ import (
 //     Rebind use, computing each pair's distance once. A tick in which
 //     (nearly) every node moves costs one build, and build, rebind and
 //     motion share one path.
-//   - Move relocates a single node and recomputes only its incident RX/CS
-//     edges: the grid re-buckets the node, its own lists are rebuilt from
-//     the grid's candidates, and each neighbor's reverse edge is
-//     overwritten in place, inserted or removed — O(density) work per
-//     move, independent of the total node count.
+//   - Move relocates a single node and recomputes only its incident
+//     edges: the grid re-buckets the node, its own list is rebuilt from
+//     the grid's candidates, and each neighbor's reverse edge (decode-range
+//     flag included) is overwritten in place, inserted or removed —
+//     O(density) work per move, independent of the total node count.
 //
-// An edit bumps the version of every node whose lists it edits, which
+// Both edits write into each node's existing list storage. The lists
+// start as the exact-capacity runs NewLinkTable carves from one flat
+// slice; a list that outgrows its run moves to its own allocation and
+// keeps it, so later ticks reuse it too.
+//
+// An edit bumps the version of every node whose list it edits, which
 // invalidates the channel's cached fan order for that node; MoveAll bumps
 // only the nodes whose lists came out different.
 //
@@ -49,9 +54,9 @@ type DynamicLinkTable struct {
 	grid      *geom.GridIndex
 	scratch   fillScratch // fill and grid-query scratch
 
-	// Move swaps the mover's lists with these spares, so it can rebuild
-	// them while it still reads the old ones.
-	spareCS, spareRX []link
+	// Move swaps the mover's list with this spare, so it can rebuild it
+	// while it still reads the old one.
+	spare []link
 }
 
 // NewDynamicLinkTable builds a dynamic table over the starting positions.
@@ -73,8 +78,9 @@ func NewDynamicLinkTable(positions []geom.Point, params radio.Params) *DynamicLi
 }
 
 // Rebind rewinds the table to a fresh build over the given starting
-// positions, reusing the per-node list storage. Session.Reset calls it so
-// a pooled mobile session starts every run from the same state a fresh
+// positions, reusing the per-node list storage when the node count is
+// unchanged and carving it afresh otherwise. Session.Reset calls it so a
+// pooled mobile session starts every run from the same state a fresh
 // NewDynamicLinkTable would produce.
 func (d *DynamicLinkTable) Rebind(positions []geom.Point) {
 	n := len(positions)
@@ -84,15 +90,14 @@ func (d *DynamicLinkTable) Rebind(positions []geom.Point) {
 	}
 	d.positions = d.positions[:n]
 	copy(d.positions, positions)
-	if len(d.t.rx) != n {
-		d.t.rx = make([][]link, n)
-		d.t.cs = make([][]link, n)
+	d.grid = geom.NewGridIndex(d.positions, d.t.csRange/2)
+	if len(d.t.cs) != n {
 		d.t.ver = make([]uint64, n)
+		d.t.carve(d.positions, d.grid, &d.scratch)
 	}
 	for i := range d.t.ver {
 		d.t.ver[i]++
 	}
-	d.grid = geom.NewGridIndex(d.positions, d.t.csRange/2)
 	d.t.fillGrid(d.positions, d.grid, &d.scratch)
 }
 
@@ -110,8 +115,8 @@ func (d *DynamicLinkTable) Position(i int) geom.Point { return d.positions[i] }
 // refills the whole table over the new positions. Nodes whose position is
 // unchanged are not re-bucketed, and a tick in which no node moved returns
 // at once. The refill runs through fillGrid, which compares each node's
-// new lists with the ones it overwrites: only a node whose CS or RX list
-// came out different has its version bumped, and an unchanged node keeps
+// new list with the one it overwrites: only a node whose list came out
+// different has its version bumped, and an unchanged node keeps
 // its cached fan order. Once every list's storage has reached its
 // high-water mark, a tick allocates nothing.
 func (d *DynamicLinkTable) MoveAll(ps []geom.Point) {
@@ -140,33 +145,24 @@ func (d *DynamicLinkTable) MoveAll(ps []geom.Point) {
 // Move relocates node i to p and incrementally updates every edge
 // incident to it. The carrier-sense disc is symmetric, so cs[i] lists
 // exactly the nodes holding a reverse edge back to i — no scan over the
-// other n-1 nodes is ever needed. Node i's lists are rebuilt from the
-// grid; the old and new lists, both ascending by destination, are then
+// other n-1 nodes is ever needed. Node i's list is rebuilt from the grid;
+// the old and new lists, both ascending by destination, are then
 // merge-walked so a neighbor that stays inside the CS disc has its
-// reverse edge overwritten in place, and only neighbors that left or
-// arrived (or crossed the RX radius) pay a list insert or remove.
+// reverse edge (and decode-range flag) overwritten in place, and only
+// neighbors that left or arrived pay a list insert or remove.
 func (d *DynamicLinkTable) Move(i int, p geom.Point) {
 	if p == d.positions[i] {
 		return
 	}
 	t := &d.t
-	oldCS, oldRX := t.cs[i], t.rx[i]
-	t.cs[i], t.rx[i] = d.spareCS[:0], d.spareRX[:0]
+	old := t.cs[i]
+	t.cs[i] = d.spare[:0]
 	d.positions[i] = p
 	d.grid.Move(i, p)
 	rx, cs := t.rxRange, t.csRange
 	model, txPower := t.params.Model, t.params.TxPower
 	t.ver[i]++
-	oc, orx := 0, 0 // cursors into oldCS and oldRX
-	// wasRX reports whether oldCS[oc] was also an RX neighbor, advancing
-	// the RX cursor in lockstep (oldRX is a subset of oldCS).
-	wasRX := func() bool {
-		if orx < len(oldRX) && oldRX[orx].to == oldCS[oc].to {
-			orx++
-			return true
-		}
-		return false
-	}
+	oc := 0 // cursor into old
 	d.scratch.cand = d.grid.Candidates(p, cs, d.scratch.cand[:0])
 	for _, j := range d.scratch.cand {
 		if j == i {
@@ -179,68 +175,48 @@ func (d *DynamicLinkTable) Move(i int, p geom.Point) {
 		if dist > cs {
 			continue
 		}
-		for ; oc < len(oldCS) && oldCS[oc].to < j; oc++ {
-			d.unlink(oldCS[oc].to, i, wasRX())
+		for ; oc < len(old) && old[oc].to() < j; oc++ {
+			d.unlink(old[oc].to(), i)
 		}
-		fwd := link{
-			to:    j,
-			delay: sim.Seconds(radio.PropDelay(dist)),
-			power: model.ReceivedPower(txPower, dist),
-		}
-		t.cs[i] = append(t.cs[i], fwd)
+		delay := sim.Seconds(radio.PropDelay(dist))
+		power := model.ReceivedPower(txPower, dist)
 		inRX := dist <= rx
-		if inRX {
-			t.rx[i] = append(t.rx[i], fwd)
-		}
-		rev := link{to: i, delay: fwd.delay, power: fwd.power}
+		t.cs[i] = append(t.cs[i], makeLink(j, inRX, delay, power))
+		rev := makeLink(i, inRX, delay, power)
 		t.ver[j]++
-		if oc < len(oldCS) && oldCS[oc].to == j {
-			// Still inside the CS disc: edit the reverse edges in place.
+		if oc < len(old) && old[oc].to() == j {
+			// Still inside the CS disc: edit the reverse edge in place.
 			setLinkTo(t.cs[j], rev)
-			switch was := wasRX(); {
-			case inRX && was:
-				setLinkTo(t.rx[j], rev)
-			case inRX:
-				t.rx[j] = insertLinkTo(t.rx[j], rev)
-			case was:
-				t.rx[j] = removeLinkTo(t.rx[j], i)
-			}
 			oc++
 		} else {
 			t.cs[j] = insertLinkTo(t.cs[j], rev)
-			if inRX {
-				t.rx[j] = insertLinkTo(t.rx[j], rev)
-			}
 		}
 	}
-	for ; oc < len(oldCS); oc++ {
-		d.unlink(oldCS[oc].to, i, wasRX())
+	for ; oc < len(old); oc++ {
+		d.unlink(old[oc].to(), i)
 	}
-	d.spareCS, d.spareRX = oldCS, oldRX
+	d.spare = old
 }
 
-// unlink removes node j's reverse edges back to i, which has left j's
+// unlink removes node j's reverse edge back to i, which has left j's
 // carrier-sense disc.
-func (d *DynamicLinkTable) unlink(j, i int, rx bool) {
+func (d *DynamicLinkTable) unlink(j, i int) {
 	d.t.ver[j]++
 	d.t.cs[j] = removeLinkTo(d.t.cs[j], i)
-	if rx {
-		d.t.rx[j] = removeLinkTo(d.t.rx[j], i)
-	}
 }
 
 // searchLinkTo returns the index of the first edge in ls, a list
 // ascending by destination, whose destination is at least to.
 func searchLinkTo(ls []link, to int) int {
-	return sort.Search(len(ls), func(k int) bool { return ls[k].to >= to })
+	return sort.Search(len(ls), func(k int) bool { return ls[k].to() >= to })
 }
 
-// setLinkTo overwrites the edge to l.to in a list ascending by
+// setLinkTo overwrites the edge to l.to() in a list ascending by
 // destination.
 func setLinkTo(ls []link, l link) {
-	i := searchLinkTo(ls, l.to)
-	if i >= len(ls) || ls[i].to != l.to {
-		panic(fmt.Sprintf("channel: dynamic link table missing reverse edge to %d", l.to))
+	i := searchLinkTo(ls, l.to())
+	if i >= len(ls) || ls[i].to() != l.to() {
+		panic(fmt.Sprintf("channel: dynamic link table missing reverse edge to %d", l.to()))
 	}
 	ls[i] = l
 }
@@ -249,18 +225,19 @@ func setLinkTo(ls []link, l link) {
 // ascending by destination, preserving order.
 func removeLinkTo(ls []link, to int) []link {
 	i := searchLinkTo(ls, to)
-	if i >= len(ls) || ls[i].to != to {
+	if i >= len(ls) || ls[i].to() != to {
 		panic(fmt.Sprintf("channel: dynamic link table missing reverse edge to %d", to))
 	}
 	copy(ls[i:], ls[i+1:])
 	return ls[:len(ls)-1]
 }
 
-// insertLinkTo inserts l into a list ascending by destination.
+// insertLinkTo inserts l into a list ascending by destination. A list at
+// the capacity of its carved run moves to its own allocation.
 func insertLinkTo(ls []link, l link) []link {
-	i := searchLinkTo(ls, l.to)
-	if i < len(ls) && ls[i].to == l.to {
-		panic(fmt.Sprintf("channel: dynamic link table duplicate edge to %d", l.to))
+	i := searchLinkTo(ls, l.to())
+	if i < len(ls) && ls[i].to() == l.to() {
+		panic(fmt.Sprintf("channel: dynamic link table duplicate edge to %d", l.to()))
 	}
 	ls = append(ls, link{})
 	copy(ls[i+1:], ls[i:])

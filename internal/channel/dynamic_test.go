@@ -11,38 +11,36 @@ import (
 	"mtmrp/internal/rng"
 )
 
-// linksEqual compares two link tables edge by edge, treating a nil list
-// and an empty list as equal (a freshly built table leaves isolated nodes
-// nil; an incrementally updated one may have truncated a list to empty).
+// linksEqual compares two link tables edge by edge, decode-range flags
+// included, treating a nil list and an empty list as equal.
 func linksEqual(a, b *LinkTable) error {
 	if a.n != b.n {
 		return fmt.Errorf("node count %d vs %d", a.n, b.n)
 	}
-	cmp := func(kind string, x, y [][]link) error {
-		for i := range x {
-			if len(x[i]) != len(y[i]) {
-				return fmt.Errorf("%s[%d]: %d links vs %d", kind, i, len(x[i]), len(y[i]))
-			}
-			for k := range x[i] {
-				if x[i][k] != y[i][k] {
-					return fmt.Errorf("%s[%d][%d]: %+v vs %+v", kind, i, k, x[i][k], y[i][k])
-				}
+	for i := range a.cs {
+		x, y := a.cs[i], b.cs[i]
+		if len(x) != len(y) {
+			return fmt.Errorf("cs[%d]: %d links vs %d", i, len(x), len(y))
+		}
+		for k := range x {
+			if x[k] != y[k] {
+				return fmt.Errorf("cs[%d][%d]: %v vs %v", i, k, x[k], y[k])
 			}
 		}
-		return nil
 	}
-	if err := cmp("rx", a.rx, b.rx); err != nil {
-		return err
-	}
-	return cmp("cs", a.cs, b.cs)
+	return nil
+}
+
+func (l link) String() string {
+	return fmt.Sprintf("{to %d rx %v delay %v power %g}", l.to(), l.rx(), l.delay(), l.power)
 }
 
 // Move kinds for the differentials. A teleport keeps no neighbor; a
 // step (±0.5–2 m per axis: one 100 ms mobility tick at 5–20 m/s) keeps
 // almost all of them, so their reverse edges are edited in place; an RX
 // hop crosses one neighbor's decode radius while staying inside its
-// carrier-sense disc, so that neighbor's rx list alone gains or loses the
-// mover.
+// carrier-sense disc, so that neighbor's reverse edge flips its
+// decode-range flag.
 const (
 	teleport = iota
 	step
@@ -69,7 +67,7 @@ func drawMove(r *rng.RNG, dyn *DynamicLinkTable, id, kind int, lo, hi float64) g
 		if len(cs) == 0 {
 			break
 		}
-		j := cs[r.Intn(len(cs))].to
+		j := cs[r.Intn(len(cs))].to()
 		q := dyn.Position(j)
 		dir := p.Sub(q)
 		if n := dir.Norm(); n > 0 {
@@ -95,30 +93,21 @@ type moveCoverage struct {
 
 func (c *moveCoverage) add(dyn *DynamicLinkTable, id int, p geom.Point) {
 	before := map[int]bool{} // CS neighbor -> in RX
-	rxl := dyn.t.rx[id]
 	for _, l := range dyn.t.cs[id] {
-		before[l.to] = len(rxl) > 0 && rxl[0].to == l.to
-		if before[l.to] {
-			rxl = rxl[1:]
-		}
+		before[l.to()] = l.rx()
 	}
 	dyn.Move(id, p)
-	rxl = dyn.t.rx[id]
 	for _, l := range dyn.t.cs[id] {
-		inRX := len(rxl) > 0 && rxl[0].to == l.to
-		if inRX {
-			rxl = rxl[1:]
-		}
-		wasRX, kept := before[l.to]
+		wasRX, kept := before[l.to()]
 		switch {
 		case !kept:
 			c.arrivals++
-		case wasRX != inRX:
+		case wasRX != l.rx():
 			c.rxFlips++
 		default:
 			c.kept++
 		}
-		delete(before, l.to)
+		delete(before, l.to())
 	}
 	c.exits += len(before)
 }
@@ -159,6 +148,58 @@ func TestDynamicLinkTableMatchesRebuild(t *testing.T) {
 	if !cov[step].complete() || cov[rxHop].rxFlips == 0 {
 		t.Errorf("moves missed a path of Move: steps %+v, RX hops %+v", cov[step], cov[rxHop])
 	}
+}
+
+// TestCarvedRunsSpillOnMove is the carving differential. A dynamic table
+// starts with every list carved at its exact length from one flat slice.
+// Moving sparse-field nodes one by one into a dense cluster grows the
+// cluster's lists past their runs, so they must move to their own
+// storage without writing into the runs next to them; after every move,
+// and after a MoveAll tick back to the start and a Rebind, each list
+// must equal a fresh NewLinkTable rebuild, decode-range flags included.
+func TestCarvedRunsSpillOnMove(t *testing.T) {
+	params := radio.MustDefault80211Params(40, 2.2)
+	r := rng.New(11)
+	const clustered = 40
+	start := randomField(120, 400, r)
+	for i := range clustered {
+		start[i] = geom.Point{X: 200 + r.Range(-15, 15), Y: 200 + r.Range(-15, 15)}
+	}
+	pts := slices.Clone(start)
+	dyn := NewDynamicLinkTable(pts, params)
+	if err := carvedFlat(dyn.Table()); err != nil {
+		t.Fatalf("initial build: %v", err)
+	}
+	spilled := 0
+	for id := clustered; id < clustered+10; id++ {
+		caps := make([]int, len(pts))
+		for j, ls := range dyn.t.cs {
+			caps[j] = cap(ls)
+		}
+		p := geom.Point{X: 200 + r.Range(-5, 5), Y: 200 + r.Range(-5, 5)}
+		dyn.Move(id, p)
+		pts[id] = p
+		for j, ls := range dyn.t.cs {
+			if len(ls) > caps[j] {
+				spilled++
+			}
+		}
+		if err := linksEqual(dyn.Table(), NewLinkTable(pts, params)); err != nil {
+			t.Fatalf("after moving node %d into the cluster: %v", id, err)
+		}
+	}
+	if spilled < clustered {
+		t.Fatalf("only %d lists outgrew their runs, want at least %d", spilled, clustered)
+	}
+	dyn.MoveAll(start)
+	if err := linksEqual(dyn.Table(), NewLinkTable(start, params)); err != nil {
+		t.Fatalf("after a MoveAll tick back to the start: %v", err)
+	}
+	dyn.Rebind(pts)
+	if err := linksEqual(dyn.Table(), NewLinkTable(pts, params)); err != nil {
+		t.Fatalf("after Rebind onto the clustered positions: %v", err)
+	}
+	t.Logf("%d lists outgrew their carved runs", spilled)
 }
 
 // TestDynamicLinkTableQuick widens the differential over random field
@@ -287,7 +328,7 @@ func TestDynamicLinkTableMoveAll(t *testing.T) {
 				ps[r.Intn(len(ps))] = geom.Point{X: r.Range(-side, 2*side), Y: r.Range(-side, 2*side)}
 			}
 		}
-		beforeCS, beforeRX := cloneLists(dyn.t.cs), cloneLists(dyn.t.rx)
+		before := cloneLists(dyn.t.cs)
 		beforeVer := slices.Clone(dyn.t.ver)
 
 		dyn.MoveAll(ps)
@@ -301,7 +342,7 @@ func TestDynamicLinkTableMoveAll(t *testing.T) {
 			t.Fatalf("tick %d (kind %d) vs per-node Move: %v", tick, kind, err)
 		}
 		for i := range ps {
-			changed := !slices.Equal(dyn.t.cs[i], beforeCS[i]) || !slices.Equal(dyn.t.rx[i], beforeRX[i])
+			changed := !slices.Equal(dyn.t.cs[i], before[i])
 			want := beforeVer[i]
 			if changed {
 				want++

@@ -66,20 +66,15 @@ func (c *Channel) refTransmit(i int, p *packet.Packet) sim.Time {
 	c.sim.AfterCall(dur, txEndCB, c, i)
 	shadow := c.cfg.ShadowingSigmaDB > 0
 	lossy := c.loss != nil || c.degraded != nil
-	rxl := c.links.rx[i]
-	ri := 0
 	for _, l := range c.links.cs[i] {
-		inRX := ri < len(rxl) && rxl[ri].to == l.to
-		if inRX {
-			ri++
-		}
-		if (inRX || shadow) && c.decodable(l) && (!lossy || c.linkUp(i, l.to)) {
+		to, delay := l.to(), l.delay()
+		if (l.rx() || shadow) && c.decodable(l) && (!lossy || c.linkUp(i, to)) {
 			a := &refArrival{c: c, a: arrival{pkt: p}}
-			c.sim.AfterCall(l.delay, refSigArrStartCB, a, l.to)
-			c.sim.AfterCall(l.delay+dur, refSigArrEndCB, a, l.to)
+			c.sim.AfterCall(delay, refSigArrStartCB, a, to)
+			c.sim.AfterCall(delay+dur, refSigArrEndCB, a, to)
 		} else {
-			c.sim.AfterCall(l.delay, refSigStartCB, c, l.to)
-			c.sim.AfterCall(l.delay+dur, refSigEndCB, c, l.to)
+			c.sim.AfterCall(delay, refSigStartCB, c, to)
+			c.sim.AfterCall(delay+dur, refSigEndCB, c, to)
 		}
 	}
 	return dur
@@ -334,7 +329,7 @@ func TestRandomFieldFanEntries(t *testing.T) {
 	for i, cs := range c.links.cs {
 		seen := map[sim.Time]bool{}
 		for _, l := range cs {
-			seen[l.delay] = true
+			seen[l.delay()] = true
 		}
 		if len(seen) > delays {
 			node, delays = i, len(seen)

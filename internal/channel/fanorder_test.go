@@ -164,8 +164,8 @@ func TestFanOrderCacheFollowsMoves(t *testing.T) {
 		d.Move(0, to)
 	}
 	tab := dyns[0].Table()
-	if !hasLinkTo(tab.cs[3], 0) || hasLinkTo(tab.cs[4], 0) ||
-		hasLinkTo(tab.rx[5], 0) || !hasLinkTo(tab.rx[6], 0) || !hasLinkTo(tab.cs[5], 0) {
+	if !hasLinkTo(tab.cs[3], 0, false) || hasLinkTo(tab.cs[4], 0, false) ||
+		hasLinkTo(tab.cs[5], 0, true) || !hasLinkTo(tab.cs[6], 0, true) || !hasLinkTo(tab.cs[5], 0, false) {
 		t.Fatal("the step does not make the intended CS and RX crossings")
 	}
 	check("after the move")
@@ -185,7 +185,7 @@ func TestFanOrderCacheFollowsMoves(t *testing.T) {
 	for _, d := range dyns {
 		d.MoveAll(tick)
 	}
-	if hasLinkTo(tab.cs[3], 0) || !hasLinkTo(tab.cs[6], 3) {
+	if hasLinkTo(tab.cs[3], 0, false) || !hasLinkTo(tab.cs[6], 3, false) {
 		t.Fatal("the tick does not move node 3 off the mover's CS disc only")
 	}
 	check("after the MoveAll tick")
@@ -203,10 +203,12 @@ func TestFanOrderCacheFollowsMoves(t *testing.T) {
 	}
 }
 
-func hasLinkTo(ls []link, to int) bool {
+// hasLinkTo reports whether ls holds a link to node to that, when rx is
+// set, also carries the decode-range flag.
+func hasLinkTo(ls []link, to int, rx bool) bool {
 	for _, l := range ls {
-		if l.to == to {
-			return true
+		if l.to() == to {
+			return l.rx() || !rx
 		}
 	}
 	return false

@@ -1,7 +1,10 @@
 package channel
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"mtmrp/internal/geom"
 	"mtmrp/internal/packet"
@@ -20,11 +23,14 @@ func randomField(n int, side float64, r *rng.RNG) []geom.Point {
 }
 
 // TestLinkTableMatchesNaive pins the grid-built table to the reference
-// all-pairs builder: identical links (destination, delay, power), in
-// identical order, for both discs — the property every bit-identity claim
-// downstream rests on.
+// all-pairs builder: identical links (destination, decode-range flag,
+// delay, power), in identical order, each flag set exactly when the
+// destination lies inside the reception disc — the property every
+// bit-identity claim downstream rests on. Both builders must also lay the
+// lists out alike: consecutive exact-capacity runs of one flat slice.
 func TestLinkTableMatchesNaive(t *testing.T) {
 	params := radio.MustDefault80211Params(40, 2.2)
+	rx := params.TxRange()
 	for _, n := range []int{1, 2, 17, 100, 200} {
 		pts := randomField(n, 200, rng.New(uint64(n)))
 		grid := NewLinkTable(pts, params)
@@ -32,24 +38,62 @@ func TestLinkTableMatchesNaive(t *testing.T) {
 		if grid.N() != naive.N() {
 			t.Fatalf("n=%d: N %d != %d", n, grid.N(), naive.N())
 		}
+		flags := 0
 		for i := 0; i < n; i++ {
-			for _, pair := range []struct {
-				name      string
-				got, want []link
-			}{
-				{"rx", grid.rx[i], naive.rx[i]},
-				{"cs", grid.cs[i], naive.cs[i]},
-			} {
-				if len(pair.got) != len(pair.want) {
-					t.Fatalf("n=%d node %d %s: %d links, want %d", n, i, pair.name, len(pair.got), len(pair.want))
+			got, want := grid.cs[i], naive.cs[i]
+			if len(got) != len(want) {
+				t.Fatalf("n=%d node %d: %d links, want %d", n, i, len(got), len(want))
+			}
+			for k, w := range want {
+				g := got[k]
+				if g.to() != w.to() || g.rx() != w.rx() || g.delay() != w.delay() || g.power != w.power {
+					t.Fatalf("n=%d node %d link %d: to %d rx %v delay %v power %g, want to %d rx %v delay %v power %g",
+						n, i, k, g.to(), g.rx(), g.delay(), g.power, w.to(), w.rx(), w.delay(), w.power)
 				}
-				for k := range pair.want {
-					if pair.got[k] != pair.want[k] {
-						t.Fatalf("n=%d node %d %s[%d]: %+v, want %+v", n, i, pair.name, k, pair.got[k], pair.want[k])
-					}
+				if inRX := pts[i].Dist(pts[w.to()]) <= rx; w.rx() != inRX {
+					t.Fatalf("n=%d node %d link %d: rx flag %v, want %v", n, i, k, w.rx(), inRX)
+				}
+				if g.rx() {
+					flags++
 				}
 			}
 		}
+		if n >= 100 && flags == 0 {
+			t.Fatalf("n=%d: no link carries the decode-range flag", n)
+		}
+		for name, tab := range map[string]*LinkTable{"grid": grid, "naive": naive} {
+			if err := carvedFlat(tab); err != nil {
+				t.Fatalf("n=%d %s: %v", n, name, err)
+			}
+		}
+	}
+}
+
+// carvedFlat reports whether tab's lists are consecutive runs of one
+// flat slice, each with capacity equal to its length.
+func carvedFlat(tab *LinkTable) error {
+	var next uintptr // address just past the previous non-empty run
+	for i, ls := range tab.cs {
+		if cap(ls) != len(ls) {
+			return fmt.Errorf("node %d: list of %d links has capacity %d", i, len(ls), cap(ls))
+		}
+		if len(ls) == 0 {
+			continue
+		}
+		start := uintptr(unsafe.Pointer(&ls[0]))
+		if next != 0 && start != next {
+			return fmt.Errorf("node %d: list does not start where the previous run ends", i)
+		}
+		next = start + uintptr(len(ls))*unsafe.Sizeof(link{})
+	}
+	return nil
+}
+
+// TestLinkSize pins the packed link layout: a 10k-node table holds over a
+// million links, so every byte here is a megabyte there.
+func TestLinkSize(t *testing.T) {
+	if got := unsafe.Sizeof(link{}); got != 16 {
+		t.Fatalf("link is %d bytes, want 16", got)
 	}
 }
 
@@ -127,4 +171,48 @@ func BenchmarkLinkTableBuild(b *testing.B) {
 			newLinkTableNaive(pts, params)
 		}
 	})
+}
+
+// TestLinkTableBuildAllocs pins the carved layout's cost on
+// BenchmarkLinkTableBuild/grid's 200-node field and on a 4x larger field
+// of the same density: a build makes the same small number of
+// allocations whatever its node count (per-node lists grown by append
+// made 2,723 on the 200-node field), and allocates at most 16 bytes per
+// link plus a bounded amount per node (list headers, degree counts, the
+// grid index) and a fixed amount of query scratch.
+func TestLinkTableBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	params := radio.MustDefault80211Params(40, 2.2)
+	const maxAllocs, perNode, fixed = 16, 64, 16 << 10
+	for _, f := range []struct {
+		n    int
+		side float64
+	}{{200, 200}, {800, 400}} {
+		pts := randomField(f.n, f.side, rng.New(7))
+		links := 0
+		for _, ls := range NewLinkTable(pts, params).cs {
+			links += len(ls)
+		}
+		allocs := testing.AllocsPerRun(10, func() { NewLinkTable(pts, params) })
+		if allocs > maxAllocs {
+			t.Errorf("%d nodes: NewLinkTable made %.0f allocations, want at most %d", f.n, allocs, maxAllocs)
+		}
+		const builds = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range builds {
+			NewLinkTable(pts, params)
+		}
+		runtime.ReadMemStats(&after)
+		got := (after.TotalAlloc - before.TotalAlloc) / builds
+		if limit := uint64(16*links + perNode*f.n + fixed); got > limit {
+			t.Errorf("%d nodes: NewLinkTable allocated %d bytes for %d links, want at most %d",
+				f.n, got, links, limit)
+		}
+		t.Logf("%d nodes, %d links: %.0f allocations, %d bytes per build (%.1f per link)",
+			f.n, links, allocs, got, float64(got)/float64(links))
+	}
 }

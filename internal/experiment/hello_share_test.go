@@ -150,7 +150,7 @@ func printOf(s *Session) sessionPrint {
 		p.Streams = append(p.Streams, stream(field(b, "rnd")))
 		nt := b.NT
 		nbrs := []neighborPrint{}
-		for k := 0; k < nt.Slots(); k++ {
+		for k := 0; k < nt.Len(); k++ {
 			e := nt.At(k)
 			np := neighborPrint{ID: e.ID, Count: e.Count, Slot: field(e, "slot").Int()}
 			g := field(e, "groups")

@@ -49,15 +49,20 @@ func NewGridIndex(pts []Point, cell float64) *GridIndex {
 	g.nx = g.cellsAcross(maxX - minX)
 	g.ny = g.cellsAcross(maxY - minY)
 	g.buckets = make([][]int32, g.nx*g.ny)
-	// Size the buckets first so construction does not thrash append.
+	// Size the buckets first and carve them from one slice, each capped at
+	// its count: construction allocates a constant number of times, and a
+	// bucket that Move grows past its run moves to its own allocation
+	// instead of overwriting the next bucket's.
 	counts := make([]int32, g.nx*g.ny)
 	for _, p := range pts {
 		counts[g.cellOf(p)]++
 	}
+	flat := make([]int32, len(pts))
+	off := 0
 	for c, n := range counts {
-		if n > 0 {
-			g.buckets[c] = make([]int32, 0, n)
-		}
+		end := off + int(n)
+		g.buckets[c] = flat[off:off:end]
+		off = end
 	}
 	// Appending in point order keeps every bucket ascending by index, which
 	// lets Candidates return a deterministic, sorted result.

@@ -48,7 +48,7 @@ func TestDifferentialSlotMarksVsIDMarks(t *testing.T) {
 			case 7:
 				// Read every entry's marks for every session — the dense
 				// cross-check the random single reads might miss.
-				for i := 0; i < tb.Slots(); i++ {
+				for i := 0; i < tb.Len(); i++ {
 					e := tb.At(i)
 					for _, k := range keys {
 						e.Covered(k)

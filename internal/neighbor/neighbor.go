@@ -8,10 +8,11 @@
 // here.
 //
 // A node only ever hears its one-hop neighborhood (~25 nodes at the
-// paper's density), so the table is sparse: entries live in fixed-size
-// slabs (pointer-stable — a *Entry handed out never moves), an
-// open-addressing index maps node id to slot, and a sorted slot list
-// preserves the ascending-id iteration order the dense layout had.
+// paper's density), so the table is sparse: entries live in 16-record
+// slabs (pointer-stable — a *Entry handed out never moves), two of them
+// for a typical neighborhood; an open-addressing index maps node id to
+// slot, and a sorted slot list preserves the ascending-id iteration
+// order the dense layout had.
 //
 // The per-session marks are word-packed bitsets keyed by a small session
 // registry, one bit per *table slot* — not per global node id. Definition
@@ -85,9 +86,11 @@ func (e *Entry) Forwarder(key packet.FloodKey) bool {
 	return got
 }
 
-// slabBits sizes the entry slabs: 64 records ≈ two neighborhoods at the
-// paper's density, so most tables stay within one slab.
-const slabBits = 6
+// slabBits sizes the entry slabs: 16 records, so the ~25 neighbours of a
+// node at the paper's density fill two slabs and leave at most 15
+// records unused. A slab is a whole allocation; at 10k-node scales the
+// unused records of larger slabs dominate the neighbour tables' heap.
+const slabBits = 4
 
 // Table is a node's one-hop neighbor table. Entries live in fixed slabs in
 // insertion order (stable addresses), reached through an id index and a
@@ -240,13 +243,10 @@ func (t *Table) Entry(id packet.NodeID) *Entry {
 	return t.at(s)
 }
 
-// Len returns the number of entries.
+// Len returns the number of entries; At(i) for i in [0, Len()) visits
+// every entry in ascending id order. Together they replace map iteration
+// without allocating an id slice.
 func (t *Table) Len() int { return t.nslots }
-
-// Slots returns the number of iteration slots; At(i) for i in [0, Slots())
-// visits every entry in ascending id order. Together they replace map
-// iteration without allocating an id slice.
-func (t *Table) Slots() int { return len(t.order) }
 
 // At returns the entry in iteration slot i.
 func (t *Table) At(i int) *Entry { return t.at(t.order[i]) }
@@ -353,13 +353,4 @@ func (t *Table) MemberCount(g packet.GroupID, exclude packet.NodeID) int {
 		}
 	}
 	return n
-}
-
-// IDs returns the neighbor ids currently in the table in ascending order.
-func (t *Table) IDs() []packet.NodeID {
-	out := make([]packet.NodeID, 0, len(t.order))
-	for _, o := range t.order {
-		out = append(out, t.at(o).ID)
-	}
-	return out
 }

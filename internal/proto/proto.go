@@ -471,7 +471,7 @@ func (b *Base) HasUphillForwarder(key packet.FloodKey) bool {
 	if s == nil || !s.hasRoute {
 		return false
 	}
-	for i, slots := 0, b.NT.Slots(); i < slots; i++ {
+	for i, n := 0, b.NT.Len(); i < n; i++ {
 		e := b.NT.At(i)
 		if !e.Forwarder(key) {
 			continue
