@@ -38,21 +38,7 @@ type goldenRun struct {
 // metrics mismatch.
 func goldenScenario(t *testing.T, kind TopoKind, size, run int, p Protocol) goldenRun {
 	t.Helper()
-	label := roundLabel(kind, size, run)
-	round := rng.New(2010).Derive(label)
-	topo, err := buildTopo(kind, round)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcv, err := topo.PickReceivers(0, size, round.Derive("receivers"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(Scenario{
-		Topo: topo, Source: 0, Receivers: rcv, Protocol: p,
-		N: 4, Delta: sim.Millisecond,
-		Seed: round.Derive("run").Uint64(),
-	})
+	out, err := Run(goldenCell(t, kind, size, run, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +49,26 @@ func goldenScenario(t *testing.T, kind TopoKind, size, run int, p Protocol) gold
 		Run:      run,
 		Events:   out.Net.Sim.Processed(),
 		Result:   out.Result,
+	}
+}
+
+// goldenCell returns the scenario of one golden_fig5 row.
+func goldenCell(t *testing.T, kind TopoKind, size, run int, p Protocol) Scenario {
+	t.Helper()
+	label := roundLabel(kind, size, run)
+	round := rng.New(2010).Derive(label)
+	topo, err := buildTopo(kind, round)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcv, err := topo.PickReceivers(0, size, round.Derive("receivers"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Scenario{
+		Topo: topo, Source: 0, Receivers: rcv, Protocol: p,
+		N: 4, Delta: sim.Millisecond,
+		Seed: round.Derive("run").Uint64(),
 	}
 }
 

@@ -36,6 +36,7 @@ type sessionPrint struct {
 
 	Chan     channel.Stats // FanSorts zeroed
 	UID      uint64        // the last frame uid
+	Digest   uint64        // the frame digest (0 unless the scenario digests)
 	BadLinks [][2]uint64   // loss chains in the Bad state: (link, value), sorted
 	Degraded []bool
 	Down     []bool
@@ -101,6 +102,7 @@ func printOf(s *Session) sessionPrint {
 		Seq:        field(net.Sim, "seq").Uint(),
 		Chan:       net.Chan.Stats(),
 		UID:        field(net.Chan, "uid").Uint(),
+		Digest:     net.Digest(),
 	}
 	st := net.Sim.Stats()
 	p.Processed, p.Entries, p.MaxPending = st.Processed, st.Entries, st.MaxPending
@@ -194,6 +196,11 @@ func (c *checkingPool) RunRound(scs []Scenario, each func(row int, out *Outcome)
 	c.t.Helper()
 	p := c.pool
 	before := p.adopted
+	// Digest every row, so the prints compare the order of frames on
+	// the air, HELLO's included, and not only their sums.
+	for r := range scs {
+		scs[r].digest = true
+	}
 	if err := p.startRound(scs); err != nil {
 		return 0, err
 	}
@@ -239,7 +246,7 @@ func checkRounds(t *testing.T, c *checkingPool, seeds int, mk func(seed uint64) 
 // radio and fault settings no study sweeps, every row of every round —
 // adopted or not — must equal a fresh session that simulated its own
 // HELLO, field for field (sessionPrint), right after HELLO and after the
-// whole run. The goldens alone cannot show this: a copy that misses a
+// whole run, frame digest included. The goldens alone cannot show this: a copy that misses a
 // field the metrics never read would pass them.
 func TestAdoptedHelloMatchesFreshSessions(t *testing.T) {
 	if testing.Short() {
@@ -450,6 +457,7 @@ func TestSameHelloCompleteness(t *testing.T) {
 		{"core override", func(sc *Scenario) { c := AblationVariants(4, sim.Millisecond)[0].Config; sc.Core = &c }},
 		{"core HELLO timing", func(sc *Scenario) { sc.Core = &hello4 }},
 		{"trace", func(sc *Scenario) { sc.TraceWriter = io.Discard }},
+		{"digest", func(sc *Scenario) { sc.digest = true }},
 	}
 	changed := 0
 	for _, m := range compared {

@@ -99,6 +99,11 @@ type Scenario struct {
 	// (one line per frame transmitted or delivered).
 	TraceWriter io.Writer
 
+	// digest turns on the network's frame digest for the run
+	// (network.Network.Digest): tests pin the order of frames on the air
+	// with it.
+	digest bool
+
 	// Links, when non-nil, is a precomputed link table for Topo under the
 	// default radio (radioFor(Topo)) — typically shared across the
 	// protocol variants of a paired round, or across every round on the

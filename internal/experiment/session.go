@@ -134,6 +134,7 @@ func (s *Session) Reset(sc Scenario) error {
 	s.setDestinations(sc)
 	s.applyFaults(sc)
 	s.applyMobility(sc)
+	s.net.SetDigest(sc.digest)
 	s.col.Reset(packet.NodeID(sc.Source), s.group, sc.Receivers)
 	s.meter.Rebind(sc.Topo)
 	if s.logger != nil {
@@ -292,10 +293,12 @@ func helloBase(r proto.Router) *proto.Base {
 // protocol timing (protoConfig) and the same faults firing while the
 // beacons drain. Protocol, N, δ, the rest of a Core override, Traffic and
 // ForwarderExpiry act only after HELLO and are not compared. A traced
-// scenario never matches: its log must see its own HELLO frames.
+// scenario never matches: its log must see its own HELLO frames. A
+// digested scenario matches only another digested one, whose digest it
+// takes over.
 func sameHello(a, b Scenario) bool {
 	la, lb := a.Faults.Loss, b.Faults.Loss
-	return a.TraceWriter == nil && b.TraceWriter == nil &&
+	return a.TraceWriter == nil && b.TraceWriter == nil && a.digest == b.digest &&
 		protoConfig(a) == protoConfig(b) &&
 		a.Topo == b.Topo && a.Links == b.Links && a.Source == b.Source &&
 		slices.Equal(a.Receivers, b.Receivers) && a.Seed == b.Seed &&

@@ -94,6 +94,10 @@ type Network struct {
 	// OnDeliver observes every frame successfully received, before the
 	// protocol handles it.
 	OnDeliver func(to *Node, p *packet.Packet)
+
+	// digest is the run's frame digest while digesting (SetDigest).
+	digest    uint64
+	digesting bool
 }
 
 // New builds a network over the topology. Protocols are attached
@@ -137,6 +141,9 @@ func New(topo *topology.Topology, cfg Config) *Network {
 	net.Chan = ch
 	ch.OnAir = func(from int, p *packet.Packet) {
 		n := net.Nodes[from]
+		if net.digesting {
+			net.fold(frameTx, n, p)
+		}
 		if net.OnTransmit != nil {
 			net.OnTransmit(n, p)
 		}
@@ -145,6 +152,9 @@ func New(topo *topology.Topology, cfg Config) *Network {
 		n := net.Nodes[to]
 		if n.down {
 			return
+		}
+		if net.digesting {
+			net.fold(frameRx, n, p)
 		}
 		if net.OnDeliver != nil {
 			net.OnDeliver(n, p)
@@ -207,7 +217,8 @@ func (net *Network) Start() {
 // New ends in Reset, so every random substream is derived here and only
 // here (Derive is a pure function of seed material and name): a reset
 // network is bit-identical to a freshly built one. Protocol state is not
-// touched here — callers reset their routers separately.
+// touched here — callers reset their routers separately. The frame
+// digest is off after a Reset.
 func (net *Network) Reset(topo *topology.Topology, links *channel.LinkTable, seed uint64) {
 	if topo.N() != len(net.Nodes) {
 		panic(fmt.Sprintf("network: Reset with %d-node topology, network has %d", topo.N(), len(net.Nodes)))
@@ -216,6 +227,7 @@ func (net *Network) Reset(topo *topology.Topology, links *channel.LinkTable, see
 		panic("network: Reset requires a link table")
 	}
 	net.Sim.Reset()
+	net.digest, net.digesting = 0, false
 	net.root.Seed(seed)
 	net.root.DeriveInto("channel", net.chanRand)
 	// The loss stream is always derived — Derive is a pure function of the
@@ -241,11 +253,17 @@ func (net *Network) Reset(topo *topology.Topology, links *channel.LinkTable, see
 // memberships and loss model; the networks then run on bit-identically,
 // but the events src ran are not run again. The network and per-node
 // streams are seed material that is only derived from, never drawn, so
-// the Reset already made them equal. Protocol state is not touched here.
+// the Reset already made them equal. The frame digest carries over, so
+// both networks must digest or neither. Protocol state is not touched
+// here.
 func (net *Network) AdoptIdle(src *Network) {
 	if len(src.Nodes) != len(net.Nodes) {
 		panic(fmt.Sprintf("network: AdoptIdle from a %d-node network, network has %d", len(src.Nodes), len(net.Nodes)))
 	}
+	if src.digesting != net.digesting {
+		panic("network: AdoptIdle between a digesting and a non-digesting network")
+	}
+	net.digest = src.digest
 	net.Sim.AdoptIdle(src.Sim)
 	net.Chan.AdoptIdle(src.Chan)
 	*net.chanRand = *src.chanRand
@@ -255,6 +273,53 @@ func (net *Network) AdoptIdle(src *Network) {
 		n.down = s.down
 		n.mac.AdoptIdle(s.mac)
 	}
+}
+
+// Frame event kinds, as the digest folds them.
+const (
+	frameTx byte = 't'
+	frameRx byte = 'r'
+)
+
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+// SetDigest turns the frame digest on or off for the run and restarts
+// it. While on, every frame event the observation hooks report — a frame
+// put on the air (OnTransmit) or delivered to a live node (OnDeliver) —
+// is folded into an FNV-1a hash over the fields a trace log line
+// carries: the virtual time in ns, the kind, the node, the frame's
+// last-hop sender, type, uid and size. Two runs with equal digests put
+// the same frames on the air and delivered them in the same order, at
+// the same instants; results alone cannot show that. Off, it costs one
+// branch per frame. Per-run: Reset turns it off.
+func (net *Network) SetDigest(on bool) {
+	net.digesting = on
+	net.digest = fnvOffset
+}
+
+// Digest returns the frame digest of the run so far, or 0 when the
+// digest is off.
+func (net *Network) Digest() uint64 {
+	if !net.digesting {
+		return 0
+	}
+	return net.digest
+}
+
+// fold hashes one frame event into the digest.
+func (net *Network) fold(kind byte, n *Node, p *packet.Packet) {
+	h := net.digest
+	for _, v := range [...]uint64{uint64(net.Sim.Now()), uint64(kind), uint64(n.ID),
+		uint64(p.From), uint64(p.Type), p.UID, uint64(p.Size)} {
+		for k := 0; k < 64; k += 8 {
+			h = (h ^ (v >> k & 0xff)) * fnvPrime
+		}
+	}
+	net.digest = h
 }
 
 // SetLoss installs (or, with nil, removes) a Gilbert–Elliott bursty-loss

@@ -3,6 +3,7 @@ package network
 import (
 	"testing"
 
+	"mtmrp/internal/channel"
 	"mtmrp/internal/packet"
 	"mtmrp/internal/sim"
 	"mtmrp/internal/topology"
@@ -199,5 +200,45 @@ func TestDeterminism(t *testing.T) {
 	}
 	if runOnce() != runOnce() {
 		t.Error("same-seed runs diverged")
+	}
+}
+
+// TestFrameDigest: the digest is off (0) until SetDigest, folds exactly
+// the events the observation hooks report — a downed receiver's frame
+// included in neither — and restarts on Reset.
+func TestFrameDigest(t *testing.T) {
+	topo := smallTopo(t)
+	run := func(digest bool) (*Network, uint64) {
+		net := New(topo, DefaultConfig(1))
+		for i := 0; i < 3; i++ {
+			net.SetProtocol(i, &echoProto{sendOnce: i == 1})
+		}
+		net.SetDigest(digest)
+		want := fnvOffset
+		hash := func(kind byte, n *Node, p *packet.Packet) {
+			for _, v := range []uint64{uint64(net.Sim.Now()), uint64(kind), uint64(n.ID),
+				uint64(p.From), uint64(p.Type), p.UID, uint64(p.Size)} {
+				for k := 0; k < 8; k++ {
+					want = (want ^ uint64(byte(v>>(8*k)))) * fnvPrime
+				}
+			}
+		}
+		net.OnTransmit = func(n *Node, p *packet.Packet) { hash(frameTx, n, p) }
+		net.OnDeliver = func(n *Node, p *packet.Packet) { hash(frameRx, n, p) }
+		net.Nodes[2].Fail()
+		net.Start()
+		net.Run()
+		return net, want
+	}
+	if net, _ := run(false); net.Digest() != 0 {
+		t.Errorf("digest off: Digest() = %x, want 0", net.Digest())
+	}
+	net, want := run(true)
+	if got := net.Digest(); got != want || got == fnvOffset {
+		t.Errorf("Digest() = %x, want %x folded over the hooks' events", got, want)
+	}
+	net.Reset(topo, channel.NewLinkTable(topo.Positions, DefaultConfig(1).Radio), 1)
+	if net.Digest() != 0 {
+		t.Errorf("after Reset: Digest() = %x, want 0 (off)", net.Digest())
 	}
 }
