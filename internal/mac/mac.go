@@ -12,6 +12,9 @@
 package mac
 
 import (
+	"fmt"
+	"slices"
+
 	"mtmrp/internal/channel"
 	"mtmrp/internal/packet"
 	"mtmrp/internal/rng"
@@ -62,15 +65,34 @@ type csmaState uint8
 const (
 	csmaIdle    csmaState = iota // nothing to send
 	csmaDefer                    // waiting for the medium to go idle
-	csmaDIFS                     // medium idle, waiting out DIFS
-	csmaBackoff                  // counting down backoff slots
+	csmaDIFS                     // medium idle, waiting out DIFS with no backoff left
+	csmaBackoff                  // DIFS and every backoff slot but the last on one timer
+	csmaLast                     // last backoff slot, linked into its Countdowns group
 	csmaTx                       // frame on the air
 )
 
 // CSMA is the contention MAC. One instance per node.
+//
+// A contention attempt runs on one timer, the way ns-2's Mac/802_11
+// pauses and resumes a single backoff timer, not on one event per slot.
+// With n slots to count down once the medium goes idle at t0, DIFS ends
+// at t0+DIFS and the attempt expires n slots later, at T. n = 0 (a fresh
+// frame, or a backoff already run down) transmits when DIFS ends. For
+// n >= 1 the attempt takes two queue entries: the pre-expiry one slot
+// before T, keyed at t0, and the expiry it schedules. The expiry thus
+// takes its sequence number one slot before it fires, as the last tick
+// of a per-slot countdown did. At its pre-expiry the MAC joins its
+// channel's Countdowns group for T, where the countdowns expiring
+// together line up in the order the per-slot ticks would have run them:
+// the most recently started first. A carrier-busy edge freezes the
+// attempt and spends the slots whose boundaries have passed. Processed
+// counts the ticks the timer folds away (sim.Simulator.Elide), so event
+// counts stay those of a per-slot countdown. DESIGN.md ("One timer per
+// backoff") gives the rules and why they reproduce the per-slot order.
 type CSMA struct {
 	sim   *sim.Simulator
 	ch    *channel.Channel
+	cd    *Countdowns
 	idx   int
 	cfg   CSMAConfig
 	rnd   *rng.RNG
@@ -81,17 +103,125 @@ type CSMA struct {
 	// instead of reslicing from the front, so the backing array is reused
 	// forever once the queue drains back to empty (a [1:] reslice would
 	// strand its prefix and force append to reallocate once per frame).
-	queue   []*packet.Packet
-	head    int
-	slots   int       // remaining backoff slots
-	timer   sim.Event // pending DIFS/slot/tx-end timer
-	busy    bool      // local carrier state
-	Dropped uint64    // frames dropped due to queue overflow
+	queue []*packet.Packet
+	head  int
+	slots int       // backoff slots left when the attempt started (-1: none drawn)
+	from  sim.Time  // the attempt's DIFS end, where its first slot starts
+	timer sim.Event // pending DIFS, pre-expiry or expiry timer
+	// next and prev link the MAC into its Countdowns group (csmaLast).
+	next, prev *CSMA
+	busy       bool   // local carrier state
+	Dropped    uint64 // frames dropped due to queue overflow
 }
 
-// NewCSMA builds the MAC for node idx and attaches it to the channel.
-func NewCSMA(s *sim.Simulator, ch *channel.Channel, idx int, cfg CSMAConfig, rnd *rng.RNG) *CSMA {
-	m := &CSMA{sim: s, ch: ch, idx: idx, cfg: cfg, rnd: rnd, slots: -1}
+// Countdowns holds the backoff countdowns of one channel's CSMA MACs
+// that are in their last slot, grouped by the instant they expire. Each
+// group is a list kept newest start first, and the first expiry of an
+// instant transmits its whole group in that order. The zero value is
+// ready to use; build one per channel and hand it to every NewCSMA.
+type Countdowns struct {
+	groups []*CSMA // group heads, one per expiry instant
+}
+
+// join links m, just past its pre-expiry, into the group of its expiry
+// instant: after every member that started later or at the same instant
+// (an equal start joins in the order its DIFS ended, which is the order
+// of the pre-expiries keyed at that start), before every member that
+// started earlier.
+func (c *Countdowns) join(m *CSMA) {
+	at := m.timer.At()
+	for i, h := range c.groups {
+		if h.timer.At() != at {
+			continue
+		}
+		var prev *CSMA
+		for x := h; x != nil && x.from >= m.from; x = x.next {
+			prev = x
+		}
+		if prev == nil {
+			m.next, h.prev = h, m
+			c.groups[i] = m
+			return
+		}
+		m.prev, m.next = prev, prev.next
+		if prev.next != nil {
+			prev.next.prev = m
+		}
+		prev.next = m
+		return
+	}
+	c.groups = append(c.groups, m)
+}
+
+// leave unlinks m from its group.
+func (c *Countdowns) leave(m *CSMA) {
+	if m.prev != nil {
+		m.prev.next = m.next
+	} else {
+		i := slices.Index(c.groups, m)
+		if m.next != nil {
+			c.groups[i] = m.next
+		} else {
+			c.remove(i)
+		}
+	}
+	if m.next != nil {
+		m.next.prev = m.prev
+	}
+	m.next, m.prev = nil, nil
+}
+
+// remove drops group i.
+func (c *Countdowns) remove(i int) {
+	last := len(c.groups) - 1
+	c.groups[i] = c.groups[last]
+	c.groups[last] = nil
+	c.groups = c.groups[:last]
+}
+
+// expire runs the first expiry of an instant, leader's, which is the
+// first its group's members scheduled: it transmits the group in list
+// order. Each member's own expiry would have run just before its
+// transmission; the leader's has, and the others are cancelled and
+// counted as run one per transmission after the first, in the same
+// places, so Processed and Pending move exactly as the per-slot ticks
+// moved them.
+func (c *Countdowns) expire(leader *CSMA) {
+	at := leader.timer.At()
+	i := slices.IndexFunc(c.groups, func(h *CSMA) bool { return h.timer.At() == at })
+	head := c.groups[i]
+	c.remove(i)
+	s := leader.sim
+	var owed sim.Event // a sent member's expiry, not yet retired
+	for m := head; m != nil; {
+		next := m.next
+		m.next, m.prev = nil, nil
+		own := m.timer
+		switch {
+		case m == head:
+			owed = own
+		case owed.Pending():
+			s.Cancel(owed)
+			s.Elide(1)
+			owed = own
+		default:
+			s.Cancel(own)
+			s.Elide(1)
+		}
+		m.transmit()
+		m = next
+	}
+}
+
+// NewCSMA builds the MAC for node idx and attaches it to the channel. cd
+// is the channel's shared Countdowns. The configuration must have DIFS
+// longer than SlotTime, as every 802.11 PHY does (DIFS = SIFS + 2 slots):
+// the group order relies on it.
+func NewCSMA(s *sim.Simulator, ch *channel.Channel, cd *Countdowns, idx int, cfg CSMAConfig, rnd *rng.RNG) *CSMA {
+	if cfg.SlotTime <= 0 || cfg.DIFS <= cfg.SlotTime {
+		panic(fmt.Sprintf("mac: CSMA needs 0 < SlotTime < DIFS, got slot %v, DIFS %v", cfg.SlotTime, cfg.DIFS))
+	}
+	m := &CSMA{sim: s, ch: ch, cd: cd, idx: idx, cfg: cfg, rnd: rnd, slots: -1}
 	ch.Attach(idx, m)
 	return m
 }
@@ -101,8 +231,12 @@ func (m *CSMA) SetUpper(fn func(*packet.Packet)) { m.upper = fn }
 
 // Reset implements MAC: idle state, empty queue, zero drop counter, and a
 // fresh "mac" substream derived in place from parent (the node's reseeded
-// generator), bit-identical to the stream a newly built MAC would get.
+// generator), bit-identical to the stream a newly built MAC would get. A
+// MAC in its last slot leaves its Countdowns group.
 func (m *CSMA) Reset(parent *rng.RNG) {
+	if m.state == csmaLast {
+		m.cd.leave(m)
+	}
 	for i := range m.queue {
 		m.queue[i] = nil
 	}
@@ -110,6 +244,7 @@ func (m *CSMA) Reset(parent *rng.RNG) {
 	m.head = 0
 	m.state = csmaIdle
 	m.slots = -1
+	m.from = 0
 	m.timer = sim.Event{}
 	m.busy = false
 	m.Dropped = 0
@@ -173,53 +308,47 @@ func (m *CSMA) start() {
 		m.state = csmaDefer // CarrierChanged(false) resumes
 		return
 	}
-	// Medium idle: wait out DIFS, then transmit (or run down a frozen
-	// backoff left over from an interrupted attempt).
-	m.state = csmaDIFS
-	m.timer = m.sim.AfterCall(m.cfg.DIFS, csmaDIFSCB, m, 0)
+	// Medium idle: wait out DIFS, then transmit (a fresh frame: 802.11
+	// allows immediate transmission after an idle DIFS, and a random
+	// backoff is drawn only after a deferral) or run down the backoff
+	// left by an interrupted attempt.
+	m.from = m.sim.Now() + m.cfg.DIFS
+	if m.slots <= 0 {
+		m.state = csmaDIFS
+		m.timer = m.sim.AtCall(m.from, csmaSendCB, m, 0)
+		return
+	}
+	m.state = csmaBackoff
+	m.timer = m.sim.AtCall(m.from+sim.Time(m.slots-1)*m.cfg.SlotTime, csmaLastSlotCB, m, 0)
 }
 
 // Package-level timer callbacks: scheduling through AfterCall with the MAC
-// itself as the argument keeps the per-frame and per-slot hot paths free of
-// closure allocations (see internal/channel for the same pattern).
-func csmaDIFSCB(arg any, _ int) { arg.(*CSMA).afterDIFS() }
+// itself as the argument keeps the per-frame hot path free of closure
+// allocations (see internal/channel for the same pattern).
+func csmaSendCB(arg any, _ int) { arg.(*CSMA).transmit() }
 
-func csmaSlotCB(arg any, _ int) {
+// csmaLastSlotCB is the pre-expiry: it stands for the DIFS end and the
+// first slots-1 slot ticks, schedules the expiry and joins the group.
+func csmaLastSlotCB(arg any, _ int) {
 	m := arg.(*CSMA)
-	m.timer = sim.Event{}
-	m.slots--
-	m.tickSlot()
+	m.sim.Elide(m.slots - 1)
+	m.state = csmaLast
+	m.timer = m.sim.AfterCall(m.cfg.SlotTime, csmaExpiryCB, m, 0)
+	m.cd.join(m)
+}
+
+func csmaExpiryCB(arg any, _ int) {
+	m := arg.(*CSMA)
+	m.cd.expire(m)
 }
 
 func csmaTxDoneCB(arg any, _ int) {
 	m := arg.(*CSMA)
-	m.timer = sim.Event{}
 	m.state = csmaIdle
 	m.start()
 }
 
 func idealNextCB(arg any, _ int) { arg.(*Ideal).next() }
-
-func (m *CSMA) afterDIFS() {
-	m.timer = sim.Event{}
-	if m.slots < 0 {
-		// Fresh frame, medium was idle through DIFS: 802.11 allows
-		// immediate transmission. A random backoff is drawn only after
-		// a deferral (set in CarrierChanged).
-		m.transmit()
-		return
-	}
-	m.state = csmaBackoff
-	m.tickSlot()
-}
-
-func (m *CSMA) tickSlot() {
-	if m.slots == 0 {
-		m.transmit()
-		return
-	}
-	m.timer = m.sim.AfterCall(m.cfg.SlotTime, csmaSlotCB, m, 0)
-}
 
 func (m *CSMA) transmit() {
 	p := m.pop()
@@ -233,26 +362,37 @@ func (m *CSMA) transmit() {
 	m.ch.TransmitThen(m.idx, p, csmaTxDoneCB, m, 0)
 }
 
+// freeze stops the running attempt at a carrier-busy edge. The slots
+// whose boundaries have passed are spent, one on the edge included: a
+// per-slot tick there was keyed a slot before it, the edge less than a
+// slot (the propagation delay) before, so the tick ran first. The rest
+// persist for the next attempt; an attempt interrupted in DIFS must use a
+// random backoff next.
+func (m *CSMA) freeze() {
+	m.sim.Cancel(m.timer)
+	m.timer = sim.Event{}
+	switch now := m.sim.Now(); {
+	case m.state == csmaLast:
+		// The pre-expiry counted the DIFS end and every tick but the last.
+		m.cd.leave(m)
+		m.slots = 1
+	case m.state == csmaBackoff && now >= m.from:
+		spent := int((now - m.from) / m.cfg.SlotTime)
+		m.slots -= spent
+		m.sim.Elide(1 + spent) // the DIFS end and the spent slots' ticks
+	case m.slots < 0:
+		m.slots = m.rnd.Intn(m.cfg.CW)
+	}
+	m.state = csmaDefer
+}
+
 // CarrierChanged implements channel.Radio.
 func (m *CSMA) CarrierChanged(busy bool) {
 	m.busy = busy
 	switch m.state {
-	case csmaDIFS:
+	case csmaDIFS, csmaBackoff, csmaLast:
 		if busy {
-			// DIFS interrupted: next attempt must use a random backoff.
-			m.sim.Cancel(m.timer)
-			m.timer = sim.Event{}
-			if m.slots < 0 {
-				m.slots = m.rnd.Intn(m.cfg.CW)
-			}
-			m.state = csmaDefer
-		}
-	case csmaBackoff:
-		if busy {
-			// Freeze the countdown; remaining slots persist.
-			m.sim.Cancel(m.timer)
-			m.timer = sim.Event{}
-			m.state = csmaDefer
+			m.freeze()
 		}
 	case csmaDefer:
 		if !busy {

@@ -160,6 +160,7 @@ func New(topo *topology.Topology, cfg Config) *Network {
 			net.OnDeliver(n, p)
 		}
 	}
+	cd := new(mac.Countdowns)
 	for i := range net.Nodes {
 		n := &Node{
 			ID:       packet.NodeID(i),
@@ -170,7 +171,7 @@ func New(topo *topology.Topology, cfg Config) *Network {
 		}
 		switch cfg.MAC {
 		case MACCSMA:
-			n.mac = mac.NewCSMA(s, ch, i, cfg.CSMA, new(rng.RNG))
+			n.mac = newCSMA(s, ch, cd, i, cfg.CSMA)
 		case MACIdeal:
 			n.mac = mac.NewIdeal(s, ch, i)
 		default:
@@ -181,6 +182,13 @@ func New(topo *topology.Topology, cfg Config) *Network {
 	}
 	net.Reset(topo, links, cfg.Seed)
 	return net
+}
+
+// newCSMA builds node i's contention MAC over the network's shared
+// countdowns. The MAC differential test swaps in the per-slot reference
+// countdown (csmaref_test.go).
+var newCSMA = func(s *sim.Simulator, ch *channel.Channel, cd *mac.Countdowns, i int, cfg mac.CSMAConfig) mac.MAC {
+	return mac.NewCSMA(s, ch, cd, i, cfg, new(rng.RNG))
 }
 
 func (net *Network) deliver(i int, p *packet.Packet) {

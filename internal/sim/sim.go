@@ -163,6 +163,18 @@ func (s *Simulator) Now() Time { return s.now }
 // Processed returns the number of events executed so far (for stats/tests).
 func (s *Simulator) Processed() uint64 { return s.processed }
 
+// Elide counts n events that the caller folded into one it scheduled as
+// processed, as if each had run: Processed and Stats include them, while
+// Pending, MaxPending and Entries are untouched. A MAC that counts a
+// backoff down on one timer instead of one event per slot calls it, so
+// event counts stay those of the per-slot countdown.
+func (s *Simulator) Elide(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("sim: eliding %d events", n))
+	}
+	s.processed += uint64(n)
+}
+
 // Pending returns the number of events currently queued (each call of a
 // cursor entry counts as one event).
 func (s *Simulator) Pending() int { return s.live }
