@@ -87,8 +87,8 @@ const (
 // the most recently started first. A carrier-busy edge freezes the
 // attempt and spends the slots whose boundaries have passed. Processed
 // counts the ticks the timer folds away (sim.Simulator.Elide), so event
-// counts stay those of a per-slot countdown. DESIGN.md ("One timer per
-// backoff") gives the rules and why they reproduce the per-slot order.
+// counts stay those of a per-slot countdown. DESIGN.md §19 gives the
+// rules and why they reproduce the per-slot order.
 type CSMA struct {
 	sim   *sim.Simulator
 	ch    *channel.Channel
@@ -187,8 +187,10 @@ func (c *Countdowns) remove(i int) {
 // places, so Processed and Pending move exactly as the per-slot ticks
 // moved them.
 func (c *Countdowns) expire(leader *CSMA) {
-	at := leader.timer.At()
-	i := slices.IndexFunc(c.groups, func(h *CSMA) bool { return h.timer.At() == at })
+	i := 0
+	for c.groups[i].timer.At() != leader.timer.At() {
+		i++
+	}
 	head := c.groups[i]
 	c.remove(i)
 	s := leader.sim

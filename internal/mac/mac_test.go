@@ -344,9 +344,9 @@ func TestCSMAFreezeBoundaries(t *testing.T) {
 }
 
 // groupRig builds CSMA MACs on nodes 0..n-1, all in range of each other,
-// over one Countdowns; start[i] is MAC i's backoff and sendAt[i] when
-// its frame is queued (0: before the run, in index order; otherwise by
-// an event, which costs one event and one entry).
+// over one Countdowns; slots[i] is MAC i's backoff and sendAt[i] when
+// its frame is queued (0: before the run, in index order; negative: not
+// queued; otherwise by an event, which costs one event and one entry).
 func groupRig(slots []int, sendAt []sim.Time) (*sim.Simulator, *Countdowns, []*CSMA, *[]txRec) {
 	pos := make([]geom.Point, len(slots))
 	for i := range pos {
@@ -359,6 +359,9 @@ func groupRig(slots []int, sendAt []sim.Time) (*sim.Simulator, *Countdowns, []*C
 		macs[i].slots = slots[i]
 	}
 	for i, m := range macs {
+		if sendAt[i] < 0 {
+			continue
+		}
 		if sendAt[i] == 0 {
 			m.Send(hello(packet.NodeID(i)))
 			continue
@@ -419,13 +422,13 @@ func TestCSMASharedExpiry(t *testing.T) {
 			}
 		})
 	}
-	// Equal starts keep their DIFS order, whichever MAC has the lower
-	// node index.
-	s, _, macs, recs := groupRig([]int{4, 4}, []sim.Time{50 * us, 50 * us})
-	_ = macs
+	// Equal starts keep their DIFS order, not their node order.
+	s, _, macs, recs := groupRig([]int{4, 4}, []sim.Time{-1, -1})
+	macs[1].Send(hello(1))
+	macs[0].Send(hello(0))
 	s.Run()
-	if len(*recs) != 2 || (*recs)[0].node != 0 || (*recs)[1].node != 1 {
-		t.Errorf("equal starts queued by events: order %+v, want nodes 0 then 1", *recs)
+	if len(*recs) != 2 || (*recs)[0].node != 1 || (*recs)[1].node != 0 {
+		t.Errorf("equal starts, node 1 queued first: order %+v, want nodes 1 then 0", *recs)
 	}
 }
 
@@ -438,7 +441,7 @@ func TestCSMAResetLeavesGroup(t *testing.T) {
 	if len(cd.groups) != 1 || cd.groups[0] != macs[1] || macs[1].next != macs[0] {
 		t.Fatalf("before reset: %d groups, want node 1 then node 0 in one", len(cd.groups))
 	}
-	_, _, dst, _ := groupRig([]int{-1}, []sim.Time{0})
+	_, _, dst, _ := groupRig([]int{-1}, []sim.Time{-1})
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -476,7 +479,7 @@ func TestCSMAResetLeavesGroup(t *testing.T) {
 func TestCSMAAdoptIdleLeavesGroupIntact(t *testing.T) {
 	s, _, macs, recs := groupRig([]int{11, 6}, []sim.Time{0, 100 * us})
 	s.RunUntil(250 * us)
-	_, _, dst, _ := groupRig([]int{-1}, []sim.Time{0})
+	_, _, dst, _ := groupRig([]int{-1}, []sim.Time{-1})
 	func() {
 		defer func() { _ = recover() }()
 		dst[0].AdoptIdle(macs[1])

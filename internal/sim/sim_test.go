@@ -309,3 +309,21 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		s.Run()
 	}
 }
+
+// TestElide: elided events count as processed and nowhere else, and a
+// negative count panics.
+func TestElide(t *testing.T) {
+	s := New()
+	s.After(Microsecond, func() { s.Elide(3) })
+	s.Run()
+	st := s.Stats()
+	if st.Processed != 4 || st.Entries != 1 || st.MaxPending != 1 || s.Pending() != 0 {
+		t.Errorf("after one event eliding 3: %+v, pending %d; want 4 processed from 1 entry", st, s.Pending())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Elide(-1) did not panic")
+		}
+	}()
+	s.Elide(-1)
+}
