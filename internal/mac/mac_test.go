@@ -384,10 +384,14 @@ func TestCSMASharedExpiry(t *testing.T) {
 		sendAt []sim.Time
 		at     sim.Time
 		order  []int
-		// Per transmission, in order: the events run, and the events
-		// pending — the other members' ticks still due, and each sent
-		// frame's tx-end, tx-done and carrier/frame edges at the others.
+		// Per transmission, in order: the events run; the queue entries
+		// pushed — a pre-expiry and an expiry per member, the Send events,
+		// and four per frame already sent (tx-end, tx-done and the two fan
+		// cursors); and the events pending — the other members' ticks
+		// still due, and each sent frame's tx-end, tx-done and
+		// carrier/frame edges at the others.
 		processed []uint64
+		entries   []uint64
 		pending   []int
 	}{
 		// Node 0 starts an 11-slot countdown at 50 µs, node 1 a 6-slot
@@ -396,13 +400,13 @@ func TestCSMASharedExpiry(t *testing.T) {
 		// first. Per-slot before node 1's frame: node 0's DIFS and 10
 		// ticks, node 1's DIFS and 6 ticks, and the Send event.
 		{"different starts", []int{11, 6}, []sim.Time{0, 100 * us}, 270 * us, []int{1, 0},
-			[]uint64{11 + 7 + 1, 11 + 7 + 1 + 1}, []int{1, 4}},
+			[]uint64{11 + 7 + 1, 11 + 7 + 1 + 1}, []uint64{5, 5 + 4}, []int{1, 4}},
 		{"equal starts", []int{4, 4}, []sim.Time{0, 0}, 130 * us, []int{0, 1},
-			[]uint64{5 + 4, 5 + 5}, []int{1, 4}},
+			[]uint64{5 + 4, 5 + 5}, []uint64{4, 4 + 4}, []int{1, 4}},
 		// Starts at 50, 110 and 170 µs, all expiring at 230 µs: the
 		// oldest leads the instant and goes last.
 		{"three starts", []int{9, 6, 3}, []sim.Time{0, 60 * us, 120 * us}, 230 * us, []int{2, 1, 0},
-			[]uint64{9 + 6 + 4 + 2, 9 + 6 + 4 + 2 + 1, 9 + 6 + 4 + 2 + 2}, []int{2, 1 + 6, 6 + 6}},
+			[]uint64{9 + 6 + 4 + 2, 9 + 6 + 4 + 2 + 1, 9 + 6 + 4 + 2 + 2}, []uint64{8, 8 + 4, 8 + 8}, []int{2, 1 + 6, 6 + 6}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -412,9 +416,9 @@ func TestCSMASharedExpiry(t *testing.T) {
 				t.Fatalf("%d transmissions, want %d", len(*recs), len(c.order))
 			}
 			for k, r := range *recs {
-				if r.node != c.order[k] || r.at != c.at || r.processed != c.processed[k] || r.pending != c.pending[k] {
-					t.Errorf("transmission %d: node %d at %v, %d events, %d pending; want node %d at %v, %d events, %d pending",
-						k, r.node, r.at, r.processed, r.pending, c.order[k], c.at, c.processed[k], c.pending[k])
+				want := txRec{c.order[k], c.at, c.processed[k], c.entries[k], c.pending[k]}
+				if r != want {
+					t.Errorf("transmission %d: %+v, want %+v", k, r, want)
 				}
 			}
 			if len(cd.groups) != 0 {
