@@ -98,7 +98,8 @@ type Simulator struct {
 	live      int      // scheduled events not yet fired or cancelled
 	maxLive   int      // high-water mark of live (queue depth)
 	seq       uint64
-	processed uint64
+	processed uint64        // events run or elided
+	executed  uint64        // events run: the calls exec made
 	entries   uint64        // queue entries pushed, cursor re-queues included
 	runWall   time.Duration // wall time spent inside Run/RunUntil
 	running   bool
@@ -131,6 +132,7 @@ func (s *Simulator) Reset() {
 	s.maxLive = 0
 	s.seq = 0
 	s.processed = 0
+	s.executed = 0
 	s.entries = 0
 	s.runWall = 0
 	s.running = false
@@ -141,7 +143,7 @@ func (s *Simulator) Reset() {
 // and not inside either. Afterwards s schedules, orders and counts exactly
 // as src would from here on: the same clock, the same next seq, the same
 // queue layout for whatever is pushed next, and Stats carrying src's
-// Processed, Entries and MaxPending. Events already queued on s are
+// Processed, Executed, Entries and MaxPending. Events already queued on s are
 // dropped with the reset. A session that copies another's finished HELLO
 // phase uses this, so the events src ran count as s's own.
 func (s *Simulator) AdoptIdle(src *Simulator) {
@@ -153,6 +155,7 @@ func (s *Simulator) AdoptIdle(src *Simulator) {
 	s.now = src.now
 	s.seq = src.seq
 	s.processed = src.processed
+	s.executed = src.executed
 	s.entries = src.entries
 	s.maxLive = src.maxLive
 }
@@ -160,11 +163,12 @@ func (s *Simulator) AdoptIdle(src *Simulator) {
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Processed returns the number of events executed so far (for stats/tests).
+// Processed returns the number of events processed so far, elided ones
+// included (for stats/tests).
 func (s *Simulator) Processed() uint64 { return s.processed }
 
 // Elide counts n events that the caller folded into one it scheduled as
-// processed, as if each had run: Processed and Stats include them, while
+// processed, as if each had run: Processed includes them, while Executed,
 // Pending, MaxPending and Entries are untouched. A MAC that counts a
 // backoff down on one timer instead of one event per slot calls it, so
 // event counts stay those of the per-slot countdown.
@@ -182,21 +186,22 @@ func (s *Simulator) Pending() int { return s.live }
 // Stats is a snapshot of the simulator's observability counters, reset
 // alongside the simulator (so "per run" means "since the last Reset").
 type Stats struct {
-	Processed    uint64        // events executed
+	Processed    uint64        // events processed: run, or elided (Elide) as if run
+	Executed     uint64        // events run: the callbacks actually called
 	Entries      uint64        // queue entries pushed, cursor re-queues included; Processed/Entries is the events per entry
 	MaxPending   int           // high-water mark of the pending-event queue
 	RunWall      time.Duration // wall time spent inside Run/RunUntil
-	EventsPerSec float64       // Processed / RunWall (0 before any run)
+	EventsPerSec float64       // Executed / RunWall (0 before any run)
 }
 
 // Stats returns the current counters. EventsPerSec measures the
-// scheduler's true throughput — virtual events retired per wall-clock
-// second of Run/RunUntil — independent of how much virtual time a run
-// spans.
+// scheduler's true throughput — callbacks run per wall-clock second of
+// Run/RunUntil — independent of how much virtual time a run spans and of
+// how many events a fold elided.
 func (s *Simulator) Stats() Stats {
-	st := Stats{Processed: s.processed, Entries: s.entries, MaxPending: s.maxLive, RunWall: s.runWall}
+	st := Stats{Processed: s.processed, Executed: s.executed, Entries: s.entries, MaxPending: s.maxLive, RunWall: s.runWall}
 	if s.runWall > 0 {
-		st.EventsPerSec = float64(s.processed) / s.runWall.Seconds()
+		st.EventsPerSec = float64(s.executed) / s.runWall.Seconds()
 	}
 	return st
 }
@@ -477,6 +482,7 @@ func (s *Simulator) exec(en entry) {
 	s.live--
 	s.now = en.at
 	s.processed++
+	s.executed++
 	cb(arg, argi)
 }
 

@@ -310,15 +310,18 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	}
 }
 
-// TestElide: elided events count as processed and nowhere else, and a
-// negative count panics.
+// TestElide: elided events count as processed and nowhere else — not in
+// Executed, which counts the callbacks run — and a negative count panics.
 func TestElide(t *testing.T) {
 	s := New()
 	s.After(Microsecond, func() { s.Elide(3) })
 	s.Run()
 	st := s.Stats()
-	if st.Processed != 4 || st.Entries != 1 || st.MaxPending != 1 || s.Pending() != 0 {
-		t.Errorf("after one event eliding 3: %+v, pending %d; want 4 processed from 1 entry", st, s.Pending())
+	if st.Processed != 4 || st.Executed != 1 || st.Entries != 1 || st.MaxPending != 1 || s.Pending() != 0 {
+		t.Errorf("after one event eliding 3: %+v, pending %d; want 4 processed, 1 executed from 1 entry", st, s.Pending())
+	}
+	if want := float64(st.Executed) / st.RunWall.Seconds(); st.EventsPerSec != want {
+		t.Errorf("EventsPerSec %v, want Executed/RunWall = %v", st.EventsPerSec, want)
 	}
 	defer func() {
 		if recover() == nil {
