@@ -17,7 +17,7 @@ import (
 // channel must produce, carrier edge for carrier edge and frame for frame,
 // the trace of the per-link fan it replaced — one start and one end event
 // per carrier-sense link, scheduled in CS-list order. refTransmit below is
-// that per-link fan, kept as the reference the way refheap.go keeps the
+// that per-link fan, kept as the reference the way refheap_test.go keeps the
 // binary heap for the ladder queue.
 
 // refArrival pairs a reference-path arrival with its channel (the fan

@@ -50,11 +50,6 @@ func (p Point) String() string {
 	return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y)
 }
 
-// Within reports whether q is within radius r of p (inclusive).
-func (p Point) Within(q Point, r float64) bool {
-	return p.DistSq(q) <= r*r
-}
-
 // Clamp returns p with both coordinates clamped into [0, side].
 func (p Point) Clamp(side float64) Point {
 	c := p

@@ -96,16 +96,6 @@ func TestIn(t *testing.T) {
 	}
 }
 
-func TestWithin(t *testing.T) {
-	p := Point{0, 0}
-	if !p.Within(Point{40, 0}, 40) {
-		t.Error("boundary distance should be within (inclusive)")
-	}
-	if p.Within(Point{40.0001, 0}, 40) {
-		t.Error("beyond range should not be within")
-	}
-}
-
 func TestClamp(t *testing.T) {
 	cases := []struct {
 		in, want Point

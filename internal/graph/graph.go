@@ -1,5 +1,5 @@
 // Package graph provides the graph algorithms the reproduction needs:
-// breadth-first search, Dijkstra, connectivity, minimum spanning trees,
+// breadth-first search, connectivity, minimum spanning trees,
 // metric closure, and validation helpers for multicast forwarder sets.
 //
 // The centralized multicast-tree heuristics that use these primitives live
@@ -77,7 +77,7 @@ func (g *Graph) NeighborIDs(u int) []int {
 // Degree returns the degree of u.
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 
-// Unreachable marks vertices BFS/Dijkstra could not reach.
+// Unreachable marks vertices BFS could not reach.
 const Unreachable = -1
 
 // BFS returns hop distances and BFS-tree parents from src. Unreachable
@@ -105,53 +105,6 @@ func (g *Graph) BFS(src int) (dist, parent []int) {
 	return dist, parent
 }
 
-// Dijkstra returns weighted shortest-path distances and parents from src.
-// Unreachable vertices get dist = +Inf and parent = Unreachable.
-func (g *Graph) Dijkstra(src int) (dist []float64, parent []int) {
-	dist = make([]float64, g.n)
-	parent = make([]int, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parent[i] = Unreachable
-	}
-	dist[src] = 0
-	pq := &distHeap{{v: src, d: 0}}
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(distItem)
-		if item.d > dist[item.v] {
-			continue // stale entry
-		}
-		for _, e := range g.adj[item.v] {
-			nd := item.d + e.Weight
-			if nd < dist[e.To] {
-				dist[e.To] = nd
-				parent[e.To] = item.v
-				heap.Push(pq, distItem{v: e.To, d: nd})
-			}
-		}
-	}
-	return dist, parent
-}
-
-type distItem struct {
-	v int
-	d float64
-}
-
-type distHeap []distItem
-
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
 // Connected reports whether the graph is connected (vacuously true for
 // n <= 1).
 func (g *Graph) Connected() bool {
@@ -165,33 +118,6 @@ func (g *Graph) Connected() bool {
 		}
 	}
 	return true
-}
-
-// Components returns a component id per vertex and the component count.
-func (g *Graph) Components() (comp []int, count int) {
-	comp = make([]int, g.n)
-	for i := range comp {
-		comp[i] = Unreachable
-	}
-	for s := 0; s < g.n; s++ {
-		if comp[s] != Unreachable {
-			continue
-		}
-		comp[s] = count
-		stack := []int{s}
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, e := range g.adj[u] {
-				if comp[e.To] == Unreachable {
-					comp[e.To] = count
-					stack = append(stack, e.To)
-				}
-			}
-		}
-		count++
-	}
-	return comp, count
 }
 
 // WEdge is an explicit weighted edge, used by MST and tree results.
@@ -244,8 +170,28 @@ func (g *Graph) MST() ([]WEdge, error) {
 	return edges, nil
 }
 
+// distItem is a vertex keyed by the weight of its best edge into the tree.
+type distItem struct {
+	v int
+	d float64
+}
+
+type distHeap []distItem
+
+func (h distHeap) Len() int            { return len(h) }
+func (h distHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
+func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
+func (h *distHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	it := old[n-1]
+	*h = old[:n-1]
+	return it
+}
+
 // PathTo reconstructs the path src -> v from a parent array produced by
-// BFS or Dijkstra rooted at src. Returns nil if v is unreachable.
+// BFS rooted at src. Returns nil if v is unreachable.
 func PathTo(parent []int, src, v int) []int {
 	if v == src {
 		return []int{src}

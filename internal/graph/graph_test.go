@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -74,74 +73,6 @@ func TestBFSUnreachable(t *testing.T) {
 	}
 }
 
-func TestDijkstraVsBFSOnUnitWeights(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 3 + r.Intn(30)
-		g := New(n)
-		// unit weights
-		seen := map[[2]int]bool{}
-		perm := r.Perm(n)
-		for i := 1; i < n; i++ {
-			u, v := perm[i], perm[r.Intn(i)]
-			if u > v {
-				u, v = v, u
-			}
-			seen[[2]int{u, v}] = true
-			g.AddEdge(u, v, 1)
-		}
-		for i := 0; i < n; i++ {
-			u, v := r.Intn(n), r.Intn(n)
-			if u == v {
-				continue
-			}
-			if u > v {
-				u, v = v, u
-			}
-			if seen[[2]int{u, v}] {
-				continue
-			}
-			seen[[2]int{u, v}] = true
-			g.AddEdge(u, v, 1)
-		}
-		bd, _ := g.BFS(0)
-		dd, _ := g.Dijkstra(0)
-		for i := 0; i < n; i++ {
-			if bd[i] == Unreachable {
-				if !math.IsInf(dd[i], 1) {
-					return false
-				}
-				continue
-			}
-			if float64(bd[i]) != dd[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDijkstraWeighted(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 10)
-	g.AddEdge(0, 2, 1)
-	g.AddEdge(2, 1, 1)
-	g.AddEdge(1, 3, 1)
-	dist, parent := g.Dijkstra(0)
-	if dist[1] != 2 {
-		t.Errorf("dist[1] = %v, want 2 (via 2)", dist[1])
-	}
-	if parent[1] != 2 {
-		t.Errorf("parent[1] = %d", parent[1])
-	}
-	if dist[3] != 3 {
-		t.Errorf("dist[3] = %v", dist[3])
-	}
-}
-
 func TestConnected(t *testing.T) {
 	if !line(5).Connected() {
 		t.Error("line should be connected")
@@ -153,26 +84,6 @@ func TestConnected(t *testing.T) {
 	}
 	if !New(0).Connected() || !New(1).Connected() {
 		t.Error("trivial graphs are connected")
-	}
-}
-
-func TestComponents(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(3, 4, 1)
-	comp, n := g.Components()
-	if n != 3 {
-		t.Fatalf("count = %d, want 3", n)
-	}
-	if comp[0] != comp[1] || comp[1] != comp[2] {
-		t.Error("0,1,2 should share a component")
-	}
-	if comp[3] != comp[4] {
-		t.Error("3,4 should share a component")
-	}
-	if comp[5] == comp[0] || comp[5] == comp[3] {
-		t.Error("5 should be isolated")
 	}
 }
 

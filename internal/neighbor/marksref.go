@@ -1,6 +1,6 @@
 // marksref.go retains the id-indexed per-session mark implementation the
 // table used before the slot-indexed layout, as a differential oracle —
-// the same pattern as internal/sim's refheap.go. One bitset per session
+// the same pattern as internal/sim's refheap_test.go. One bitset per session
 // keyed by global node id: simple, obviously correct against the paper's
 // prose, and O(n) bits per node per session, which is exactly why the
 // live implementation replaced it. Shadow attaches an oracle to a table;

@@ -1,7 +1,7 @@
 // csmaref_test.go keeps the per-slot backoff countdown mac.CSMA ran
 // before it folded each contention attempt into one timer, as the
 // differential oracle for that fold (TestCSMAMatchesPerSlotReference) —
-// the same pattern as neighbor's marksref.go and sim's refheap.go, kept
+// the same pattern as neighbor's marksref.go and sim's refheap_test.go, kept
 // in a test file so it is no second production path. It takes one event
 // for DIFS and one per 20 µs slot: each tick decrements the count and
 // transmits at zero, and a carrier-busy edge cancels the pending tick and

@@ -46,7 +46,7 @@ func hashString(s string) uint64 {
 
 // RNG is a deterministic xoshiro256++ generator. It is not safe for
 // concurrent use; derive one RNG per goroutine (or per simulated component)
-// with Derive or Fork.
+// with Derive.
 type RNG struct {
 	s [4]uint64
 }
@@ -93,12 +93,6 @@ func (r *RNG) DeriveInto(name string, dst *RNG) {
 	if dst.s[0]|dst.s[1]|dst.s[2]|dst.s[3] == 0 {
 		dst.s[0] = hashString(name) | 1
 	}
-}
-
-// Fork returns a new generator seeded from r's output, advancing r.
-// Unlike Derive, Fork depends on r's current position in its stream.
-func (r *RNG) Fork() *RNG {
-	return New(r.Uint64())
 }
 
 func rotl(x uint64, k uint) uint64 {

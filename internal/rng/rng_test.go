@@ -55,17 +55,6 @@ func TestDeriveDoesNotAdvanceParent(t *testing.T) {
 	}
 }
 
-func TestForkAdvancesParent(t *testing.T) {
-	a := New(9)
-	b := New(9)
-	f1 := a.Fork()
-	f2 := a.Fork()
-	if f1.Uint64() == f2.Uint64() {
-		t.Error("successive forks should differ")
-	}
-	_ = b
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {

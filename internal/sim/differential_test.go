@@ -9,7 +9,7 @@ import (
 
 // This file is the proof obligation for the ladder-queue swap: execution
 // order is a pure function of the (at, seq) total order, so the ladder
-// must pop the exact sequence the old binary heap (refheap.go) pops, for
+// must pop the exact sequence the old binary heap (refheap_test.go) pops, for
 // any interleaving of schedules, cancellations, bounded runs and resets.
 
 // TestLadderMatchesRefHeap drives the raw ladder and the reference heap

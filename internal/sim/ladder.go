@@ -5,7 +5,7 @@ import "slices"
 // This file implements the simulator's event queue: a two-tier ladder
 // queue (a calendar-queue descendant) replacing the PR-3 binary heap,
 // which profiling showed spending ~60% of sweep CPU in O(log n) sift
-// compares (see refheap.go for the heap, kept as the differential-test
+// compares (see refheap_test.go for the heap, kept as the differential-test
 // reference).
 //
 // The structure exploits what a discrete-event simulation queue actually

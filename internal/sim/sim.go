@@ -84,7 +84,7 @@ type cursor struct {
 // entries are single calls or cursors: a cursor (Batch.AfterCursor) is
 // one entry for a sequence of calls, keyed at any moment by its next
 // call's exact (at, seq). The binary heap the ladder replaced survives as
-// the differential-test reference (refheap.go).
+// the differential-test reference (refheap_test.go).
 //
 // Simulator is not safe for concurrent use: the whole point of a DES is
 // that virtual concurrency is multiplexed onto one goroutine.
