@@ -91,8 +91,9 @@ type (
 )
 
 // SimStats reports the scheduler's throughput counters for a session
-// (Session.Stats): events processed, peak queue depth, wall time inside
-// the event loop and events per second.
+// (Session.Stats): events processed (elided ones included) and executed,
+// peak queue depth, wall time inside the event loop and executed events
+// per second.
 type SimStats = sim.Stats
 
 // Fault-injection layer: deterministic node crashes, link degradation and

@@ -15,6 +15,7 @@ package channel
 import (
 	"fmt"
 	"math"
+	stdbits "math/bits"
 	"slices"
 
 	"mtmrp/internal/geom"
@@ -31,6 +32,9 @@ type Radio interface {
 	// FrameReceived delivers a successfully decoded frame.
 	FrameReceived(p *packet.Packet)
 	// CarrierChanged notifies busy/idle transitions of the local medium.
+	// A radio that has stopped listening (Channel.Listen) may be told of
+	// some transitions and not of others; it reads the medium with
+	// Channel.Busy instead.
 	CarrierChanged(busy bool)
 }
 
@@ -45,29 +49,68 @@ type arrival struct {
 
 // fan is one transmission's carrier-sense fan, staged by fanOut and
 // consumed by its start and end cursors: mem holds the CS neighbors
-// sorted by (propagation delay, CS index), and offs[j] is mem[j]'s delay,
-// the offset both cursors share. Members copy the destination out of the
-// link table and carry their own arrival, so a DynamicLinkTable.Move
-// while the frame is in flight — which edits the link lists in place —
-// cannot reach it. Fans are pooled by the channel and recycled after
-// their last end call.
+// sorted by (propagation delay, CS index), and offs[j] is mem[j]'s delay.
+// The cursors run only the eager members, whose positions in mem are
+// listed in run; the other members are folded into spans at their nodes,
+// and their mem and offs entries are left unset.
+// Members copy the destination out of the link table and carry their own
+// arrival, so a DynamicLinkTable.Move while the frame is in flight —
+// which edits the link lists in place — cannot reach it. Fans are pooled
+// by the channel and recycled after their last end call, or at once when
+// no member is eager.
 type fan struct {
-	c    *Channel
-	left int // end calls not yet run
-	mem  []member
-	offs []sim.Time
+	c     *Channel
+	left  int // end calls not yet run
+	mem   []member
+	offs  []sim.Time
+	run   []int    // positions of the eager members, ascending
+	eager []uint64 // bit set of the eager members' positions, staged by fanOut
 }
 
 // member is one CS neighbor of a fan.
 type member struct {
-	to  int
+	to  int32
 	rx  bool    // decodes the frame: arr is live
 	arr arrival // the frame in flight toward to, when rx
 }
 
+// span is one folded fan member: a carrier signal at a node that did not
+// listen when the frame went on the air, starting at (start, sseq) and
+// ending at (end, eseq) in the simulator's (at, seq) order, with neither
+// edge queued. Member seqs are never 0 (the tx-end event takes the first
+// seq of a batch), so the zero span is an empty slot.
+type span struct {
+	start, end sim.Time
+	sseq, eseq uint64
+}
+
+// over reports whether the span is empty or has ended at (now, cur).
+func (sp *span) over(now sim.Time, cur uint64) bool {
+	return sp.eseq == 0 || before(sp.end, sp.eseq, now, cur)
+}
+
+// before reports whether the key (at, seq) precedes the position
+// (now, cur) in the simulator's order.
+func before(at sim.Time, seq uint64, now sim.Time, cur uint64) bool {
+	return at < now || at == now && seq < cur
+}
+
+// spanRec is a span on a node's overflow list.
+type spanRec struct {
+	span
+	next int32 // 1 + index into Channel.spans of the next record; 0 ends the list
+}
+
 // nodeState is the per-node radio state machine.
 type nodeState struct {
-	busySignals  int // signals currently sensed (including own transmission)
+	busySignals int  // signals sensed whose edges run as events (including own transmission)
+	deaf        bool // the radio does not listen to carrier edges (Listen)
+	// A folded signal here is held in sp, where the fan that folds it
+	// finds it on a line it reads anyway; the rare signals that overlap
+	// a live one go on the overflow list headed by spans (1 + index into
+	// Channel.spans; 0: empty).
+	sp           span
+	spans        int32
 	transmitting bool
 	txPkt        *packet.Packet // frame on the air (release at tx end)
 	active       []*arrival     // frames currently arriving within decode range
@@ -82,6 +125,9 @@ type Stats struct {
 	LossDrops     uint64 // receptions lost to the Gilbert–Elliott chain
 	DegradeDrops  uint64 // receptions lost to a degraded endpoint
 	FanSorts      uint64 // fan orders sorted: cache misses of fanOrder
+	FanCalls      uint64 // carrier and arrival edges run by fan cursors
+	Folded        uint64 // carrier edges folded: two per member at a node not listening
+	Materialised  uint64 // folded edges queued after all, when their node began to listen
 }
 
 // LossConfig parameterises the Gilbert–Elliott bursty packet-loss model:
@@ -143,6 +189,12 @@ type Config struct {
 	// cannot perturb the shadowing draws (and vice versa).
 	LossRand *rng.RNG
 
+	// EagerCarrier runs every carrier edge as an event, whether or not
+	// its node listens (Listen): the fan as it was before carrier sense
+	// turned lazy, kept as the reference the lazy fan is tested against.
+	// A run's results are the same either way; only its cost differs.
+	EagerCarrier bool
+
 	// Pool, when non-nil, recycles transmitted frames: the channel holds
 	// one reference per pending arrival (plus the transmit-end event) and
 	// releases them as those events resolve, so frames built by the pool
@@ -165,6 +217,12 @@ type Channel struct {
 
 	batch   sim.Batch // per-transmission entries, flushed by ScheduleBatch
 	fanFree []*fan    // recycled fan records
+
+	// spans holds the nodes' overflow lists of folded signals, headed by
+	// nodeState.spans; spanFree heads the list of free records the same
+	// way, so the store grows only with the signals live at once.
+	spans    []spanRec
+	spanFree int32
 
 	// Fan-order cache (fanOrder): rank[i][k] is the position of cs[i][k]
 	// in node i's fan, sorted by (delay, CS index). It is valid while
@@ -338,9 +396,13 @@ func (c *Channel) Reset(links *LinkTable) {
 		clear(c.rankVer)
 	}
 	c.links = links
+	c.spans = c.spans[:0]
+	c.spanFree = 0
 	for i := range c.state {
 		st := &c.state[i]
 		st.busySignals = 0
+		st.sp = span{}
+		st.spans = 0
 		st.transmitting = false
 		st.txPkt = nil
 		for k := range st.active {
@@ -386,8 +448,115 @@ func (c *Channel) AdoptIdle(src *Channel) {
 	copy(c.degraded, src.degraded)
 }
 
-// Busy reports whether node i currently senses the medium busy.
-func (c *Channel) Busy(i int) bool { return c.state[i].busySignals > 0 }
+// Busy reports whether node i currently senses the medium busy: a
+// signal whose edges run as events, or a folded one that has started and
+// not ended at the simulator's position (Now, Seq).
+func (c *Channel) Busy(i int) bool {
+	st := &c.state[i]
+	if st.busySignals > 0 {
+		return true
+	}
+	now, cur := c.sim.Now(), c.sim.Seq()
+	if !st.sp.over(now, cur) && before(st.sp.start, st.sp.sseq, now, cur) {
+		return true
+	}
+	c.prune(i, now, cur)
+	for k := st.spans; k != 0; k = c.spans[k-1].next {
+		if sp := &c.spans[k-1]; before(sp.start, sp.sseq, now, cur) {
+			return true
+		}
+	}
+	return false
+}
+
+// Listen tells the channel whether node i's radio listens to carrier
+// edges; a radio listens until it says otherwise. While a node does not
+// listen, the fan members at it that do not decode their frame are
+// folded (fanOut): their edges never run, and Busy alone reports them. A
+// MAC stops listening when no carrier edge can change what it does, and
+// starts again before it reads Busy to contend. Starting queues the
+// node's live folded edges under the keys they were folded with: an edge
+// still to come runs where it would have, and a signal already under way
+// counts as sensed. So from then on the node sees every edge the eager
+// fan would have shown it, at the same key, and the carrier transitions
+// it is told of are exactly the eager fan's. With Config.EagerCarrier
+// the call does nothing.
+func (c *Channel) Listen(i int, on bool) {
+	if c.cfg.EagerCarrier {
+		return
+	}
+	st := &c.state[i]
+	st.deaf = !on
+	if !on {
+		return
+	}
+	now, cur := c.sim.Now(), c.sim.Seq()
+	if st.sp.eseq != 0 {
+		c.materialise(i, &st.sp, now, cur)
+		st.sp = span{}
+	}
+	for k := st.spans; k != 0; {
+		r := &c.spans[k-1]
+		c.materialise(i, &r.span, now, cur)
+		next := r.next
+		r.next = c.spanFree
+		c.spanFree = k
+		k = next
+	}
+	st.spans = 0
+}
+
+// materialise queues what is left of node i's folded signal sp at the
+// position (now, cur): nothing once it has ended, its end edge while it
+// is under way (the signal then counts as sensed), both edges before it
+// starts.
+func (c *Channel) materialise(i int, sp *span, now sim.Time, cur uint64) {
+	switch {
+	case before(sp.end, sp.eseq, now, cur):
+	case before(sp.start, sp.sseq, now, cur):
+		c.state[i].busySignals++
+		c.sim.AtSeq(sp.end, sp.eseq, spanEndCB, c, i)
+		c.stats.Materialised++
+	default:
+		c.sim.AtSeq(sp.start, sp.sseq, spanStartCB, c, i)
+		c.sim.AtSeq(sp.end, sp.eseq, spanEndCB, c, i)
+		c.stats.Materialised += 2
+	}
+}
+
+// overflow files sp, a signal folded at node i whose slot holds a signal
+// that has not ended at (now, cur), on the node's overflow list. The list
+// drops its ended signals first, so it holds only signals that overlap
+// in time.
+func (c *Channel) overflow(i int, sp span, now sim.Time, cur uint64) {
+	st := &c.state[i]
+	c.prune(i, now, cur)
+	k := c.spanFree
+	if k != 0 {
+		c.spanFree = c.spans[k-1].next
+	} else {
+		c.spans = append(c.spans, spanRec{})
+		k = int32(len(c.spans))
+	}
+	c.spans[k-1] = spanRec{span: sp, next: st.spans}
+	st.spans = k
+}
+
+// prune frees the signals on node i's overflow list that have ended at
+// (now, cur).
+func (c *Channel) prune(i int, now sim.Time, cur uint64) {
+	for link := &c.state[i].spans; *link != 0; {
+		k := *link
+		r := &c.spans[k-1]
+		if !r.over(now, cur) {
+			link = &r.next
+			continue
+		}
+		*link = r.next
+		r.next = c.spanFree
+		c.spanFree = k
+	}
+}
 
 // Stats returns a copy of the channel counters.
 func (c *Channel) Stats() Stats { return c.stats }
@@ -430,32 +599,35 @@ var (
 	fanStartCB = func(arg any, k int) {
 		f := arg.(*fan)
 		m := &f.mem[k]
-		f.c.signalStart(m.to)
+		f.c.stats.FanCalls++
+		f.c.signalStart(int(m.to))
 		if m.rx {
-			f.c.startArrival(m.to, &m.arr)
+			f.c.startArrival(int(m.to), &m.arr)
 		}
 	}
 	fanEndCB = func(arg any, k int) {
 		f := arg.(*fan)
 		m := &f.mem[k]
 		c := f.c
-		c.signalEnd(m.to)
+		c.stats.FanCalls++
+		c.signalEnd(int(m.to))
 		if m.rx {
-			c.endArrival(m.to, &m.arr)
+			c.endArrival(int(m.to), &m.arr)
 		}
 		if f.left--; f.left == 0 {
 			c.fanFree = append(c.fanFree, f)
 		}
 	}
+	// A folded edge queued after all (Listen).
+	spanStartCB = func(arg any, i int) { arg.(*Channel).signalStart(i) }
+	spanEndCB   = func(arg any, i int) { arg.(*Channel).signalEnd(i) }
 )
 
 // Transmit puts a frame on the air from node i and returns its on-air
 // duration. The caller (MAC) must not start a second transmission from the
 // same node before the returned duration elapses.
 func (c *Channel) Transmit(i int, p *packet.Packet) sim.Time {
-	dur := c.transmitInto(i, p)
-	c.sim.ScheduleBatch(&c.batch)
-	return dur
+	return c.transmit(i, p, nil, nil, 0)
 }
 
 // TransmitThen transmits like Transmit and additionally schedules
@@ -466,16 +638,13 @@ func (c *Channel) Transmit(i int, p *packet.Packet) sim.Time {
 // AfterCall(dur, ...) — but the whole fan costs one ScheduleBatch. No
 // handle is returned; the callback cannot be cancelled.
 func (c *Channel) TransmitThen(i int, p *packet.Packet, cb sim.Callback, arg any, argi int) sim.Time {
-	dur := c.transmitInto(i, p)
-	c.batch.AfterCall(dur, cb, arg, argi)
-	c.sim.ScheduleBatch(&c.batch)
-	return dur
+	return c.transmit(i, p, cb, arg, argi)
 }
 
-// transmitInto stages one transmission into c.batch: the tx-end event,
-// then the carrier-sense fan as one start cursor and one end cursor
-// (fanOut).
-func (c *Channel) transmitInto(i int, p *packet.Packet) sim.Time {
+// transmit stages one transmission into c.batch — the tx-end event, the
+// carrier-sense fan as one start cursor and one end cursor (fanOut), and
+// then(arg, argi) at the end if then is set — and flushes it.
+func (c *Channel) transmit(i int, p *packet.Packet, then sim.Callback, arg any, argi int) sim.Time {
 	st := &c.state[i]
 	if st.transmitting {
 		panic(fmt.Sprintf("channel: node %d transmit while transmitting", i))
@@ -498,25 +667,45 @@ func (c *Channel) transmitInto(i int, p *packet.Packet) sim.Time {
 	}
 	// The node senses its own signal.
 	c.signalStart(i)
+	// Nothing runs between here and the flush, so the tx-end event takes
+	// the next seq and the fan's cursors the ones after it.
+	seq := c.sim.NextSeq() + 1
 	c.batch.AfterCall(dur, txEndCB, c, i)
 
 	refs := int32(1) // the tx-end event
 	if cs := c.links.cs[i]; len(cs) > 0 {
-		refs += c.fanOut(i, p, dur, cs)
+		refs += c.fanOut(i, p, dur, cs, seq)
 	}
 	if c.cfg.Pool != nil {
 		c.cfg.Pool.Hold(p, refs)
 		st.txPkt = p
 	}
+	if then != nil {
+		c.batch.AfterCall(dur, then, arg, argi)
+	}
+	c.sim.ScheduleBatch(&c.batch)
 	return dur
 }
 
 // fanOut stages node i's carrier-sense fan into a pooled fan record,
 // in node i's fan order (fanOrder: sorted by propagation delay, then CS
-// index), and appends two cursors to c.batch: the start edges, each at
-// its delay, and the end edges, each at its delay + dur. It returns the
-// number of arrivals staged. Every transmission takes two queue entries
-// for its whole fan, however many distinct delays the fan has.
+// index), and appends two sparse cursors to c.batch over its eager
+// members: the start edges, each at its delay, and the end edges, each at
+// its delay + dur; the start cursor's seqs begin at seq. It returns the
+// number of arrivals staged. Every transmission takes at most two queue
+// entries for its whole fan, however many distinct delays the fan has,
+// and none when no member is eager.
+//
+// A member is eager when it decodes the frame (its arrival must run) or
+// its node listens (Listen). The rest are folded: each is filed at its
+// node as a span keyed as its two edges would have been, in the node's
+// slot or, if that holds a live signal, on its overflow list, and
+// counted as run (sim.Simulator.Fold). The test comes after the draws, so
+// a frame lost to shadowing or the loss model folds like one from outside
+// the decode disc. Both cursors reserve a seq for every member, folded
+// or not, so each member keeps the key it would have had in a fan with
+// no folding. A fan with no eager member queues nothing and goes straight
+// back to the pool.
 //
 // Why the execution order is exactly that of one start and one end event
 // per link, appended in CS-list order:
@@ -535,15 +724,20 @@ func (c *Channel) transmitInto(i int, p *packet.Packet) sim.Time {
 //     them link by link. No start shares a timestamp with the tx-end
 //     event either; a zero-delay end does, and queues behind it as
 //     before, since tx-end is appended first.
-//   - Both cursors read f.offs, which stays intact until the last end
-//     call has run: the fan is recycled only by that call, after the
-//     simulator has dropped its cursor.
+//   - Both cursors read f.run and f.offs, which stay intact until the
+//     last end call has run: the fan is recycled only by that call, after
+//     the simulator has dropped its cursor.
+//   - A folded member's edges run only once its node listens again, and
+//     then under the keys its cursors reserved for them (Listen). Until
+//     then they only count the node's carrier, which Busy reads from the
+//     span at the simulator's position, and tell a radio that does not
+//     listen of transitions it ignores. DESIGN.md §20.
 //
 // One pass walks the CS list in destination order, so the loss,
 // shadowing and degradation draws keep their order, and files each
 // link's destination, delay and fate at its cached rank. The sort runs
 // only when node i's links have changed since its last transmission.
-func (c *Channel) fanOut(i int, p *packet.Packet, dur sim.Time, cs []link) int32 {
+func (c *Channel) fanOut(i int, p *packet.Packet, dur sim.Time, cs []link, seq uint64) int32 {
 	rank := c.fanOrder(i, cs)
 	f := c.newFan(len(cs))
 	// A link flagged rx lies inside the decode disc. With shadowing
@@ -555,7 +749,10 @@ func (c *Channel) fanOut(i int, p *packet.Packet, dur sim.Time, cs []link) int32
 	// packet.
 	shadow := c.cfg.ShadowingSigmaDB > 0
 	lossy := c.loss != nil || c.degraded != nil
+	now, cur := c.sim.Now(), c.sim.Seq()
+	n := uint64(len(cs))
 	var arrivals int32
+	folded, last := 0, sim.Time(0)
 	for k, l := range cs {
 		to, delay := l.to(), l.delay()
 		if delay >= dur {
@@ -563,17 +760,46 @@ func (c *Channel) fanOut(i int, p *packet.Packet, dur sim.Time, cs []link) int32
 				dur, delay, i, to))
 		}
 		j := rank[k]
+		rx := (l.rx() || shadow) && c.decodable(l) && (!lossy || c.linkUp(i, to))
+		if st := &c.state[to]; !rx && st.deaf {
+			sp := span{start: now + delay, end: now + dur + delay, sseq: seq + uint64(j), eseq: seq + n + uint64(j)}
+			if st.sp.over(now, cur) {
+				st.sp = sp
+			} else {
+				c.overflow(to, sp, now, cur)
+			}
+			folded++
+			last = max(last, delay)
+			continue
+		}
+		f.eager[j>>6] |= 1 << (j & 63)
 		f.offs[j] = delay
 		m := &f.mem[j]
-		m.to = to
-		m.rx = (l.rx() || shadow) && c.decodable(l) && (!lossy || c.linkUp(i, to))
-		if m.rx {
+		m.to = int32(to)
+		m.rx = rx
+		if rx {
 			m.arr = arrival{pkt: p}
 			arrivals++
 		}
 	}
-	c.batch.AfterCursor(0, fanStartCB, f, 0, f.offs)
-	c.batch.AfterCursor(dur, fanEndCB, f, 0, f.offs)
+	// The eager members in fan order, through the bit set.
+	for w, bits := range f.eager {
+		for bits != 0 {
+			j := w<<6 | stdbits.TrailingZeros64(bits)
+			bits &= bits - 1
+			f.run = append(f.run, j)
+		}
+	}
+	f.left = len(f.run)
+	c.batch.AfterSparseCursor(0, fanStartCB, f, len(cs), f.run, f.offs)
+	c.batch.AfterSparseCursor(dur, fanEndCB, f, len(cs), f.run, f.offs)
+	if folded > 0 {
+		c.sim.Fold(2*folded, now+dur+last)
+		c.stats.Folded += 2 * uint64(folded)
+	}
+	if len(f.run) == 0 {
+		c.fanFree = append(c.fanFree, f)
+	}
 	return arrivals
 }
 
@@ -620,10 +846,14 @@ func (c *Channel) newFan(n int) *fan {
 	if cap(f.mem) < n {
 		f.mem = make([]member, n)
 		f.offs = make([]sim.Time, n)
+		f.run = make([]int, 0, n)
+		f.eager = make([]uint64, (n+63)/64)
 	}
 	f.mem = f.mem[:n]
 	f.offs = f.offs[:n]
-	f.left = n
+	f.run = f.run[:0]
+	f.eager = f.eager[:(n+63)/64]
+	clear(f.eager)
 	return f
 }
 

@@ -27,16 +27,27 @@ type refArrival struct {
 	a arrival
 }
 
+// Each per-link event counts as one fan call, as a cursor call does.
 var (
-	refSigStartCB    = func(arg any, i int) { arg.(*Channel).signalStart(i) }
-	refSigEndCB      = func(arg any, i int) { arg.(*Channel).signalEnd(i) }
+	refSigStartCB = func(arg any, i int) {
+		c := arg.(*Channel)
+		c.stats.FanCalls++
+		c.signalStart(i)
+	}
+	refSigEndCB = func(arg any, i int) {
+		c := arg.(*Channel)
+		c.stats.FanCalls++
+		c.signalEnd(i)
+	}
 	refSigArrStartCB = func(arg any, i int) {
 		r := arg.(*refArrival)
+		r.c.stats.FanCalls++
 		r.c.signalStart(i)
 		r.c.startArrival(i, &r.a)
 	}
 	refSigArrEndCB = func(arg any, i int) {
 		r := arg.(*refArrival)
+		r.c.stats.FanCalls++
 		r.c.signalEnd(i)
 		r.c.endArrival(i, &r.a)
 	}
@@ -80,13 +91,15 @@ func (c *Channel) refTransmit(i int, p *packet.Packet) sim.Time {
 	return dur
 }
 
-// traceRec is one observation at a radio: a carrier edge (frame 0) or a
-// decoded frame (its UID).
+// traceRec is one observation at a radio: a carrier edge (frame 0), a
+// decoded frame (its UID) or, when probe is set, what Busy read as the
+// node began or stopped listening.
 type traceRec struct {
 	at    sim.Time
 	node  int
 	busy  bool
 	frame uint64
+	probe bool
 }
 
 // fanRig drives one channel (fan or reference path) through a scripted
@@ -94,7 +107,9 @@ type traceRec struct {
 // a deferred send goes out inside the carrier-idle callback, and some
 // receptions are forwarded at once or a random-free moment later — so
 // the channel's own callbacks transmit while the fan's cursors are mid-way,
-// exactly where an ordering slip would show.
+// exactly where an ordering slip would show. A deaf radio ignores carrier
+// edges; only the fan path tells the channel (Listen), so only there are
+// its edges folded.
 type fanRig struct {
 	sc    *fanScript
 	s     *sim.Simulator
@@ -102,8 +117,9 @@ type fanRig struct {
 	dyn   *DynamicLinkTable
 	ref   bool
 	trace []traceRec
-	want  []int // deferred frame size per node (0 = none)
-	relay int   // receptions left that may react, so relaying cannot flood forever
+	want  []int  // deferred frame size per node (0 = none)
+	deaf  []bool // radios not listening to carrier edges
+	relay int    // receptions left that may react, so relaying cannot flood forever
 }
 
 type rigRadio struct {
@@ -113,6 +129,9 @@ type rigRadio struct {
 
 func (r rigRadio) CarrierChanged(busy bool) {
 	g := r.g
+	if g.deaf[r.node] {
+		return
+	}
 	g.trace = append(g.trace, traceRec{at: g.s.Now(), node: r.node, busy: busy})
 	if !busy && g.want[r.node] > 0 {
 		size := g.want[r.node]
@@ -144,6 +163,7 @@ func (g *fanRig) send(i, size int) {
 	}
 	if g.c.Busy(i) && g.want[i] == 0 {
 		g.want[i] = size // defer to the carrier-idle edge
+		g.listen(i, true)
 		return
 	}
 	p := packet.NewHello(packet.NodeID(i), nil)
@@ -155,20 +175,32 @@ func (g *fanRig) send(i, size int) {
 	}
 }
 
-// rigOp is one scripted action: a send (size > 0), a move (to set) or a
-// degradation toggle.
-type rigOp struct {
-	at   sim.Time
-	node int
-	size int
-	move bool
-	to   geom.Point
+// listen makes radio i listen to carrier edges or stop, telling the
+// channel on the fan path only.
+func (g *fanRig) listen(i int, on bool) {
+	g.deaf[i] = !on
+	if !g.ref {
+		g.c.Listen(i, on)
+	}
 }
 
-// fanScript is the pre-drawn workload both paths replay.
+// rigOp is one scripted action: a send (size > 0), a move (to set), a
+// listening toggle (listen set) or a degradation toggle.
+type rigOp struct {
+	at     sim.Time
+	node   int
+	size   int
+	move   bool
+	listen bool
+	to     geom.Point
+}
+
+// fanScript is the pre-drawn workload both paths replay. deaf, when set,
+// names the radios that start out not listening.
 type fanScript struct {
-	pos []geom.Point
-	ops []rigOp
+	pos  []geom.Point
+	ops  []rigOp
+	deaf []bool
 }
 
 func newFanScript(seed uint64, grid bool) *fanScript {
@@ -195,6 +227,22 @@ func newFanScript(seed uint64, grid bool) *fanScript {
 	return sc
 }
 
+// withListening adds to sc radios that start deaf (two in three) and 300
+// listening toggles, some landing inside a frame, drawn from seed.
+func (sc *fanScript) withListening(seed uint64) *fanScript {
+	r := rng.New(seed).Derive("listen")
+	n := len(sc.pos)
+	sc.deaf = make([]bool, n)
+	for i := range sc.deaf {
+		sc.deaf[i] = r.Intn(3) > 0
+	}
+	const horizon = 40_000_000
+	for k := 0; k < 300; k++ {
+		sc.ops = append(sc.ops, rigOp{at: sim.Time(r.Intn(horizon)), node: r.Intn(n), listen: true})
+	}
+	return sc
+}
+
 var (
 	rigSendCB = func(arg any, i int) { arg.(*fanRig).send(i, 33) }
 	rigOpCB   = func(arg any, k int) {
@@ -204,6 +252,13 @@ var (
 			g.send(op.node, op.size)
 		case op.move:
 			g.dyn.Move(op.node, op.to)
+		case op.listen:
+			on := g.deaf[op.node]
+			if !on && g.want[op.node] > 0 {
+				return // a deferred send waits for the idle edge
+			}
+			g.trace = append(g.trace, traceRec{at: g.s.Now(), node: op.node, busy: g.c.Busy(op.node), probe: true})
+			g.listen(op.node, on)
 		default:
 			g.c.SetDegraded(op.node, !g.c.Degraded(op.node))
 		}
@@ -215,7 +270,7 @@ var (
 func (sc *fanScript) run(ref bool, seed uint64) ([]traceRec, Stats, sim.Stats) {
 	params := radio.MustDefault80211Params(40, 2.2)
 	loss := DefaultLossConfig()
-	g := &fanRig{sc: sc, s: sim.New(), ref: ref, want: make([]int, len(sc.pos)), relay: 1000}
+	g := &fanRig{sc: sc, s: sim.New(), ref: ref, want: make([]int, len(sc.pos)), deaf: make([]bool, len(sc.pos)), relay: 1000}
 	g.dyn = NewDynamicLinkTable(sc.pos, params)
 	g.c = NewWithTable(g.s, g.dyn.Table(), Config{
 		ShadowingSigmaDB: 3, Rand: rng.New(seed).Derive("shadow"),
@@ -223,6 +278,9 @@ func (sc *fanScript) run(ref bool, seed uint64) ([]traceRec, Stats, sim.Stats) {
 	})
 	for i := range sc.pos {
 		g.c.Attach(i, rigRadio{g, i})
+		if sc.deaf != nil && sc.deaf[i] {
+			g.listen(i, false)
+		}
 	}
 	for k, op := range sc.ops {
 		g.s.AtCall(op.at, rigOpCB, g, k)
@@ -277,6 +335,65 @@ func TestFanMatchesPerLinkReference(t *testing.T) {
 				if gotSim.Processed != wantSim.Processed || gotSim.MaxPending != wantSim.MaxPending ||
 					gotSim.Entries >= wantSim.Entries {
 					t.Logf("seed %d: sim stats: fan %+v, reference %+v", seed, gotSim, wantSim)
+					return false
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestLazyFanMatchesPerLinkReference is the channel-level differential
+// for lazy carrier sense: the workload of TestFanMatchesPerLinkReference
+// with most radios deaf at the start and listening toggled 300 times,
+// some toggles landing while frames are in flight, and deferring radios
+// listening until their idle edge. The fan path tells the channel
+// (Listen), so it folds the edges of non-decoding members at deaf
+// radios; the per-link reference runs them all and the deaf radios
+// ignore them. Both must log the same trace, Busy probes at every
+// toggle included, the same channel counters, with the fan's run and
+// folded calls adding up to the reference's, and the same number of
+// events, fewer of them executed and never more of them queued.
+func TestLazyFanMatchesPerLinkReference(t *testing.T) {
+	for _, grid := range []bool{true, false} {
+		name := "random"
+		if grid {
+			name = "grid"
+		}
+		t.Run(name, func(t *testing.T) {
+			f := func(seed uint64) bool {
+				sc := newFanScript(seed, grid).withListening(seed)
+				want, wantSt, wantSim := sc.run(true, seed)
+				got, gotSt, gotSim := sc.run(false, seed)
+				if gotSt.Folded == 0 || gotSt.Materialised == 0 {
+					t.Logf("seed %d: %d calls folded, %d materialised; the workload must do both", seed, gotSt.Folded, gotSt.Materialised)
+					return false
+				}
+				for k := 0; k < len(want) && k < len(got); k++ {
+					if got[k] != want[k] {
+						t.Logf("seed %d: trace diverges at %d: lazy %+v, reference %+v", seed, k, got[k], want[k])
+						return false
+					}
+				}
+				if len(got) != len(want) {
+					t.Logf("seed %d: trace length: lazy %d, reference %d", seed, len(got), len(want))
+					return false
+				}
+				if gotSt.FanCalls+gotSt.Folded != wantSt.FanCalls {
+					t.Logf("seed %d: %d fan calls run and %d folded, reference ran %d", seed, gotSt.FanCalls, gotSt.Folded, wantSt.FanCalls)
+					return false
+				}
+				gotSt.FanSorts, gotSt.FanCalls, gotSt.Folded, gotSt.Materialised = 0, wantSt.FanCalls, 0, 0
+				if gotSt != wantSt {
+					t.Logf("seed %d: stats: lazy %+v, reference %+v", seed, gotSt, wantSt)
+					return false
+				}
+				if gotSim.Processed != wantSim.Processed || gotSim.Executed >= wantSim.Executed ||
+					gotSim.MaxPending > wantSim.MaxPending {
+					t.Logf("seed %d: sim stats: lazy %+v, reference %+v", seed, gotSim, wantSim)
 					return false
 				}
 				return true

@@ -128,7 +128,7 @@ func printOf(s *Session) sessionPrint {
 		switch m.Type().Name() {
 		case "CSMA":
 			var busy int64
-			if m.FieldByName("busy").Bool() {
+			if net.Chan.Busy(i) {
 				busy = 1
 			}
 			p.MACs = append(p.MACs, [4]int64{int64(m.FieldByName("state").Uint()),

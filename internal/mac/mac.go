@@ -89,6 +89,11 @@ const (
 // counts the ticks the timer folds away (sim.Simulator.Elide), so event
 // counts stay those of a per-slot countdown. DESIGN.md §19 gives the
 // rules and why they reproduce the per-slot order.
+//
+// The MAC listens to carrier edges (channel.Channel.Listen) only while it
+// contends — deferring, in DIFS or counting down — since an edge changes
+// nothing while it is idle or sending; it reads the medium with
+// channel.Channel.Busy when it starts contending. DESIGN.md §20.
 type CSMA struct {
 	sim   *sim.Simulator
 	ch    *channel.Channel
@@ -110,7 +115,6 @@ type CSMA struct {
 	timer sim.Event // pending DIFS, pre-expiry or expiry timer
 	// next and prev link the MAC into its Countdowns group (csmaLast).
 	next, prev *CSMA
-	busy       bool   // local carrier state
 	Dropped    uint64 // frames dropped due to queue overflow
 }
 
@@ -225,6 +229,7 @@ func NewCSMA(s *sim.Simulator, ch *channel.Channel, cd *Countdowns, idx int, cfg
 	}
 	m := &CSMA{sim: s, ch: ch, cd: cd, idx: idx, cfg: cfg, rnd: rnd, slots: -1}
 	ch.Attach(idx, m)
+	ch.Listen(idx, false)
 	return m
 }
 
@@ -248,7 +253,7 @@ func (m *CSMA) Reset(parent *rng.RNG) {
 	m.slots = -1
 	m.from = 0
 	m.timer = sim.Event{}
-	m.busy = false
+	m.ch.Listen(m.idx, false)
 	m.Dropped = 0
 	parent.DeriveInto("mac", m.rnd)
 }
@@ -259,7 +264,7 @@ func (m *CSMA) AdoptIdle(src MAC) {
 	// An idle MAC with an idle carrier holds no backoff: slots are drawn
 	// only for a queued frame and cleared when it goes on the air. So s
 	// matches the reset m but for its drop counter and stream.
-	if s.state != csmaIdle || s.QueueLen() != 0 || s.busy || s.slots >= 0 {
+	if s.state != csmaIdle || s.QueueLen() != 0 || s.ch.Busy(s.idx) || s.slots >= 0 {
 		panic("mac: AdoptIdle from a busy CSMA")
 	}
 	m.Dropped = s.Dropped
@@ -300,7 +305,10 @@ func (m *CSMA) start() {
 		m.state = csmaIdle
 		return
 	}
-	if m.busy {
+	if m.state == csmaIdle {
+		m.ch.Listen(m.idx, true)
+	}
+	if m.ch.Busy(m.idx) {
 		// 802.11: a frame arriving to a busy medium must draw a random
 		// backoff, otherwise every deferring neighbor would fire exactly
 		// DIFS after the medium clears and collide.
@@ -355,6 +363,7 @@ func idealNextCB(arg any, _ int) { arg.(*Ideal).next() }
 func (m *CSMA) transmit() {
 	p := m.pop()
 	m.state = csmaTx
+	m.ch.Listen(m.idx, false)
 	m.slots = -1
 	// The tx-done timer rides in the channel's bulk insertion, appended
 	// after the whole event fan — the same (at, seq) order as a separate
@@ -390,7 +399,6 @@ func (m *CSMA) freeze() {
 
 // CarrierChanged implements channel.Radio.
 func (m *CSMA) CarrierChanged(busy bool) {
-	m.busy = busy
 	switch m.state {
 	case csmaDIFS, csmaBackoff, csmaLast:
 		if busy {
@@ -402,7 +410,8 @@ func (m *CSMA) CarrierChanged(busy bool) {
 		}
 	case csmaIdle, csmaTx:
 		// Nothing to do: no pending frame, or our own transmission
-		// (completion is handled by the tx-end timer).
+		// (completion is handled by the tx-end timer). The MAC does not
+		// listen in these states, so it sees only some of these edges.
 	}
 }
 
@@ -432,6 +441,7 @@ type Ideal struct {
 func NewIdeal(s *sim.Simulator, ch *channel.Channel, idx int) *Ideal {
 	m := &Ideal{sim: s, ch: ch, idx: idx}
 	ch.Attach(idx, m)
+	ch.Listen(idx, false) // it never senses the carrier
 	return m
 }
 

@@ -32,6 +32,19 @@ func (d diffSession) String() string {
 // frame digest, and, when traced, its JSONL frame trace.
 func (d diffSession) run(t *testing.T, traced bool) (mtmrp.SimStats, uint64, []byte) {
 	t.Helper()
+	var log bytes.Buffer
+	var w *bytes.Buffer
+	if traced {
+		w = &log
+	}
+	s := d.simulate(t, w)
+	return s.Stats(), s.Network().Digest(), log.Bytes()
+}
+
+// simulate runs the session to its end, digesting its frames and, if
+// log is set, tracing them there.
+func (d diffSession) simulate(t *testing.T, log *bytes.Buffer) *mtmrp.Session {
+	t.Helper()
 	topo := mtmrp.Grid()
 	if d.random {
 		var err error
@@ -47,9 +60,8 @@ func (d diffSession) run(t *testing.T, traced bool) (mtmrp.SimStats, uint64, []b
 		Topo: topo, Source: 0, Receivers: rcv, Protocol: d.proto,
 		N: 4, Delta: mtmrp.Millisecond, Seed: d.seed,
 	}
-	var log bytes.Buffer
-	if traced {
-		sc.TraceWriter = &log
+	if log != nil {
+		sc.TraceWriter = log
 	}
 	s, err := mtmrp.NewSession(sc)
 	if err != nil {
@@ -63,18 +75,34 @@ func (d diffSession) run(t *testing.T, traced bool) (mtmrp.SimStats, uint64, []b
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return s.Stats(), s.Network().Digest(), log.Bytes()
+	return s
 }
 
-// firstDiff names the first line where two traces differ.
-func firstDiff(got, want []byte) string {
+// firstDiff names the first line where two traces differ; gotName and
+// wantName label them.
+func firstDiff(got, want []byte, gotName, wantName string) string {
 	g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 	for i := 0; i < min(len(g), len(w)); i++ {
 		if !bytes.Equal(g[i], w[i]) {
-			return fmt.Sprintf("line %d:\n  one timer %s\n  per slot  %s", i+1, g[i], w[i])
+			return fmt.Sprintf("line %d:\n  %s %s\n  %s %s", i+1, gotName, g[i], wantName, w[i])
 		}
 	}
-	return fmt.Sprintf("one timer logs %d lines, per slot %d", len(g), len(w))
+	return fmt.Sprintf("%s logs %d lines, %s %d", gotName, len(g), wantName, len(w))
+}
+
+// diffMatrix is the differential tests' session set: six protocols ×
+// {grid, random-200} × seeds 1–8.
+func diffMatrix() []diffSession {
+	protos := []mtmrp.Protocol{mtmrp.MTMRP, mtmrp.MTMRPNoPHS, mtmrp.DODMRP, mtmrp.ODMRP, mtmrp.Flooding, mtmrp.GMR}
+	var sessions []diffSession
+	for _, p := range protos {
+		for _, random := range []bool{false, true} {
+			for seed := uint64(1); seed <= 8; seed++ {
+				sessions = append(sessions, diffSession{proto: p, random: random, seed: seed, nodes: 200, side: 200, receivers: 20})
+			}
+		}
+	}
+	return sessions
 }
 
 // TestCSMAMatchesPerSlotReference holds mac.CSMA's one-timer countdown
@@ -88,15 +116,7 @@ func firstDiff(got, want []byte) string {
 // that keys each expiry when its countdown starts sends them oldest
 // first and reorders their frames.
 func TestCSMAMatchesPerSlotReference(t *testing.T) {
-	protos := []mtmrp.Protocol{mtmrp.MTMRP, mtmrp.MTMRPNoPHS, mtmrp.DODMRP, mtmrp.ODMRP, mtmrp.Flooding, mtmrp.GMR}
-	var sessions []diffSession
-	for _, p := range protos {
-		for _, random := range []bool{false, true} {
-			for seed := uint64(1); seed <= 8; seed++ {
-				sessions = append(sessions, diffSession{proto: p, random: random, seed: seed, nodes: 200, side: 200, receivers: 20})
-			}
-		}
-	}
+	sessions := diffMatrix()
 	tie := func(p mtmrp.Protocol, random bool, seed uint64) diffSession {
 		if random {
 			return diffSession{proto: p, random: true, seed: seed, nodes: 2000, side: 900, receivers: 40}
@@ -120,7 +140,7 @@ func TestCSMAMatchesPerSlotReference(t *testing.T) {
 		if digest != refDigest {
 			_, _, log := d.run(t, true)
 			_, _, refLog := ref(true)
-			t.Fatalf("frame traces differ at %s", firstDiff(log, refLog))
+			t.Fatalf("frame traces differ at %s", firstDiff(log, refLog, "one timer", "per slot "))
 		}
 		if st.Processed != refSt.Processed || st.MaxPending != refSt.MaxPending {
 			t.Errorf("events %d, peak queue %d; per slot: events %d, peak queue %d",
@@ -140,5 +160,73 @@ func TestCSMAMatchesPerSlotReference(t *testing.T) {
 			}
 			check(t, d)
 		})
+	}
+}
+
+// TestLazyCarrierMatchesEager holds lazy carrier sense — fan members at
+// nodes whose MAC does not listen folded into spans, queued again under
+// their own keys when the MAC starts to contend — to the eager fan, which
+// runs every carrier edge as an event (channel.Config.EagerCarrier). Every
+// session must put the same frames on the air in the same order at the
+// same instants (equal frame digests; on a mismatch both rerun traced and
+// the first differing line is shown) and process the same number of
+// events, while executing fewer and never queueing more at once. The
+// matrix is diffMatrix plus one 2000-node random session.
+func TestLazyCarrierMatchesEager(t *testing.T) {
+	check := func(t *testing.T, d diffSession) {
+		st, digest, _ := d.run(t, false)
+		eager := func(traced bool) (mtmrp.SimStats, uint64, []byte) {
+			defer network.UseEagerCarrier()()
+			return d.run(t, traced)
+		}
+		ref, refDigest, _ := eager(false)
+		if digest != refDigest {
+			_, _, log := d.run(t, true)
+			_, _, refLog := eager(true)
+			t.Fatalf("frame traces differ at %s", firstDiff(log, refLog, "lazy ", "eager"))
+		}
+		if st.Processed != ref.Processed {
+			t.Errorf("%d events processed, eager %d", st.Processed, ref.Processed)
+		}
+		if st.Executed >= ref.Executed || st.MaxPending > ref.MaxPending {
+			t.Errorf("executed %d events, peak queue %d; eager: executed %d, peak queue %d",
+				st.Executed, st.MaxPending, ref.Executed, ref.MaxPending)
+		}
+	}
+	for _, d := range diffMatrix() {
+		t.Run(d.String(), func(t *testing.T) { check(t, d) })
+	}
+	big := diffSession{proto: mtmrp.MTMRP, random: true, seed: 2, nodes: 2000, side: 900, receivers: 40}
+	t.Run(big.String(), func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("2000-node session; skipped in -short")
+		}
+		check(t, big)
+	})
+}
+
+// TestCarrierCountsGridSeed4 pins the channel's carrier counters and the
+// simulator's event counts for the session `mtmrsim -topo grid -seed 4
+// -packets 5` runs. The eager fan runs 43,720 fan calls; lazy carrier
+// sense runs 10,106 of them and folds the other 33,614, of which 123 are
+// queued after all when their node's MAC starts to contend. Both process
+// the same 49,683 events; the lazy fan executes 13,205 of them.
+func TestCarrierCountsGridSeed4(t *testing.T) {
+	d := diffSession{proto: mtmrp.MTMRP, seed: 4, receivers: 20}
+	type counts struct {
+		fanCalls, folded, materialised, processed, executed uint64
+	}
+	measure := func() counts {
+		s := d.simulate(t, nil)
+		cs, st := s.Network().Chan.Stats(), s.Stats()
+		return counts{cs.FanCalls, cs.Folded, cs.Materialised, st.Processed, st.Executed}
+	}
+	if got, want := measure(), (counts{10_106, 33_614, 123, 49_683, 13_205}); got != want {
+		t.Errorf("lazy: %+v, want %+v", got, want)
+	}
+	restore := network.UseEagerCarrier()
+	defer restore()
+	if got, want := measure(), (counts{43_720, 0, 0, 49_683, 46_696}); got != want {
+		t.Errorf("eager: %+v, want %+v", got, want)
 	}
 }

@@ -16,6 +16,15 @@ import (
 	"mtmrp/internal/sim"
 )
 
+// UseEagerCarrier makes every network built until restore is called run
+// every carrier edge as an event (channel.Config.EagerCarrier), the
+// reference for lazy carrier sense.
+func UseEagerCarrier() (restore func()) {
+	prev := eagerCarrier
+	eagerCarrier = true
+	return func() { eagerCarrier = prev }
+}
+
 // UseReferenceCSMA makes every network built until restore is called run
 // the per-slot reference MAC wherever it would run mac.CSMA.
 func UseReferenceCSMA() (restore func()) {
@@ -23,6 +32,7 @@ func UseReferenceCSMA() (restore func()) {
 	newCSMA = func(s *sim.Simulator, ch *channel.Channel, _ *mac.Countdowns, i int, cfg mac.CSMAConfig) mac.MAC {
 		m := &refCSMA{sim: s, ch: ch, idx: i, cfg: cfg, rnd: new(rng.RNG), slots: -1}
 		ch.Attach(i, m)
+		ch.Listen(i, false)
 		return m
 	}
 	return func() { newCSMA = prev }
@@ -38,7 +48,9 @@ const (
 	refTx                      // frame on the air
 )
 
-// refCSMA is the per-slot countdown.
+// refCSMA is the per-slot countdown. It listens to carrier edges
+// (channel.Channel.Listen) in the states mac.CSMA listens in — deferring,
+// in DIFS or counting down — so both fold the same carrier edges.
 type refCSMA struct {
 	sim   *sim.Simulator
 	ch    *channel.Channel
@@ -51,7 +63,6 @@ type refCSMA struct {
 	queue []*packet.Packet
 	slots int       // remaining backoff slots
 	timer sim.Event // pending DIFS/slot timer
-	busy  bool
 }
 
 func (m *refCSMA) SetUpper(fn func(*packet.Packet)) { m.upper = fn }
@@ -61,13 +72,13 @@ func (m *refCSMA) Reset(parent *rng.RNG) {
 	m.state = refIdle
 	m.slots = -1
 	m.timer = sim.Event{}
-	m.busy = false
+	m.ch.Listen(m.idx, false)
 	parent.DeriveInto("mac", m.rnd)
 }
 
 func (m *refCSMA) AdoptIdle(src mac.MAC) {
 	s := src.(*refCSMA)
-	if s.state != refIdle || len(s.queue) != 0 || s.busy || s.slots >= 0 {
+	if s.state != refIdle || len(s.queue) != 0 || s.ch.Busy(s.idx) || s.slots >= 0 {
 		panic("refCSMA: AdoptIdle from a busy MAC")
 	}
 	*m.rnd = *s.rnd
@@ -88,7 +99,10 @@ func (m *refCSMA) start() {
 		m.state = refIdle
 		return
 	}
-	if m.busy {
+	if m.state == refIdle {
+		m.ch.Listen(m.idx, true)
+	}
+	if m.ch.Busy(m.idx) {
 		if m.slots < 0 {
 			m.slots = m.rnd.Intn(m.cfg.CW)
 		}
@@ -135,12 +149,12 @@ func (m *refCSMA) transmit() {
 	p := m.queue[0]
 	m.queue = append(m.queue[:0], m.queue[1:]...)
 	m.state = refTx
+	m.ch.Listen(m.idx, false)
 	m.slots = -1
 	m.ch.TransmitThen(m.idx, p, refTxDoneCB, m, 0)
 }
 
 func (m *refCSMA) CarrierChanged(busy bool) {
-	m.busy = busy
 	switch m.state {
 	case refDIFS, refBackoff:
 		if busy {

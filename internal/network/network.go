@@ -137,6 +137,7 @@ func New(topo *topology.Topology, cfg Config) *Network {
 		Rand:              net.chanRand,
 		LossRand:          net.lossRand,
 		Pool:              net.pkt,
+		EagerCarrier:      eagerCarrier,
 	})
 	net.Chan = ch
 	ch.OnAir = func(from int, p *packet.Packet) {
@@ -183,6 +184,11 @@ func New(topo *topology.Topology, cfg Config) *Network {
 	net.Reset(topo, links, cfg.Seed)
 	return net
 }
+
+// eagerCarrier builds every channel with channel.Config.EagerCarrier:
+// the lazy carrier-sense differential test turns it on for its
+// reference runs (csmaref_test.go).
+var eagerCarrier bool
 
 // newCSMA builds node i's contention MAC over the network's shared
 // countdowns. The MAC differential test swaps in the per-slot reference

@@ -92,12 +92,16 @@ func TestLadderMatchesRefHeap(t *testing.T) {
 
 // refModel is a complete reference scheduler built on the old binary
 // heap: lazy cancellation by sequence number, Step/RunUntil drains, and
-// reset — the semantics Simulator promises, minus the arena plumbing.
+// reset — the semantics Simulator promises, minus the arena plumbing. A
+// folded entry stays queued but runs nothing: it only moves the clock,
+// as an event the simulator folded away (Fold) counts as run, until
+// unfold makes it an ordinary entry again (AtSeq).
 type refModel struct {
 	h         refHeap
 	now       Time
 	seq       uint64
 	cancelled map[uint64]bool
+	folded    map[uint64]bool
 	tags      map[uint64]int
 	fired     []firedEvent
 }
@@ -108,7 +112,7 @@ type firedEvent struct {
 }
 
 func newRefModel() *refModel {
-	return &refModel{cancelled: map[uint64]bool{}, tags: map[uint64]int{}}
+	return &refModel{cancelled: map[uint64]bool{}, folded: map[uint64]bool{}, tags: map[uint64]int{}}
 }
 
 func (m *refModel) schedule(d Time, tag int) uint64 {
@@ -128,6 +132,9 @@ func (m *refModel) pop() (firedEvent, bool) {
 			continue
 		}
 		m.now = e.at
+		if m.folded[e.seq] {
+			continue
+		}
 		f := firedEvent{at: e.at, tag: m.tags[e.seq]}
 		m.fired = append(m.fired, f)
 		return f, true
@@ -145,6 +152,11 @@ func (m *refModel) runUntil(t Time) {
 		if e.at > t {
 			break
 		}
+		if m.folded[e.seq] {
+			m.h.pop()
+			m.now = e.at
+			continue
+		}
 		m.pop()
 	}
 	if m.now < t {
@@ -157,6 +169,7 @@ func (m *refModel) reset() {
 	m.now = 0
 	m.seq = 0
 	m.cancelled = map[uint64]bool{}
+	m.folded = map[uint64]bool{}
 	m.tags = map[uint64]int{}
 }
 
@@ -167,7 +180,13 @@ func (m *refModel) reset() {
 // fired and stale handles, Step bursts, RunUntil hops and Stops that land
 // in the middle of a cursor, and Resets with cursors pending — and
 // requires the two fired-event streams to match exactly, (time, tag) for
-// (time, tag), plus agreeing pending counts at every checkpoint.
+// (time, tag), plus agreeing pending counts at every checkpoint. Sparse
+// cursors (AfterSparseCursor) run some of their calls and fold the rest
+// (Fold), which the model keeps queued as folded entries; later, folded
+// calls whose keys are still ahead are queued after all (AtSeq) and must
+// run exactly where the model's unfolded entries do. After the final
+// drain the clocks must agree, folded times included, and Processed must
+// count every fired and every folded call.
 func TestSchedulerDifferential(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -203,8 +222,16 @@ func TestSchedulerDifferential(t *testing.T) {
 			tag++
 		}
 		var batch Batch
+		// foldedCall is a call a sparse cursor skipped and Fold counted.
+		type foldedCall struct {
+			at  Time
+			seq uint64 // the simulator's and the model's
+			tag int
+		}
+		var folded []foldedCall
+		var foldedLeft uint64 // folded calls never queued since the last reset
 		for op := 0; op < 600; op++ {
-			switch r.Intn(12) {
+			switch r.Intn(14) {
 			case 0, 1, 2:
 				schedule(offset())
 			case 3:
@@ -298,6 +325,52 @@ func TestSchedulerDifferential(t *testing.T) {
 					t.Logf("Stop mismatch: sim fired %d, model %d", len(fired), len(m.fired))
 					return false
 				}
+			case 12:
+				// A sparse cursor: some calls run, the others fold.
+				d, offs := offset(), cursorOffsets(r)
+				if s.NextSeq() != m.seq {
+					t.Logf("next seq: sim %d, model %d", s.NextSeq(), m.seq)
+					return false
+				}
+				var args []int
+				var last Time
+				n := 0
+				for k, o := range offs {
+					ms := m.schedule(d+o, tag+k)
+					if r.Bool(0.5) {
+						args = append(args, k)
+						continue
+					}
+					m.folded[ms] = true
+					folded = append(folded, foldedCall{at: s.Now() + d + o, seq: ms, tag: tag + k})
+					n++
+					last = d + o
+				}
+				// A sparse call's argi is its position: arg carries the
+				// tag of position 0.
+				batch.AfterSparseCursor(d, func(base any, k int) { cb(nil, base.(int)+k) }, tag, len(offs), args, offs)
+				s.ScheduleBatch(&batch)
+				if n > 0 {
+					s.Fold(n, s.Now()+last)
+					foldedLeft += uint64(n)
+				}
+				tag += len(offs)
+			case 13:
+				// Queue some folded calls after all, where still ahead.
+				now, cur := s.Now(), s.Seq()
+				kept := folded[:0]
+				for _, fc := range folded {
+					ahead := fc.at > now || fc.at == now && fc.seq > cur
+					switch {
+					case ahead && r.Bool(0.5):
+						s.AtSeq(fc.at, fc.seq, cb, nil, fc.tag)
+						m.folded[fc.seq] = false
+						foldedLeft--
+					case ahead:
+						kept = append(kept, fc)
+					}
+				}
+				folded = kept
 			case 9:
 				if r.Bool(0.2) {
 					s.Reset()
@@ -306,6 +379,8 @@ func TestSchedulerDifferential(t *testing.T) {
 					fired = fired[:0]
 					handles = handles[:0]
 					modelSeq = modelSeq[:0]
+					folded = folded[:0]
+					foldedLeft = 0
 				}
 			}
 			if s.Pending() != len(m.h)-countCancelledQueued(m) {
@@ -329,6 +404,11 @@ func TestSchedulerDifferential(t *testing.T) {
 				t.Logf("stream diverges at %d: sim %+v model %+v", i, fired[i], m.fired[i])
 				return false
 			}
+		}
+		if s.Now() != m.now || s.Processed() != uint64(len(fired))+foldedLeft {
+			t.Logf("after the drain: sim now %v, %d processed; model now %v, %d fired + %d folded",
+				s.Now(), s.Processed(), m.now, len(fired), foldedLeft)
+			return false
 		}
 		return true
 	}
@@ -368,7 +448,7 @@ func cursorOffsets(r *rng.RNG) []Time {
 func countCancelledQueued(m *refModel) int {
 	n := 0
 	for _, e := range m.h {
-		if m.cancelled[e.seq] {
+		if m.cancelled[e.seq] || m.folded[e.seq] {
 			n++
 		}
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 )
@@ -53,9 +54,9 @@ type entry struct {
 // event is the pooled callback record. at/seq live only in the queue
 // entry; the record holds what must survive until the event fires. A
 // cursor's record (Batch.AfterCursor) stands for its remaining calls
-// cb(arg, argi), cb(arg, argi+1), …: each execution runs one call and
-// advances argi, and cur indexes the cursor record that keys the calls
-// after it. The cursor data lives in that side table, not here, so a
+// cb(arg, argi), cb(arg, argi+1), … (or, for a sparse cursor, the argi
+// its side table lists): each execution runs one call and advances argi,
+// and cur indexes the cursor record that keys the calls after it. The cursor data lives in that side table, not here, so a
 // single event's record stays 40 bytes.
 type event struct {
 	gen  uint32
@@ -66,11 +67,14 @@ type event struct {
 }
 
 // cursor keys the calls of a cursor entry after the one queued: call j
-// of them is due at base + offs[j]. Its seqs need no storage, since a
-// cursor's calls hold contiguous seqs and each follows its predecessor.
+// of them is due at base + offs[j] or, in a sparse cursor
+// (Batch.AfterSparseCursor), the call with argi k at base + offs[k]. Its
+// seqs need no storage: a call's seq is its predecessor's plus the step
+// between their argi, which is 1 unless the cursor is sparse.
 type cursor struct {
 	base Time
-	offs []Time // offsets of the calls after the queued one; never empty
+	offs []Time // offsets of the calls after the queued one, never empty; a sparse cursor's offsets by argi
+	args []int  // a sparse cursor's argi of the calls after the queued one, never empty; nil otherwise
 }
 
 // Simulator is a single-threaded discrete-event scheduler. All simulated
@@ -91,13 +95,15 @@ type cursor struct {
 type Simulator struct {
 	now       Time
 	q         ladder
-	events    []event  // arena of pooled event records, indexed by entry.id
-	free      []uint32 // free list of recycled arena slots
-	cursors   []cursor // cursor records, indexed by event.cur-1
-	curFree   []uint32 // free list of recycled cursor records
-	live      int      // scheduled events not yet fired or cancelled
-	maxLive   int      // high-water mark of live (queue depth)
-	seq       uint64
+	events    []event       // arena of pooled event records, indexed by entry.id
+	free      []uint32      // free list of recycled arena slots
+	cursors   []cursor      // cursor records, indexed by event.cur-1
+	curFree   []uint32      // free list of recycled cursor records
+	live      int           // scheduled events not yet fired or cancelled
+	maxLive   int           // high-water mark of live (queue depth)
+	seq       uint64        // the next seq to hand out
+	cur       uint64        // seq of the event running; with now, the position in the (at, seq) order
+	horizon   Time          // latest time of an event folded away (Fold)
 	processed uint64        // events run or elided
 	executed  uint64        // events run: the calls exec made
 	entries   uint64        // queue entries pushed, cursor re-queues included
@@ -131,6 +137,8 @@ func (s *Simulator) Reset() {
 	s.live = 0
 	s.maxLive = 0
 	s.seq = 0
+	s.cur = 0
+	s.horizon = 0
 	s.processed = 0
 	s.executed = 0
 	s.entries = 0
@@ -154,6 +162,8 @@ func (s *Simulator) AdoptIdle(src *Simulator) {
 	s.q.adoptIdle(&src.q)
 	s.now = src.now
 	s.seq = src.seq
+	s.cur = src.cur
+	s.horizon = src.horizon
 	s.processed = src.processed
 	s.executed = src.executed
 	s.entries = src.entries
@@ -162,6 +172,16 @@ func (s *Simulator) AdoptIdle(src *Simulator) {
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
+
+// NextSeq returns the seq the next event scheduled will take.
+func (s *Simulator) NextSeq() uint64 { return s.seq }
+
+// Seq returns the seq of the event running. With Now it keys the
+// simulator's position in the (at, seq) order: every event keyed before
+// (Now, Seq) has run or been folded away, and none keyed after it has.
+// Between runs, once everything due by Now has run, it is the largest
+// seq, so the position follows every event at Now.
+func (s *Simulator) Seq() uint64 { return s.cur }
 
 // Processed returns the number of events processed so far, elided ones
 // included (for stats/tests).
@@ -177,6 +197,48 @@ func (s *Simulator) Elide(n int) {
 		panic(fmt.Sprintf("sim: eliding %d events", n))
 	}
 	s.processed += uint64(n)
+}
+
+// Fold counts n events that the caller will never queue as processed,
+// as Elide does, the latest of them due at last (no earlier than Now):
+// Processed includes them from now on, and a Run or Step that drains the
+// queue moves the clock on to last if it is still behind, as running them
+// would have. Their seqs are the caller's to reserve (see
+// Batch.AfterSparseCursor), and the caller may still queue one of them
+// with AtSeq. Processed is exact whenever the queue has drained; between
+// the fold and a folded event's time it already counts that event.
+func (s *Simulator) Fold(n int, last Time) {
+	if n < 0 || last < s.now {
+		panic(fmt.Sprintf("sim: folding %d events up to %v at %v", n, last, s.now))
+	}
+	s.processed += uint64(n)
+	s.horizon = max(s.horizon, last)
+}
+
+// AtSeq queues cb(arg, i) at t under seq, a seq an earlier ScheduleBatch
+// reserved for a call a sparse cursor skipped and the caller folded
+// (Fold). The call takes the place it would have had: its (at, seq) key
+// must still follow the running event's, and Processed, which counted it
+// at the fold, counts it again only when it runs. No handle is returned.
+func (s *Simulator) AtSeq(t Time, seq uint64, cb Callback, arg any, i int) {
+	if cb == nil {
+		panic("sim: scheduling nil callback")
+	}
+	if seq >= s.seq || t < s.now || t == s.now && seq <= s.cur || s.processed == 0 {
+		panic(fmt.Sprintf("sim: AtSeq(%v, %d) at position (%v, %d), next seq %d", t, seq, s.now, s.cur, s.seq))
+	}
+	id := s.alloc()
+	ev := &s.events[id]
+	ev.cb = cb
+	ev.arg = arg
+	ev.argi = i
+	s.q.push(entry{at: t, seq: seq, id: id, gen: ev.gen})
+	s.processed--
+	s.entries++
+	s.live++
+	if s.live > s.maxLive {
+		s.maxLive = s.live
+	}
 }
 
 // Pending returns the number of events currently queued (each call of a
@@ -294,6 +356,8 @@ type batchCall struct {
 	arg  any
 	argi int
 	offs []Time // cursor offsets; nil for a single call
+	args []int  // a sparse cursor's argi, one per offset
+	span int    // seqs a sparse cursor reserves
 }
 
 // AfterCall appends cb(arg, i), to run d after the simulator's clock at
@@ -335,6 +399,32 @@ func (b *Batch) AfterCursor(d Time, cb Callback, arg any, i int, offs []Time) {
 	b.calls = append(b.calls, batchCall{d: d, cb: cb, arg: arg, argi: i, offs: offs})
 }
 
+// AfterSparseCursor appends a cursor over span calls cb(arg, 0) …
+// cb(arg, span-1) of which only those listed in args (ascending, each in
+// [0, span)) run: call k runs at the flush-time clock + d + offs[k]
+// (offs holds span offsets, nonnegative and nondecreasing along args;
+// the others are not read). The cursor
+// reserves the span contiguous seqs that span AfterCall appends would
+// take, and each call that runs keeps the one its argi indexes, so it
+// runs exactly where that append would have. The skipped calls' seqs
+// stay reserved, unused, for the caller to fold (Simulator.Fold) and,
+// should it need one of them after all, to queue under its own key
+// (Simulator.AtSeq). With args empty nothing is queued: the cursor only
+// reserves its seqs. The caller keeps args and offs intact until the last
+// call has run.
+func (b *Batch) AfterSparseCursor(d Time, cb Callback, arg any, span int, args []int, offs []Time) {
+	b.check(d, cb)
+	if len(offs) != span || len(args) > span {
+		panic(fmt.Sprintf("sim: sparse cursor of %d calls over %d offsets and span %d", len(args), len(offs), span))
+	}
+	for j, k := range args {
+		if k < 0 || k >= span || offs[k] < 0 || j > 0 && (k <= args[j-1] || offs[k] < offs[args[j-1]]) {
+			panic(fmt.Sprintf("sim: sparse cursor call %d of %d, after %v", k, span, args[:j]))
+		}
+	}
+	b.calls = append(b.calls, batchCall{d: d, cb: cb, arg: arg, offs: offs, args: args, span: span})
+}
+
 func (b *Batch) check(d Time, cb Callback) {
 	if cb == nil {
 		panic("sim: scheduling nil callback")
@@ -358,8 +448,10 @@ func (b *Batch) reset() {
 
 // ScheduleBatch schedules every entry in b, in append order, exactly as
 // the equivalent sequence of AfterCall invocations would (cursors
-// expanded call by call): the same (at, seq) order, hence bit-identical
-// execution order. Then it empties b.
+// expanded call by call, a sparse cursor's skipped calls included): the
+// same (at, seq) order, hence bit-identical execution order: the first
+// call takes NextSeq and the calls after it the seqs that follow. Then it
+// empties b.
 //
 // The bulk path exists for fan-out schedules — one transmission arming a
 // whole carrier-sense fan — where the ladder queue places each entry
@@ -368,9 +460,17 @@ func (b *Batch) reset() {
 // path. No handles are returned: batched events cannot be individually
 // cancelled.
 func (s *Simulator) ScheduleBatch(b *Batch) {
-	calls := 0
+	calls, entries := 0, 0
 	for k := range b.calls {
 		c := &b.calls[k]
+		if c.args != nil || c.span > 0 {
+			calls += s.scheduleSparse(c)
+			if len(c.args) > 0 {
+				entries++
+			}
+			continue
+		}
+		entries++
 		id := s.alloc()
 		ev := &s.events[id]
 		ev.cb = c.cb
@@ -381,7 +481,7 @@ func (s *Simulator) ScheduleBatch(b *Batch) {
 		if c.offs != nil {
 			n = len(c.offs)
 			if n > 1 {
-				ev.cur = s.newCursor(at, c.offs[1:])
+				ev.cur = s.newCursor(at, c.offs[1:], nil)
 			}
 			at += c.offs[0]
 		}
@@ -389,7 +489,7 @@ func (s *Simulator) ScheduleBatch(b *Batch) {
 		s.seq += uint64(n) // reserve the cursor's contiguous seqs
 		calls += n
 	}
-	s.entries += uint64(len(b.calls))
+	s.entries += uint64(entries)
 	s.live += calls
 	if s.live > s.maxLive {
 		s.maxLive = s.live
@@ -397,9 +497,31 @@ func (s *Simulator) ScheduleBatch(b *Batch) {
 	b.reset()
 }
 
+// scheduleSparse queues the first call of a sparse cursor, if it has
+// one, under the seq its argi indexes, reserves the cursor's span and
+// returns the number of calls queued.
+func (s *Simulator) scheduleSparse(c *batchCall) int {
+	n := len(c.args)
+	if n > 0 {
+		id := s.alloc()
+		ev := &s.events[id]
+		ev.cb = c.cb
+		ev.arg = c.arg
+		k := c.args[0]
+		ev.argi = k
+		base := s.now + c.d
+		if n > 1 {
+			ev.cur = s.newCursor(base, c.offs, c.args[1:])
+		}
+		s.q.push(entry{at: base + c.offs[k], seq: s.seq + uint64(k), id: id, gen: ev.gen})
+	}
+	s.seq += uint64(c.span)
+	return n
+}
+
 // newCursor takes a cursor record from the free list (or grows the
 // table) and returns its event.cur reference.
-func (s *Simulator) newCursor(base Time, offs []Time) uint32 {
+func (s *Simulator) newCursor(base Time, offs []Time, args []int) uint32 {
 	var k uint32
 	if n := len(s.curFree); n > 0 {
 		k = s.curFree[n-1]
@@ -408,7 +530,7 @@ func (s *Simulator) newCursor(base Time, offs []Time) uint32 {
 		s.cursors = append(s.cursors, cursor{})
 		k = uint32(len(s.cursors) - 1)
 	}
-	s.cursors[k] = cursor{base: base, offs: offs}
+	s.cursors[k] = cursor{base: base, offs: offs, args: args}
 	return k + 1
 }
 
@@ -460,13 +582,25 @@ func (s *Simulator) exec(en entry) {
 		// call runs. That key is at least this one (offsets never
 		// decrease) and its seq precedes whatever the call schedules.
 		c := &s.cursors[ev.cur-1]
-		next := entry{at: c.base + c.offs[0], seq: en.seq + 1, id: en.id, gen: en.gen}
-		if c.offs = c.offs[1:]; len(c.offs) == 0 {
-			c.offs = nil // do not pin the caller's offsets
+		var off Time
+		step, left := 1, 0
+		if c.args != nil {
+			k := c.args[0]
+			off, step = c.offs[k], k-ev.argi
+			c.args = c.args[1:]
+			left = len(c.args)
+		} else {
+			off = c.offs[0]
+			c.offs = c.offs[1:]
+			left = len(c.offs)
+		}
+		next := entry{at: c.base + off, seq: en.seq + uint64(step), id: en.id, gen: en.gen}
+		if left == 0 {
+			c.offs, c.args = nil, nil // do not pin the caller's slices
 			s.curFree = append(s.curFree, ev.cur-1)
 			ev.cur = 0
 		}
-		ev.argi++
+		ev.argi += step
 		if s.q.replaceFront(next) {
 			s.entries++
 		}
@@ -481,6 +615,7 @@ func (s *Simulator) exec(en entry) {
 	}
 	s.live--
 	s.now = en.at
+	s.cur = en.seq
 	s.processed++
 	s.executed++
 	cb(arg, argi)
@@ -491,6 +626,7 @@ func (s *Simulator) exec(en entry) {
 func (s *Simulator) Step() bool {
 	en, ok := s.next()
 	if !ok {
+		s.drained()
 		return false
 	}
 	s.exec(en)
@@ -504,12 +640,21 @@ func (s *Simulator) Run() {
 	for s.running {
 		en, ok := s.next()
 		if !ok {
+			s.drained()
 			break
 		}
 		s.exec(en)
 	}
 	s.running = false
 	s.runWall += time.Since(start)
+}
+
+// drained moves the position, once the queue is empty, past every event
+// run or folded: the clock to the latest folded event's time if it is
+// still behind, and the seq past every event at that time.
+func (s *Simulator) drained() {
+	s.now = max(s.now, s.horizon)
+	s.cur = math.MaxUint64
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
@@ -522,6 +667,9 @@ func (s *Simulator) RunUntil(t Time) {
 	for s.running {
 		en, ok := s.next()
 		if !ok || en.at > t {
+			if s.now <= t {
+				s.cur = math.MaxUint64 // everything due by t has run
+			}
 			break
 		}
 		s.exec(en)
@@ -529,6 +677,7 @@ func (s *Simulator) RunUntil(t Time) {
 	s.running = false
 	if s.now < t {
 		s.now = t
+		s.cur = math.MaxUint64
 	}
 	s.runWall += time.Since(start)
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -329,4 +331,52 @@ func TestElide(t *testing.T) {
 		}
 	}()
 	s.Elide(-1)
+}
+
+// TestFoldAndAtSeq: a sparse cursor reserves seqs for the calls it
+// skips; Fold counts them as processed, not executed, and moves the
+// clock to the last of them once the queue drains; AtSeq queues a folded
+// call under its reserved key, where it runs before a later seq at the
+// same instant, and takes back the fold's count; and AtSeq refuses a key
+// at or before the running event's and a seq never handed out.
+func TestFoldAndAtSeq(t *testing.T) {
+	s := New()
+	var got []int
+	cb := func(_ any, i int) { got = append(got, i) }
+	var b Batch
+	offs := []Time{10, 10, 20, 30}
+	first := s.NextSeq()
+	b.AfterSparseCursor(0, cb, nil, len(offs), []int{1}, offs) // calls 0, 2 and 3 fold
+	s.ScheduleBatch(&b)
+	s.Fold(3, 30)
+	s.AtCall(20, cb, nil, 9) // a later seq at call 2's instant
+	s.AtCall(5, func(any, int) {
+		if s.Seq() != first+5 {
+			t.Errorf("running seq %d, want %d", s.Seq(), first+5)
+		}
+		s.AtSeq(20, first+2, cb, nil, 2) // call 2, queued after all
+	}, nil, 0)
+	s.Run()
+	st := s.Stats()
+	if !slices.Equal(got, []int{1, 2, 9}) || s.Now() != 30 || s.Seq() != math.MaxUint64 ||
+		st.Processed != 6 || st.Executed != 4 {
+		t.Errorf("ran %v, now %v, seq %d, %+v; want [1 2 9] at 30, after everything, 6 processed, 4 executed",
+			got, s.Now(), s.Seq(), st)
+	}
+	for _, c := range []struct {
+		name string
+		at   Time
+		seq  uint64
+	}{{"at the running instant, an older seq", 30, first + 4}, {"before the running instant", 20, first + 3}, {"an unreserved seq", 40, math.MaxUint64 - 1}} {
+		s.AfterCall(0, func(any, int) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AtSeq %s did not panic", c.name)
+				}
+			}()
+			s.Fold(1, s.Now())
+			s.AtSeq(c.at, c.seq, cb, nil, 0)
+		}, nil, 0)
+		s.Run()
+	}
 }
