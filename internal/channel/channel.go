@@ -103,17 +103,17 @@ type spanRec struct {
 
 // nodeState is the per-node radio state machine.
 type nodeState struct {
-	busySignals int  // signals sensed whose edges run as events (including own transmission)
-	deaf        bool // the radio does not listen to carrier edges (Listen)
 	// A folded signal here is held in sp, where the fan that folds it
-	// finds it on a line it reads anyway; the rare signals that overlap
-	// a live one go on the overflow list headed by spans (1 + index into
-	// Channel.spans; 0: empty).
+	// finds it next to deaf, which it reads anyway; the rare signals that
+	// overlap a live one go on the overflow list headed by spans (1 +
+	// index into Channel.spans; 0: empty).
 	sp           span
-	spans        int32
-	transmitting bool
 	txPkt        *packet.Packet // frame on the air (release at tx end)
 	active       []*arrival     // frames currently arriving within decode range
+	busySignals  int32          // signals sensed whose edges run as events (including own transmission)
+	spans        int32
+	deaf         bool // the radio does not listen to carrier edges (Listen)
+	transmitting bool
 }
 
 // Stats counts channel-level outcomes for diagnostics and tests.
@@ -689,8 +689,7 @@ func (c *Channel) transmit(i int, p *packet.Packet, then sim.Callback, arg any, 
 
 // fanOut stages node i's carrier-sense fan into a pooled fan record,
 // in node i's fan order (fanOrder: sorted by propagation delay, then CS
-// index), and appends two sparse cursors to c.batch over its eager
-// members: the start edges, each at its delay, and the end edges, each at
+// index), and appends two cursors to c.batch over its eager members: the start edges, each at its delay, and the end edges, each at
 // its delay + dur; the start cursor's seqs begin at seq. It returns the
 // number of arrivals staged. Every transmission takes at most two queue
 // entries for its whole fan, however many distinct delays the fan has,
@@ -791,14 +790,16 @@ func (c *Channel) fanOut(i int, p *packet.Packet, dur sim.Time, cs []link, seq u
 		}
 	}
 	f.left = len(f.run)
-	c.batch.AfterSparseCursor(0, fanStartCB, f, len(cs), f.run, f.offs)
-	c.batch.AfterSparseCursor(dur, fanEndCB, f, len(cs), f.run, f.offs)
+	if len(f.run) > 0 {
+		c.batch.AfterCursor(0, fanStartCB, f, 0, f.offs, f.run)
+		c.batch.AfterCursor(dur, fanEndCB, f, 0, f.offs, f.run)
+	} else {
+		c.batch.Reserve(2 * len(cs))
+		c.fanFree = append(c.fanFree, f)
+	}
 	if folded > 0 {
 		c.sim.Fold(2*folded, now+dur+last)
 		c.stats.Folded += 2 * uint64(folded)
-	}
-	if len(f.run) == 0 {
-		c.fanFree = append(c.fanFree, f)
 	}
 	return arrivals
 }

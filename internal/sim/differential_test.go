@@ -180,8 +180,8 @@ func (m *refModel) reset() {
 // fired and stale handles, Step bursts, RunUntil hops and Stops that land
 // in the middle of a cursor, and Resets with cursors pending — and
 // requires the two fired-event streams to match exactly, (time, tag) for
-// (time, tag), plus agreeing pending counts at every checkpoint. Sparse
-// cursors (AfterSparseCursor) run some of their calls and fold the rest
+// (time, tag), plus agreeing pending counts at every checkpoint. Cursors
+// that leave calls out (AfterCursor with args) fold the rest
 // (Fold), which the model keeps queued as folded entries; later, folded
 // calls whose keys are still ahead are queued after all (AtSeq) and must
 // run exactly where the model's unfolded entries do. After the final
@@ -222,7 +222,7 @@ func TestSchedulerDifferential(t *testing.T) {
 			tag++
 		}
 		var batch Batch
-		// foldedCall is a call a sparse cursor skipped and Fold counted.
+		// foldedCall is a call a cursor left out and Fold counted.
 		type foldedCall struct {
 			at  Time
 			seq uint64 // the simulator's and the model's
@@ -303,7 +303,7 @@ func TestSchedulerDifferential(t *testing.T) {
 						continue
 					}
 					offs := cursorOffsets(r)
-					batch.AfterCursor(d, cb, nil, tag, offs)
+					batch.AfterCursor(d, cb, nil, tag, offs, nil)
 					for _, o := range offs {
 						m.schedule(d+o, tag)
 						tag++
@@ -326,7 +326,8 @@ func TestSchedulerDifferential(t *testing.T) {
 					return false
 				}
 			case 12:
-				// A sparse cursor: some calls run, the others fold.
+				// A cursor that runs some of its calls and folds the rest,
+				// or, with none to run, only reserves their seqs.
 				d, offs := offset(), cursorOffsets(r)
 				if s.NextSeq() != m.seq {
 					t.Logf("next seq: sim %d, model %d", s.NextSeq(), m.seq)
@@ -346,9 +347,11 @@ func TestSchedulerDifferential(t *testing.T) {
 					n++
 					last = d + o
 				}
-				// A sparse call's argi is its position: arg carries the
-				// tag of position 0.
-				batch.AfterSparseCursor(d, func(base any, k int) { cb(nil, base.(int)+k) }, tag, len(offs), args, offs)
+				if len(args) > 0 {
+					batch.AfterCursor(d, cb, nil, tag, offs, args)
+				} else {
+					batch.Reserve(len(offs))
+				}
 				s.ScheduleBatch(&batch)
 				if n > 0 {
 					s.Fold(n, s.Now()+last)

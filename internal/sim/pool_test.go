@@ -151,7 +151,7 @@ func TestRunEntryCounts(t *testing.T) {
 		}
 	}
 	var b Batch
-	b.AfterCursor(5, cb, nil, 10, []Time{0, 0, 0, 0})
+	b.AfterCursor(5, cb, nil, 10, []Time{0, 0, 0, 0}, nil)
 	s.ScheduleBatch(&b)
 	if st := s.Stats(); s.Pending() != 4 || st.MaxPending != 4 || st.Entries != 1 {
 		t.Fatalf("after scheduling: pending %d, stats %+v; want 4 pending in 1 entry", s.Pending(), st)
@@ -194,7 +194,7 @@ func TestCursorEntryCounts(t *testing.T) {
 	}
 	s.AtCall(15, cb, nil, 200)
 	var b Batch
-	b.AfterCursor(10, cb, nil, 0, []Time{0, 0, 5, 5, 20})
+	b.AfterCursor(10, cb, nil, 0, []Time{0, 0, 5, 5, 20}, nil)
 	b.AfterCall(12, cb, nil, 100)
 	s.ScheduleBatch(&b)
 	s.AtCall(15, cb, nil, 300)
@@ -222,14 +222,14 @@ func TestCursorEntryCounts(t *testing.T) {
 
 	// A Reset with a cursor pending: none of its calls may run after.
 	got = got[:0]
-	b.AfterCursor(0, cb, nil, 10, []Time{1, 2, 3})
+	b.AfterCursor(0, cb, nil, 10, []Time{1, 2, 3}, nil)
 	s.ScheduleBatch(&b)
 	s.Step()
 	s.Reset()
 	if s.Pending() != 0 || s.Stats() != (Stats{}) {
 		t.Fatalf("after Reset: pending %d, stats %+v", s.Pending(), s.Stats())
 	}
-	b.AfterCursor(0, cb, nil, 20, []Time{4, 4})
+	b.AfterCursor(0, cb, nil, 20, []Time{4, 4}, nil)
 	s.ScheduleBatch(&b)
 	s.Run()
 	if want := []int{10, 20, 21}; !slices.Equal(got, want) {
@@ -266,7 +266,7 @@ func TestAdoptIdle(t *testing.T) {
 					offs[j] = Time(r.Intn(30))
 				}
 				slices.Sort(offs)
-				b.AfterCursor(d, cb, nil, 10*i, offs)
+				b.AfterCursor(d, cb, nil, 10*i, offs, nil)
 				s.ScheduleBatch(&b)
 				continue
 			}

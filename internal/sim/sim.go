@@ -54,9 +54,9 @@ type entry struct {
 // event is the pooled callback record. at/seq live only in the queue
 // entry; the record holds what must survive until the event fires. A
 // cursor's record (Batch.AfterCursor) stands for its remaining calls
-// cb(arg, argi), cb(arg, argi+1), … (or, for a sparse cursor, the argi
-// its side table lists): each execution runs one call and advances argi,
-// and cur indexes the cursor record that keys the calls after it. The cursor data lives in that side table, not here, so a
+// cb(arg, argi), cb(arg, argi+1), … (or the argi its side table lists,
+// when it leaves calls out): each execution runs one call and advances
+// argi, and cur indexes the cursor record that keys the calls after it. The cursor data lives in that side table, not here, so a
 // single event's record stays 40 bytes.
 type event struct {
 	gen  uint32
@@ -66,15 +66,16 @@ type event struct {
 	argi int
 }
 
-// cursor keys the calls of a cursor entry after the one queued: call j
-// of them is due at base + offs[j] or, in a sparse cursor
-// (Batch.AfterSparseCursor), the call with argi k at base + offs[k]. Its
-// seqs need no storage: a call's seq is its predecessor's plus the step
-// between their argi, which is 1 unless the cursor is sparse.
+// cursor keys the calls of a cursor entry after the one queued: the call
+// with argi first+k is due at base + offs[k]. Its seqs need no storage: a
+// call's seq is its predecessor's plus the step between their argi,
+// which is 1 unless the cursor leaves calls out (args).
 type cursor struct {
-	base Time
-	offs []Time // offsets of the calls after the queued one, never empty; a sparse cursor's offsets by argi
-	args []int  // a sparse cursor's argi of the calls after the queued one, never empty; nil otherwise
+	base  Time
+	first int    // argi of the cursor's call 0
+	offs  []Time // offsets of all the cursor's calls
+	args  []int  // positions of the calls after the queued one; nil: each follows its predecessor
+	left  int    // calls after the queued one
 }
 
 // Simulator is a single-threaded discrete-event scheduler. All simulated
@@ -203,8 +204,8 @@ func (s *Simulator) Elide(n int) {
 // as Elide does, the latest of them due at last (no earlier than Now):
 // Processed includes them from now on, and a Run or Step that drains the
 // queue moves the clock on to last if it is still behind, as running them
-// would have. Their seqs are the caller's to reserve (see
-// Batch.AfterSparseCursor), and the caller may still queue one of them
+// would have. Their seqs are the caller's to reserve (Batch.AfterCursor
+// with args, Batch.Reserve), and the caller may still queue one of them
 // with AtSeq. Processed is exact whenever the queue has drained; between
 // the fold and a folded event's time it already counts that event.
 func (s *Simulator) Fold(n int, last Time) {
@@ -216,7 +217,7 @@ func (s *Simulator) Fold(n int, last Time) {
 }
 
 // AtSeq queues cb(arg, i) at t under seq, a seq an earlier ScheduleBatch
-// reserved for a call a sparse cursor skipped and the caller folded
+// reserved for a call a cursor left out and the caller folded
 // (Fold). The call takes the place it would have had: its (at, seq) key
 // must still follow the running event's, and Processed, which counted it
 // at the fold, counts it again only when it runs. No handle is returned.
@@ -352,12 +353,11 @@ type Batch struct {
 
 type batchCall struct {
 	d    Time
-	cb   Callback
+	cb   Callback // nil for a reservation (Reserve)
 	arg  any
-	argi int
-	offs []Time // cursor offsets; nil for a single call
-	args []int  // a sparse cursor's argi, one per offset
-	span int    // seqs a sparse cursor reserves
+	argi int    // a cursor's first argi; a reservation's seq count
+	offs []Time // a cursor's offsets; nil for a single call
+	args []int  // the positions of the cursor's calls that run; nil: all
 }
 
 // AfterCall appends cb(arg, i), to run d after the simulator's clock at
@@ -368,11 +368,13 @@ func (b *Batch) AfterCall(d Time, cb Callback, arg any, i int) {
 	b.calls = append(b.calls, batchCall{d: d, cb: cb, arg: arg, argi: i})
 }
 
-// AfterCursor appends a cursor: the calls cb(arg, i+j), each at the
-// flush-time clock + d + offs[j], for j = 0 … len(offs)-1. offs must be
-// nondecreasing and nonnegative, and the caller must keep it intact
-// until the last call has run; a run of calls at one instant is a cursor
-// whose offsets are all equal.
+// AfterCursor appends a cursor over the calls cb(arg, i+k), k = 0 …
+// len(offs)-1, call k at the flush-time clock + d + offs[k]. With args
+// nil every call runs; otherwise only the calls at the positions k that
+// args lists, ascending and at least one. offs must be nonnegative and
+// nondecreasing along the calls that run (the others are not read), and
+// the caller must keep offs and args intact until the last call has run.
+// A run of calls at one instant is a cursor whose offsets are all equal.
 //
 // The cursor takes one queue entry, keyed by its next call's (at, seq).
 // Before each call but the last runs, the entry takes the following
@@ -380,49 +382,44 @@ func (b *Batch) AfterCall(d Time, cb Callback, arg any, i int) {
 // precedes everything else, re-queued (and counted in Stats.Entries)
 // otherwise. Every other counter (Processed, Pending, MaxPending) and
 // every driver (Step runs one call, Stop takes effect between calls,
-// RunUntil) sees len(offs) events.
+// RunUntil) sees one event per call that runs.
 //
 // Execution order is exactly that of len(offs) consecutive AfterCall
-// appends in offs order: ScheduleBatch reserves the contiguous seqs they
-// would get, each call keeps its own, and the ladder orders any key
-// exactly. Anything scheduled while the cursor runs gets a later seq.
-func (b *Batch) AfterCursor(d Time, cb Callback, arg any, i int, offs []Time) {
+// appends in offs order, of which those args leaves out are never
+// queued: ScheduleBatch reserves the contiguous seqs the appends would
+// get, each call keeps its own, and the ladder orders any key exactly.
+// Anything scheduled while the cursor runs gets a later seq. A call left
+// out keeps its seq reserved and unused, for the caller to fold
+// (Simulator.Fold) and, should it need the call after all, to queue
+// under its own key (Simulator.AtSeq).
+func (b *Batch) AfterCursor(d Time, cb Callback, arg any, i int, offs []Time, args []int) {
 	b.check(d, cb)
-	if len(offs) == 0 || offs[0] < 0 {
-		panic(fmt.Sprintf("sim: cursor offsets %v", offs))
-	}
-	for j := 1; j < len(offs); j++ {
-		if offs[j] < offs[j-1] {
-			panic(fmt.Sprintf("sim: cursor offset %v after %v", offs[j], offs[j-1]))
+	n := len(offs)
+	if args == nil {
+		for k := range offs {
+			if offs[k] < 0 || k > 0 && offs[k] < offs[k-1] {
+				panic(fmt.Sprintf("sim: cursor offsets %v", offs))
+			}
 		}
-	}
-	b.calls = append(b.calls, batchCall{d: d, cb: cb, arg: arg, argi: i, offs: offs})
-}
-
-// AfterSparseCursor appends a cursor over span calls cb(arg, 0) …
-// cb(arg, span-1) of which only those listed in args (ascending, each in
-// [0, span)) run: call k runs at the flush-time clock + d + offs[k]
-// (offs holds span offsets, nonnegative and nondecreasing along args;
-// the others are not read). The cursor
-// reserves the span contiguous seqs that span AfterCall appends would
-// take, and each call that runs keeps the one its argi indexes, so it
-// runs exactly where that append would have. The skipped calls' seqs
-// stay reserved, unused, for the caller to fold (Simulator.Fold) and,
-// should it need one of them after all, to queue under its own key
-// (Simulator.AtSeq). With args empty nothing is queued: the cursor only
-// reserves its seqs. The caller keeps args and offs intact until the last
-// call has run.
-func (b *Batch) AfterSparseCursor(d Time, cb Callback, arg any, span int, args []int, offs []Time) {
-	b.check(d, cb)
-	if len(offs) != span || len(args) > span {
-		panic(fmt.Sprintf("sim: sparse cursor of %d calls over %d offsets and span %d", len(args), len(offs), span))
 	}
 	for j, k := range args {
-		if k < 0 || k >= span || offs[k] < 0 || j > 0 && (k <= args[j-1] || offs[k] < offs[args[j-1]]) {
-			panic(fmt.Sprintf("sim: sparse cursor call %d of %d, after %v", k, span, args[:j]))
+		if k < 0 || k >= n || offs[k] < 0 || j > 0 && (k <= args[j-1] || offs[k] < offs[args[j-1]]) {
+			panic(fmt.Sprintf("sim: cursor call %d of %d after %v", k, n, args[:j]))
 		}
 	}
-	b.calls = append(b.calls, batchCall{d: d, cb: cb, arg: arg, offs: offs, args: args, span: span})
+	if n == 0 || args != nil && len(args) == 0 {
+		panic("sim: a cursor without calls")
+	}
+	b.calls = append(b.calls, batchCall{d: d, cb: cb, arg: arg, argi: i, offs: offs, args: args})
+}
+
+// Reserve appends n seqs that no call takes, as a cursor whose calls
+// all fold would reserve them.
+func (b *Batch) Reserve(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("sim: reserving %d seqs", n))
+	}
+	b.calls = append(b.calls, batchCall{argi: n})
 }
 
 func (b *Batch) check(d Time, cb Callback) {
@@ -434,8 +431,7 @@ func (b *Batch) check(d Time, cb Callback) {
 	}
 }
 
-// Len returns the number of accumulated queue entries (a cursor counts
-// once).
+// Len returns the number of accumulated appends (a cursor counts once).
 func (b *Batch) Len() int { return len(b.calls) }
 
 // reset empties the batch. The retained storage keeps the last flush's
@@ -448,10 +444,10 @@ func (b *Batch) reset() {
 
 // ScheduleBatch schedules every entry in b, in append order, exactly as
 // the equivalent sequence of AfterCall invocations would (cursors
-// expanded call by call, a sparse cursor's skipped calls included): the
-// same (at, seq) order, hence bit-identical execution order: the first
-// call takes NextSeq and the calls after it the seqs that follow. Then it
-// empties b.
+// expanded call by call, the calls they leave out and the reserved seqs
+// included): the same (at, seq) order, hence bit-identical execution
+// order. The first append takes NextSeq and those after it the seqs that
+// follow. Then it empties b.
 //
 // The bulk path exists for fan-out schedules — one transmission arming a
 // whole carrier-sense fan — where the ladder queue places each entry
@@ -463,31 +459,35 @@ func (s *Simulator) ScheduleBatch(b *Batch) {
 	calls, entries := 0, 0
 	for k := range b.calls {
 		c := &b.calls[k]
-		if c.args != nil || c.span > 0 {
-			calls += s.scheduleSparse(c)
-			if len(c.args) > 0 {
-				entries++
-			}
+		if c.cb == nil {
+			s.seq += uint64(c.argi)
 			continue
 		}
-		entries++
 		id := s.alloc()
 		ev := &s.events[id]
 		ev.cb = c.cb
 		ev.arg = c.arg
 		ev.argi = c.argi
 		at := s.now + c.d
-		n := 1
+		n, first := 1, 0
 		if c.offs != nil {
 			n = len(c.offs)
-			if n > 1 {
-				ev.cur = s.newCursor(at, c.offs[1:], nil)
+			run, rest := n, c.args
+			if c.args != nil {
+				run, first, rest = len(c.args), c.args[0], c.args[1:]
 			}
-			at += c.offs[0]
+			if run > 1 {
+				ev.cur = s.newCursor(at, c.argi, c.offs, rest, run-1)
+			}
+			ev.argi += first
+			at += c.offs[first]
+			calls += run
+		} else {
+			calls++
 		}
-		s.q.push(entry{at: at, seq: s.seq, id: id, gen: ev.gen})
+		s.q.push(entry{at: at, seq: s.seq + uint64(first), id: id, gen: ev.gen})
 		s.seq += uint64(n) // reserve the cursor's contiguous seqs
-		calls += n
+		entries++
 	}
 	s.entries += uint64(entries)
 	s.live += calls
@@ -497,31 +497,9 @@ func (s *Simulator) ScheduleBatch(b *Batch) {
 	b.reset()
 }
 
-// scheduleSparse queues the first call of a sparse cursor, if it has
-// one, under the seq its argi indexes, reserves the cursor's span and
-// returns the number of calls queued.
-func (s *Simulator) scheduleSparse(c *batchCall) int {
-	n := len(c.args)
-	if n > 0 {
-		id := s.alloc()
-		ev := &s.events[id]
-		ev.cb = c.cb
-		ev.arg = c.arg
-		k := c.args[0]
-		ev.argi = k
-		base := s.now + c.d
-		if n > 1 {
-			ev.cur = s.newCursor(base, c.offs, c.args[1:])
-		}
-		s.q.push(entry{at: base + c.offs[k], seq: s.seq + uint64(k), id: id, gen: ev.gen})
-	}
-	s.seq += uint64(c.span)
-	return n
-}
-
 // newCursor takes a cursor record from the free list (or grows the
 // table) and returns its event.cur reference.
-func (s *Simulator) newCursor(base Time, offs []Time, args []int) uint32 {
+func (s *Simulator) newCursor(base Time, first int, offs []Time, args []int, left int) uint32 {
 	var k uint32
 	if n := len(s.curFree); n > 0 {
 		k = s.curFree[n-1]
@@ -530,7 +508,7 @@ func (s *Simulator) newCursor(base Time, offs []Time, args []int) uint32 {
 		s.cursors = append(s.cursors, cursor{})
 		k = uint32(len(s.cursors) - 1)
 	}
-	s.cursors[k] = cursor{base: base, offs: offs, args: args}
+	s.cursors[k] = cursor{base: base, first: first, offs: offs, args: args, left: left}
 	return k + 1
 }
 
@@ -582,25 +560,17 @@ func (s *Simulator) exec(en entry) {
 		// call runs. That key is at least this one (offsets never
 		// decrease) and its seq precedes whatever the call schedules.
 		c := &s.cursors[ev.cur-1]
-		var off Time
-		step, left := 1, 0
+		k := ev.argi - c.first + 1
 		if c.args != nil {
-			k := c.args[0]
-			off, step = c.offs[k], k-ev.argi
-			c.args = c.args[1:]
-			left = len(c.args)
-		} else {
-			off = c.offs[0]
-			c.offs = c.offs[1:]
-			left = len(c.offs)
+			k, c.args = c.args[0], c.args[1:]
 		}
-		next := entry{at: c.base + off, seq: en.seq + uint64(step), id: en.id, gen: en.gen}
-		if left == 0 {
+		next := entry{at: c.base + c.offs[k], seq: en.seq + uint64(c.first+k-ev.argi), id: en.id, gen: en.gen}
+		ev.argi = c.first + k
+		if c.left--; c.left == 0 {
 			c.offs, c.args = nil, nil // do not pin the caller's slices
 			s.curFree = append(s.curFree, ev.cur-1)
 			ev.cur = 0
 		}
-		ev.argi += step
 		if s.q.replaceFront(next) {
 			s.entries++
 		}

@@ -333,8 +333,8 @@ func TestElide(t *testing.T) {
 	s.Elide(-1)
 }
 
-// TestFoldAndAtSeq: a sparse cursor reserves seqs for the calls it
-// skips; Fold counts them as processed, not executed, and moves the
+// TestFoldAndAtSeq: a cursor reserves seqs for the calls it leaves
+// out; Fold counts them as processed, not executed, and moves the
 // clock to the last of them once the queue drains; AtSeq queues a folded
 // call under its reserved key, where it runs before a later seq at the
 // same instant, and takes back the fold's count; and AtSeq refuses a key
@@ -346,7 +346,7 @@ func TestFoldAndAtSeq(t *testing.T) {
 	var b Batch
 	offs := []Time{10, 10, 20, 30}
 	first := s.NextSeq()
-	b.AfterSparseCursor(0, cb, nil, len(offs), []int{1}, offs) // calls 0, 2 and 3 fold
+	b.AfterCursor(0, cb, nil, 0, offs, []int{1}) // calls 0, 2 and 3 fold
 	s.ScheduleBatch(&b)
 	s.Fold(3, 30)
 	s.AtCall(20, cb, nil, 9) // a later seq at call 2's instant
