@@ -103,8 +103,8 @@ type spanRec struct {
 
 // nodeState is the per-node radio state machine.
 type nodeState struct {
-	// A folded signal here is held in sp, where the fan that folds it
-	// finds it next to deaf, which it reads anyway; the rare signals that
+	// A folded signal here is held in sp, in the node's own record, which
+	// the fan that folds it reads anyway for deaf; the rare signals that
 	// overlap a live one go on the overflow list headed by spans (1 +
 	// index into Channel.spans; 0: empty).
 	sp           span
@@ -689,8 +689,9 @@ func (c *Channel) transmit(i int, p *packet.Packet, then sim.Callback, arg any, 
 
 // fanOut stages node i's carrier-sense fan into a pooled fan record,
 // in node i's fan order (fanOrder: sorted by propagation delay, then CS
-// index), and appends two cursors to c.batch over its eager members: the start edges, each at its delay, and the end edges, each at
-// its delay + dur; the start cursor's seqs begin at seq. It returns the
+// index), and appends two cursors to c.batch over its eager members:
+// the start edges, each at its delay, and the end edges, each at its
+// delay + dur; the start cursor's seqs begin at seq. It returns the
 // number of arrivals staged. Every transmission takes at most two queue
 // entries for its whole fan, however many distinct delays the fan has,
 // and none when no member is eager.

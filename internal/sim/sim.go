@@ -56,8 +56,9 @@ type entry struct {
 // cursor's record (Batch.AfterCursor) stands for its remaining calls
 // cb(arg, argi), cb(arg, argi+1), … (or the argi its side table lists,
 // when it leaves calls out): each execution runs one call and advances
-// argi, and cur indexes the cursor record that keys the calls after it. The cursor data lives in that side table, not here, so a
-// single event's record stays 40 bytes.
+// argi, and cur indexes the cursor record that keys the calls after it.
+// The cursor data lives in that side table, not here, so a single
+// event's record stays 40 bytes.
 type event struct {
 	gen  uint32
 	cur  uint32 // 1 + index into Simulator.cursors while calls follow; 0 otherwise
@@ -152,8 +153,8 @@ func (s *Simulator) Reset() {
 // and not inside either. Afterwards s schedules, orders and counts exactly
 // as src would from here on: the same clock, the same next seq, the same
 // queue layout for whatever is pushed next, and Stats carrying src's
-// Processed, Executed, Entries and MaxPending. Events already queued on s are
-// dropped with the reset. A session that copies another's finished HELLO
+// Processed, Executed, Entries and MaxPending. Events already queued on
+// s are dropped with the reset. A session that copies another's finished HELLO
 // phase uses this, so the events src ran count as s's own.
 func (s *Simulator) AdoptIdle(src *Simulator) {
 	if src.live != 0 || src.running {
@@ -394,21 +395,26 @@ func (b *Batch) AfterCall(d Time, cb Callback, arg any, i int) {
 // under its own key (Simulator.AtSeq).
 func (b *Batch) AfterCursor(d Time, cb Callback, arg any, i int, offs []Time, args []int) {
 	b.check(d, cb)
-	n := len(offs)
+	if len(offs) == 0 || args != nil && len(args) == 0 {
+		panic("sim: a cursor without calls")
+	}
+	// Each call must follow the one before it: a later position, at an
+	// offset no earlier (the first at least 0); indexing offs checks the
+	// positions' upper bound.
+	prev, last := -1, Time(0)
 	if args == nil {
-		for k := range offs {
-			if offs[k] < 0 || k > 0 && offs[k] < offs[k-1] {
+		for _, o := range offs {
+			if o < last {
 				panic(fmt.Sprintf("sim: cursor offsets %v", offs))
 			}
+			last = o
 		}
 	}
-	for j, k := range args {
-		if k < 0 || k >= n || offs[k] < 0 || j > 0 && (k <= args[j-1] || offs[k] < offs[args[j-1]]) {
-			panic(fmt.Sprintf("sim: cursor call %d of %d after %v", k, n, args[:j]))
+	for _, k := range args {
+		if k <= prev || offs[k] < last {
+			panic(fmt.Sprintf("sim: cursor call %d after call %d at %v", k, prev, last))
 		}
-	}
-	if n == 0 || args != nil && len(args) == 0 {
-		panic("sim: a cursor without calls")
+		prev, last = k, offs[k]
 	}
 	b.calls = append(b.calls, batchCall{d: d, cb: cb, arg: arg, argi: i, offs: offs, args: args})
 }

@@ -380,3 +380,36 @@ func TestFoldAndAtSeq(t *testing.T) {
 		s.Run()
 	}
 }
+
+// TestCursorRejectsDisorder: AfterCursor panics on a cursor without
+// calls and on calls that do not follow each other — a position not
+// after the one before, one past the offsets, an offset earlier than the
+// one before or below zero.
+func TestCursorRejectsDisorder(t *testing.T) {
+	cases := []struct {
+		name string
+		offs []Time
+		args []int
+	}{
+		{"no offsets", nil, nil},
+		{"no calls", []Time{1, 2}, []int{}},
+		{"negative offset", []Time{-1, 2}, nil},
+		{"decreasing offsets", []Time{3, 2}, nil},
+		{"negative position", []Time{1, 2}, []int{-1}},
+		{"position past the offsets", []Time{1, 2}, []int{0, 2}},
+		{"positions out of order", []Time{1, 1, 1}, []int{2, 1}},
+		{"repeated position", []Time{1, 1}, []int{0, 0}},
+		{"offset earlier along the calls", []Time{5, 9, 3}, []int{1, 2}},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: AfterCursor(%v, %v) did not panic", c.name, c.offs, c.args)
+				}
+			}()
+			var b Batch
+			b.AfterCursor(0, func(any, int) {}, nil, 0, c.offs, c.args)
+		}()
+	}
+}
