@@ -376,8 +376,9 @@ func (c *Channel) Attach(i int, r Radio) {
 
 // Reset returns the channel to its initial state over a (possibly new)
 // link table of the same size and radio parameters, keeping the attached
-// radios, the fan free list and, when links is the table the channel
-// already holds, the cached fan orders. Session pooling uses it to rebind
+// radios and whether each listens (the radios own that), the fan free
+// list and, when links is the table the channel already holds, the
+// cached fan orders. Folded signals are dropped. Session pooling uses it to rebind
 // a long-lived channel to the next Monte-Carlo round's topology.
 func (c *Channel) Reset(links *LinkTable) {
 	if links.n != c.links.n {
