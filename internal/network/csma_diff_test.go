@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"mtmrp"
+	"mtmrp/internal/fault"
+	"mtmrp/internal/mobility"
 	"mtmrp/internal/network"
 )
 
@@ -18,12 +20,17 @@ type diffSession struct {
 	nodes     int
 	side      float64
 	receivers int
+	variant   string                // names edit
+	edit      func(*mtmrp.Scenario) // changes the scenario's radio, traffic, faults or motion
 }
 
 func (d diffSession) String() string {
 	topo := "grid"
 	if d.random {
 		topo = fmt.Sprintf("random-%d", d.nodes)
+	}
+	if d.variant != "" {
+		topo += "-" + d.variant
 	}
 	return fmt.Sprintf("%v-%s-seed%d", d.proto, topo, d.seed)
 }
@@ -59,6 +66,9 @@ func (d diffSession) simulate(t *testing.T, log *bytes.Buffer) *mtmrp.Session {
 	sc := mtmrp.Scenario{
 		Topo: topo, Source: 0, Receivers: rcv, Protocol: d.proto,
 		N: 4, Delta: mtmrp.Millisecond, Seed: d.seed,
+	}
+	if d.edit != nil {
+		d.edit(&sc)
 	}
 	if log != nil {
 		sc.TraceWriter = log
@@ -171,7 +181,12 @@ func TestCSMAMatchesPerSlotReference(t *testing.T) {
 // same instants (equal frame digests; on a mismatch both rerun traced and
 // the first differing line is shown) and process the same number of
 // events, while executing fewer and never queueing more at once. The
-// matrix is diffMatrix plus one 2000-node random session.
+// matrix is diffMatrix plus one 2000-node random session and sessions
+// that change what the fold depends on: the Ideal MAC (never listens),
+// shadowing and bursty loss (members that fail to decode fold),
+// crash and degradation faults, paced traffic with route refreshes (the
+// data phase is scheduled from the clock the discovery drain leaves) and
+// node motion.
 func TestLazyCarrierMatchesEager(t *testing.T) {
 	check := func(t *testing.T, d diffSession) {
 		st, digest, _ := d.run(t, false)
@@ -193,7 +208,39 @@ func TestLazyCarrierMatchesEager(t *testing.T) {
 				st.Executed, st.MaxPending, ref.Executed, ref.MaxPending)
 		}
 	}
-	for _, d := range diffMatrix() {
+	loss := mtmrp.DefaultLossModel()
+	paced := func(sc *mtmrp.Scenario) {
+		sc.Traffic = mtmrp.TrafficOptions{Interval: 20 * mtmrp.Millisecond, RefreshInterval: 50 * mtmrp.Millisecond}
+	}
+	variants := []diffSession{
+		{proto: mtmrp.MTMRP, seed: 3, variant: "ideal", edit: func(sc *mtmrp.Scenario) {
+			sc.Radio = mtmrp.RadioOptions{MAC: network.MACIdeal}
+		}},
+		{proto: mtmrp.ODMRP, random: true, seed: 3, variant: "shadowing", edit: func(sc *mtmrp.Scenario) {
+			sc.Radio = mtmrp.RadioOptions{ShadowingSigmaDB: 4}
+		}},
+		{proto: mtmrp.DODMRP, seed: 5, variant: "lossy", edit: func(sc *mtmrp.Scenario) {
+			sc.Faults = mtmrp.FaultOptions{Loss: &loss}
+		}},
+		{proto: mtmrp.MTMRP, random: true, seed: 4, variant: "faults", edit: func(sc *mtmrp.Scenario) {
+			sc.Faults = mtmrp.FaultOptions{Loss: &loss, Schedule: fault.Schedule{
+				{At: 2 * mtmrp.Millisecond, Node: 7, Kind: fault.LinkDegrade},
+				{At: 3 * mtmrp.Millisecond, Node: 11, Kind: fault.NodeCrash},
+			}}
+		}},
+		{proto: mtmrp.Flooding, seed: 2, variant: "paced", edit: paced},
+		{proto: mtmrp.ODMRP, random: true, seed: 6, variant: "mobile", edit: func(sc *mtmrp.Scenario) {
+			paced(sc)
+			sc.Mobility = mtmrp.MobilityOptions{Model: mobility.RandomWaypoint, MaxSpeed: 10}
+		}},
+	}
+	for _, d := range append(diffMatrix(), variants...) {
+		if d.random {
+			d.nodes, d.side = 200, 200
+		}
+		if d.receivers == 0 {
+			d.receivers = 20
+		}
 		t.Run(d.String(), func(t *testing.T) { check(t, d) })
 	}
 	big := diffSession{proto: mtmrp.MTMRP, random: true, seed: 2, nodes: 2000, side: 900, receivers: 40}
