@@ -144,8 +144,6 @@ type (
 	// node — inert, replayable data; set MobilityOptions.Trace to replay
 	// one, or use cmd/topogen -motion to record one.
 	MotionPlan = mobility.Plan
-	// MotionConfig parameterises DrawMotion's random plan generator.
-	MotionConfig = mobility.Config
 )
 
 // Motion models for MobilityOptions.Model.
@@ -155,18 +153,8 @@ const (
 	MobilityRPGM           = mobility.RPGM
 )
 
-// DrawMotion draws a motion plan for a topology from a dedicated seed,
-// using the same "mobility" substream a Scenario with that seed would:
-// the plan is a pure function of (cfg, topology, seed).
-func DrawMotion(cfg MotionConfig, t *Topology, seed uint64) MotionPlan {
-	if cfg.Field == 0 {
-		cfg.Field = t.Side
-	}
-	return mobility.Draw(cfg, t.Positions, rng.New(seed).Derive("mobility"))
-}
-
-// LoadMotion reads a motion trace saved by SaveMotion (or
-// cmd/topogen -motion) for MobilityOptions.Trace.
+// LoadMotion reads a motion trace saved by cmd/topogen -motion for
+// MobilityOptions.Trace.
 func LoadMotion(path string) (*MotionPlan, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -174,19 +162,6 @@ func LoadMotion(path string) (*MotionPlan, error) {
 	}
 	defer f.Close()
 	return mobility.Load(f)
-}
-
-// SaveMotion writes a motion plan to a file for pinned mobile scenarios.
-func SaveMotion(pl *MotionPlan, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := pl.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // Run executes one complete multicast session: HELLO phase, JoinQuery
@@ -229,18 +204,13 @@ func NewSessionPool() *SessionPool { return experiment.NewSessionPool() }
 // Sweep engine types: every Monte-Carlo driver below runs on a shared
 // deterministic worker pool, configured through EngineOptions.
 type (
-	// EngineOptions selects worker count, cancellation context, progress
-	// callback and error policy for a sweep.
+	// EngineOptions selects worker count, cancellation context and
+	// progress callback for a sweep.
 	EngineOptions = experiment.EngineOptions
 	// SweepStats reports wall-clock and per-run statistics for a sweep.
 	SweepStats = sweep.Stats
 	// Progress is one progress-callback observation (done/total, ETA).
 	Progress = sweep.Progress
-	// ErrorPolicy selects how a sweep reacts to failing runs.
-	ErrorPolicy = sweep.ErrorPolicy
-	// SweepErrors aggregates failed runs under CollectErrors; each element
-	// carries the failing run's label for reproduction.
-	SweepErrors = sweep.Errors
 	// Table is the one result shape every sweep driver embeds: a Summary
 	// per (row, axis point, metric) in Cells[row][axis][metric], with the
 	// row names (protocols or ablation variants), axis tick labels and
@@ -248,16 +218,9 @@ type (
 	Table = experiment.Table
 )
 
-// Error policies for EngineOptions.ErrorPolicy.
-const (
-	// FailFast cancels the sweep on the first failing run (default).
-	FailFast = sweep.FailFast
-	// CollectErrors keeps going and reports all failures at the end.
-	CollectErrors = sweep.CollectErrors
-)
-
 // PartialOK reports whether a sweep error still left a usable partial
-// result (cancellation, timeout, or collected per-run failures).
+// result (cancellation or timeout). A failing run cancels the sweep and
+// leaves none.
 func PartialOK(err error) bool { return sweep.PartialOK(err) }
 
 // Grid returns the paper's 10x10 grid deployment (200x200 m, 40 m range).
@@ -297,19 +260,6 @@ func LoadTopology(path string) (*Topology, error) {
 	}
 	defer f.Close()
 	return topology.Load(f)
-}
-
-// SaveTopology writes a deployment to a file for pinned scenarios.
-func SaveTopology(t *Topology, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // PickReceivers draws k distinct multicast receivers reachable from
@@ -385,10 +335,6 @@ const (
 	// tables are regenerated).
 	CodeVersion = experiment.CodeVersion
 )
-
-// ParseProtocol resolves a wire-level protocol name ("mtmrp", "odmrp",
-// figure-legend spellings, ...).
-func ParseProtocol(name string) (Protocol, error) { return experiment.ParseProtocol(name) }
 
 // RunFromSpec executes the session a RunSpec describes, optionally through
 // a SessionPool (bit-identical either way).

@@ -1,10 +1,17 @@
 package mtmrp_test
 
 import (
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"mtmrp"
+	"mtmrp/internal/mobility"
+	"mtmrp/internal/rng"
+	"mtmrp/internal/sim"
 )
 
 func TestGridFacade(t *testing.T) {
@@ -39,7 +46,7 @@ func TestCustomTopologyFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.Degree(0) != 1 {
+	if len(topo.Neighbors(0)) != 1 {
 		t.Error("adjacency missing")
 	}
 	if _, err := mtmrp.CustomTopology([]mtmrp.Point{{X: 0, Y: 0}}, 100, 40); err == nil {
@@ -172,5 +179,98 @@ func TestSweepFacade(t *testing.T) {
 	}
 	if res.Cell(mtmrp.MTMRP, 0, mtmrp.MetricOverhead).N != 2 {
 		t.Error("sweep incomplete")
+	}
+}
+
+// TestSavedTopologyAndMotionReplay runs the documented file workflow: a
+// deployment and a motion plan saved the way cmd/topogen writes them,
+// loaded back with LoadTopology and LoadMotion and replayed through
+// MobilityOptions.Trace by a paced session, twice, with identical
+// results.
+func TestSavedTopologyAndMotionReplay(t *testing.T) {
+	dir := t.TempDir()
+	topo, err := mtmrp.RandomTopology(60, 150, 40, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := mobility.Draw(mobility.Config{
+		Model: mobility.RandomWaypoint, Field: topo.Side, MaxSpeed: 10,
+		Horizon: sim.Second, Pinned: []int{0},
+	}, topo.Positions, rng.New(5).Derive("mobility"))
+	save := func(name string, write func(io.Writer) error) string {
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	topoPath, motionPath := save("field.json", topo.Save), save("motion.json", plan.Save)
+
+	loaded, err := mtmrp.LoadTopology(topoPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded.Positions, topo.Positions) {
+		t.Fatal("loaded topology moved its nodes")
+	}
+	trace, err := mtmrp.LoadMotion(motionPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*trace, plan) {
+		t.Fatal("loaded motion plan differs from the saved one")
+	}
+	receivers, err := mtmrp.PickReceivers(loaded, 0, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := mtmrp.Scenario{
+		Topo: loaded, Source: 0, Receivers: receivers, Protocol: mtmrp.MTMRP, Seed: 1,
+		Traffic: mtmrp.TrafficOptions{
+			DataPackets: 10, Interval: 50 * mtmrp.Millisecond, RefreshInterval: 200 * mtmrp.Millisecond,
+		},
+		Mobility: mtmrp.MobilityOptions{Trace: trace},
+	}
+	a, err := mtmrp.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := mtmrp.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Result, b.Result) || !reflect.DeepEqual(a.Robustness, b.Robustness) {
+		t.Errorf("replayed runs differ:\n%+v\n%+v", a.Result, b.Result)
+	}
+	if a.Robustness.DataSent != 10 {
+		t.Errorf("sent %d data packets, want 10", a.Robustness.DataSent)
+	}
+}
+
+// TestRunFromSpecFacade: a RunSpec runs in-process the session mtmrd
+// serves for it, bit-identically with and without a SessionPool, and
+// again on the pool's reused session.
+func TestRunFromSpecFacade(t *testing.T) {
+	spec := mtmrp.RunSpec{Topo: mtmrp.RunTopoSpec{Kind: "grid"}, GroupSize: 10, Protocol: "odmrp", Seed: 3}
+	fresh, err := mtmrp.RunFromSpec(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := mtmrp.NewSessionPool()
+	for i := 0; i < 2; i++ {
+		got, err := mtmrp.RunFromSpec(spec, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Result, fresh.Result) {
+			t.Errorf("pooled run %d differs from a fresh one:\n%+v\n%+v", i, got.Result, fresh.Result)
+		}
 	}
 }

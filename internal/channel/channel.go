@@ -18,9 +18,7 @@ import (
 	stdbits "math/bits"
 	"slices"
 
-	"mtmrp/internal/geom"
 	"mtmrp/internal/packet"
-	"mtmrp/internal/radio"
 	"mtmrp/internal/rng"
 	"mtmrp/internal/sim"
 	"mtmrp/internal/sparse"
@@ -246,13 +244,6 @@ type Channel struct {
 	OnAir func(from int, p *packet.Packet)
 	// OnDeliver, if set, observes every successful reception.
 	OnDeliver func(to int, p *packet.Packet)
-}
-
-// New builds a channel over the given node positions, computing a private
-// link table. When several simulations share one topology, build the table
-// once with NewLinkTable and use NewWithTable instead.
-func New(s *sim.Simulator, positions []geom.Point, params radio.Params, cfg Config) *Channel {
-	return NewWithTable(s, NewLinkTable(positions, params), cfg)
 }
 
 // NewWithTable builds a channel over a precomputed (and possibly shared)
@@ -565,18 +556,6 @@ func (c *Channel) Stats() Stats { return c.stats }
 // Duration returns the on-air time of a frame of the given size.
 func (c *Channel) Duration(sizeBytes int) sim.Time {
 	return sim.Seconds(c.links.params.TxDuration(sizeBytes))
-}
-
-// NeighborCount returns the number of decode-range neighbors of node i
-// (used by tests and diagnostics).
-func (c *Channel) NeighborCount(i int) int {
-	n := 0
-	for _, l := range c.links.cs[i] {
-		if l.rx() {
-			n++
-		}
-	}
-	return n
 }
 
 // Package-level event callbacks: scheduling through sim.AfterCall with a

@@ -24,7 +24,7 @@ func build(t *testing.T, pos []geom.Point, cfg Config) (*sim.Simulator, *Channel
 	t.Helper()
 	s := sim.New()
 	params := radio.MustDefault80211Params(40, 2.2)
-	c := New(s, pos, params, cfg)
+	c := NewWithTable(s, NewLinkTable(pos, params), cfg)
 	radios := make([]*stubRadio, len(pos))
 	for i := range pos {
 		radios[i] = &stubRadio{}
@@ -194,7 +194,7 @@ func TestUIDAssigned(t *testing.T) {
 
 func TestDoubleAttachPanics(t *testing.T) {
 	s := sim.New()
-	c := New(s, []geom.Point{{X: 0, Y: 0}}, radio.MustDefault80211Params(40, 2.2), Config{})
+	c := NewWithTable(s, NewLinkTable([]geom.Point{{X: 0, Y: 0}}, radio.MustDefault80211Params(40, 2.2)), Config{})
 	c.Attach(0, &stubRadio{})
 	defer func() {
 		if recover() == nil {
@@ -228,10 +228,16 @@ func TestOnAirAndOnDeliverHooks(t *testing.T) {
 	}
 }
 
+// TestNeighborCount: a frame reaches exactly the decode-range neighbors
+// of its sender.
 func TestNeighborCount(t *testing.T) {
-	_, c, _ := build(t, []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 20, Y: 0}, {X: 100, Y: 0}}, Config{})
-	if got := c.NeighborCount(0); got != 2 {
-		t.Errorf("NeighborCount(0) = %d, want 2", got)
+	s, c, _ := build(t, []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 20, Y: 0}, {X: 100, Y: 0}}, Config{})
+	var got []int
+	c.OnDeliver = func(to int, p *packet.Packet) { got = append(got, to) }
+	c.Transmit(0, hello(0))
+	s.Run()
+	if len(got) != 2 || got[0]+got[1] != 3 {
+		t.Errorf("delivered to %v, want nodes 1 and 2", got)
 	}
 }
 

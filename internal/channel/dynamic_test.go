@@ -70,7 +70,7 @@ func drawMove(r *rng.RNG, dyn *DynamicLinkTable, id, kind int, lo, hi float64) g
 		j := cs[r.Intn(len(cs))].to()
 		q := dyn.Position(j)
 		dir := p.Sub(q)
-		if n := dir.Norm(); n > 0 {
+		if n := p.Dist(q); n > 0 {
 			dir = dir.Scale(1 / n)
 		} else {
 			dir = geom.Point{X: 1}

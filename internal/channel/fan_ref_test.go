@@ -365,43 +365,90 @@ func TestLazyFanMatchesPerLinkReference(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			f := func(seed uint64) bool {
-				sc := newFanScript(seed, grid).withListening(seed)
-				want, wantSt, wantSim := sc.run(true, seed)
-				got, gotSt, gotSim := sc.run(false, seed)
-				if gotSt.Folded == 0 || gotSt.Materialised == 0 {
-					t.Logf("seed %d: %d calls folded, %d materialised; the workload must do both", seed, gotSt.Folded, gotSt.Materialised)
-					return false
-				}
-				for k := 0; k < len(want) && k < len(got); k++ {
-					if got[k] != want[k] {
-						t.Logf("seed %d: trace diverges at %d: lazy %+v, reference %+v", seed, k, got[k], want[k])
-						return false
-					}
-				}
-				if len(got) != len(want) {
-					t.Logf("seed %d: trace length: lazy %d, reference %d", seed, len(got), len(want))
-					return false
-				}
-				if gotSt.FanCalls+gotSt.Folded != wantSt.FanCalls {
-					t.Logf("seed %d: %d fan calls run and %d folded, reference ran %d", seed, gotSt.FanCalls, gotSt.Folded, wantSt.FanCalls)
-					return false
-				}
-				gotSt.FanSorts, gotSt.FanCalls, gotSt.Folded, gotSt.Materialised = 0, wantSt.FanCalls, 0, 0
-				if gotSt != wantSt {
-					t.Logf("seed %d: stats: lazy %+v, reference %+v", seed, gotSt, wantSt)
-					return false
-				}
-				if gotSim.Processed != wantSim.Processed || gotSim.Executed >= wantSim.Executed ||
-					gotSim.MaxPending > wantSim.MaxPending {
-					t.Logf("seed %d: sim stats: lazy %+v, reference %+v", seed, gotSim, wantSim)
-					return false
-				}
-				return true
+				_, ok := newFanScript(seed, grid).withListening(seed).lazyMatches(t, seed)
+				return ok
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// lazyMatches plays sc on the lazy fan path and on the per-link reference
+// and reports, with the lazy path's counters, whether they agree: the
+// same trace, Busy probes included, the same channel counters, with the
+// fan's run and folded calls adding up to the reference's, and the same
+// number of events, fewer of them executed and never more of them
+// queued. The workload must both fold and materialise edges.
+func (sc *fanScript) lazyMatches(t *testing.T, seed uint64) (Stats, bool) {
+	want, wantSt, wantSim := sc.run(true, seed)
+	got, gotSt, gotSim := sc.run(false, seed)
+	lazySt := gotSt
+	if gotSt.Folded == 0 || gotSt.Materialised == 0 {
+		t.Logf("seed %d: %d calls folded, %d materialised; the workload must do both", seed, gotSt.Folded, gotSt.Materialised)
+		return lazySt, false
+	}
+	for k := 0; k < len(want) && k < len(got); k++ {
+		if got[k] != want[k] {
+			t.Logf("seed %d: trace diverges at %d: lazy %+v, reference %+v", seed, k, got[k], want[k])
+			return lazySt, false
+		}
+	}
+	if len(got) != len(want) {
+		t.Logf("seed %d: trace length: lazy %d, reference %d", seed, len(got), len(want))
+		return lazySt, false
+	}
+	if gotSt.FanCalls+gotSt.Folded != wantSt.FanCalls {
+		t.Logf("seed %d: %d fan calls run and %d folded, reference ran %d", seed, gotSt.FanCalls, gotSt.Folded, wantSt.FanCalls)
+		return lazySt, false
+	}
+	gotSt.FanSorts, gotSt.FanCalls, gotSt.Folded, gotSt.Materialised = 0, wantSt.FanCalls, 0, 0
+	if gotSt != wantSt {
+		t.Logf("seed %d: stats: lazy %+v, reference %+v", seed, gotSt, wantSt)
+		return lazySt, false
+	}
+	if gotSim.Processed != wantSim.Processed || gotSim.Executed >= wantSim.Executed ||
+		gotSim.MaxPending > wantSim.MaxPending {
+		t.Logf("seed %d: sim stats: lazy %+v, reference %+v", seed, gotSim, wantSim)
+		return lazySt, false
+	}
+	return lazySt, true
+}
+
+// TestAllFoldedFanMatchesPerLinkReference holds the fan whose every
+// member folds to the per-link reference. Node 0 transmits four times to
+// four carrier neighbours 78-80 m away, outside the 40 m decode disc,
+// none of them listening when a frame starts; each fan keeps no member,
+// only the seqs its cursors would have taken (Batch.Reserve). In each
+// frame one neighbour starts listening: while the frame is under way (its
+// end edge is queued under the reserved key), at the instant it is sent,
+// before its first edge (both edges are), or after it ended (none is).
+func TestAllFoldedFanMatchesPerLinkReference(t *testing.T) {
+	const us, ms = sim.Microsecond, sim.Millisecond
+	sc := &fanScript{
+		pos:  []geom.Point{{X: 100, Y: 100}, {X: 180, Y: 100}, {X: 100, Y: 178}, {X: 45, Y: 45}, {X: 100, Y: 20}},
+		deaf: []bool{true, true, true, true, true},
+	}
+	// Listening windows, relative to each send; the send's op comes
+	// first, so a window opening at 0 follows it.
+	windows := [][2]sim.Time{{100 * us, ms}, {0, ms}, {ms, 1500 * us}, {100 * us, ms}}
+	for k, w := range windows {
+		at := sim.Time(1+2*k) * ms
+		sc.ops = append(sc.ops,
+			rigOp{at: at, node: 0, size: 100},
+			rigOp{at: at + w[0], node: 1 + k, listen: true},
+			rigOp{at: at + w[1], node: 1 + k, listen: true})
+	}
+	got, ok := sc.lazyMatches(t, 1)
+	if !ok {
+		t.Fatal("lazy fan diverges from the per-link reference")
+	}
+	// No edge ran from a fan: every one was folded, and the four
+	// materialised ones (one, two, none and one per frame) ran as spans.
+	if got.FanCalls != 0 || got.Transmissions != 4 || got.Materialised != 4 {
+		t.Errorf("%d fan calls, %d materialised for %d transmissions; want every fan folded, 4 materialised",
+			got.FanCalls, got.Materialised, got.Transmissions)
 	}
 }
 
@@ -427,7 +474,7 @@ func fanEntries(t *testing.T, s *sim.Simulator, c *Channel, node int) sim.Stats 
 // queue entries: tx-end, the start cursor, the end cursor and tx-done.
 func TestPaperGridFanEntries(t *testing.T) {
 	s := sim.New()
-	c := New(s, topology.PaperGrid().Positions, radio.MustDefault80211Params(40, 2.2), Config{})
+	c := NewWithTable(s, NewLinkTable(topology.PaperGrid().Positions, radio.MustDefault80211Params(40, 2.2)), Config{})
 	const node = 44 // row 4, column 4
 	if n := len(c.links.cs[node]); n != 44 {
 		t.Fatalf("node %d has %d CS neighbors, want 44", node, n)

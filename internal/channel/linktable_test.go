@@ -103,7 +103,7 @@ func denseChannel(n int) (*sim.Simulator, *Channel) {
 	s := sim.New()
 	params := radio.MustDefault80211Params(40, 2.2)
 	pts := randomField(n, 200, rng.New(7))
-	c := New(s, pts, params, Config{})
+	c := NewWithTable(s, NewLinkTable(pts, params), Config{})
 	for i := range pts {
 		c.Attach(i, &nopRadio{})
 	}

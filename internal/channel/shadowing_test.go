@@ -15,7 +15,7 @@ func shadowRig(t *testing.T, dist float64, sigma float64, seed uint64) (*sim.Sim
 	t.Helper()
 	s := sim.New()
 	params := radio.MustDefault80211Params(40, 2.2)
-	c := New(s, []geom.Point{{X: 0, Y: 0}, {X: dist, Y: 0}}, params, Config{
+	c := NewWithTable(s, NewLinkTable([]geom.Point{{X: 0, Y: 0}, {X: dist, Y: 0}}, params), Config{
 		ShadowingSigmaDB: sigma,
 		Rand:             rng.New(seed),
 	})
@@ -32,7 +32,7 @@ func TestShadowingRequiresRand(t *testing.T) {
 		}
 	}()
 	s := sim.New()
-	New(s, []geom.Point{{X: 0, Y: 0}}, radio.MustDefault80211Params(40, 2.2),
+	NewWithTable(s, NewLinkTable([]geom.Point{{X: 0, Y: 0}}, radio.MustDefault80211Params(40, 2.2)),
 		Config{ShadowingSigmaDB: 4})
 }
 

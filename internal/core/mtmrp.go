@@ -124,12 +124,6 @@ func (r *Router) RelayProfit(key packet.FloodKey) int {
 	return r.NT.RelayProfit(key, packet.NoNode)
 }
 
-// BackoffBound returns the exclusive upper bound of the biased backoff:
-// (3N+2)δ — t_relay ≤ 2Nδ, t_path ≤ Nδ, random < 2δ.
-func (r *Router) BackoffBound() sim.Time {
-	return sim.Time(3*r.cfg.N+2) * r.cfg.Delta
-}
-
 // queryDelay implements Eqs. 2–4.
 func (r *Router) queryDelay(b *proto.Base, q packet.JoinQuery, from packet.NodeID) sim.Time {
 	key := q.Key()

@@ -49,11 +49,28 @@ func TestNames(t *testing.T) {
 	}
 }
 
+// TestBackoffBound: the biased backoff stays below (3N+2)δ — t_relay ≤
+// 2Nδ, t_path ≤ Nδ, random < 2δ — and an extra node with no RelayProfit
+// on a query with no PathProfit waits at least (3N+1)δ, for several
+// (N, δ).
 func TestBackoffBound(t *testing.T) {
-	c := DefaultConfig() // N=4, δ=1ms
-	r := New(c)
-	if got := r.BackoffBound(); got != 14*sim.Millisecond {
-		t.Errorf("BackoffBound = %v, want 14ms", got)
+	topo, _, _ := fig3Topology(t)
+	for _, c := range []struct {
+		n     int
+		delta sim.Time
+	}{{4, sim.Millisecond}, {1, 2 * sim.Millisecond}, {8, 500 * sim.Microsecond}} {
+		cfg := DefaultConfig()
+		cfg.N, cfg.Delta = c.n, c.delta
+		net := network.New(topo, network.DefaultConfig(1))
+		r := New(cfg)
+		net.SetProtocol(1, r)
+		q := packet.JoinQuery{SourceID: 0, GroupID: 1, SequenceNo: 1}
+		lo, hi := sim.Time(3*c.n+1)*c.delta, sim.Time(3*c.n+2)*c.delta
+		for i := 0; i < 100; i++ {
+			if got := r.queryDelay(r.Base, q, 0); got < lo || got >= hi {
+				t.Fatalf("N=%d δ=%v: delay %v not in [%v, %v)", c.n, c.delta, got, lo, hi)
+			}
+		}
 	}
 }
 

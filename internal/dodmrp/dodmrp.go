@@ -64,9 +64,6 @@ func New(cfg Config) *Router {
 	return r
 }
 
-// Config returns the router's configuration.
-func (r *Router) Config() Config { return r.cfg }
-
 // SetBackoff retunes the destination-driven backoff knobs in place; the
 // session pool uses it when reusing a router across (N, δ) cells.
 func (r *Router) SetBackoff(n int, delta sim.Time) {

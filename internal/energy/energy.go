@@ -80,9 +80,6 @@ func (m *Meter) TxEnergy(i int) float64 { return m.tx[i] }
 // RxEnergy returns Joules node i spent receiving.
 func (m *Meter) RxEnergy(i int) float64 { return m.rx[i] }
 
-// NodeEnergy returns total Joules consumed by node i.
-func (m *Meter) NodeEnergy(i int) float64 { return m.tx[i] + m.rx[i] }
-
 // TotalEnergy sums Joules over the whole network.
 func (m *Meter) TotalEnergy() float64 {
 	total := 0.0

@@ -79,7 +79,7 @@ func TestAttachObservesTraffic(t *testing.T) {
 	if m.RxEnergy(1) <= 0 {
 		t.Error("reception not metered")
 	}
-	if m.NodeEnergy(2) != 0 {
+	if m.TxEnergy(2)+m.RxEnergy(2) != 0 {
 		t.Error("out-of-range node charged")
 	}
 }

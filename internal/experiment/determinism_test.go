@@ -121,47 +121,19 @@ func TestSweepCancellationPartialResult(t *testing.T) {
 	}
 }
 
-// TestSweepCollectErrorsPolicy: with CollectErrors, a driver returns both
-// the partial result and the labelled failure report. A group size larger
+// TestSweepFailingRunAborts: a failing run aborts the driver with the
+// failure, labelled for reproduction, and no result. A group size larger
 // than the topology forces PickReceivers to fail for one size only.
-func TestSweepCollectErrorsPolicy(t *testing.T) {
+func TestSweepFailingRunAborts(t *testing.T) {
 	res, err := GroupSizeSweep(SweepConfig{
-		Topo:      GridTopo,
-		Sizes:     []int{5, 1000}, // 1000 receivers cannot exist on 100 nodes
-		Runs:      3,
-		Seed:      1,
-		Protocols: []Protocol{MTMRP},
-		Engine:    EngineOptions{ErrorPolicy: sweep.CollectErrors},
-	})
-	var es sweep.Errors
-	if !errors.As(err, &es) {
-		t.Fatalf("err = %v, want sweep.Errors", err)
-	}
-	if len(es) != 3 {
-		t.Errorf("collected %d failures, want 3 (one per bad-size run)", len(es))
-	}
-	for _, e := range es {
-		if e.Label == "" {
-			t.Error("failure missing run label")
-		}
-	}
-	if res == nil {
-		t.Fatal("no partial result with CollectErrors")
-	}
-	if n := res.Cell(MTMRP, 0, MetricOverhead).N; n != 3 {
-		t.Errorf("good size folded %d runs, want 3", n)
-	}
-	if res.Stats.Failed != 3 || res.Stats.Completed != 3 {
-		t.Errorf("stats = %+v", res.Stats)
-	}
-
-	// The same workload under the default fail-fast policy returns no
-	// result at all.
-	res2, err2 := GroupSizeSweep(SweepConfig{
 		Topo: GridTopo, Sizes: []int{5, 1000}, Runs: 3, Seed: 1,
 		Protocols: []Protocol{MTMRP},
 	})
-	if res2 != nil || err2 == nil {
-		t.Errorf("fail-fast: res=%v err=%v, want nil result + error", res2, err2)
+	var je *sweep.JobError
+	if !errors.As(err, &je) || je.Label == "" {
+		t.Fatalf("err = %v, want a labelled sweep.JobError", err)
+	}
+	if res != nil {
+		t.Errorf("res = %v, want nil result", res)
 	}
 }

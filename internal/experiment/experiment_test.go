@@ -87,7 +87,7 @@ func TestForwarderSetConnectsReceivers(t *testing.T) {
 			// Receivers that got data must be covered by source+forwarders.
 			var reached []int
 			for _, r := range sc.Receivers {
-				if out.Routers[r].GotData(out.Key) {
+				if helloBase(out.Routers[r]).GotData(out.Key) {
 					reached = append(reached, r)
 				}
 			}

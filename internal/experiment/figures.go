@@ -124,9 +124,9 @@ func checkBackoff(n int, delta sim.Time) error {
 // variance from the comparison. One engine job is one round (all
 // protocols), so a failed round drops symmetrically from every curve.
 //
-// On cancellation (or under CollectErrors) the partial result is returned
-// alongside the error; sweep.PartialOK distinguishes that from a
-// fail-fast abort, where the result is nil.
+// On cancellation the partial result is returned alongside the error;
+// sweep.PartialOK distinguishes that from a failed run's abort, where the
+// result is nil.
 func GroupSizeSweep(cfg SweepConfig) (*SweepResult, error) {
 	if len(cfg.Protocols) == 0 {
 		cfg.Protocols = AllProtocols

@@ -27,6 +27,27 @@ func attachMarkShadows(s *Session) int {
 	return n
 }
 
+// TestBaseRoutersExposeNeighborTable: every router built on proto.Base
+// hands out its neighbor table through a method no interface declares.
+// attachMarkShadows above reaches it by a dynamic assertion, and so does
+// the bench module's traced run (bench/trace.go), whose
+// neighbor.entries_mean metric silently disappears when the assertion
+// stops matching; the compiler catches neither.
+func TestBaseRoutersExposeNeighborTable(t *testing.T) {
+	for _, p := range []Protocol{MTMRP, MTMRPNoPHS, DODMRP, ODMRP} {
+		s, err := NewSession(gridScenario(t, p, 1, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range s.Routers() {
+			h, ok := r.(interface{ NeighborTable() *neighbor.Table })
+			if !ok || h.NeighborTable() == nil {
+				t.Fatalf("%v: router %d (%T) exposes no neighbor table", p, i, r)
+			}
+		}
+	}
+}
+
 // TestSlotMarksMatchIDMarksAllProtocols runs every protocol with the
 // differential mark oracle armed on every node: the slot-indexed mark
 // layout must agree with the retained id-indexed reference on every read

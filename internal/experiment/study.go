@@ -33,8 +33,6 @@ type EngineOptions struct {
 	Ctx context.Context
 	// Progress, when non-nil, observes runs completing (with an ETA).
 	Progress sweep.ProgressFunc
-	// ErrorPolicy selects fail-fast (default) or collect-and-report.
-	ErrorPolicy sweep.ErrorPolicy
 	// WorkerState overrides the per-worker state constructor (default: a
 	// fresh SessionPool per worker per sweep). Long-running callers — the
 	// sweep service — supply pre-warmed pools from a bank so back-to-back
@@ -88,9 +86,9 @@ type study struct {
 }
 
 // run executes the study. Every axis point is checked before any job
-// starts. On cancellation (or under CollectErrors) the partial table is
-// returned alongside the error; sweep.PartialOK distinguishes that from a
-// fail-fast abort, where the table is nil.
+// starts. On cancellation the partial table is returned alongside the
+// error; sweep.PartialOK distinguishes that from a failed run's abort,
+// where the table is nil.
 func (s *study) run(eng EngineOptions) (*Table, error) {
 	for ai, tick := range s.axis {
 		if g := s.group(ai); g < 1 {
@@ -215,7 +213,6 @@ func engineConfig(seed uint64, opts EngineOptions) sweep.Config {
 		Seed:        seed,
 		Workers:     opts.Workers,
 		Context:     opts.Ctx,
-		ErrorPolicy: opts.ErrorPolicy,
 		Progress:    opts.Progress,
 		WorkerState: ws,
 	}

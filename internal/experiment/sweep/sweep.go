@@ -16,9 +16,9 @@
 //
 // The engine also owns the operational concerns the hand-rolled pools it
 // replaced each reimplemented: context cancellation (partial results stay
-// usable), a fail-fast vs. collect-and-report error policy with run
-// labels, a progress callback with an ETA, and per-run wall-time and
-// simulator-event statistics.
+// usable), fail-fast errors that name the failing run, a progress
+// callback with an ETA, and per-run wall-time and simulator-event
+// statistics.
 package sweep
 
 import (
@@ -26,26 +26,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"mtmrp/internal/rng"
 	"mtmrp/internal/stats"
-)
-
-// ErrorPolicy selects how Run reacts to a failing job.
-type ErrorPolicy uint8
-
-const (
-	// FailFast cancels the remaining jobs on the first failure and
-	// returns that failure (lowest job index wins, so the reported error
-	// is deterministic). This matches the pre-engine drivers.
-	FailFast ErrorPolicy = iota
-	// CollectErrors lets every job run, then returns all failures as an
-	// Errors value alongside the successful results.
-	CollectErrors
 )
 
 // Progress is one observation of a sweep in flight. Done counts jobs that
@@ -100,29 +85,6 @@ func (e *JobError) Error() string {
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (e *JobError) Unwrap() error { return e.Err }
 
-// Errors is the CollectErrors report: every failed run, sorted by job
-// index.
-type Errors []*JobError
-
-// Error implements error, listing up to three failed runs.
-func (es Errors) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d run(s) failed", len(es))
-	for i, e := range es {
-		if i == 3 {
-			fmt.Fprintf(&b, "; ... (%d more)", len(es)-i)
-			break
-		}
-		if i == 0 {
-			b.WriteString(": ")
-		} else {
-			b.WriteString("; ")
-		}
-		b.WriteString(e.Error())
-	}
-	return b.String()
-}
-
 // Stats reports what a sweep actually did. RunWall and RunEvents are
 // observability-only (they accumulate in completion order, so their
 // Summary is not worker-count-deterministic, unlike job results).
@@ -147,7 +109,7 @@ type Outcome[T any] struct {
 }
 
 // Config parameterises the engine. The zero value runs on GOMAXPROCS
-// workers with seed 0, no cancellation, fail-fast errors, no progress.
+// workers with seed 0, no cancellation and no progress.
 type Config struct {
 	// Seed is the sweep's root seed; job i's RNG is
 	// rng.New(Seed).Derive(label(i)).
@@ -156,8 +118,6 @@ type Config struct {
 	Workers int
 	// Context cancels the sweep early; completed jobs stay usable.
 	Context context.Context
-	// ErrorPolicy selects fail-fast (default) or collect-and-report.
-	ErrorPolicy ErrorPolicy
 	// Progress, when non-nil, observes the sweep (sequential calls).
 	Progress ProgressFunc
 	// WorkerState, when non-nil, runs once in each worker goroutine; its
@@ -169,14 +129,10 @@ type Config struct {
 }
 
 // PartialOK reports whether a Run error still left usable partial
-// results: cancellation (context error) and CollectErrors reports do,
-// a fail-fast abort does not promise anything.
+// results: cancellation (context error) does, a failed job's abort does
+// not promise anything.
 func PartialOK(err error) bool {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return true
-	}
-	var es Errors
-	return errors.As(err, &es)
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // Run executes total jobs through fn on the configured worker pool and
@@ -187,9 +143,11 @@ func PartialOK(err error) bool {
 // share a random stream (the tuning sweep pairs every (N, delta) cell on
 // identical topology draws this way).
 //
-// On cancellation Run returns the context's error with every finished
-// job's outcome intact; use PartialOK to distinguish usable partial
-// results from a fail-fast abort.
+// The first failing job cancels the remaining ones, and Run returns the
+// failure of the lowest job index, so the reported error is
+// deterministic. On cancellation Run returns the context's error with
+// every finished job's outcome intact; use PartialOK to distinguish usable
+// partial results from a failed job's abort.
 func Run[T any](cfg Config, total int, label func(int) string, fn func(ctx context.Context, job *Job) (T, error)) ([]Outcome[T], Stats, error) {
 	ctx := cfg.Context
 	if ctx == nil {
@@ -208,7 +166,7 @@ func Run[T any](cfg Config, total int, label func(int) string, fn func(ctx conte
 		return outs, st, ctx.Err()
 	}
 
-	// cctx additionally cancels on the first failure under FailFast.
+	// cctx additionally cancels on the first failure.
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -275,7 +233,7 @@ func Run[T any](cfg Config, total int, label func(int) string, fn func(ctx conte
 
 	start := time.Now()
 	var wallAcc, evAcc stats.Accumulator
-	var failures Errors
+	var failure *JobError
 	seen := 0
 	for d := range doneCh {
 		seen++
@@ -288,10 +246,10 @@ func Run[T any](cfg Config, total int, label func(int) string, fn func(ctx conte
 			st.Failed++
 			var je *JobError
 			errors.As(d.err, &je)
-			failures = append(failures, je)
-			if cfg.ErrorPolicy == FailFast {
-				cancel()
+			if failure == nil || je.Index < failure.Index {
+				failure = je
 			}
+			cancel()
 		default:
 			st.Skipped++
 		}
@@ -308,16 +266,13 @@ func Run[T any](cfg Config, total int, label func(int) string, fn func(ctx conte
 	st.RunWall = wallAcc.Summary()
 	st.RunEvents = evAcc.Summary()
 
-	sort.Slice(failures, func(i, j int) bool { return failures[i].Index < failures[j].Index })
 	switch {
 	case ctx.Err() != nil:
 		// External cancellation outranks job failures: the caller asked
 		// the sweep to stop and gets usable partial results.
 		return outs, st, ctx.Err()
-	case len(failures) > 0 && cfg.ErrorPolicy == FailFast:
-		return outs, st, failures[0]
-	case len(failures) > 0:
-		return outs, st, failures
+	case failure != nil:
+		return outs, st, failure
 	}
 	return outs, st, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -120,44 +119,6 @@ func TestDeadlinePartial(t *testing.T) {
 	}
 }
 
-func TestCollectErrorsPolicy(t *testing.T) {
-	const total = 20
-	boom := errors.New("boom")
-	outs, st, err := Run(Config{Workers: 4, ErrorPolicy: CollectErrors}, total, labels("run"),
-		func(_ context.Context, j *Job) (int, error) {
-			if j.Index%2 == 0 {
-				return 0, boom
-			}
-			return j.Index, nil
-		})
-	var es Errors
-	if !errors.As(err, &es) {
-		t.Fatalf("err = %T %v, want Errors", err, err)
-	}
-	if !PartialOK(err) {
-		t.Error("collected errors should report usable partial results")
-	}
-	if len(es) != total/2 || st.Failed != total/2 || st.Completed != total/2 {
-		t.Fatalf("failures = %d, stats = %+v", len(es), st)
-	}
-	for i := 1; i < len(es); i++ {
-		if es[i].Index <= es[i-1].Index {
-			t.Error("failures not sorted by job index")
-		}
-	}
-	if es[0].Index != 0 || es[0].Label != "run-0" || !errors.Is(es[0], boom) {
-		t.Errorf("failure identity wrong: %+v", es[0])
-	}
-	for i, o := range outs {
-		if i%2 == 1 && (o.Err != nil || o.Value != i) {
-			t.Errorf("odd job %d corrupted: %+v", i, o)
-		}
-		if i%2 == 0 && o.Err == nil {
-			t.Errorf("even job %d should carry its error", i)
-		}
-	}
-}
-
 func TestFailFastPolicy(t *testing.T) {
 	const total = 50
 	boom := errors.New("boom")
@@ -174,6 +135,9 @@ func TestFailFastPolicy(t *testing.T) {
 	}
 	if je.Index != 3 || je.Label != "run-3" {
 		t.Errorf("failure identity: %+v", je)
+	}
+	if want := `run "run-3" (job 3): boom`; err.Error() != want {
+		t.Errorf("Error() = %q, want %q", err.Error(), want)
 	}
 	if PartialOK(err) {
 		t.Error("fail-fast abort must not claim usable partial results")
@@ -266,22 +230,5 @@ func TestZeroJobs(t *testing.T) {
 		func(context.Context, *Job) (int, error) { return 0, nil })
 	if err != nil || len(outs) != 0 || st.Total != 0 {
 		t.Fatalf("outs=%v st=%+v err=%v", outs, st, err)
-	}
-}
-
-func TestErrorsString(t *testing.T) {
-	es := Errors{
-		{Index: 0, Label: "a", Err: errors.New("x")},
-		{Index: 1, Label: "b", Err: errors.New("y")},
-		{Index: 2, Label: "c", Err: errors.New("z")},
-		{Index: 3, Label: "d", Err: errors.New("w")},
-		{Index: 4, Label: "e", Err: errors.New("v")},
-	}
-	s := es.Error()
-	if want := "5 run(s) failed"; len(s) == 0 || s[:len(want)] != want {
-		t.Errorf("Error() = %q", s)
-	}
-	if want := "(2 more)"; !strings.Contains(s, want) {
-		t.Errorf("Error() = %q, want truncation marker", s)
 	}
 }

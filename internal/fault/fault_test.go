@@ -94,19 +94,19 @@ func TestArmAppliesEventsInOrder(t *testing.T) {
 		{At: 4 * sim.Second, Node: 2, Kind: LinkRestore},
 	}
 	Arm(net, s)
-	net.RunUntil(sim.Second + sim.Millisecond)
+	net.Sim.RunUntil(sim.Second + sim.Millisecond)
 	if !net.Nodes[1].Down() {
 		t.Error("node 1 should be down after its crash event")
 	}
-	net.RunUntil(2*sim.Second + sim.Millisecond)
+	net.Sim.RunUntil(2*sim.Second + sim.Millisecond)
 	if net.Nodes[1].Down() {
 		t.Error("node 1 should have recovered")
 	}
-	net.RunUntil(3*sim.Second + sim.Millisecond)
+	net.Sim.RunUntil(3*sim.Second + sim.Millisecond)
 	if !net.Chan.Degraded(2) {
 		t.Error("node 2's links should be degraded")
 	}
-	net.RunUntil(4*sim.Second + sim.Millisecond)
+	net.Sim.RunUntil(4*sim.Second + sim.Millisecond)
 	if net.Chan.Degraded(2) {
 		t.Error("node 2's links should be restored")
 	}

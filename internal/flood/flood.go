@@ -41,9 +41,9 @@ type pending struct {
 }
 
 // Router floods every data packet once. It ignores HELLO/JoinQuery/
-// JoinReply traffic and satisfies proto.Router's session API trivially:
-// FloodQuery is a no-op that just allocates the session key (flooding
-// needs no discovery), and every node acts as a forwarder.
+// JoinReply traffic and satisfies proto.Router trivially: FloodQuery is a
+// no-op that just allocates the session key (flooding needs no
+// discovery), and every node acts as a forwarder.
 type Router struct {
 	cfg      Config
 	node     *network.Node
@@ -61,9 +61,6 @@ func New(cfg Config) *Router {
 	}
 	return &Router{cfg: cfg}
 }
-
-// Name implements proto.Router.
-func (r *Router) Name() string { return "Flooding" }
 
 // Attach implements network.Protocol.
 func (r *Router) Attach(n *network.Node) {
@@ -174,17 +171,9 @@ func (r *Router) SendData(key packet.FloodKey, payloadLen int) {
 	r.node.Send(r.node.Packets().NewData(r.node.ID, d))
 }
 
-// IsForwarder implements proto.Router: every node forwards.
-func (r *Router) IsForwarder(key packet.FloodKey) bool { return true }
-
-// Covered implements proto.Router.
-func (r *Router) Covered(key packet.FloodKey) bool { return r.GotData(key) }
-
-// GotData implements proto.Router.
+// GotData reports whether any of the session's data packets reached this
+// node.
 func (r *Router) GotData(key packet.FloodKey) bool {
 	s := r.sess(key)
 	return s != nil && s.got > 0
 }
-
-// RepliesHeard implements proto.Router; flooding has no replies.
-func (r *Router) RepliesHeard(key packet.FloodKey) int { return 0 }

@@ -47,10 +47,6 @@ func TestEveryNodeRebroadcastsOnce(t *testing.T) {
 			t.Errorf("node %d missed the flood", i)
 		}
 	}
-	// Flooding has no control traffic or replies.
-	if routers[0].RepliesHeard(key) != 0 {
-		t.Error("flooding reported replies")
-	}
 }
 
 func TestDuplicateSuppression(t *testing.T) {
@@ -68,7 +64,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	net.Run()
 	first := dataTx
 	// Replaying an already-seen frame (same DataSeq) is suppressed.
-	routers[1].Receive(packet.NewData(0, packet.Data{
+	routers[1].Receive(packet.NewFactory().NewData(0, packet.Data{
 		SourceID: key.Source, GroupID: key.Group, SequenceNo: key.Seq, DataSeq: 1,
 	}))
 	net.Run()
@@ -83,11 +79,23 @@ func TestDuplicateSuppression(t *testing.T) {
 	}
 }
 
+// TestEveryNodeIsForwarder: flooding has no forwarding group; every node
+// relays the data once.
 func TestEveryNodeIsForwarder(t *testing.T) {
-	_, routers := rig(t, 2)
-	key := packet.FloodKey{Source: 0, Group: 1, Seq: 1}
-	if !routers[1].IsForwarder(key) {
-		t.Error("flooding: every node forwards")
+	net, routers := rig(t, 3)
+	var sent [3]int
+	net.OnTransmit = func(n *network.Node, p *packet.Packet) {
+		if p.Type == packet.TData {
+			sent[n.ID]++
+		}
+	}
+	net.Start()
+	net.Run()
+	key := routers[0].FloodQuery(1)
+	routers[0].SendData(key, 8)
+	net.Run()
+	if sent != [3]int{1, 1, 1} {
+		t.Errorf("DATA transmissions per node = %v, want one each", sent)
 	}
 }
 
@@ -96,13 +104,7 @@ func TestIgnoresControlTraffic(t *testing.T) {
 	net.Start()
 	net.Run()
 	// Deliver a JQ to a flooding node: must be ignored without panic.
-	routers[1].Receive(packet.NewJoinQuery(0, packet.JoinQuery{SourceID: 0, GroupID: 1, SequenceNo: 1}))
+	routers[1].Receive(packet.NewFactory().NewJoinQuery(0, packet.JoinQuery{SourceID: 0, GroupID: 1, SequenceNo: 1}))
 	routers[1].Receive(packet.NewHello(0, nil))
 	net.Run()
-}
-
-func TestName(t *testing.T) {
-	if New(DefaultConfig()).Name() != "Flooding" {
-		t.Error("name")
-	}
 }

@@ -36,9 +36,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by k.
 func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
 
-// Norm returns the Euclidean length of p treated as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // In reports whether p lies inside the axis-aligned rectangle
 // [0,side] x [0,side].
 func (p Point) In(side float64) bool {

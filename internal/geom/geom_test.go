@@ -72,9 +72,6 @@ func TestVectorOps(t *testing.T) {
 	if got := p.Scale(2); got != (Point{2, 4}) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := (Point{3, 4}).Norm(); got != 5 {
-		t.Errorf("Norm = %v", got)
-	}
 }
 
 func TestIn(t *testing.T) {

@@ -21,7 +21,6 @@
 package gmr
 
 import (
-	"mtmrp/internal/geom"
 	"mtmrp/internal/network"
 	"mtmrp/internal/packet"
 	"mtmrp/internal/rng"
@@ -103,9 +102,6 @@ func New(cfg Config) *Router {
 	}
 	return &Router{cfg: cfg}
 }
-
-// Name implements proto.Router.
-func (r *Router) Name() string { return "GMR" }
 
 // Attach implements network.Protocol.
 func (r *Router) Attach(n *network.Node) {
@@ -334,15 +330,8 @@ func (r *Router) split(dests []packet.NodeID) []packet.GeoAssign {
 	return assign
 }
 
-// IsForwarder implements proto.Router: stateless protocols have no
-// standing forwarder flags; report whether this node relayed any frame of
-// the session (approximated by having seen one addressed to it).
-func (r *Router) IsForwarder(key packet.FloodKey) bool { return false }
-
-// Covered implements proto.Router.
-func (r *Router) Covered(key packet.FloodKey) bool { return r.GotData(key) }
-
-// GotData implements proto.Router.
+// GotData reports whether any of the session's data packets reached this
+// node.
 func (r *Router) GotData(key packet.FloodKey) bool { return r.DataReceived(key) > 0 }
 
 // DataReceived reports packets delivered to this node for the session.
@@ -352,12 +341,4 @@ func (r *Router) DataReceived(key packet.FloodKey) int {
 		return 0
 	}
 	return s.got
-}
-
-// RepliesHeard implements proto.Router; there are no replies.
-func (r *Router) RepliesHeard(key packet.FloodKey) int { return 0 }
-
-// Pos returns this node's own position (a convenience for diagnostics).
-func (r *Router) Pos() geom.Point {
-	return r.node.Net().Topo.Positions[r.node.Pos]
 }

@@ -142,15 +142,9 @@ func TestMultiPacket(t *testing.T) {
 func TestIgnoresTreeProtocols(t *testing.T) {
 	_, routers := rig(t, 2)
 	routers[1].Receive(packet.NewHello(0, nil))
-	routers[1].Receive(packet.NewData(0, packet.Data{SourceID: 0, SequenceNo: 1}))
+	routers[1].Receive(packet.NewFactory().NewData(0, packet.Data{SourceID: 0, SequenceNo: 1}))
 	// no panic, no state
 	if routers[1].GotData(packet.FloodKey{Source: 0, Seq: 1}) {
 		t.Error("tree data leaked into GMR state")
-	}
-}
-
-func TestName(t *testing.T) {
-	if New(DefaultConfig()).Name() != "GMR" {
-		t.Error("name")
 	}
 }

@@ -65,18 +65,6 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 // Neighbors returns u's adjacency list (shared; do not modify).
 func (g *Graph) Neighbors(u int) []Edge { return g.adj[u] }
 
-// NeighborIDs returns just the neighbor vertex ids of u (fresh slice).
-func (g *Graph) NeighborIDs(u int) []int {
-	out := make([]int, len(g.adj[u]))
-	for i, e := range g.adj[u] {
-		out[i] = e.To
-	}
-	return out
-}
-
-// Degree returns the degree of u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
-
 // Unreachable marks vertices BFS could not reach.
 const Unreachable = -1
 

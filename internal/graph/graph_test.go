@@ -242,12 +242,11 @@ func TestAddEdgePanics(t *testing.T) {
 func TestFromAdjacency(t *testing.T) {
 	adj := [][]int{{1}, {0, 2}, {1}}
 	g := FromAdjacency(adj)
-	if g.N() != 3 || g.Degree(1) != 2 {
-		t.Errorf("FromAdjacency wrong: n=%d deg1=%d", g.N(), g.Degree(1))
+	if g.N() != 3 || len(g.Neighbors(1)) != 2 {
+		t.Errorf("FromAdjacency wrong: n=%d neighbors(1)=%v", g.N(), g.Neighbors(1))
 	}
-	ids := g.NeighborIDs(1)
-	if len(ids) != 2 || ids[0] != 0 || ids[1] != 2 {
-		t.Errorf("NeighborIDs = %v", ids)
+	if nb := g.Neighbors(1); len(nb) != 2 || nb[0].To != 0 || nb[1].To != 2 {
+		t.Errorf("Neighbors(1) = %v", nb)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 func rig(pos []geom.Point) (*sim.Simulator, *channel.Channel, *Countdowns) {
 	s := sim.New()
 	params := radio.MustDefault80211Params(40, 2.2)
-	return s, channel.New(s, pos, params, channel.Config{}), new(Countdowns)
+	return s, channel.NewWithTable(s, channel.NewLinkTable(pos, params), channel.Config{}), new(Countdowns)
 }
 
 func hello(from packet.NodeID) *packet.Packet { return packet.NewHello(from, nil) }

@@ -413,13 +413,3 @@ func (c *Collector) Robustness() Robustness {
 	}
 	return rb
 }
-
-// TransmitterPositions returns the topology indices of the DATA
-// transmitters (source included), for snapshot rendering.
-func (c *Collector) TransmitterPositions() []int {
-	out := make([]int, 0, len(c.dataTx))
-	for _, id := range c.dataTx {
-		out = append(out, int(id))
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"testing"
 
 	"mtmrp/internal/network"
@@ -23,7 +24,7 @@ func (r *relayProto) Receive(p *packet.Packet) {
 	}
 	r.seen = true
 	if r.forward {
-		r.node.Send(packet.NewData(r.node.ID, *p.Data))
+		r.node.Send(r.node.Packets().NewData(r.node.ID, *p.Data))
 	}
 }
 
@@ -46,7 +47,7 @@ func rig(t *testing.T, receivers []int) (*network.Network, *Collector) {
 }
 
 func sendData(net *network.Network) {
-	net.Nodes[0].Send(packet.NewData(0, packet.Data{SourceID: 0, GroupID: 1, SequenceNo: 1}))
+	net.Nodes[0].Send(net.Nodes[0].Packets().NewData(0, packet.Data{SourceID: 0, GroupID: 1, SequenceNo: 1}))
 	net.Run()
 }
 
@@ -163,7 +164,7 @@ func TestChainsExistingHooks(t *testing.T) {
 	net.SetProtocol(0, &relayProto{})
 	net.SetProtocol(1, &relayProto{})
 	_ = NewCollector(net, 0, 1, []int{1})
-	net.Nodes[0].Send(packet.NewData(0, packet.Data{SourceID: 0, GroupID: 1, SequenceNo: 1}))
+	net.Nodes[0].Send(net.Nodes[0].Packets().NewData(0, packet.Data{SourceID: 0, GroupID: 1, SequenceNo: 1}))
 	net.Run()
 	if prevTx != 1 {
 		t.Error("previous OnTransmit hook lost")
@@ -181,8 +182,9 @@ func TestEmptyGroupDeliveryRatio(t *testing.T) {
 func TestTransmitterPositions(t *testing.T) {
 	net, col := rig(t, []int{3})
 	sendData(net)
-	pos := col.TransmitterPositions()
-	if len(pos) != 3 || pos[0] != 0 {
-		t.Errorf("TransmitterPositions = %v", pos)
+	// The DATA transmitters: the source and the two relays of the chain.
+	res := col.Snapshot()
+	if res.Transmissions != 3 || len(res.Forwarders) != 2 || slices.Contains(res.Forwarders, 0) {
+		t.Errorf("Transmissions = %d, Forwarders = %v", res.Transmissions, res.Forwarders)
 	}
 }

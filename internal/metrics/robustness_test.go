@@ -25,7 +25,7 @@ func (r *switchProto) Receive(p *packet.Packet) {
 	}
 	r.seen[p.Data.DataSeq] = true
 	if r.forward {
-		r.node.Send(packet.NewData(r.node.ID, *p.Data))
+		r.node.Send(r.node.Packets().NewData(r.node.ID, *p.Data))
 	}
 }
 
@@ -50,7 +50,7 @@ func robustRig(t *testing.T, receivers []int) (*network.Network, *Collector, []*
 }
 
 func sendSeq(net *network.Network, seq uint32) {
-	net.Nodes[0].Send(packet.NewData(0, packet.Data{
+	net.Nodes[0].Send(net.Nodes[0].Packets().NewData(0, packet.Data{
 		SourceID: 0, GroupID: 1, SequenceNo: 1, DataSeq: seq,
 	}))
 	net.Run()

@@ -14,7 +14,6 @@
 package mobility
 
 import (
-	"fmt"
 	"math"
 
 	"mtmrp/internal/geom"
@@ -38,20 +37,6 @@ const (
 	// clamped to the field — correlated motion, as in a platoon.
 	RPGM
 )
-
-// String implements fmt.Stringer.
-func (m Model) String() string {
-	switch m {
-	case None:
-		return "none"
-	case RandomWaypoint:
-		return "random-waypoint"
-	case RPGM:
-		return "rpgm"
-	default:
-		return fmt.Sprintf("Model(%d)", uint8(m))
-	}
-}
 
 // Knot is one vertex of a piecewise-linear path: the node is at Pos at
 // virtual time At (relative to the start of motion) and moves linearly to

@@ -74,9 +74,6 @@ func (m *Mover) Arm(s *sim.Simulator, base, span sim.Time) {
 	}
 }
 
-// Armed reports whether the mover has been armed this run.
-func (m *Mover) Armed() bool { return m.armed }
-
 // moverTickCB is the simulator callback for one motion tick.
 func moverTickCB(arg any, _ int) {
 	m := arg.(*Mover)

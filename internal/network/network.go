@@ -346,15 +346,8 @@ func (net *Network) SetLoss(cfg *channel.LossConfig) { net.Chan.SetLoss(cfg) }
 // probability. Restore with Degrade(i, false).
 func (net *Network) Degrade(i int, on bool) { net.Chan.SetDegraded(i, on) }
 
-// Packets returns the simulation's shared frame factory; protocols build
-// their outgoing frames through it so the channel can recycle them.
-func (net *Network) Packets() *packet.Factory { return net.pkt }
-
 // Run drives the simulation until the event queue drains.
 func (net *Network) Run() { net.Sim.Run() }
-
-// RunUntil drives the simulation up to virtual time t.
-func (net *Network) RunUntil(t sim.Time) { net.Sim.RunUntil(t) }
 
 // --- Node services used by protocols ---
 
@@ -390,7 +383,8 @@ func (n *Node) AfterCall(d sim.Time, cb sim.Callback, arg any, i int) sim.Event 
 	return n.net.Sim.AfterCall(d, cb, arg, i)
 }
 
-// Packets returns the shared frame factory (see Network.Packets).
+// Packets returns the simulation's shared frame factory; protocols build
+// their outgoing frames through it so the channel can recycle them.
 func (n *Node) Packets() *packet.Factory { return n.net.pkt }
 
 // Now returns the current virtual time.

@@ -9,10 +9,10 @@ package packet
 // The contract that makes this safe is already required by the protocol
 // layer: receivers copy payloads by value inside Receive and never retain
 // the *Packet (the frame is "off the air" once delivered). Frames built by
-// the package-level New* constructors may flow through a pooled channel
-// too — Release ignores them — and frames that are built but never
-// transmitted (queue overflow, downed node) simply fall back to the
-// garbage collector.
+// the package-level NewHello may flow through a pooled channel too —
+// Release ignores them — and frames that are built but never transmitted
+// (queue overflow, downed node) simply fall back to the garbage
+// collector.
 //
 // A Factory is single-goroutine, like the simulation that owns it.
 type Factory struct {
@@ -68,7 +68,7 @@ func (f *Factory) NewJoinQuery(from NodeID, q JoinQuery) *Packet {
 }
 
 // NewJoinReply builds (or recycles) a JoinReply frame. NodeID is forced to
-// the sender, matching packet.NewJoinReply.
+// the sender, as the paper's format duplicates the last hop there.
 func (f *Factory) NewJoinReply(from NodeID, r JoinReply) *Packet {
 	p := get(&f.jr)
 	if p.JoinReply == nil {
@@ -99,8 +99,8 @@ func (f *Factory) NewData(from NodeID, d Data) *Packet {
 
 // NewGeoData builds (or recycles) a geographic-multicast frame, deep-
 // copying the assignment header into storage owned by the frame (so the
-// caller may reuse its scratch slices), with the same size accounting as
-// packet.NewGeoData.
+// caller may reuse its scratch slices). The size accounts for the
+// per-destination header overhead (4 bytes each plus 8 per branch).
 func (f *Factory) NewGeoData(from NodeID, g GeoData) *Packet {
 	p := get(&f.geo)
 	if p.Geo == nil {

@@ -181,19 +181,6 @@ func (g GeoData) DestsFor(id NodeID) []NodeID {
 	return nil
 }
 
-// NewGeoData builds a geographic-multicast frame. The size accounts for
-// the per-destination header overhead (4 bytes each plus 8 per branch).
-func NewGeoData(from NodeID, g GeoData) *Packet {
-	gg := g
-	gg.Assign = make([]GeoAssign, len(g.Assign))
-	size := DataHeader + g.PayloadLen
-	for i, a := range g.Assign {
-		gg.Assign[i] = GeoAssign{Next: a.Next, Dests: append([]NodeID(nil), a.Dests...)}
-		size += 8 + 4*len(a.Dests)
-	}
-	return &Packet{Type: TGeoData, From: from, Size: size, Geo: &gg}
-}
-
 // FloodKey uniquely identifies one flood/session: (source, group, sequence).
 type FloodKey struct {
 	Source NodeID
@@ -221,55 +208,6 @@ func NewHello(from NodeID, groups []GroupID) *Packet {
 		Size:  HelloSize + 4*len(g),
 		Hello: &Hello{Groups: g},
 	}
-}
-
-// NewJoinQuery builds a JoinQuery frame.
-func NewJoinQuery(from NodeID, q JoinQuery) *Packet {
-	qq := q
-	return &Packet{Type: TJoinQuery, From: from, Size: JoinQuerySize, JoinQuery: &qq}
-}
-
-// NewJoinReply builds a JoinReply frame. NodeID is forced to the sender.
-func NewJoinReply(from NodeID, r JoinReply) *Packet {
-	rr := r
-	rr.NodeID = from
-	return &Packet{Type: TJoinReply, From: from, Size: JoinReplySize, JoinReply: &rr}
-}
-
-// NewData builds a DATA frame.
-func NewData(from NodeID, d Data) *Packet {
-	dd := d
-	return &Packet{Type: TData, From: from, Size: DataHeader + d.PayloadLen, Data: &dd}
-}
-
-// Clone returns a deep copy with a fresh (zero) UID, for re-transmission of
-// a received frame under a new sender.
-func (p *Packet) Clone(from NodeID) *Packet {
-	c := &Packet{Type: p.Type, From: from, Size: p.Size}
-	switch {
-	case p.Hello != nil:
-		h := *p.Hello
-		h.Groups = append([]GroupID(nil), p.Hello.Groups...)
-		c.Hello = &h
-	case p.JoinQuery != nil:
-		q := *p.JoinQuery
-		c.JoinQuery = &q
-	case p.JoinReply != nil:
-		r := *p.JoinReply
-		r.NodeID = from
-		c.JoinReply = &r
-	case p.Data != nil:
-		d := *p.Data
-		c.Data = &d
-	case p.Geo != nil:
-		g := *p.Geo
-		g.Assign = make([]GeoAssign, len(p.Geo.Assign))
-		for i, a := range p.Geo.Assign {
-			g.Assign[i] = GeoAssign{Next: a.Next, Dests: append([]NodeID(nil), a.Dests...)}
-		}
-		c.Geo = &g
-	}
-	return c
 }
 
 // String renders a compact description for traces.

@@ -56,7 +56,7 @@ func TestJoinQueryKey(t *testing.T) {
 }
 
 func TestNewJoinReplySetsNodeID(t *testing.T) {
-	p := NewJoinReply(7, JoinReply{NodeID: 999, NexthopID: 2, ReceiverID: 5, SourceID: 0, SequenceNo: 1})
+	p := NewFactory().NewJoinReply(7, JoinReply{NodeID: 999, NexthopID: 2, ReceiverID: 5, SourceID: 0, SequenceNo: 1})
 	if p.JoinReply.NodeID != 7 {
 		t.Errorf("NodeID = %d, want sender 7", p.JoinReply.NodeID)
 	}
@@ -67,7 +67,7 @@ func TestNewJoinReplySetsNodeID(t *testing.T) {
 
 func TestNewJoinQueryIsolation(t *testing.T) {
 	q := JoinQuery{SourceID: 1, SequenceNo: 2}
-	p := NewJoinQuery(0, q)
+	p := NewFactory().NewJoinQuery(0, q)
 	p.JoinQuery.HopCount = 5
 	if q.HopCount != 0 {
 		t.Error("NewJoinQuery must copy the payload")
@@ -75,7 +75,7 @@ func TestNewJoinQueryIsolation(t *testing.T) {
 }
 
 func TestDataKeyAndSize(t *testing.T) {
-	p := NewData(4, Data{SourceID: 0, GroupID: 1, SequenceNo: 9, PayloadLen: 64})
+	p := NewFactory().NewData(4, Data{SourceID: 0, GroupID: 1, SequenceNo: 9, PayloadLen: 64})
 	if p.Size != DataHeader+64 {
 		t.Errorf("Size = %d", p.Size)
 	}
@@ -84,59 +84,16 @@ func TestDataKeyAndSize(t *testing.T) {
 	}
 }
 
-func TestCloneJoinQuery(t *testing.T) {
-	orig := NewJoinQuery(1, JoinQuery{SourceID: 0, GroupID: 2, SequenceNo: 3, HopCount: 1, PathProfit: 2})
-	c := orig.Clone(5)
-	if c.From != 5 {
-		t.Errorf("clone From = %d", c.From)
-	}
-	c.JoinQuery.HopCount = 77
-	if orig.JoinQuery.HopCount != 1 {
-		t.Error("Clone must deep-copy the payload")
-	}
-	if c.Size != orig.Size || c.Type != orig.Type {
-		t.Error("clone header mismatch")
-	}
-}
-
-func TestCloneJoinReplyRewritesNodeID(t *testing.T) {
-	orig := NewJoinReply(1, JoinReply{NexthopID: 0, ReceiverID: 9, SourceID: 0})
-	c := orig.Clone(3)
-	if c.JoinReply.NodeID != 3 {
-		t.Errorf("clone NodeID = %d, want 3", c.JoinReply.NodeID)
-	}
-	if orig.JoinReply.NodeID != 1 {
-		t.Error("clone mutated original")
-	}
-}
-
-func TestCloneHello(t *testing.T) {
-	orig := NewHello(1, []GroupID{4})
-	c := orig.Clone(2)
-	c.Hello.Groups[0] = 9
-	if orig.Hello.Groups[0] != 4 {
-		t.Error("Clone must deep-copy hello groups")
-	}
-}
-
-func TestCloneData(t *testing.T) {
-	orig := NewData(1, Data{SourceID: 0, SequenceNo: 5, PayloadLen: 10})
-	c := orig.Clone(2)
-	c.Data.SequenceNo = 6
-	if orig.Data.SequenceNo != 5 {
-		t.Error("Clone must deep-copy data payload")
-	}
-}
-
 func TestStringForms(t *testing.T) {
+	f := NewFactory()
 	cases := []struct {
 		p    *Packet
 		want string
 	}{
-		{NewHello(1, []GroupID{2}), "HELLO"},
-		{NewJoinQuery(1, JoinQuery{}), "JQ"},
-		{NewJoinReply(1, JoinReply{}), "JR"},
-		{NewData(1, Data{}), "DATA"},
+		{f.NewHello(1, []GroupID{2}), "HELLO"},
+		{f.NewJoinQuery(1, JoinQuery{}), "JQ"},
+		{f.NewJoinReply(1, JoinReply{}), "JR"},
+		{f.NewData(1, Data{}), "DATA"},
 	}
 	for _, c := range cases {
 		if !strings.HasPrefix(c.p.String(), c.want) {

@@ -281,7 +281,10 @@ func (b *Base) Node() *network.Node { return b.node }
 
 // NeighborTable returns the node's one-hop neighbor table (nil before
 // Attach). The differential mark tests reach through this to attach
-// their id-indexed shadow oracle to every router in a session.
+// their id-indexed shadow oracle to every router in a session, and the
+// bench module's traced run (bench/trace.go) reads it for its
+// neighbor.entries_mean metric, both through a dynamic assertion that
+// TestBaseRoutersExposeNeighborTable (experiment) pins.
 func (b *Base) NeighborTable() *neighbor.Table { return b.NT }
 
 // Attach implements network.Protocol.
@@ -709,13 +712,8 @@ func relayDataCB(arg any, _ int) {
 // it, so every protocol built on Base does too.
 type Router interface {
 	network.Protocol
-	Name() string
 	FloodQuery(g packet.GroupID) packet.FloodKey
 	SendData(key packet.FloodKey, payloadLen int)
-	IsForwarder(key packet.FloodKey) bool
-	Covered(key packet.FloodKey) bool
-	GotData(key packet.FloodKey) bool
-	RepliesHeard(key packet.FloodKey) int
 	// Reset rewinds the router to its just-attached state so the session
 	// pool can reuse a network across Monte-Carlo runs.
 	Reset()

@@ -138,7 +138,7 @@ func TestDataFollowsTree(t *testing.T) {
 		t.Errorf("receiver got %d packets, want 2", bases[3].DataReceived(key))
 	}
 	// A duplicate frame (same DataSeq) is suppressed everywhere.
-	bases[1].Receive(packet.NewData(0, packet.Data{
+	bases[1].Receive(packet.NewFactory().NewData(0, packet.Data{
 		SourceID: key.Source, GroupID: key.Group, SequenceNo: key.Seq, DataSeq: 2,
 	}))
 	net.Run()

@@ -70,13 +70,6 @@ func (c *lruCache) Add(key string, payload []byte) {
 	}
 }
 
-// Len returns the number of cached entries.
-func (c *lruCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Stats returns the entry count, resident bytes and the hit/miss/eviction
 // counters.
 func (c *lruCache) Stats() (entries int, bytes int64, hits, misses, evictions uint64) {

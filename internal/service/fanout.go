@@ -122,13 +122,6 @@ func (p *peerState) admit(threshold int, cooldown time.Duration) bool {
 	return true
 }
 
-// open reports whether the circuit is currently open.
-func (p *peerState) open(threshold int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.consecFails >= threshold
-}
-
 // ok records a successful contact: circuit closed, peer healthy.
 func (p *peerState) ok() {
 	p.mu.Lock()
@@ -375,7 +368,6 @@ func (f *Fanout) fetchFrom(start int, subKey string, body []byte) ([]byte, error
 type permanentError struct{ err error }
 
 func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
 
 func isPermanent(err error) bool {
 	var pe *permanentError

@@ -437,9 +437,6 @@ func (b *Batch) check(d Time, cb Callback) {
 	}
 }
 
-// Len returns the number of accumulated appends (a cursor counts once).
-func (b *Batch) Len() int { return len(b.calls) }
-
 // reset empties the batch. The retained storage keeps the last flush's
 // argument references until the next fill overwrites them — fine for the
 // intended callers (the channel's arguments are pooled, simulation-lived

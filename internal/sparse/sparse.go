@@ -131,22 +131,6 @@ type Set struct {
 	used int
 }
 
-// Has reports whether k is present.
-func (s *Set) Has(k uint64) bool {
-	if len(s.keys) == 0 {
-		return false
-	}
-	mask := uint64(len(s.keys) - 1)
-	for i := mix(k) & mask; ; i = (i + 1) & mask {
-		switch s.keys[i] {
-		case k + 1:
-			return true
-		case emptyKey:
-			return false
-		}
-	}
-}
-
 // Add inserts k and reports whether it was absent — the test-and-set
 // shape every duplicate-suppression call site needs.
 func (s *Set) Add(k uint64) bool {

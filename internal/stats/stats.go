@@ -36,13 +36,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// AddAll folds a batch of observations in.
-func (a *Accumulator) AddAll(xs []float64) {
-	for _, x := range xs {
-		a.Add(x)
-	}
-}
-
 // N returns the number of observations.
 func (a *Accumulator) N() int { return a.n }
 

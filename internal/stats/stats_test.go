@@ -28,7 +28,9 @@ func TestSingle(t *testing.T) {
 
 func TestKnownValues(t *testing.T) {
 	var a Accumulator
-	a.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		a.Add(x)
+	}
 	if a.Mean() != 5 {
 		t.Errorf("mean = %v", a.Mean())
 	}
@@ -80,7 +82,9 @@ func TestCI95Shrinks(t *testing.T) {
 
 func TestSummaryString(t *testing.T) {
 	var a Accumulator
-	a.AddAll([]float64{1, 2, 3})
+	for _, x := range []float64{1, 2, 3} {
+		a.Add(x)
+	}
 	s := a.Summary()
 	if s.N != 3 || s.Mean != 2 {
 		t.Errorf("summary = %+v", s)

@@ -179,9 +179,6 @@ func (t *Topology) Kind() string { return t.kind }
 // slice is shared; callers must not modify it.
 func (t *Topology) Neighbors(i int) []int { return t.adj[i] }
 
-// Degree returns the number of neighbors of node i.
-func (t *Topology) Degree(i int) int { return len(t.adj[i]) }
-
 // AvgDegree returns the mean node degree.
 func (t *Topology) AvgDegree() float64 {
 	if t.N() == 0 {

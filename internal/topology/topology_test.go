@@ -31,15 +31,15 @@ func TestGridNeighborhoods(t *testing.T) {
 	// Interior node: 8 neighbors (orthogonal ≈22.2 m and diagonal ≈31.4 m
 	// both inside the 40 m disc; 2 cells away is 44.4 m, outside).
 	interior := 5*10 + 5
-	if d := g.Degree(interior); d != 8 {
+	if d := len(g.Neighbors(interior)); d != 8 {
 		t.Errorf("interior degree = %d, want 8", d)
 	}
 	// Corner node (0,0): 3 neighbors.
-	if d := g.Degree(0); d != 3 {
+	if d := len(g.Neighbors(0)); d != 3 {
 		t.Errorf("corner degree = %d, want 3", d)
 	}
 	// Edge node: 5 neighbors.
-	if d := g.Degree(5); d != 5 {
+	if d := len(g.Neighbors(5)); d != 5 {
 		t.Errorf("edge degree = %d, want 5", d)
 	}
 }
