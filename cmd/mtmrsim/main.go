@@ -199,6 +199,9 @@ func (m *memTrack) sample(phase string) {
 	if !m.enabled {
 		return
 	}
+	// Collect first, so heapAlloc counts live bytes rather than whatever
+	// garbage the phase left for the next cycle.
+	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	m.phases = append(m.phases, memSample{name: phase, heapAlloc: ms.HeapAlloc, sys: ms.Sys})

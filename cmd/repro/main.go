@@ -28,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -196,7 +197,7 @@ func (s sweeps) figure(name, csvName, title string, run func(mtmrp.EngineOptions
 			fmt.Printf("  [interrupted: %d of %d runs done, %d skipped — tables below are partial]\n",
 				t.Stats.Completed, t.Stats.Total, t.Stats.Skipped)
 		}
-		printTable(t)
+		printTable(os.Stdout, t)
 		if s.csvDir != "" {
 			if werr := writeCSV(filepath.Join(s.csvDir, csvName+".csv"), t); werr != nil {
 				return werr
@@ -243,8 +244,9 @@ func (s sweeps) engine() mtmrp.EngineOptions {
 }
 
 // printTable prints one block per metric: axis points down, rows across,
-// each cell "mean ± ci95", right-aligned.
-func printTable(t *mtmrp.Table) {
+// each cell "mean ± ci95", right-aligned. A cell no run reached (an
+// interrupted sweep's) prints as "—", not as a measured zero.
+func printTable(w io.Writer, t *mtmrp.Table) {
 	aw, cw := len(t.AxisName), 17
 	for _, x := range t.Axis {
 		aw = max(aw, len(x))
@@ -253,18 +255,21 @@ func printTable(t *mtmrp.Table) {
 		cw = max(cw, len(row))
 	}
 	for m, metric := range t.Metrics {
-		fmt.Printf("\n--- %s ---\n%*s", metric, aw, t.AxisName)
+		fmt.Fprintf(w, "\n--- %s ---\n%*s", metric, aw, t.AxisName)
 		for _, row := range t.Rows {
-			fmt.Printf("  %*s", cw, row)
+			fmt.Fprintf(w, "  %*s", cw, row)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		for ai, x := range t.Axis {
-			fmt.Printf("%*s", aw, x)
+			fmt.Fprintf(w, "%*s", aw, x)
 			for r := range t.Rows {
-				s := t.Cells[r][ai][m]
-				fmt.Printf("  %*s", cw, fmt.Sprintf("%.3f ± %.3f", s.Mean, s.CI95))
+				cell := "—"
+				if s := t.Cells[r][ai][m]; s.N > 0 {
+					cell = fmt.Sprintf("%.3f ± %.3f", s.Mean, s.CI95)
+				}
+				fmt.Fprintf(w, "  %*s", cw, cell)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 }

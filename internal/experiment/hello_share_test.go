@@ -154,7 +154,7 @@ func printOf(s *Session) sessionPrint {
 		nbrs := []neighborPrint{}
 		for k := 0; k < nt.Len(); k++ {
 			e := nt.At(k)
-			np := neighborPrint{ID: e.ID, Count: e.Count, Slot: field(e, "slot").Int()}
+			np := neighborPrint{ID: e.ID, Count: int(e.Count), Slot: field(e, "slot").Int()}
 			g := field(e, "groups")
 			for j := 0; j < g.Len(); j++ {
 				np.Groups = append(np.Groups, g.Index(j).Int())

@@ -69,6 +69,39 @@ func TestSessionMemoryScalesLinearly(t *testing.T) {
 	runtime.KeepAlive(sBig)
 }
 
+// TestSessionPhaseMemoryPerNode bounds what a session's phases add to the
+// live heap, GC-settled, per node: hello + discovery + 30 data packets to
+// 20 receivers on a 2000-node field at the paper's density. Neighbour
+// tables, per-session protocol state and delivery tracking must stay
+// neighbourhood- and group-sized. Measured (go1.24, amd64): 3850 B/node
+// (hello 2983, discovery 853, data 14). With hash-indexed neighbour
+// tables, hash-map hop scratch and delivery tracking that grew a whole
+// network stride per packet the same run measured 5618 B/node (hello
+// 3658, discovery 1665, data 295), so the 4400 B/node bound fails it.
+func TestSessionPhaseMemoryPerNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("memory measurement; skipped in -short")
+	}
+	const n, packets = 2000, 30
+	s, _ := buildScaleSession(t, n, 20, packets)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.RunHello()
+	s.RunDiscovery(0)
+	if _, err := s.RunData(packets); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	t.Logf("hello + discovery + data: %.0f B/node live", per)
+	if per > 4400 {
+		t.Fatalf("session phases grew the live heap %.0f B/node, want <= 4400", per)
+	}
+	runtime.KeepAlive(s)
+}
+
 // TestScale50kSmoke is the CI scale gate: a 50k-node deployment must
 // construct a session and complete hello, discovery and a data packet,
 // end to end, delivering to most of the group. Heavyweight, so it only

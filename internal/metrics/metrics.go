@@ -49,14 +49,18 @@ type Collector struct {
 	// Per-packet robustness tracking (the fault-injection experiments).
 	// Every source DATA transmission registers its DataKey here; receivers'
 	// first copies are marked per (packet, node) so the collector can
-	// compute per-receiver delivery ratios and repair statistics. All
+	// compute per-receiver delivery ratios and repair statistics. Only
+	// receivers are tracked, in a packet-major grid of len(recvs) cells per
+	// packet; a node's cell is its rank, the index of its first place in
+	// the receiver list, so a repeated receiver id shares one cell. All
 	// session-lifetime storage, rewound in place by Reset.
 	recvs  []int            // the receiver list, in Reset order
+	rank   []int32          // node -> receiver rank, -1 for non-receivers
 	pkts   []packet.DataKey // source packets, in send order
 	sendAt []sim.Time       // virtual send time per packet
 	perPkt []int            // receivers reached per packet (first copies)
-	rxPkt  bitset.Set       // bit pktIdx*n + node: first copy seen
-	rxAt   []sim.Time       // pktIdx*n + node -> first-copy arrival time
+	rxPkt  bitset.Set       // bit pktIdx*len(recvs) + rank: first copy seen
+	rxAt   []sim.Time       // pktIdx*len(recvs) + rank -> first-copy arrival time
 }
 
 // NewCollector wires a collector into the network's observation hooks,
@@ -101,7 +105,19 @@ func (c *Collector) Reset(source packet.NodeID, group packet.GroupID, receivers 
 	c.bytesTx = 0
 	c.bytesRx = 0
 	c.controlTx = 0
+	if len(c.rank) < n {
+		c.rank = make([]int32, n)
+		for i := range c.rank {
+			c.rank[i] = -1
+		}
+	}
+	for _, r := range c.recvs {
+		c.rank[r] = -1
+	}
 	c.recvs = append(c.recvs[:0], receivers...)
+	for i := len(c.recvs) - 1; i >= 0; i-- {
+		c.rank[c.recvs[i]] = int32(i)
+	}
 	c.pkts = c.pkts[:0]
 	c.sendAt = c.sendAt[:0]
 	c.perPkt = c.perPkt[:0]
@@ -158,10 +174,9 @@ func (c *Collector) registerPacket(p *packet.Packet) {
 	c.pkts = append(c.pkts, key)
 	c.sendAt = append(c.sendAt, c.net.Sim.Now())
 	c.perPkt = append(c.perPkt, 0)
-	// rxAt grows one node-stride per packet; stale values are never read
-	// because rxPkt gates every access.
-	n := len(c.net.Nodes)
-	for len(c.rxAt) < len(c.pkts)*n {
+	// rxAt grows one receiver-list stride per packet; stale values are
+	// never read because rxPkt gates every access.
+	for len(c.rxAt) < len(c.pkts)*len(c.recvs) {
 		c.rxAt = append(c.rxAt, 0)
 	}
 }
@@ -205,8 +220,13 @@ func (c *Collector) onDeliver(to *network.Node, p *packet.Packet) {
 	c.markPacket(to.ID, p)
 }
 
-// markPacket records node `to`'s first copy of an individual data packet.
+// markPacket records receiver `to`'s first copy of an individual data
+// packet; other nodes are not tracked.
 func (c *Collector) markPacket(to packet.NodeID, p *packet.Packet) {
+	rk := c.rank[to]
+	if rk < 0 {
+		return
+	}
 	key := dataKey(p)
 	idx := -1
 	// In-flight packets cluster at the tail; scan backwards.
@@ -219,13 +239,13 @@ func (c *Collector) markPacket(to packet.NodeID, p *packet.Packet) {
 	if idx < 0 {
 		return // not a source-registered packet (e.g. injected by a test)
 	}
-	bit := idx*len(c.net.Nodes) + int(to)
+	bit := idx*len(c.recvs) + int(rk)
 	if c.rxPkt.Test(bit) {
 		return
 	}
 	c.rxPkt.Set(bit)
 	c.rxAt[bit] = c.net.Sim.Now()
-	if to != c.source && c.receivers.Test(int(to)) {
+	if to != c.source {
 		c.perPkt[idx]++
 	}
 }
@@ -371,7 +391,6 @@ type Robustness struct {
 // everything run so far. Unlike Snapshot it allocates its PDR slice; call
 // it once per run, outside reuse-sensitive loops.
 func (c *Collector) Robustness() Robustness {
-	n := len(c.net.Nodes)
 	m := len(c.pkts)
 	rb := Robustness{DataSent: m, PDR: make([]float64, len(c.recvs)), MeanPDR: 1, MinPDR: 1}
 	if m == 0 {
@@ -385,8 +404,9 @@ func (c *Collector) Robustness() Robustness {
 	for ri, r := range c.recvs {
 		got := 0
 		gapStart := -1
+		rk := int(c.rank[r])
 		for i := 0; i < m; i++ {
-			bit := i*n + r
+			bit := i*len(c.recvs) + rk
 			if c.rxPkt.Test(bit) {
 				got++
 				if gapStart >= 0 {

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"mtmrp/internal/network"
@@ -152,5 +154,58 @@ func TestRetransmissionRegistersOnce(t *testing.T) {
 	sendSeq(net, 1)
 	if col.DataPacketCount() != 1 {
 		t.Errorf("DataPacketCount = %d after a retransmission, want 1", col.DataPacketCount())
+	}
+}
+
+// TestRobustnessReceiverListEdgeCases pins the per-packet delivery
+// statistics on three receiver lists the scenario validation admits: one
+// that contains the source (the source decodes its relays' copies), one
+// that names a receiver twice (both places report the same PDR, and its
+// closed gap counts once per place), and one whose receiver is not the
+// only node decoding DATA (the relays on nodes 1 and 2 decode every copy
+// they forward). On the 4-node line, packet 2 stops at the switched-off
+// relay and packet 3 closes the gap. The expected values are the ones the
+// node-indexed tracking this collector replaced computed on the same
+// runs.
+func TestRobustnessReceiverListEdgeCases(t *testing.T) {
+	cases := []struct {
+		name      string
+		receivers []int
+		off       int // relay switched off for packet 2
+		pdr       []float64
+		counts    []int
+		repairs   int
+		mttr      sim.Time
+	}{
+		{"source listed", []int{0, 3}, 1, []float64{2.0 / 3, 2.0 / 3}, []int{1, 0, 1}, 2, 1176450},
+		{"repeated id", []int{3, 2, 3}, 2, []float64{2.0 / 3, 1, 2.0 / 3}, []int{2, 1, 2}, 2, 1680600},
+		{"relays decode", []int{3}, 2, []float64{2.0 / 3}, []int{1, 0, 1}, 1, 1680600},
+	}
+	for _, tc := range cases {
+		net, col, protos := robustRig(t, tc.receivers)
+		sendSeq(net, 1)
+		protos[tc.off].forward = false
+		sendSeq(net, 2)
+		protos[tc.off].forward = true
+		sendSeq(net, 3)
+		rb := col.Robustness()
+		if rb.DataSent != 3 || !slices.Equal(rb.PDR, tc.pdr) {
+			t.Errorf("%s: DataSent %d PDR %v, want 3 %v", tc.name, rb.DataSent, rb.PDR, tc.pdr)
+		}
+		mean, min := 0.0, 1.0
+		for _, p := range tc.pdr {
+			mean += p / float64(len(tc.pdr))
+			min = math.Min(min, p)
+		}
+		if math.Abs(rb.MeanPDR-mean) > 1e-12 || rb.MinPDR != min {
+			t.Errorf("%s: MeanPDR %v MinPDR %v, want %v %v", tc.name, rb.MeanPDR, rb.MinPDR, mean, min)
+		}
+		if rb.Repairs != tc.repairs || rb.MeanTimeToRepair != tc.mttr {
+			t.Errorf("%s: Repairs %d MeanTimeToRepair %v, want %d %v",
+				tc.name, rb.Repairs, rb.MeanTimeToRepair, tc.repairs, tc.mttr)
+		}
+		if got := col.PacketCounts(); !slices.Equal(got, tc.counts) {
+			t.Errorf("%s: PacketCounts %v, want %v", tc.name, got, tc.counts)
+		}
 	}
 }

@@ -10,9 +10,9 @@
 // A node only ever hears its one-hop neighborhood (~25 nodes at the
 // paper's density), so the table is sparse: entries live in 16-record
 // slabs (pointer-stable — a *Entry handed out never moves), two of them
-// for a typical neighborhood; an open-addressing index maps node id to
-// slot, and a sorted slot list preserves the ascending-id iteration
-// order the dense layout had.
+// for a typical neighborhood. A sorted id array, binary-searched, is the
+// id index; the slot list kept parallel to it gives the ascending-id
+// iteration order the dense layout had.
 //
 // The per-session marks are word-packed bitsets keyed by a small session
 // registry, one bit per *table slot* — not per global node id. Definition
@@ -32,25 +32,26 @@
 package neighbor
 
 import (
-	"sort"
-
 	"mtmrp/internal/bitset"
 	"mtmrp/internal/packet"
-	"mtmrp/internal/sparse"
 )
 
-// Entry is one neighbor record.
+// Entry is one neighbor record. Its fields are ordered so that it packs
+// into 48 bytes: a 10k-node deployment holds a quarter million of them.
 type Entry struct {
-	ID packet.NodeID
+	ID   packet.NodeID
+	slot int32 // storage slot — the per-session mark bit for this entry
 	// Count is the number of HELLOs heard from this neighbor — a crude
 	// link-quality estimator: under fading, marginal links deliver only a
 	// fraction of beacons.
-	Count int
+	Count int32
 
 	groups []packet.GroupID // announced memberships (small; linear scan)
-	slot   int32            // storage slot — the per-session mark bit for this entry
 	t      *Table
 }
+
+// Slot returns the entry's storage slot (see Table.Slot).
+func (e *Entry) Slot() int { return int(e.slot) }
 
 // InGroup reports whether the neighbor announced membership of g.
 func (e *Entry) InGroup(g packet.GroupID) bool {
@@ -93,15 +94,15 @@ func (e *Entry) Forwarder(key packet.FloodKey) bool {
 const slabBits = 4
 
 // Table is a node's one-hop neighbor table. Entries live in fixed slabs in
-// insertion order (stable addresses), reached through an id index and a
-// slot list sorted by id; the per-session covered/forwarder marks live in
-// slot-indexed bitsets shared across entries, keyed by a small registry of
-// session keys (a handful per run, scanned linearly).
+// insertion order (stable addresses), reached through a sorted id array
+// and the slot list parallel to it; the per-session covered/forwarder
+// marks live in slot-indexed bitsets shared across entries, keyed by a
+// small registry of session keys (a handful per run, scanned linearly).
 type Table struct {
 	slabs  []*[1 << slabBits]Entry
-	nslots int        // slots handed out; slot s lives at slabs[s>>slabBits][s&mask]
-	order  []int32    // slots sorted by entry id — ascending-id iteration
-	idx    sparse.Map // node id -> slot
+	nslots int             // slots handed out; slot s lives at slabs[s>>slabBits][s&mask]
+	ids    []packet.NodeID // entry ids, ascending — the id index
+	order  []int32         // order[i] is the slot of ids[i] — ascending-id iteration
 
 	sessions  []packet.FloodKey
 	covered   []bitset.Set // covered[session] bit slot — covered receiver marks
@@ -134,8 +135,8 @@ func (t *Table) Reset() {
 		e.groups = e.groups[:0]
 	}
 	t.nslots = 0
+	t.ids = t.ids[:0]
 	t.order = t.order[:0]
-	t.idx.Reset()
 	// Trim with hysteresis, not to the exact count: session counts jitter
 	// per node from run to run (a node reached by one seed's flood may be
 	// missed by the next), and trimming to the exact count would make the
@@ -182,8 +183,8 @@ func (t *Table) CopyFrom(src *Table) {
 		e.t = t
 	}
 	t.nslots = src.nslots
+	t.ids = append(t.ids[:0], src.ids...)
 	t.order = append(t.order[:0], src.order...)
-	t.idx.CopyFrom(&src.idx)
 }
 
 // session returns the registry index of key, or -1.
@@ -234,13 +235,40 @@ func (t *Table) Observe(id packet.NodeID, groups []packet.GroupID) {
 	e.groups = append(e.groups[:0], groups...)
 }
 
+// search returns the position of id in the sorted id array and whether
+// it is there; if not, the position is where id would be spliced in.
+func (t *Table) search(id packet.NodeID) (int, bool) {
+	lo, hi := 0, len(t.ids)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.ids[m] < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(t.ids) && t.ids[lo] == id
+}
+
 // Entry returns the record for id, or nil.
 func (t *Table) Entry(id packet.NodeID) *Entry {
-	s, ok := t.idx.Get(uint64(uint32(id)))
+	i, ok := t.search(id)
 	if !ok {
 		return nil
 	}
-	return t.at(s)
+	return t.at(t.order[i])
+}
+
+// Slot returns the storage slot of id's entry, or -1 if id has none.
+// Slots are dense in [0, Len()) and a slot stays bound to its id until
+// Reset, so callers can keep per-neighbour scratch in slices indexed by
+// them, as the mark bitsets do.
+func (t *Table) Slot(id packet.NodeID) int {
+	i, ok := t.search(id)
+	if !ok {
+		return -1
+	}
+	return int(t.order[i])
 }
 
 // Len returns the number of entries; At(i) for i in [0, Len()) visits
@@ -271,28 +299,28 @@ func (t *Table) MarkForwarder(id packet.NodeID, key packet.FloodKey) {
 }
 
 func (t *Table) ensure(id packet.NodeID) *Entry {
-	s, ok := t.idx.Get(uint64(uint32(id)))
-	if !ok {
-		// New id: take the next slot, splice it into the sorted iteration
-		// order, register it.
-		s = int32(t.nslots)
-		t.nslots++
-		if int(s)>>slabBits >= len(t.slabs) {
-			t.slabs = append(t.slabs, new([1 << slabBits]Entry))
-		}
-		e := t.at(s)
-		e.ID = id
-		e.slot = s
-		e.t = t
-		i := sort.Search(len(t.order), func(i int) bool {
-			return t.at(t.order[i]).ID >= id
-		})
-		t.order = append(t.order, 0)
-		copy(t.order[i+1:], t.order[i:])
-		t.order[i] = s
-		t.idx.Put(uint64(uint32(id)), s)
+	i, ok := t.search(id)
+	if ok {
+		return t.at(t.order[i])
 	}
-	return t.at(s)
+	// New id: take the next slot and splice id and slot into the sorted
+	// arrays at position i.
+	s := int32(t.nslots)
+	t.nslots++
+	if int(s)>>slabBits >= len(t.slabs) {
+		t.slabs = append(t.slabs, new([1 << slabBits]Entry))
+	}
+	e := t.at(s)
+	e.ID = id
+	e.slot = s
+	e.t = t
+	t.ids = append(t.ids, 0)
+	copy(t.ids[i+1:], t.ids[i:])
+	t.ids[i] = id
+	t.order = append(t.order, 0)
+	copy(t.order[i+1:], t.order[i:])
+	t.order[i] = s
+	return e
 }
 
 // Reliable reports whether id has been heard in at least minCount HELLOs.
@@ -302,7 +330,7 @@ func (t *Table) Reliable(id packet.NodeID, minCount int) bool {
 		return true
 	}
 	e := t.Entry(id)
-	return e != nil && e.Count >= minCount
+	return e != nil && int(e.Count) >= minCount
 }
 
 // HasForwarder reports whether any neighbor is a known forwarder for the

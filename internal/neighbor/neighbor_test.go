@@ -183,3 +183,116 @@ func TestEveryIterationSlotHoldsAnEntry(t *testing.T) {
 		}
 	}
 }
+
+// TestSortedIndexMatchesMap is the differential test of the sorted-id
+// index: random scripts of Observe, MarkCovered, MarkForwarder, Reset and
+// CopyFrom run against a table and a Go-map model of it, and after every
+// operation Entry, Slot and At must agree with the model for every id of
+// the universe — including ids far apart and at the int32 extremes, so the
+// binary search meets gaps and both ends.
+func TestSortedIndexMatchesMap(t *testing.T) {
+	type rec struct {
+		slot  int
+		count int32
+		group packet.GroupID // the one group of the last HELLO, or -1
+	}
+	type model struct {
+		m      map[packet.NodeID]rec
+		nslots int
+	}
+	universe := []packet.NodeID{-1 << 31, -7, 1<<31 - 1, 1 << 20, 1<<20 + 1}
+	for id := packet.NodeID(0); id < 48; id++ {
+		universe = append(universe, id*3)
+	}
+	observe := func(md *model, id packet.NodeID, g packet.GroupID) {
+		r, ok := md.m[id]
+		if !ok {
+			r = rec{slot: md.nslots, group: -1}
+			md.nslots++
+		}
+		r.count++
+		r.group = g
+		md.m[id] = r
+	}
+	mark := func(md *model, id packet.NodeID) {
+		if _, ok := md.m[id]; !ok {
+			md.m[id] = rec{slot: md.nslots, group: -1}
+			md.nslots++
+		}
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		tb, src := NewTable(), NewTable()
+		md := &model{m: map[packet.NodeID]rec{}}
+		ms := &model{m: map[packet.NodeID]rec{}}
+		for op := 0; op < 4000; op++ {
+			id := universe[rng.Intn(len(universe))]
+			k := packet.FloodKey{Source: 0, Group: 1, Seq: uint32(rng.Intn(3))}
+			g := packet.GroupID(rng.Intn(3))
+			switch rng.Intn(10) {
+			case 0, 1, 2:
+				tb.Observe(id, []packet.GroupID{g})
+				observe(md, id, g)
+			case 3:
+				tb.MarkCovered(id, k)
+				mark(md, id)
+			case 4:
+				tb.MarkForwarder(id, k)
+				mark(md, id)
+			case 5, 6:
+				src.Observe(id, []packet.GroupID{g})
+				observe(ms, id, g)
+			case 7:
+				if rng.Intn(15) == 0 {
+					tb.Reset()
+					md = &model{m: map[packet.NodeID]rec{}}
+				}
+			case 8:
+				if rng.Intn(15) == 0 {
+					tb.CopyFrom(src)
+					md = &model{m: map[packet.NodeID]rec{}, nslots: ms.nslots}
+					for id, r := range ms.m {
+						md.m[id] = r
+					}
+				}
+			case 9:
+				if rng.Intn(30) == 0 {
+					src.Reset()
+					ms = &model{m: map[packet.NodeID]rec{}}
+				}
+			}
+			if tb.Len() != len(md.m) {
+				t.Fatalf("seed %d op %d: Len = %d, model holds %d", seed, op, tb.Len(), len(md.m))
+			}
+			for _, id := range universe {
+				r, ok := md.m[id]
+				e, slot := tb.Entry(id), tb.Slot(id)
+				if !ok {
+					if e != nil || slot != -1 {
+						t.Fatalf("seed %d op %d: absent id %d has entry %v, slot %d", seed, op, id, e, slot)
+					}
+					continue
+				}
+				if e == nil || e.ID != id || slot != r.slot || e.Slot() != r.slot || e.Count != r.count {
+					t.Fatalf("seed %d op %d: id %d: entry %+v slot %d, want slot %d count %d",
+						seed, op, id, e, slot, r.slot, r.count)
+				}
+				for g := packet.GroupID(0); g < 3; g++ {
+					if e.InGroup(g) != (g == r.group) {
+						t.Fatalf("seed %d op %d: id %d InGroup(%d) = %v, last HELLO announced %d",
+							seed, op, id, g, e.InGroup(g), r.group)
+					}
+				}
+			}
+			for i := 0; i < tb.Len(); i++ {
+				e := tb.At(i)
+				if i > 0 && tb.At(i-1).ID >= e.ID {
+					t.Fatalf("seed %d op %d: At(%d) = id %d after id %d", seed, op, i, e.ID, tb.At(i-1).ID)
+				}
+				if _, ok := md.m[e.ID]; !ok || tb.Entry(e.ID) != e {
+					t.Fatalf("seed %d op %d: At(%d) = id %d is not the model's entry", seed, op, i, e.ID)
+				}
+			}
+		}
+	}
+}

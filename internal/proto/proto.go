@@ -16,6 +16,7 @@ package proto
 
 import (
 	"fmt"
+	"slices"
 
 	"mtmrp/internal/bitset"
 	"mtmrp/internal/neighbor"
@@ -118,16 +119,18 @@ type sessState struct {
 
 	// nbrHop records each neighbor's hop distance to the source, learned
 	// from its JoinQuery rebroadcast (every copy carries the sender's hop
-	// count); absent = unknown. The path handover scheme uses it to anchor
-	// only onto forwarders strictly closer to the source — without that
-	// condition, two nodes can hand their paths over to each other and
-	// strand every receiver below them (Algorithm 2 as written admits
-	// such cycles). Only one-hop senders ever land here, so the map stays
-	// neighborhood-sized — as a network-length slice it was the largest
-	// remaining O(n)-per-node term (an n-node deployment paid O(n²) bytes
-	// and cleared them per session), which capped single-host scale well
-	// short of the 100k-node target.
-	nbrHop sparse.Map
+	// count). The path handover scheme uses it to anchor only onto
+	// forwarders strictly closer to the source — without that condition,
+	// two nodes can hand their paths over to each other and strand every
+	// receiver below them (Algorithm 2 as written admits such cycles).
+	// It is indexed by neighbor-table slot and holds hop+1, 0 meaning
+	// unknown; it is sized to the table on the session's first write, so
+	// it costs four bytes per neighbor, and its storage is kept when the
+	// block is recycled. A sender without a table entry is not recorded:
+	// the only reader, HasUphillForwarder, visits table entries alone, and
+	// the table's ids are fixed before discovery (HELLO rounds are finite
+	// and RunHello drains them; overheard marks only touch known entries).
+	nbrHop []int32
 }
 
 // clear rewinds a (possibly recycled) block for a new session. All
@@ -147,7 +150,34 @@ func (s *sessState) clear(key packet.FloodKey) {
 	s.seenJR.Reset()
 	s.repliesHeard.Reset()
 	s.repliesCount = 0
-	s.nbrHop.Reset()
+	s.nbrHop = s.nbrHop[:0]
+}
+
+// noteHop records that neighbor from rebroadcast the session's JoinQuery
+// at hop distance hop, keeping the smallest distance heard.
+func (b *Base) noteHop(s *sessState, from packet.NodeID, hop int32) {
+	slot := b.NT.Slot(from)
+	if slot < 0 {
+		return
+	}
+	if slot >= len(s.nbrHop) {
+		// Storage past len may hold an earlier session's values.
+		n := len(s.nbrHop)
+		s.nbrHop = slices.Grow(s.nbrHop, b.NT.Len()-n)[:b.NT.Len()]
+		clear(s.nbrHop[n:])
+	}
+	if h := s.nbrHop[slot]; h == 0 || hop+1 < h {
+		s.nbrHop[slot] = hop + 1
+	}
+}
+
+// hop returns the hop distance recorded for the neighbor in table slot
+// slot (-1 for none), and whether one was recorded.
+func (s *sessState) hop(slot int) (int32, bool) {
+	if slot < 0 || slot >= len(s.nbrHop) || s.nbrHop[slot] == 0 {
+		return 0, false
+	}
+	return s.nbrHop[slot] - 1, true
 }
 
 // pending carries the arguments of a deferred protocol action (jittered
@@ -171,7 +201,6 @@ type Base struct {
 	hooks Hooks
 	name  string
 	rnd   *rng.RNG
-	n     int // network size, fixed at Attach
 
 	// NT is the one-hop neighbor table (exported for policy hooks).
 	NT *neighbor.Table
@@ -293,7 +322,6 @@ func (b *Base) Attach(n *network.Node) {
 		panic(fmt.Sprintf("proto(%s): double attach", b.name))
 	}
 	b.node = n
-	b.n = len(n.Net().Nodes)
 	b.rnd = n.Rand.Derive("proto")
 	b.NT = neighbor.NewTable()
 }
@@ -479,7 +507,7 @@ func (b *Base) HasUphillForwarder(key packet.FloodKey) bool {
 		if !e.Forwarder(key) {
 			continue
 		}
-		if h, ok := s.nbrHop.Get(uint64(uint32(e.ID))); ok && h < s.route.HopCount {
+		if h, ok := s.hop(e.Slot()); ok && h < s.route.HopCount {
 			return true
 		}
 	}
@@ -487,13 +515,15 @@ func (b *Base) HasUphillForwarder(key packet.FloodKey) bool {
 }
 
 // NeighborHop returns the learned hop distance of a neighbor for the
-// session, and whether it is known.
+// session, and whether it is known. A JoinQuery from a sender with no
+// neighbor-table entry is not recorded, so such a sender reports unknown
+// even if its rebroadcast was heard.
 func (b *Base) NeighborHop(key packet.FloodKey, id packet.NodeID) (int32, bool) {
 	s := b.sess(key)
 	if s == nil {
 		return 0, false
 	}
-	return s.nbrHop.Get(uint64(uint32(id)))
+	return s.hop(b.NT.Slot(id))
 }
 
 // --- JoinQuery path (§IV.C.1, Algorithm 1) ---
@@ -507,9 +537,7 @@ func (b *Base) onJoinQuery(p *packet.Packet) {
 	// Every copy — including duplicates — reveals the sender's own hop
 	// distance (a node rebroadcasts with HopCount equal to its distance).
 	s := b.ensureSess(key)
-	if h, ok := s.nbrHop.Get(uint64(uint32(p.From))); !ok || q.HopCount < h {
-		s.nbrHop.Put(uint64(uint32(p.From)), q.HopCount)
-	}
+	b.noteHop(s, p.From, q.HopCount)
 	if s.hasRoute {
 		return // only the first copy is processed
 	}

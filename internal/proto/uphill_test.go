@@ -19,7 +19,13 @@ func uphillRig(t *testing.T) ([]*Base, packet.FloodKey) {
 
 func TestNeighborHopLearning(t *testing.T) {
 	bases, key := uphillRig(t)
-	// Node 2's neighbors are 1 (hop 1) and 3 (hop 3).
+	// Node 2's neighbors are 1 (hop 1) and 3 (hop 3), both in its table
+	// after HELLO: hops are recorded only for senders with an entry.
+	for _, id := range []packet.NodeID{1, 3} {
+		if bases[2].NT.Entry(id) == nil {
+			t.Fatalf("node %d missing from node 2's table after HELLO", id)
+		}
+	}
 	if h, ok := bases[2].NeighborHop(key, 1); !ok || h != 1 {
 		t.Errorf("hop(1) = %d,%v want 1", h, ok)
 	}
@@ -28,6 +34,31 @@ func TestNeighborHopLearning(t *testing.T) {
 	}
 	if _, ok := bases[2].NeighborHop(key, 0); ok {
 		t.Error("node 0 is out of range of node 2; no hop info should exist")
+	}
+}
+
+// TestNeighborHopNeedsTableEntry pins what the hop scratch records: only
+// JoinQuery senders that have a neighbor-table entry. With no HELLO phase
+// (and the HELLO-count gate off) node 2 still learns its route from node
+// 1 but records no hop for it; node 3, entered by hand before the flood,
+// is recorded, and node 1 entered after the flood stays unknown.
+func TestNeighborHopNeedsTableEntry(t *testing.T) {
+	net, bases := rig(t, 4, Hooks{QueryDelay: fixedDelay(sim.Millisecond)}, deterministicConfig())
+	bases[2].NT.Observe(3, nil)
+	key := bases[0].FloodQuery(1)
+	net.Run()
+	if r := bases[2].RouteFor(key); r == nil || r.Upstream != 1 {
+		t.Fatalf("node 2 route = %+v, want upstream 1", r)
+	}
+	if _, ok := bases[2].NeighborHop(key, 1); ok {
+		t.Error("sender 1 has no table entry; its hop must not be recorded")
+	}
+	if h, ok := bases[2].NeighborHop(key, 3); !ok || h != 3 {
+		t.Errorf("hop(3) = %d,%v want 3", h, ok)
+	}
+	bases[2].NT.Observe(1, nil)
+	if _, ok := bases[2].NeighborHop(key, 1); ok {
+		t.Error("an entry admitted after the flood must not acquire a hop")
 	}
 }
 
