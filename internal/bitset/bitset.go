@@ -39,19 +39,6 @@ func (s *Set) Test(i int) bool {
 	return w < len(s.words) && s.words[w]&(1<<uint(i%wordBits)) != 0
 }
 
-// Count returns the number of marked indices.
-func (s *Set) Count() int {
-	n := 0
-	for _, w := range s.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Words returns the number of backing words currently held — the set's
-// retained storage, which memory-regression tests bound.
-func (s *Set) Words() int { return len(s.words) }
-
 // Reset clears every bit, keeping the backing storage for reuse.
 func (s *Set) Reset() {
 	for i := range s.words {

@@ -117,17 +117,10 @@ func (r *Router) SetBackoff(n int, delta sim.Time) {
 	r.cfg.Delta = delta
 }
 
-// RelayProfit returns this node's current RelayProfit for the session
-// (Definition 1): group-member neighbors not yet covered by other
-// forwarders, excluding the source.
-func (r *Router) RelayProfit(key packet.FloodKey) int {
-	return r.NT.RelayProfit(key, packet.NoNode)
-}
-
 // queryDelay implements Eqs. 2–4.
 func (r *Router) queryDelay(b *proto.Base, q packet.JoinQuery, from packet.NodeID) sim.Time {
 	key := q.Key()
-	rp := b.NT.RelayProfit(key, packet.NoNode)
+	rp := b.RelayProfit(key)
 	pp := int(q.PathProfit)
 	n := r.cfg.N
 	d := r.cfg.Delta
@@ -158,7 +151,7 @@ func (r *Router) queryDelay(b *proto.Base, q packet.JoinQuery, from packet.NodeI
 // RelayProfit (Definition 2: PathProfit is the sum of the RelayProfits
 // along the path, excluding the next hop's own).
 func (r *Router) outPathProfit(b *proto.Base, q packet.JoinQuery) int32 {
-	rp := b.NT.RelayProfit(q.Key(), packet.NoNode)
+	rp := b.RelayProfit(q.Key())
 	return q.PathProfit + int32(rp)
 }
 

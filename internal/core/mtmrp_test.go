@@ -291,7 +291,11 @@ func TestRelayProfitReflectsCoverage(t *testing.T) {
 	if got := r.RelayProfit(key); got != 2 {
 		t.Fatalf("RelayProfit = %d", got)
 	}
-	r.NT.MarkCovered(50, key)
+	// Node 50 is overheard originating its JoinReply toward some other
+	// next hop: it is a covered receiver now.
+	r.Receive(&packet.Packet{Type: packet.TJoinReply, From: 50, JoinReply: &packet.JoinReply{
+		NodeID: 50, NexthopID: 9, ReceiverID: 50, SourceID: key.Source, GroupID: key.Group, SequenceNo: key.Seq,
+	}})
 	if got := r.RelayProfit(key); got != 1 {
 		t.Fatalf("after coverage: RelayProfit = %d", got)
 	}

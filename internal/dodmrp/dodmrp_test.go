@@ -86,11 +86,15 @@ func TestDestinationDrivenDelay(t *testing.T) {
 }
 
 func TestCoverageIgnored(t *testing.T) {
-	// DODMRP counts members regardless of coverage marks.
+	// DODMRP counts members regardless of coverage: an overheard
+	// origination leaves its delay unchanged.
 	q := packet.JoinQuery{SourceID: 1, GroupID: 1, SequenceNo: 1}
 	r := delayRig(t, false, 2)
 	key := q.Key()
-	r.NT.MarkCovered(100, key)
+	// Neighbor 100 is overheard originating its JoinReply.
+	r.Receive(&packet.Packet{Type: packet.TJoinReply, From: 100, JoinReply: &packet.JoinReply{
+		NodeID: 100, NexthopID: 1, ReceiverID: 100, SourceID: key.Source, GroupID: key.Group, SequenceNo: key.Seq,
+	}})
 	d := sim.Millisecond
 	if got := r.queryDelay(r.Base, q, 1); got < 5*d || got >= 6*d {
 		t.Errorf("coverage must not matter: %v", got)

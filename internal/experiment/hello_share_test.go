@@ -50,7 +50,7 @@ type sessionPrint struct {
 	MACs [][4]int64
 	// Neighbors is per node the neighbor table in iteration order; nil
 	// for routers without one. Tables holds each table's entry count and
-	// mark registry size.
+	// the node's number of protocol session blocks.
 	Neighbors [][]neighborPrint
 	Tables    [][2]int64
 }
@@ -58,7 +58,6 @@ type sessionPrint struct {
 type neighborPrint struct {
 	ID     packet.NodeID
 	Count  int
-	Slot   int64
 	Groups []int64
 }
 
@@ -154,7 +153,7 @@ func printOf(s *Session) sessionPrint {
 		nbrs := []neighborPrint{}
 		for k := 0; k < nt.Len(); k++ {
 			e := nt.At(k)
-			np := neighborPrint{ID: e.ID, Count: int(e.Count), Slot: field(e, "slot").Int()}
+			np := neighborPrint{ID: e.ID, Count: int(e.Count)}
 			g := field(e, "groups")
 			for j := 0; j < g.Len(); j++ {
 				np.Groups = append(np.Groups, g.Index(j).Int())
@@ -162,7 +161,7 @@ func printOf(s *Session) sessionPrint {
 			nbrs = append(nbrs, np)
 		}
 		p.Neighbors = append(p.Neighbors, nbrs)
-		p.Tables = append(p.Tables, [2]int64{int64(nt.Len()), int64(nt.Sessions())})
+		p.Tables = append(p.Tables, [2]int64{int64(nt.Len()), int64(field(b, "sessions").Len())})
 	}
 	return p
 }

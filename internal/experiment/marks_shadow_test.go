@@ -8,20 +8,18 @@ import (
 	"mtmrp/internal/topology"
 )
 
-// attachMarkShadows attaches the id-indexed mark oracle (neighbor's
-// marksref) to every router that keeps a neighbor table, and returns how
-// many it armed. With a shadow attached, every covered/forwarder mutation
-// is mirrored into the reference layout and every read cross-checked,
+// attachMarkShadows attaches the id-indexed mark oracle (proto's
+// marksref) to every router built on proto.Base, and returns how many it
+// armed. With a shadow attached, every covered/forwarder mutation is
+// mirrored into the reference layout and every read cross-checked,
 // panicking on the first divergence — so simply completing a run is the
 // assertion.
 func attachMarkShadows(s *Session) int {
 	n := 0
 	for _, r := range s.Routers() {
-		if h, ok := r.(interface{ NeighborTable() *neighbor.Table }); ok {
-			if tb := h.NeighborTable(); tb != nil {
-				tb.Shadow()
-				n++
-			}
+		if b := helloBase(r); b != nil {
+			b.Shadow()
+			n++
 		}
 	}
 	return n
@@ -29,10 +27,9 @@ func attachMarkShadows(s *Session) int {
 
 // TestBaseRoutersExposeNeighborTable: every router built on proto.Base
 // hands out its neighbor table through a method no interface declares.
-// attachMarkShadows above reaches it by a dynamic assertion, and so does
-// the bench module's traced run (bench/trace.go), whose
-// neighbor.entries_mean metric silently disappears when the assertion
-// stops matching; the compiler catches neither.
+// The bench module's traced run (bench/trace.go) reaches it by a dynamic
+// assertion, and its neighbor.entries_mean metric silently disappears
+// when the assertion stops matching; the compiler does not catch that.
 func TestBaseRoutersExposeNeighborTable(t *testing.T) {
 	for _, p := range []Protocol{MTMRP, MTMRPNoPHS, DODMRP, ODMRP} {
 		s, err := NewSession(gridScenario(t, p, 1, 10))
@@ -49,10 +46,10 @@ func TestBaseRoutersExposeNeighborTable(t *testing.T) {
 }
 
 // TestSlotMarksMatchIDMarksAllProtocols runs every protocol with the
-// differential mark oracle armed on every node: the slot-indexed mark
-// layout must agree with the retained id-indexed reference on every read
-// of a full hello+discovery+data run, and again after a pooled Reset
-// (which must empty both layouts in lockstep).
+// differential mark oracle armed on every node: the session block's
+// position-indexed marks must agree with the retained id-indexed
+// reference on every read of a full hello+discovery+data run, and again
+// after a pooled Reset (which must empty both layouts in lockstep).
 func TestSlotMarksMatchIDMarksAllProtocols(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-run differential check; skipped in -short")
@@ -92,7 +89,7 @@ func TestSlotMarksMatchIDMarksAllProtocols(t *testing.T) {
 			}
 			run()
 			// Reset must clear both layouts together; the rerun re-checks
-			// every read over recycled slots and session rows.
+			// every read over recycled positions and session blocks.
 			sc.Seed = 22
 			if err := s.Reset(sc); err != nil {
 				t.Fatal(err)
@@ -103,8 +100,8 @@ func TestSlotMarksMatchIDMarksAllProtocols(t *testing.T) {
 }
 
 // TestSlotMarksMatchIDMarksUnderChurn is the mobility variant: a mobile
-// paced run with periodic refreshes registers several session keys per
-// table while links come and go, so mark reads and writes interleave with
+// paced run with periodic refreshes opens several session blocks per
+// node while links come and go, so mark reads and writes interleave with
 // session-registry growth under the oracle on every node.
 func TestSlotMarksMatchIDMarksUnderChurn(t *testing.T) {
 	if testing.Short() {

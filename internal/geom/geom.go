@@ -4,10 +4,7 @@
 // All coordinates are in meters, matching the paper's 200 m x 200 m field.
 package geom
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Point is a location in the 2-D deployment plane, in meters.
 type Point struct {
@@ -40,11 +37,6 @@ func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
 // [0,side] x [0,side].
 func (p Point) In(side float64) bool {
 	return p.X >= 0 && p.X <= side && p.Y >= 0 && p.Y <= side
-}
-
-// String implements fmt.Stringer.
-func (p Point) String() string {
-	return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y)
 }
 
 // Clamp returns p with both coordinates clamped into [0, side].

@@ -119,9 +119,3 @@ func TestClampAlwaysIn(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestString(t *testing.T) {
-	if got := (Point{1.5, 2}).String(); got != "(1.50, 2.00)" {
-		t.Errorf("String = %q", got)
-	}
-}

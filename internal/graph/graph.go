@@ -93,21 +93,6 @@ func (g *Graph) BFS(src int) (dist, parent []int) {
 	return dist, parent
 }
 
-// Connected reports whether the graph is connected (vacuously true for
-// n <= 1).
-func (g *Graph) Connected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	dist, _ := g.BFS(0)
-	for _, d := range dist {
-		if d == Unreachable {
-			return false
-		}
-	}
-	return true
-}
-
 // WEdge is an explicit weighted edge, used by MST and tree results.
 type WEdge struct {
 	U, V   int

@@ -73,20 +73,6 @@ func TestBFSUnreachable(t *testing.T) {
 	}
 }
 
-func TestConnected(t *testing.T) {
-	if !line(5).Connected() {
-		t.Error("line should be connected")
-	}
-	g := New(3)
-	g.AddEdge(0, 1, 1)
-	if g.Connected() {
-		t.Error("graph with isolated vertex should not be connected")
-	}
-	if !New(0).Connected() || !New(1).Connected() {
-		t.Error("trivial graphs are connected")
-	}
-}
-
 func TestMSTLine(t *testing.T) {
 	g := line(4)
 	edges, err := g.MST()

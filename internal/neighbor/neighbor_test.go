@@ -1,13 +1,31 @@
 package neighbor
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"mtmrp/internal/packet"
 )
 
-var key = packet.FloodKey{Source: 0, Group: 1, Seq: 1}
+// entry returns id's entry, or nil.
+func entry(tb *Table, id packet.NodeID) *Entry {
+	if i := tb.Index(id); i >= 0 {
+		return tb.At(i)
+	}
+	return nil
+}
+
+// TestEntrySize pins the entry layout: ID, Count and the membership
+// slice, 32 bytes on a 64-bit platform. A 10k-node deployment holds a
+// quarter million entries.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 32 {
+		t.Fatalf("Entry is %d bytes, want 32", got)
+	}
+}
 
 func TestObserveInsertAndRefresh(t *testing.T) {
 	tb := NewTable()
@@ -15,47 +33,15 @@ func TestObserveInsertAndRefresh(t *testing.T) {
 	if tb.Len() != 1 {
 		t.Fatalf("Len = %d", tb.Len())
 	}
-	e := tb.Entry(3)
+	e := entry(tb, 3)
 	if e == nil || !e.InGroup(1) {
 		t.Fatalf("entry = %+v", e)
 	}
 	// Refresh with changed membership: replaced wholesale.
 	tb.Observe(3, []packet.GroupID{2})
-	e = tb.Entry(3)
+	e = entry(tb, 3)
 	if e.InGroup(1) || !e.InGroup(2) || e.Count != 2 {
 		t.Errorf("refresh failed: %+v", e)
-	}
-}
-
-func TestRelayProfitCountsUncoveredMembers(t *testing.T) {
-	tb := NewTable()
-	tb.Observe(1, []packet.GroupID{1})
-	tb.Observe(2, []packet.GroupID{1})
-	tb.Observe(3, []packet.GroupID{2}) // other group
-	tb.Observe(4, nil)                 // non-member
-	if got := tb.RelayProfit(key, packet.NoNode); got != 2 {
-		t.Fatalf("RelayProfit = %d, want 2", got)
-	}
-	tb.MarkCovered(1, key)
-	if got := tb.RelayProfit(key, packet.NoNode); got != 1 {
-		t.Fatalf("after covering one: RelayProfit = %d, want 1", got)
-	}
-	// Coverage is per session: another session still counts both.
-	key2 := packet.FloodKey{Source: 0, Group: 1, Seq: 2}
-	if got := tb.RelayProfit(key2, packet.NoNode); got != 2 {
-		t.Fatalf("other session RelayProfit = %d, want 2", got)
-	}
-}
-
-func TestRelayProfitExcludesSourceAndExcluded(t *testing.T) {
-	tb := NewTable()
-	tb.Observe(0, []packet.GroupID{1}) // the session source
-	tb.Observe(5, []packet.GroupID{1})
-	if got := tb.RelayProfit(key, packet.NoNode); got != 1 {
-		t.Errorf("source must not count: %d", got)
-	}
-	if got := tb.RelayProfit(key, 5); got != 0 {
-		t.Errorf("excluded id must not count: %d", got)
 	}
 }
 
@@ -63,44 +49,11 @@ func TestMemberCount(t *testing.T) {
 	tb := NewTable()
 	tb.Observe(1, []packet.GroupID{1})
 	tb.Observe(2, []packet.GroupID{1})
-	tb.MarkCovered(1, key) // coverage is irrelevant to MemberCount
 	if got := tb.MemberCount(1, packet.NoNode); got != 2 {
 		t.Errorf("MemberCount = %d, want 2", got)
 	}
 	if got := tb.MemberCount(1, 2); got != 1 {
 		t.Errorf("MemberCount excluding 2 = %d, want 1", got)
-	}
-}
-
-func TestForwarderMarks(t *testing.T) {
-	tb := NewTable()
-	if tb.HasForwarder(key) {
-		t.Error("empty table has no forwarders")
-	}
-	tb.MarkForwarder(7, key)
-	if !tb.HasForwarder(key) {
-		t.Error("forwarder mark not visible")
-	}
-	if !tb.Entry(7).Forwarder(key) {
-		t.Error("entry flag not set")
-	}
-	// Session-scoped: a different session sees nothing.
-	other := packet.FloodKey{Source: 0, Group: 1, Seq: 9}
-	if tb.HasForwarder(other) {
-		t.Error("forwarder mark leaked across sessions")
-	}
-}
-
-func TestMarksCreateSkeletonEntries(t *testing.T) {
-	tb := NewTable()
-	tb.MarkCovered(9, key)
-	e := tb.Entry(9)
-	if e == nil || !e.Covered(key) {
-		t.Fatalf("skeleton entry = %+v", e)
-	}
-	// A skeleton has no memberships until a HELLO arrives.
-	if e.InGroup(1) {
-		t.Error("skeleton should not claim membership")
 	}
 }
 
@@ -117,8 +70,8 @@ func TestHelloCountAndReliable(t *testing.T) {
 	if !tb.Reliable(1, 2) {
 		t.Error("two hellos should satisfy minCount 2")
 	}
-	if tb.Entry(1).Count != 2 {
-		t.Errorf("Count = %d", tb.Entry(1).Count)
+	if entry(tb, 1).Count != 2 {
+		t.Errorf("Count = %d", entry(tb, 1).Count)
 	}
 	// Unknown senders are never reliable (minCount > 0)...
 	if tb.Reliable(99, 1) {
@@ -130,42 +83,29 @@ func TestHelloCountAndReliable(t *testing.T) {
 	}
 }
 
-func TestMarksDoNotInflateCount(t *testing.T) {
-	tb := NewTable()
-	tb.MarkForwarder(5, key)
-	if tb.Reliable(5, 1) {
-		t.Error("overhearing marks must not count as beacons")
-	}
-}
-
 // TestEveryIterationSlotHoldsAnEntry pins the invariant that entries are
-// never evicted: after any mix of Observe, Mark, Reset and CopyFrom, the
-// table has one entry per iteration slot, At never returns nil, and
-// iteration visits each entry once in ascending id order.
+// never evicted: after any mix of Observe, Reset and CopyFrom, the table
+// has one entry per position, and iteration visits each entry once in
+// ascending id order.
 func TestEveryIterationSlotHoldsAnEntry(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tb, src := NewTable(), NewTable()
 	for op := 0; op < 5000; op++ {
 		id := packet.NodeID(rng.Intn(60))
-		k := packet.FloodKey{Source: 0, Group: 1, Seq: uint32(rng.Intn(4))}
-		switch rng.Intn(8) {
+		switch rng.Intn(6) {
 		case 0, 1:
 			tb.Observe(id, []packet.GroupID{1})
 		case 2:
-			tb.MarkCovered(id, k)
-		case 3:
-			tb.MarkForwarder(id, k)
-		case 4:
 			src.Observe(id, nil)
-		case 5:
+		case 3:
 			if rng.Intn(20) == 0 {
 				tb.Reset()
 			}
-		case 6:
+		case 4:
 			if rng.Intn(20) == 0 {
 				tb.CopyFrom(src)
 			}
-		case 7:
+		case 5:
 			if rng.Intn(40) == 0 {
 				src.Reset()
 			}
@@ -173,10 +113,7 @@ func TestEveryIterationSlotHoldsAnEntry(t *testing.T) {
 		last := packet.NodeID(-1)
 		for i := 0; i < tb.Len(); i++ {
 			e := tb.At(i)
-			if e == nil {
-				t.Fatalf("op %d: At(%d) = nil", op, i)
-			}
-			if e.ID <= last || tb.Entry(e.ID) != e {
+			if e.ID <= last || tb.Index(e.ID) != i {
 				t.Fatalf("op %d: At(%d) = id %d after id %d", op, i, e.ID, last)
 			}
 			last = e.ID
@@ -184,115 +121,120 @@ func TestEveryIterationSlotHoldsAnEntry(t *testing.T) {
 	}
 }
 
-// TestSortedIndexMatchesMap is the differential test of the sorted-id
-// index: random scripts of Observe, MarkCovered, MarkForwarder, Reset and
-// CopyFrom run against a table and a Go-map model of it, and after every
-// operation Entry, Slot and At must agree with the model for every id of
-// the universe — including ids far apart and at the int32 extremes, so the
-// binary search meets gaps and both ends.
+// TestSortedIndexMatchesMap is the differential test of the sorted
+// table: random scripts of Observe, Reset and CopyFrom run against a
+// table and a Go-map model of it, and after every operation Index, At and
+// each entry's count and membership must agree with the model for every
+// id of the universe — including ids far apart and at the int32
+// extremes, so the binary search meets gaps and both ends. HELLOs carry
+// zero to two groups, so a membership rewritten in place that spills
+// into another entry's, or a slice shared by two entries, shows up as a
+// wrong InGroup.
 func TestSortedIndexMatchesMap(t *testing.T) {
 	type rec struct {
-		slot  int
-		count int32
-		group packet.GroupID // the one group of the last HELLO, or -1
-	}
-	type model struct {
-		m      map[packet.NodeID]rec
-		nslots int
+		count  int32
+		groups []packet.GroupID // the groups of the last HELLO
 	}
 	universe := []packet.NodeID{-1 << 31, -7, 1<<31 - 1, 1 << 20, 1<<20 + 1}
 	for id := packet.NodeID(0); id < 48; id++ {
 		universe = append(universe, id*3)
 	}
-	observe := func(md *model, id packet.NodeID, g packet.GroupID) {
-		r, ok := md.m[id]
-		if !ok {
-			r = rec{slot: md.nslots, group: -1}
-			md.nslots++
-		}
+	observe := func(m map[packet.NodeID]rec, id packet.NodeID, groups []packet.GroupID) {
+		r := m[id]
 		r.count++
-		r.group = g
-		md.m[id] = r
-	}
-	mark := func(md *model, id packet.NodeID) {
-		if _, ok := md.m[id]; !ok {
-			md.m[id] = rec{slot: md.nslots, group: -1}
-			md.nslots++
-		}
+		r.groups = groups
+		m[id] = r
 	}
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
 		tb, src := NewTable(), NewTable()
-		md := &model{m: map[packet.NodeID]rec{}}
-		ms := &model{m: map[packet.NodeID]rec{}}
+		md, ms := map[packet.NodeID]rec{}, map[packet.NodeID]rec{}
 		for op := 0; op < 4000; op++ {
 			id := universe[rng.Intn(len(universe))]
-			k := packet.FloodKey{Source: 0, Group: 1, Seq: uint32(rng.Intn(3))}
-			g := packet.GroupID(rng.Intn(3))
-			switch rng.Intn(10) {
+			var groups []packet.GroupID
+			for g := packet.GroupID(0); g < 3; g++ {
+				if rng.Intn(3) == 0 {
+					groups = append(groups, g)
+				}
+			}
+			switch rng.Intn(8) {
 			case 0, 1, 2:
-				tb.Observe(id, []packet.GroupID{g})
-				observe(md, id, g)
-			case 3:
-				tb.MarkCovered(id, k)
-				mark(md, id)
-			case 4:
-				tb.MarkForwarder(id, k)
-				mark(md, id)
-			case 5, 6:
-				src.Observe(id, []packet.GroupID{g})
-				observe(ms, id, g)
-			case 7:
+				tb.Observe(id, groups)
+				observe(md, id, groups)
+			case 3, 4:
+				src.Observe(id, groups)
+				observe(ms, id, groups)
+			case 5:
 				if rng.Intn(15) == 0 {
 					tb.Reset()
-					md = &model{m: map[packet.NodeID]rec{}}
+					md = map[packet.NodeID]rec{}
 				}
-			case 8:
+			case 6:
 				if rng.Intn(15) == 0 {
 					tb.CopyFrom(src)
-					md = &model{m: map[packet.NodeID]rec{}, nslots: ms.nslots}
-					for id, r := range ms.m {
-						md.m[id] = r
-					}
+					md = maps.Clone(ms)
 				}
-			case 9:
+			case 7:
 				if rng.Intn(30) == 0 {
 					src.Reset()
-					ms = &model{m: map[packet.NodeID]rec{}}
+					ms = map[packet.NodeID]rec{}
 				}
 			}
-			if tb.Len() != len(md.m) {
-				t.Fatalf("seed %d op %d: Len = %d, model holds %d", seed, op, tb.Len(), len(md.m))
+			if tb.Len() != len(md) {
+				t.Fatalf("seed %d op %d: Len = %d, model holds %d", seed, op, tb.Len(), len(md))
 			}
 			for _, id := range universe {
-				r, ok := md.m[id]
-				e, slot := tb.Entry(id), tb.Slot(id)
+				r, ok := md[id]
+				i := tb.Index(id)
 				if !ok {
-					if e != nil || slot != -1 {
-						t.Fatalf("seed %d op %d: absent id %d has entry %v, slot %d", seed, op, id, e, slot)
+					if i != -1 {
+						t.Fatalf("seed %d op %d: absent id %d at position %d", seed, op, id, i)
 					}
 					continue
 				}
-				if e == nil || e.ID != id || slot != r.slot || e.Slot() != r.slot || e.Count != r.count {
-					t.Fatalf("seed %d op %d: id %d: entry %+v slot %d, want slot %d count %d",
-						seed, op, id, e, slot, r.slot, r.count)
+				want := 0
+				for other := range md {
+					if other < id {
+						want++
+					}
+				}
+				if i != want {
+					t.Fatalf("seed %d op %d: id %d at position %d, want %d", seed, op, id, i, want)
+				}
+				e := tb.At(i)
+				if e.ID != id || e.Count != r.count {
+					t.Fatalf("seed %d op %d: id %d: entry %+v, want count %d", seed, op, id, e, r.count)
 				}
 				for g := packet.GroupID(0); g < 3; g++ {
-					if e.InGroup(g) != (g == r.group) {
-						t.Fatalf("seed %d op %d: id %d InGroup(%d) = %v, last HELLO announced %d",
-							seed, op, id, g, e.InGroup(g), r.group)
+					if e.InGroup(g) != slices.Contains(r.groups, g) {
+						t.Fatalf("seed %d op %d: id %d InGroup(%d) = %v, last HELLO announced %v",
+							seed, op, id, g, e.InGroup(g), r.groups)
 					}
 				}
 			}
-			for i := 0; i < tb.Len(); i++ {
-				e := tb.At(i)
-				if i > 0 && tb.At(i-1).ID >= e.ID {
-					t.Fatalf("seed %d op %d: At(%d) = id %d after id %d", seed, op, i, e.ID, tb.At(i-1).ID)
-				}
-				if _, ok := md.m[e.ID]; !ok || tb.Entry(e.ID) != e {
-					t.Fatalf("seed %d op %d: At(%d) = id %d is not the model's entry", seed, op, i, e.ID)
-				}
-			}
 		}
+	}
+}
+
+// TestReuseKeepsMembershipStorage: a reset table refilled with the same
+// neighbours in another arrival order allocates nothing — each insert
+// rotates a spare entry, with its membership slice, into place.
+func TestReuseKeepsMembershipStorage(t *testing.T) {
+	tb := NewTable()
+	fill := func(reverse bool) {
+		tb.Reset()
+		for k := 0; k < 30; k++ {
+			id := packet.NodeID(k)
+			if reverse {
+				id = 29 - id
+			}
+			tb.Observe(id, []packet.GroupID{1})
+		}
+	}
+	fill(false)
+	fill(true)
+	flip := false
+	if n := testing.AllocsPerRun(20, func() { flip = !flip; fill(flip) }); n != 0 {
+		t.Fatalf("refilling a reset table allocated %.1f objects/op, want 0", n)
 	}
 }

@@ -442,13 +442,3 @@ func (n *Node) Recover() { n.down = false }
 
 // Down reports whether the node has failed.
 func (n *Node) Down() bool { return n.down }
-
-// NeighborIDs returns the topology neighbors of this node.
-func (n *Node) NeighborIDs() []packet.NodeID {
-	ns := n.net.Topo.Neighbors(n.Pos)
-	out := make([]packet.NodeID, len(ns))
-	for i, v := range ns {
-		out[i] = packet.NodeID(v)
-	}
-	return out
-}

@@ -157,15 +157,6 @@ func TestSendStampsFrom(t *testing.T) {
 	}
 }
 
-func TestNeighborIDs(t *testing.T) {
-	topo := smallTopo(t)
-	net := New(topo, DefaultConfig(1))
-	ids := net.Nodes[1].NeighborIDs()
-	if len(ids) != 2 {
-		t.Errorf("NeighborIDs = %v", ids)
-	}
-}
-
 func TestIdealMACNetwork(t *testing.T) {
 	topo := smallTopo(t)
 	cfg := DefaultConfig(1)

@@ -68,7 +68,12 @@ func TestNoOverhearingState(t *testing.T) {
 	key := routers[0].FloodQuery(1)
 	net.Run()
 	// Node 3 overheard node 2 relaying its JR; without Overhear, no mark.
-	if e := routers[3].NT.Entry(2); e != nil && e.Forwarder(key) {
+	// Node 2 is one hop closer to the source, so a mark would make it an
+	// uphill forwarder.
+	if h, ok := routers[3].NeighborHop(key, 2); !ok || h != 2 {
+		t.Fatalf("node 3 learned hop %d,%v for node 2, want 2", h, ok)
+	}
+	if routers[3].HasUphillForwarder(key) {
 		t.Error("ODMRP must not track forwarder neighbors")
 	}
 }

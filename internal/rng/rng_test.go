@@ -173,22 +173,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(12)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("exponential variate negative: %v", v)
-		}
-		sum += v
-	}
-	if math.Abs(sum/n-1) > 0.02 {
-		t.Errorf("exp mean = %v, want ~1", sum/n)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(13)
 	for _, n := range []int{0, 1, 2, 10, 100} {
