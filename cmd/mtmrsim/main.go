@@ -14,6 +14,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"time"
 
 	"mtmrp"
 	"mtmrp/internal/prof"
@@ -34,7 +35,7 @@ func main() {
 		packets  = flag.Int("packets", 1, "data packets to send down the constructed tree")
 		rounds   = flag.Int("rounds", 0, "discovery rounds before sending data (0 = protocol default)")
 		snapshot = flag.Bool("snapshot", false, "render the forwarder field")
-		stats    = flag.Bool("stats", false, "print simulator stats (events processed and executed, executed events/sec, queue entries, peak queue depth)")
+		stats    = flag.Bool("stats", false, "print simulator stats (events processed and executed, executed events/sec, queue entries, peak queue depth) and each phase's live heap and wall time")
 		verbose  = flag.Bool("v", false, "print per-type transmission counts and per-phase event totals")
 		traceOut = flag.String("trace", "", "write a JSONL event log to this file (see traceview)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -183,41 +184,51 @@ func run(topoKind, topoFile string, nodes int, side, txRange float64, protoArg s
 // memTrack samples the Go heap after each phase so -stats can report the
 // session's resident footprint — the headline number for the 100k-node
 // walkthrough, where per-node protocol state (not the event queue) is
-// what must stay O(density), not O(n).
+// what must stay O(density), not O(n) — and times each phase, which
+// tells where a large session's wall time goes.
 type memTrack struct {
 	enabled bool
 	phases  []memSample
+	end     time.Time // when the previous sample finished
 }
 
 type memSample struct {
 	name      string
-	heapAlloc uint64 // live bytes after the phase
-	sys       uint64 // total bytes asked of the OS
+	wall      time.Duration // the phase's wall time, sampling excluded
+	heapAlloc uint64        // live bytes after the phase
+	sys       uint64        // total bytes asked of the OS
 }
 
 func (m *memTrack) sample(phase string) {
 	if !m.enabled {
 		return
 	}
+	wall := time.Since(m.end)
 	// Collect first, so heapAlloc counts live bytes rather than whatever
 	// garbage the phase left for the next cycle.
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	m.phases = append(m.phases, memSample{name: phase, heapAlloc: ms.HeapAlloc, sys: ms.Sys})
+	m.phases = append(m.phases, memSample{name: phase, wall: wall, heapAlloc: ms.HeapAlloc, sys: ms.Sys})
+	m.end = time.Now()
 }
 
 // report prints one line per phase plus the peak live heap per node.
 // heap is live bytes after the phase (so "construct" minus "baseline" is
 // the session's structures); sys is the runtime's OS reservation, the
-// number that has to fit in the machine.
+// number that has to fit in the machine; wall is the phase's own time,
+// the collection before each sample excluded (none for the baseline).
 func (m *memTrack) report(nodes int) {
 	if !m.enabled {
 		return
 	}
 	var peak uint64
-	for _, p := range m.phases {
-		fmt.Printf("memory after %-10s  heap=%s sys=%s\n", p.name+":", fmtBytes(p.heapAlloc), fmtBytes(p.sys))
+	for i, p := range m.phases {
+		fmt.Printf("memory after %-10s  heap=%s sys=%s", p.name+":", fmtBytes(p.heapAlloc), fmtBytes(p.sys))
+		if i > 0 {
+			fmt.Printf(" wall=%.3fs", p.wall.Seconds())
+		}
+		fmt.Println()
 		if p.heapAlloc > peak {
 			peak = p.heapAlloc
 		}

@@ -79,7 +79,7 @@ func (c Config) Validate() error {
 
 // Router is an MTMRP instance for one node.
 type Router struct {
-	*proto.Base
+	proto.Base
 	cfg Config
 }
 
@@ -103,7 +103,7 @@ func New(cfg Config) *Router {
 		hooks.SuppressReply = r.phsActive
 		hooks.GraftOnReply = r.phsActive
 	}
-	r.Base = proto.NewBase(name, cfg.Proto, hooks)
+	r.Init(name, cfg.Proto, hooks)
 	return r
 }
 

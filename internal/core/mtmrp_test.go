@@ -67,7 +67,7 @@ func TestBackoffBound(t *testing.T) {
 		q := packet.JoinQuery{SourceID: 0, GroupID: 1, SequenceNo: 1}
 		lo, hi := sim.Time(3*c.n+1)*c.delta, sim.Time(3*c.n+2)*c.delta
 		for i := 0; i < 100; i++ {
-			if got := r.queryDelay(r.Base, q, 0); got < lo || got >= hi {
+			if got := r.queryDelay(&r.Base, q, 0); got < lo || got >= hi {
 				t.Fatalf("N=%d δ=%v: delay %v not in [%v, %v)", c.n, c.delta, got, lo, hi)
 			}
 		}
@@ -240,7 +240,7 @@ func TestQueryDelayMonotonicity(t *testing.T) {
 			rr.NT.Observe(packet.NodeID(100+m), []packet.GroupID{1})
 		}
 		q := packet.JoinQuery{SourceID: 0, GroupID: 1, SequenceNo: 1, PathProfit: pp}
-		return rr.queryDelay(rr.Base, q, 0)
+		return rr.queryDelay(&rr.Base, q, 0)
 	}
 
 	d := cfg.Delta
@@ -275,7 +275,7 @@ func TestOutPathProfitAccumulates(t *testing.T) {
 	r.NT.Observe(50, []packet.GroupID{1})
 	r.NT.Observe(51, []packet.GroupID{1})
 	q := packet.JoinQuery{SourceID: 9, GroupID: 1, SequenceNo: 1, PathProfit: 5}
-	if got := r.outPathProfit(r.Base, q); got != 7 {
+	if got := r.outPathProfit(&r.Base, q); got != 7 {
 		t.Errorf("outPathProfit = %d, want 7", got)
 	}
 }

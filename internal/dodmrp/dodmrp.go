@@ -48,7 +48,7 @@ func (c Config) Validate() error {
 
 // Router is a DODMRP instance for one node.
 type Router struct {
-	*proto.Base
+	proto.Base
 	cfg Config
 }
 
@@ -58,7 +58,7 @@ func New(cfg Config) *Router {
 		panic(err)
 	}
 	r := &Router{cfg: cfg}
-	r.Base = proto.NewBase("DODMRP", cfg.Proto, proto.Hooks{
+	r.Init("DODMRP", cfg.Proto, proto.Hooks{
 		QueryDelay: r.queryDelay,
 	})
 	return r

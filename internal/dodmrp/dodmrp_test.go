@@ -65,22 +65,22 @@ func TestDestinationDrivenDelay(t *testing.T) {
 
 	// No member neighbors, extra node: 2Nδ + [δ,2δ) = [9δ, 10δ).
 	r := delayRig(t, false, 0)
-	if got := r.queryDelay(r.Base, q, 1); got < 9*d || got >= 10*d {
+	if got := r.queryDelay(&r.Base, q, 1); got < 9*d || got >= 10*d {
 		t.Errorf("M=0 extra: %v not in [9δ,10δ)", got)
 	}
 	// Two member neighbors: [5δ, 6δ).
 	r = delayRig(t, false, 2)
-	if got := r.queryDelay(r.Base, q, 1); got < 5*d || got >= 6*d {
+	if got := r.queryDelay(&r.Base, q, 1); got < 5*d || got >= 6*d {
 		t.Errorf("M=2: %v not in [5δ,6δ)", got)
 	}
 	// Member count clamps at N.
 	r = delayRig(t, false, 9)
-	if got := r.queryDelay(r.Base, q, 1); got < d || got >= 2*d {
+	if got := r.queryDelay(&r.Base, q, 1); got < d || got >= 2*d {
 		t.Errorf("M=9 clamped: %v not in [δ,2δ)", got)
 	}
 	// Self member: random term in [0, δ).
 	r = delayRig(t, true, 0)
-	if got := r.queryDelay(r.Base, q, 1); got < 8*d || got >= 9*d {
+	if got := r.queryDelay(&r.Base, q, 1); got < 8*d || got >= 9*d {
 		t.Errorf("member M=0: %v not in [8δ,9δ)", got)
 	}
 }
@@ -96,7 +96,7 @@ func TestCoverageIgnored(t *testing.T) {
 		NodeID: 100, NexthopID: 1, ReceiverID: 100, SourceID: key.Source, GroupID: key.Group, SequenceNo: key.Seq,
 	}})
 	d := sim.Millisecond
-	if got := r.queryDelay(r.Base, q, 1); got < 5*d || got >= 6*d {
+	if got := r.queryDelay(&r.Base, q, 1); got < 5*d || got >= 6*d {
 		t.Errorf("coverage must not matter: %v", got)
 	}
 }

@@ -149,14 +149,14 @@ func printOf(s *Session) sessionPrint {
 			continue
 		}
 		p.Streams = append(p.Streams, stream(field(b, "rnd")))
-		nt := b.NT
+		nt := &b.NT
 		nbrs := []neighborPrint{}
 		for k := 0; k < nt.Len(); k++ {
 			e := nt.At(k)
 			np := neighborPrint{ID: e.ID, Count: int(e.Count)}
-			g := field(e, "groups")
-			for j := 0; j < g.Len(); j++ {
-				np.Groups = append(np.Groups, g.Index(j).Int())
+			arena, off := field(nt, "groups"), field(e, "off").Int()
+			for j := off; j < off+field(e, "n").Int(); j++ {
+				np.Groups = append(np.Groups, arena.Index(int(j)).Int())
 			}
 			nbrs = append(nbrs, np)
 		}

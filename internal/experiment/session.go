@@ -241,8 +241,10 @@ func (s *Session) setDestinations(sc Scenario) {
 	src.SetDestinations(s.dests)
 }
 
-// RunHello runs the HELLO beacon exchange that populates neighbor tables.
-// It is idempotent; the discovery phase calls it automatically if needed.
+// RunHello runs the HELLO beacon exchange that populates neighbor tables,
+// then seals every table (folds its HELLO log into its sorted entries), so
+// the phase ends with the tables built. It is idempotent; the discovery
+// phase calls it automatically if needed.
 //
 // The phase drains the event queue, so it also fires every fault event
 // the scenario armed, whatever its time: after RunHello every scheduled
@@ -256,6 +258,11 @@ func (s *Session) RunHello() {
 	// All beacons are scheduled up front and finite; Run drains the queue.
 	s.net.Start()
 	s.net.Run()
+	for _, r := range s.routers {
+		if b := helloBase(r); b != nil {
+			b.NT.Seal()
+		}
+	}
 	s.helloDone = true
 }
 

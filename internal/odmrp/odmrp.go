@@ -33,7 +33,7 @@ func DefaultConfig() Config {
 
 // Router is an ODMRP instance for one node.
 type Router struct {
-	*proto.Base
+	proto.Base
 	cfg Config
 }
 
@@ -43,7 +43,7 @@ func New(cfg Config) *Router {
 		cfg.Jitter = sim.Millisecond
 	}
 	r := &Router{cfg: cfg}
-	r.Base = proto.NewBase("ODMRP", cfg.Proto, proto.Hooks{
+	r.Init("ODMRP", cfg.Proto, proto.Hooks{
 		QueryDelay: r.queryDelay,
 	})
 	return r

@@ -84,7 +84,7 @@ func TestQueryDelayWithinJitter(t *testing.T) {
 	r := routers[0]
 	q := packet.JoinQuery{SourceID: 1, GroupID: 1, SequenceNo: 1}
 	for i := 0; i < 100; i++ {
-		d := r.queryDelay(r.Base, q, 1)
+		d := r.queryDelay(&r.Base, q, 1)
 		if d < 0 || d >= r.Config().Jitter {
 			t.Fatalf("delay %v outside [0, jitter)", d)
 		}

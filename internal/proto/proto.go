@@ -243,17 +243,22 @@ type pending struct {
 
 // Base holds per-node protocol state and implements network.Protocol.
 // Concrete protocols wrap it with their Hooks.
+//
+// A router embeds its Base by value and a Base holds its neighbor table by
+// value, so a HELLO reception (Receive, onHello, NT.Observe) reads one
+// object; the fields a reception touches come first.
 type Base struct {
+	sessions []*sessState
+
+	// NT is the one-hop neighbor table (exported for policy hooks).
+	NT neighbor.Table
+
 	node  *network.Node
 	cfg   Config
 	hooks Hooks
 	name  string
 	rnd   *rng.RNG
 
-	// NT is the one-hop neighbor table (exported for policy hooks).
-	NT *neighbor.Table
-
-	sessions []*sessState
 	sessFree []*sessState
 	pendFree []*pending
 
@@ -265,13 +270,13 @@ type Base struct {
 	ref *RefMarks
 }
 
-// NewBase constructs the engine for one node. name labels the protocol in
-// panics and traces.
-func NewBase(name string, cfg Config, hooks Hooks) *Base {
+// Init sets up a zero Base as the engine for one node; routers call it on
+// the Base they embed. name labels the protocol in panics and traces.
+func (b *Base) Init(name string, cfg Config, hooks Hooks) {
 	if hooks.QueryDelay == nil {
 		panic("proto: QueryDelay hook is required")
 	}
-	return &Base{cfg: cfg, hooks: hooks, name: name}
+	b.name, b.cfg, b.hooks = name, cfg, hooks
 }
 
 // sess returns the state block for key, or nil.
@@ -351,7 +356,7 @@ func (b *Base) AdoptHello(src *Base) {
 		panic(fmt.Sprintf("proto(%s): AdoptHello from a node past its HELLO phase", b.name))
 	}
 	*b.rnd = *src.rnd
-	b.NT.CopyFrom(src.NT)
+	b.NT.CopyFrom(&src.NT)
 }
 
 // Engine returns b itself. Routers that embed a Base inherit it, which
@@ -364,11 +369,11 @@ func (b *Base) Name() string { return b.name }
 // Node returns the node this instance runs on (nil before Attach).
 func (b *Base) Node() *network.Node { return b.node }
 
-// NeighborTable returns the node's one-hop neighbor table (nil before
-// Attach). The bench module's traced run (bench/trace.go) reads it for
-// its neighbor.entries_mean metric through a dynamic assertion that
+// NeighborTable returns the node's one-hop neighbor table. The bench
+// module's traced run (bench/trace.go) reads it for its
+// neighbor.entries_mean metric through a dynamic assertion that
 // TestBaseRoutersExposeNeighborTable (experiment) pins.
-func (b *Base) NeighborTable() *neighbor.Table { return b.NT }
+func (b *Base) NeighborTable() *neighbor.Table { return &b.NT }
 
 // Attach implements network.Protocol.
 func (b *Base) Attach(n *network.Node) {
@@ -377,7 +382,6 @@ func (b *Base) Attach(n *network.Node) {
 	}
 	b.node = n
 	b.rnd = n.Rand.Derive("proto")
-	b.NT = neighbor.NewTable()
 }
 
 // Start implements network.Protocol: it schedules the HELLO rounds of the
@@ -583,11 +587,10 @@ func (b *Base) RelayProfit(key packet.FloodKey) int {
 	s := b.sess(key)
 	n := 0
 	for i, m := 0, b.NT.Len(); i < m; i++ {
-		e := b.NT.At(i)
-		if e.ID == key.Source {
+		if b.NT.At(i).ID == key.Source {
 			continue
 		}
-		if !b.coveredAt(s, key, i) && e.InGroup(key.Group) {
+		if !b.coveredAt(s, key, i) && b.NT.InGroup(i, key.Group) {
 			n++
 		}
 	}

@@ -31,6 +31,13 @@ func deterministicConfig() Config {
 	}
 }
 
+// newBase returns a Base set up by Init.
+func newBase(name string, cfg Config, hooks Hooks) *Base {
+	b := new(Base)
+	b.Init(name, cfg, hooks)
+	return b
+}
+
 // rig builds an n-node line network (spacing 30 m, range 40 m) with an
 // ideal MAC and no collisions, running a Base with the given hooks on
 // every node.
@@ -46,7 +53,7 @@ func rig(t *testing.T, n int, hooks Hooks, cfg Config) (*network.Network, []*Bas
 	net := network.New(topo, ncfg)
 	bases := make([]*Base, n)
 	for i := 0; i < n; i++ {
-		bases[i] = NewBase("test", cfg, hooks)
+		bases[i] = newBase("test", cfg, hooks)
 		net.SetProtocol(i, bases[i])
 	}
 	return net, bases
@@ -75,7 +82,7 @@ func TestHelloPopulatesNeighborTables(t *testing.T) {
 	}
 	// Membership propagated.
 	i := bases[1].NT.Index(2)
-	if i < 0 || !bases[1].NT.At(i).InGroup(1) {
+	if i < 0 || !bases[1].NT.InGroup(i, 1) {
 		t.Error("membership not learned from HELLO")
 	}
 }
@@ -336,7 +343,7 @@ func TestSeparateSessionsIsolated(t *testing.T) {
 }
 
 func TestDoubleAttachPanics(t *testing.T) {
-	b := NewBase("x", deterministicConfig(), Hooks{QueryDelay: fixedDelay(0)})
+	b := newBase("x", deterministicConfig(), Hooks{QueryDelay: fixedDelay(0)})
 	topo, _ := topology.Grid(2, 1, 30, 40)
 	net := network.New(topo, network.DefaultConfig(1))
 	net.SetProtocol(0, b)
@@ -351,10 +358,10 @@ func TestDoubleAttachPanics(t *testing.T) {
 func TestMissingQueryDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewBase without QueryDelay should panic")
+			t.Error("Init without QueryDelay should panic")
 		}
 	}()
-	NewBase("x", deterministicConfig(), Hooks{})
+	newBase("x", deterministicConfig(), Hooks{})
 }
 
 func TestSourceIgnoresOwnEcho(t *testing.T) {
