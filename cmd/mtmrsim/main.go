@@ -164,8 +164,8 @@ func run(topoKind, topoFile string, nodes int, side, txRange float64, protoArg s
 		}
 		fmt.Printf("peak queue depth:        %d\n", st.MaxPending)
 		cs := s.Network().Chan.Stats()
-		fmt.Printf("carrier fan calls:       %d run, %d folded (%d of them queued after all)\n",
-			cs.FanCalls, cs.Folded, cs.Materialised)
+		fmt.Printf("carrier fan calls:       %d run, %d folded (%d of them queued after all), %d edges to listening radios\n",
+			cs.FanCalls, cs.Folded, cs.Materialised, cs.Notified)
 		fmt.Printf("event-loop wall time:    %s\n", st.RunWall)
 		fmt.Printf("throughput:              %.0f executed events/sec\n", st.EventsPerSec)
 		mem.report(topo.N())

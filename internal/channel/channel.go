@@ -24,15 +24,14 @@ import (
 	"mtmrp/internal/sparse"
 )
 
-// Radio is the node-side endpoint the channel talks to (implemented by the
-// MAC layer).
+// Radio is the node-side carrier-sense endpoint the channel talks to
+// (implemented by the MAC layer). Decoded frames do not pass through it:
+// they go to the Channel.Deliver hook.
 type Radio interface {
-	// FrameReceived delivers a successfully decoded frame.
-	FrameReceived(p *packet.Packet)
-	// CarrierChanged notifies busy/idle transitions of the local medium.
-	// A radio that has stopped listening (Channel.Listen) may be told of
-	// some transitions and not of others; it reads the medium with
-	// Channel.Busy instead.
+	// CarrierChanged notifies busy/idle transitions of the local medium
+	// while the radio listens (Channel.Listen). A radio that has stopped
+	// listening is told of none; it reads the medium with Channel.Busy
+	// instead.
 	CarrierChanged(busy bool)
 }
 
@@ -126,6 +125,7 @@ type Stats struct {
 	FanCalls      uint64 // carrier and arrival edges run by fan cursors
 	Folded        uint64 // carrier edges folded: two per member at a node not listening
 	Materialised  uint64 // folded edges queued after all, when their node began to listen
+	Notified      uint64 // carrier edges handed to a listening radio (CarrierChanged calls)
 }
 
 // LossConfig parameterises the Gilbert–Elliott bursty packet-loss model:
@@ -242,8 +242,11 @@ type Channel struct {
 
 	// OnAir, if set, observes every transmission (for metrics/tracing).
 	OnAir func(from int, p *packet.Packet)
-	// OnDeliver, if set, observes every successful reception.
-	OnDeliver func(to int, p *packet.Packet)
+	// Deliver, if set, receives every successfully decoded frame, at its
+	// receiver, before the channel releases it to the pool: it is the
+	// whole receive path, installed by the layer above the channel
+	// (internal/network), and the frame must not be retained.
+	Deliver func(to int, p *packet.Packet)
 }
 
 // NewWithTable builds a channel over a precomputed (and possibly shared)
@@ -463,8 +466,9 @@ func (c *Channel) Busy(i int) bool {
 
 // Listen tells the channel whether node i's radio listens to carrier
 // edges; a radio listens until it says otherwise. While a node does not
-// listen, the fan members at it that do not decode their frame are
-// folded (fanOut): their edges never run, and Busy alone reports them. A
+// listen, its radio is told of no carrier edge, and the fan members at it
+// that do not decode their frame are folded (fanOut): their edges never
+// run, and Busy alone reports them. A
 // MAC stops listening when no carrier edge can change what it does, and
 // starts again before it reads Busy to contend. Starting queues the
 // node's live folded edges under the keys they were folded with: an edge
@@ -709,9 +713,9 @@ func (c *Channel) transmit(i int, p *packet.Packet, then sim.Callback, arg any, 
 //     the simulator has dropped its cursor.
 //   - A folded member's edges run only once its node listens again, and
 //     then under the keys its cursors reserved for them (Listen). Until
-//     then they only count the node's carrier, which Busy reads from the
-//     span at the simulator's position, and tell a radio that does not
-//     listen of transitions it ignores. DESIGN.md §20.
+//     then they would only count the node's carrier, which Busy reads
+//     from the span at the simulator's position: a radio that does not
+//     listen is told of no edge (signalStart). DESIGN.md §20.
 //
 // One pass walks the CS list in destination order, so the loss,
 // shadowing and degradation draws keep their order, and files each
@@ -839,10 +843,15 @@ func (c *Channel) newFan(n int) *fan {
 	return f
 }
 
+// signalStart and signalEnd count a signal at node i in and out. A
+// listening radio is told of the 0↔1 edges of the count; one that does
+// not listen is told of none (Listen), so a reception at a deaf node does
+// not load its radio at all.
 func (c *Channel) signalStart(i int) {
 	st := &c.state[i]
 	st.busySignals++
-	if st.busySignals == 1 && c.radios[i] != nil {
+	if st.busySignals == 1 && !st.deaf && c.radios[i] != nil {
+		c.stats.Notified++
 		c.radios[i].CarrierChanged(true)
 	}
 }
@@ -853,7 +862,8 @@ func (c *Channel) signalEnd(i int) {
 	if st.busySignals < 0 {
 		panic("channel: negative busy count")
 	}
-	if st.busySignals == 0 && c.radios[i] != nil {
+	if st.busySignals == 0 && !st.deaf && c.radios[i] != nil {
+		c.stats.Notified++
 		c.radios[i].CarrierChanged(false)
 	}
 }
@@ -903,11 +913,8 @@ func (c *Channel) endArrival(i int, a *arrival) {
 		return
 	}
 	c.stats.Deliveries++
-	if c.OnDeliver != nil {
-		c.OnDeliver(i, pkt)
-	}
-	if c.radios[i] != nil {
-		c.radios[i].FrameReceived(pkt)
+	if c.Deliver != nil {
+		c.Deliver(i, pkt)
 	}
 	if c.cfg.Pool != nil {
 		c.cfg.Pool.Release(pkt)

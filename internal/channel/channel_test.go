@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"slices"
 	"testing"
 
 	"mtmrp/internal/geom"
@@ -9,28 +10,36 @@ import (
 	"mtmrp/internal/sim"
 )
 
-// stubRadio records everything the channel tells it.
+// stubRadio records everything the channel tells a node: the carrier
+// edges its radio hears and the frames the delivery hook hands it.
 type stubRadio struct {
 	frames  []*packet.Packet
 	carrier []bool
 }
 
-func (r *stubRadio) FrameReceived(p *packet.Packet) { r.frames = append(r.frames, p) }
-func (r *stubRadio) CarrierChanged(b bool)          { r.carrier = append(r.carrier, b) }
+func (r *stubRadio) CarrierChanged(b bool) { r.carrier = append(r.carrier, b) }
 
-// build creates a channel over the given positions with 40 m range and
-// attaches a stub radio per node.
+// build creates a channel over the given positions with 40 m range,
+// attaches a stub radio per node and records decoded frames through the
+// delivery hook.
 func build(t *testing.T, pos []geom.Point, cfg Config) (*sim.Simulator, *Channel, []*stubRadio) {
 	t.Helper()
 	s := sim.New()
 	params := radio.MustDefault80211Params(40, 2.2)
 	c := NewWithTable(s, NewLinkTable(pos, params), cfg)
-	radios := make([]*stubRadio, len(pos))
-	for i := range pos {
+	return s, c, stubs(c, len(pos))
+}
+
+// stubs attaches a stub radio to each of the channel's n nodes and
+// records decoded frames at them through the delivery hook.
+func stubs(c *Channel, n int) []*stubRadio {
+	radios := make([]*stubRadio, n)
+	for i := range radios {
 		radios[i] = &stubRadio{}
 		c.Attach(i, radios[i])
 	}
-	return s, c, radios
+	c.Deliver = func(to int, p *packet.Packet) { radios[to].frames = append(radios[to].frames, p) }
+	return radios
 }
 
 func hello(from packet.NodeID) *packet.Packet {
@@ -220,7 +229,7 @@ func TestOnAirAndOnDeliverHooks(t *testing.T) {
 	s, c, _ := build(t, []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}}, Config{})
 	var airs, deliveries int
 	c.OnAir = func(from int, p *packet.Packet) { airs++ }
-	c.OnDeliver = func(to int, p *packet.Packet) { deliveries++ }
+	c.Deliver = func(to int, p *packet.Packet) { deliveries++ }
 	c.Transmit(0, hello(0))
 	s.Run()
 	if airs != 1 || deliveries != 1 {
@@ -233,7 +242,7 @@ func TestOnAirAndOnDeliverHooks(t *testing.T) {
 func TestNeighborCount(t *testing.T) {
 	s, c, _ := build(t, []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 20, Y: 0}, {X: 100, Y: 0}}, Config{})
 	var got []int
-	c.OnDeliver = func(to int, p *packet.Packet) { got = append(got, to) }
+	c.Deliver = func(to int, p *packet.Packet) { got = append(got, to) }
 	c.Transmit(0, hello(0))
 	s.Run()
 	if len(got) != 2 || got[0]+got[1] != 3 {
@@ -255,5 +264,83 @@ func TestThreeWayCollision(t *testing.T) {
 	s.Run()
 	if len(radios[0].frames) != 0 {
 		t.Errorf("receiver decoded %d frames out of a 3-way collision", len(radios[0].frames))
+	}
+}
+
+// TestDeafRadioHearsNoCarrierEdges pins the Radio contract: a radio that
+// called Listen(i, false) is told of no carrier edge, while its node
+// still senses the medium (Busy) and still decodes frames, and a
+// listening radio is told of every 0↔1 edge of its node's busy count,
+// once, however many signals overlap. Node 0 transmits and node 5 starts
+// half a frame later; nodes 1 and 2 decode node 0, nodes 3 and 4 only
+// sense it, and nodes 2 and 4 do not listen.
+func TestDeafRadioHearsNoCarrierEdges(t *testing.T) {
+	s, c, radios := build(t, []geom.Point{
+		{X: 0, Y: 0},  // transmitter
+		{X: 30, Y: 0}, // decodes, listens
+		{X: 0, Y: 30}, // decodes, deaf
+		{X: 60, Y: 0}, // senses only, listens
+		{X: 0, Y: 60}, // senses only, deaf
+		{X: 20, Y: 20},
+	}, Config{})
+	c.Listen(2, false)
+	c.Listen(4, false)
+	busyMid := map[int]bool{}
+	half := c.Duration(packet.HelloSize) / 2
+	c.Transmit(0, hello(0))
+	s.At(half, func() { c.Transmit(5, hello(5)) })
+	s.At(half+sim.Microsecond, func() {
+		for _, i := range []int{1, 2, 3, 4} {
+			busyMid[i] = c.Busy(i)
+		}
+	})
+	s.Run()
+	for _, i := range []int{2, 4} {
+		if len(radios[i].carrier) != 0 {
+			t.Errorf("deaf radio %d was told of carrier edges %v", i, radios[i].carrier)
+		}
+	}
+	for _, i := range []int{1, 3} {
+		if want := []bool{true, false}; !slices.Equal(radios[i].carrier, want) {
+			t.Errorf("listening radio %d heard %v, want %v (one busy period of two overlapping signals)", i, radios[i].carrier, want)
+		}
+	}
+	for i := 1; i <= 4; i++ {
+		if !busyMid[i] {
+			t.Errorf("node %d does not sense the medium busy mid-frame", i)
+		}
+	}
+	// Node 5's frame collides with node 0's at the decoders; the deaf
+	// decoder loses it the same way as the listening one.
+	if len(radios[1].frames) != len(radios[2].frames) {
+		t.Errorf("decoded frames: listening node 1 got %d, deaf node 2 got %d", len(radios[1].frames), len(radios[2].frames))
+	}
+	// Notified counts every edge handed over: the two listeners' pairs,
+	// plus the transmitters' own (they listen too).
+	var told uint64
+	for _, r := range radios {
+		told += uint64(len(r.carrier))
+	}
+	if got := c.Stats().Notified; got != told || got == 0 {
+		t.Errorf("Notified = %d, radios were told of %d edges", got, told)
+	}
+}
+
+// TestEagerCarrierTellsDeafRadios: under Config.EagerCarrier Listen does
+// nothing, so a radio that asked not to listen still hears every edge —
+// the reference lazy carrier sense is tested against.
+func TestEagerCarrierTellsDeafRadios(t *testing.T) {
+	s, c, radios := build(t, []geom.Point{{X: 0, Y: 0}, {X: 30, Y: 0}, {X: 60, Y: 0}}, Config{EagerCarrier: true})
+	c.Listen(1, false)
+	c.Listen(2, false)
+	c.Transmit(0, hello(0))
+	s.Run()
+	for _, i := range []int{1, 2} {
+		if want := []bool{true, false}; !slices.Equal(radios[i].carrier, want) {
+			t.Errorf("radio %d heard %v under EagerCarrier, want %v", i, radios[i].carrier, want)
+		}
+	}
+	if len(radios[1].frames) != 1 {
+		t.Errorf("node 1 decoded %d frames, want 1", len(radios[1].frames))
 	}
 }

@@ -109,7 +109,8 @@ type traceRec struct {
 // the channel's own callbacks transmit while the fan's cursors are mid-way,
 // exactly where an ordering slip would show. A deaf radio ignores carrier
 // edges; only the fan path tells the channel (Listen), so only there are
-// its edges folded.
+// its edges folded, and only there must the channel tell it of none
+// (deafCalls counts the edges it was told of anyway).
 type fanRig struct {
 	sc    *fanScript
 	s     *sim.Simulator
@@ -120,6 +121,8 @@ type fanRig struct {
 	want  []int  // deferred frame size per node (0 = none)
 	deaf  []bool // radios not listening to carrier edges
 	relay int    // receptions left that may react, so relaying cannot flood forever
+
+	deafCalls int // carrier edges the fan path handed to a deaf radio
 }
 
 type rigRadio struct {
@@ -130,6 +133,9 @@ type rigRadio struct {
 func (r rigRadio) CarrierChanged(busy bool) {
 	g := r.g
 	if g.deaf[r.node] {
+		if !g.ref {
+			g.deafCalls++
+		}
 		return
 	}
 	g.trace = append(g.trace, traceRec{at: g.s.Now(), node: r.node, busy: busy})
@@ -140,20 +146,21 @@ func (r rigRadio) CarrierChanged(busy bool) {
 	}
 }
 
-func (r rigRadio) FrameReceived(p *packet.Packet) {
-	g := r.g
-	g.trace = append(g.trace, traceRec{at: g.s.Now(), node: r.node, frame: p.UID})
+// deliver is the channel's delivery hook: it logs the decoded frame and
+// may react to it by transmitting.
+func (g *fanRig) deliver(to int, p *packet.Packet) {
+	g.trace = append(g.trace, traceRec{at: g.s.Now(), node: to, frame: p.UID})
 	if g.relay == 0 {
 		return
 	}
 	g.relay--
-	switch (p.UID + uint64(r.node)) % 7 {
+	switch (p.UID + uint64(to)) % 7 {
 	case 0:
-		g.send(r.node, 20+int(p.UID%40)) // forward inside the end run
+		g.send(to, 20+int(p.UID%40)) // forward inside the end run
 	case 1:
-		g.s.AfterCall(0, rigSendCB, g, r.node) // same instant, queued behind the run
+		g.s.AfterCall(0, rigSendCB, g, to) // same instant, queued behind the run
 	case 2:
-		g.s.AfterCall(sim.Time(p.UID%300), rigSendCB, g, r.node) // within a delay
+		g.s.AfterCall(sim.Time(p.UID%300), rigSendCB, g, to) // within a delay
 	}
 }
 
@@ -266,8 +273,9 @@ var (
 )
 
 // run plays the script on one path and returns the radio trace, the
-// channel counters and the simulator counters.
-func (sc *fanScript) run(ref bool, seed uint64) ([]traceRec, Stats, sim.Stats) {
+// channel counters and the simulator counters. It fails t if the channel
+// told a deaf radio of a carrier edge.
+func (sc *fanScript) run(t *testing.T, ref bool, seed uint64) ([]traceRec, Stats, sim.Stats) {
 	params := radio.MustDefault80211Params(40, 2.2)
 	loss := DefaultLossConfig()
 	g := &fanRig{sc: sc, s: sim.New(), ref: ref, want: make([]int, len(sc.pos)), deaf: make([]bool, len(sc.pos)), relay: 1000}
@@ -276,6 +284,7 @@ func (sc *fanScript) run(ref bool, seed uint64) ([]traceRec, Stats, sim.Stats) {
 		ShadowingSigmaDB: 3, Rand: rng.New(seed).Derive("shadow"),
 		Loss: &loss, LossRand: rng.New(seed).Derive("loss"),
 	})
+	g.c.Deliver = g.deliver
 	for i := range sc.pos {
 		g.c.Attach(i, rigRadio{g, i})
 		if sc.deaf != nil && sc.deaf[i] {
@@ -286,6 +295,9 @@ func (sc *fanScript) run(ref bool, seed uint64) ([]traceRec, Stats, sim.Stats) {
 		g.s.AtCall(op.at, rigOpCB, g, k)
 	}
 	g.s.Run()
+	if g.deafCalls != 0 {
+		t.Errorf("seed %d: the channel told deaf radios of %d carrier edges", seed, g.deafCalls)
+	}
 	return g.trace, g.c.Stats(), g.s.Stats()
 }
 
@@ -294,7 +306,7 @@ func (sc *fanScript) run(ref bool, seed uint64) ([]traceRec, Stats, sim.Stats) {
 // degradation all on, nodes moving while frames are in flight, and
 // radios transmitting from inside the fan's own callbacks. The cursor
 // fan must reproduce the per-link reference's full (time, node,
-// CarrierChanged/FrameReceived) trace and every channel counter, and run
+// carrier edge or decoded frame) trace and every channel counter, and run
 // the same number of events from fewer queue entries.
 func TestFanMatchesPerLinkReference(t *testing.T) {
 	for _, grid := range []bool{true, false} {
@@ -305,8 +317,8 @@ func TestFanMatchesPerLinkReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			f := func(seed uint64) bool {
 				sc := newFanScript(seed, grid)
-				want, wantSt, wantSim := sc.run(true, seed)
-				got, gotSt, gotSim := sc.run(false, seed)
+				want, wantSt, wantSim := sc.run(t, true, seed)
+				got, gotSt, gotSim := sc.run(t, false, seed)
 				if len(want) == 0 || wantSt.Deliveries == 0 {
 					t.Logf("seed %d: empty workload", seed)
 					return false
@@ -382,8 +394,8 @@ func TestLazyFanMatchesPerLinkReference(t *testing.T) {
 // number of events, fewer of them executed and never more of them
 // queued. The workload must both fold and materialise edges.
 func (sc *fanScript) lazyMatches(t *testing.T, seed uint64) (Stats, bool) {
-	want, wantSt, wantSim := sc.run(true, seed)
-	got, gotSt, gotSim := sc.run(false, seed)
+	want, wantSt, wantSim := sc.run(t, true, seed)
+	got, gotSt, gotSim := sc.run(t, false, seed)
 	lazySt := gotSt
 	if gotSt.Folded == 0 || gotSt.Materialised == 0 {
 		t.Logf("seed %d: %d calls folded, %d materialised; the workload must do both", seed, gotSt.Folded, gotSt.Materialised)
@@ -403,7 +415,14 @@ func (sc *fanScript) lazyMatches(t *testing.T, seed uint64) (Stats, bool) {
 		t.Logf("seed %d: %d fan calls run and %d folded, reference ran %d", seed, gotSt.FanCalls, gotSt.Folded, wantSt.FanCalls)
 		return lazySt, false
 	}
-	gotSt.FanSorts, gotSt.FanCalls, gotSt.Folded, gotSt.Materialised = 0, wantSt.FanCalls, 0, 0
+	// The reference tells every radio of every edge and the deaf ones
+	// ignore them; the lazy path tells only the listening radios, which
+	// log every edge they are told of.
+	if edges := carrierEdges(got); gotSt.Notified != edges {
+		t.Logf("seed %d: lazy path notified %d carrier edges, listening radios logged %d", seed, gotSt.Notified, edges)
+		return lazySt, false
+	}
+	gotSt.FanSorts, gotSt.FanCalls, gotSt.Folded, gotSt.Materialised, gotSt.Notified = 0, wantSt.FanCalls, 0, 0, wantSt.Notified
 	if gotSt != wantSt {
 		t.Logf("seed %d: stats: lazy %+v, reference %+v", seed, gotSt, wantSt)
 		return lazySt, false
@@ -505,4 +524,15 @@ func TestRandomFieldFanEntries(t *testing.T) {
 	if st := fanEntries(t, s, c, node); st.Entries != 4 {
 		t.Errorf("%d events over %d distinct delays took %d queue entries, want 4", st.Processed, delays, st.Entries)
 	}
+}
+
+// carrierEdges counts the carrier edges in a radio trace.
+func carrierEdges(tr []traceRec) uint64 {
+	n := uint64(0)
+	for _, r := range tr {
+		if !r.probe && r.frame == 0 {
+			n++
+		}
+	}
+	return n
 }

@@ -28,10 +28,6 @@ func (r traceRadio) CarrierChanged(busy bool) {
 	*r.trace = append(*r.trace, traceRec{at: r.s.Now(), node: r.node, busy: busy})
 }
 
-func (r traceRadio) FrameReceived(p *packet.Packet) {
-	*r.trace = append(*r.trace, traceRec{at: r.s.Now(), node: r.node, frame: p.UID})
-}
-
 // cacheRig is one traced channel, transmitting through the cursor fan or,
 // with ref set, through the per-link reference fan (refTransmit).
 type cacheRig struct {
@@ -46,6 +42,9 @@ func newCacheRig(links *LinkTable, ref bool) *cacheRig {
 	g.c = NewWithTable(g.s, links, Config{})
 	for i := 0; i < links.n; i++ {
 		g.c.Attach(i, traceRadio{g.s, i, &g.trace})
+	}
+	g.c.Deliver = func(to int, p *packet.Packet) {
+		g.trace = append(g.trace, traceRec{at: g.s.Now(), node: to, frame: p.UID})
 	}
 	return g
 }

@@ -270,6 +270,19 @@ func (t *LinkTable) version(i int) uint64 {
 	return t.ver[i]
 }
 
+// RXDegree returns the number of nodes inside node i's reception disc:
+// those that decode node i's frames, and whose frames node i decodes,
+// without shadowing.
+func (t *LinkTable) RXDegree(i int) int {
+	n := 0
+	for _, l := range t.cs[i] {
+		if l.rx() {
+			n++
+		}
+	}
+	return n
+}
+
 // N returns the number of nodes the table was built for.
 func (t *LinkTable) N() int { return t.n }
 

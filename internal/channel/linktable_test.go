@@ -112,8 +112,7 @@ func denseChannel(n int) (*sim.Simulator, *Channel) {
 
 type nopRadio struct{}
 
-func (nopRadio) FrameReceived(*packet.Packet) {}
-func (nopRadio) CarrierChanged(bool)          {}
+func (nopRadio) CarrierChanged(bool) {}
 
 // TestTransmitAllocs is the hot-path allocation guard: once the event pool,
 // the fan records and the node's cached fan order are warm, a transmission

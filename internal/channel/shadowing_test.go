@@ -19,10 +19,7 @@ func shadowRig(t *testing.T, dist float64, sigma float64, seed uint64) (*sim.Sim
 		ShadowingSigmaDB: sigma,
 		Rand:             rng.New(seed),
 	})
-	rx := &stubRadio{}
-	c.Attach(0, &stubRadio{})
-	c.Attach(1, rx)
-	return s, c, rx
+	return s, c, stubs(c, 2)[1]
 }
 
 func TestShadowingRequiresRand(t *testing.T) {

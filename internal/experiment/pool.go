@@ -164,7 +164,7 @@ func (p *SessionPool) startRound(scs []Scenario) error {
 			return &RowError{r, err}
 		}
 		p.rows = append(p.rows, s)
-		base := helloBase(s.routers[0]) != nil
+		base := s.bases != nil
 		if base && src != nil && sameHello(src.sc, s.sc) {
 			s.adoptHello(src)
 			p.adopted++

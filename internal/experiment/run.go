@@ -189,6 +189,21 @@ func protoConfig(sc Scenario) proto.Config {
 	return proto.DefaultConfig()
 }
 
+// setBackoff retunes the (N, δ) backoff of a router whose protocol has
+// one. It switches on the concrete types buildRouter makes rather than
+// asserting an interface, whose runtime type cache fills (allocating) at
+// random calls, so that a reused session allocates nothing.
+func setBackoff(r proto.Router, n int, delta sim.Time) {
+	switch r := r.(type) {
+	case *core.Router:
+		r.SetBackoff(n, delta)
+	case *dodmrp.Router:
+		r.SetBackoff(n, delta)
+	case *odmrp.Router:
+		r.SetBackoff(n, delta)
+	}
+}
+
 // buildRouter builds a router of sc's shape. The backoff (N, δ) is per
 // run: Session.Reset sets it, unless a Core override carries its own.
 func buildRouter(sc Scenario) proto.Router {

@@ -8,6 +8,7 @@ import (
 	"mtmrp/internal/channel"
 	"mtmrp/internal/energy"
 	"mtmrp/internal/fault"
+	"mtmrp/internal/gmr"
 	"mtmrp/internal/metrics"
 	"mtmrp/internal/mobility"
 	"mtmrp/internal/network"
@@ -49,14 +50,26 @@ type Session struct {
 	shape   poolKey
 	group   packet.GroupID
 	net     *network.Network
+	links   *channel.LinkTable // the run's link table
 	routers []proto.Router
 	col     *metrics.Collector
 	meter   *energy.Meter
 	logger  *trace.Logger // nil unless the session is traced
 
+	// bases[i] is routers[i]'s proto.Base engine, resolved once when the
+	// session is built; nil for Flooding and GMR, which have none. Reuse
+	// reaches the engines through it rather than through an interface
+	// assertion per router: the runtime fills an assertion's type cache
+	// at random calls, allocating, and a reused session allocates nothing.
+	bases []*proto.Base
+
 	key        packet.FloodKey
 	helloDone  bool
 	discovered bool
+	// logsCarved is set once RunHello has given the neighbour tables
+	// their HELLO logs (carveHelloLogs); the tables keep that storage
+	// across Reset.
+	logsCarved bool
 	// adoptedEvents counts the HELLO events adoptHello took from another
 	// session: Processed includes them, but this session did not run them.
 	adoptedEvents uint64
@@ -120,11 +133,12 @@ func (s *Session) Reset(sc Scenario) error {
 	} else {
 		s.net.Reset(sc.Topo, links, sc.Seed)
 	}
+	s.links = links
 	backoff := sc.coreOverride() == nil
 	for _, r := range s.routers {
 		r.Reset()
-		if b, ok := r.(interface{ SetBackoff(int, sim.Time) }); ok && backoff {
-			b.SetBackoff(sc.N, sc.Delta)
+		if backoff {
+			setBackoff(r, sc.N, sc.Delta)
 		}
 	}
 	for _, r := range sc.Receivers {
@@ -165,6 +179,12 @@ func (s *Session) build(sc Scenario, links *channel.LinkTable) {
 		s.routers[i] = buildRouter(sc)
 		s.net.SetProtocol(i, s.routers[i])
 	}
+	if helloBase(s.routers[0]) != nil {
+		s.bases = make([]*proto.Base, len(s.routers))
+		for i, r := range s.routers {
+			s.bases[i] = helloBase(r)
+		}
+	}
 	s.col = metrics.NewCollector(s.net, packet.NodeID(sc.Source), s.group, sc.Receivers)
 	s.meter = energy.NewMeter(sc.Topo, cfg.Radio, energy.DefaultModel())
 	s.meter.Attach(s.net)
@@ -184,10 +204,8 @@ func (s *Session) applyFaults(sc Scenario) {
 	if life == 0 {
 		life = protoConfig(sc).FGLifetime
 	}
-	for _, r := range s.routers {
-		if fg, ok := r.(interface{ SetFGLifetime(sim.Time) }); ok {
-			fg.SetFGLifetime(life)
-		}
+	for _, b := range s.bases {
+		b.SetFGLifetime(life)
 	}
 	fault.Arm(s.net, sc.Faults.Schedule)
 }
@@ -224,13 +242,11 @@ func (s *Session) applyMobility(sc Scenario) {
 	s.mover = mobility.NewMover(plan, s.dyn, sc.Mobility.Step)
 }
 
-// setDestinations installs the receiver list at the source for protocols
-// that want it (GMR's location-awareness assumption), reusing the
-// session-owned scratch slice.
+// setDestinations installs the receiver list at a GMR source (GMR's
+// location-awareness assumption), reusing the session-owned scratch
+// slice.
 func (s *Session) setDestinations(sc Scenario) {
-	src, ok := s.routers[sc.Source].(interface {
-		SetDestinations([]packet.NodeID)
-	})
+	src, ok := s.routers[sc.Source].(*gmr.Router)
 	if !ok {
 		return
 	}
@@ -255,15 +271,37 @@ func (s *Session) RunHello() {
 	if s.helloDone {
 		return
 	}
+	if !s.logsCarved {
+		s.carveHelloLogs()
+	}
 	// All beacons are scheduled up front and finite; Run drains the queue.
 	s.net.Start()
 	s.net.Run()
-	for _, r := range s.routers {
-		if b := helloBase(r); b != nil {
-			b.NT.Seal()
-		}
+	for _, b := range s.bases {
+		b.NT.Seal()
 	}
 	s.helloDone = true
+}
+
+// carveHelloLogs gives every neighbour table its HELLO log, sized to the
+// beacons its node can decode — HelloRounds times its decode-disc degree —
+// and carved from one arena, so the HELLO phase fills the logs without
+// growing them. A node that decodes more (shadowing widens decodes to the
+// carrier disc; a later run of a pooled session may have another
+// topology) outgrows its carve into its own allocation.
+func (s *Session) carveHelloLogs() {
+	rounds := protoConfig(s.sc).HelloRounds
+	total := 0
+	for i := range s.bases {
+		total += rounds * s.links.RXDegree(i)
+	}
+	arena := make([]packet.NodeID, total)
+	for i, b := range s.bases {
+		n := rounds * s.links.RXDegree(i)
+		b.NT.UseLog(arena[:n:n])
+		arena = arena[n:]
+	}
+	s.logsCarved = true
 }
 
 // adoptHello gives s the state src reached in its HELLO phase instead of
@@ -277,8 +315,8 @@ func (s *Session) adoptHello(src *Session) {
 		panic("experiment: adoptHello needs a source just past HELLO and a freshly reset session")
 	}
 	s.net.AdoptIdle(src.net)
-	for i, r := range s.routers {
-		helloBase(r).AdoptHello(helloBase(src.routers[i]))
+	for i, b := range s.bases {
+		b.AdoptHello(src.bases[i])
 	}
 	s.col.AdoptIdle(src.col)
 	s.meter.AdoptIdle(src.meter)
@@ -288,6 +326,7 @@ func (s *Session) adoptHello(src *Session) {
 
 // helloBase returns the proto.Base engine a router runs on, or nil for
 // routers (Flooding, GMR) that keep their own state and send no HELLOs.
+// Session.bases holds its answers for a session's routers.
 func helloBase(r proto.Router) *proto.Base {
 	if e, ok := r.(interface{ Engine() *proto.Base }); ok {
 		return e.Engine()

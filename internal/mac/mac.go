@@ -1,5 +1,7 @@
 // Package mac implements the medium-access layer between routing protocols
-// and the shared channel.
+// and the shared channel. It is the transmit side only: the channel hands
+// decoded frames to the network layer directly (channel.Channel.Deliver),
+// and a MAC hears carrier edges only while it contends.
 //
 // CSMA is an IEEE 802.11-style DCF for broadcast frames: carrier sense,
 // DIFS, and a slotted random backoff that freezes while the medium is busy.
@@ -21,13 +23,12 @@ import (
 	"mtmrp/internal/sim"
 )
 
-// MAC is the service a routing protocol sees.
+// MAC is the service a routing protocol sees. It is the transmit side
+// only: decoded frames go from the channel to the routing layer through
+// channel.Channel.Deliver without passing through the MAC.
 type MAC interface {
 	// Send queues a frame for (broadcast) transmission.
 	Send(p *packet.Packet)
-	// SetUpper installs the receive callback. Must be called before the
-	// simulation starts.
-	SetUpper(fn func(*packet.Packet))
 	// Reset returns the MAC to its initial state (empty queue, idle,
 	// reseeded from the node's substream) for session reuse. The owning
 	// simulator must have been reset first: pending timer handles are
@@ -95,13 +96,12 @@ const (
 // nothing while it is idle or sending; it reads the medium with
 // channel.Channel.Busy when it starts contending. DESIGN.md §20.
 type CSMA struct {
-	sim   *sim.Simulator
-	ch    *channel.Channel
-	cd    *Countdowns
-	idx   int
-	cfg   CSMAConfig
-	rnd   *rng.RNG
-	upper func(*packet.Packet)
+	sim *sim.Simulator
+	ch  *channel.Channel
+	cd  *Countdowns
+	idx int
+	cfg CSMAConfig
+	rnd *rng.RNG
 
 	state csmaState
 	// queue[head:] is the FIFO transmit queue. Popping advances head
@@ -232,9 +232,6 @@ func NewCSMA(s *sim.Simulator, ch *channel.Channel, cd *Countdowns, idx int, cfg
 	ch.Listen(idx, false)
 	return m
 }
-
-// SetUpper implements MAC.
-func (m *CSMA) SetUpper(fn func(*packet.Packet)) { m.upper = fn }
 
 // Reset implements MAC: idle state, empty queue, zero drop counter, and a
 // fresh "mac" substream derived in place from parent (the node's reseeded
@@ -411,14 +408,8 @@ func (m *CSMA) CarrierChanged(busy bool) {
 	case csmaIdle, csmaTx:
 		// Nothing to do: no pending frame, or our own transmission
 		// (completion is handled by the tx-end timer). The MAC does not
-		// listen in these states, so it sees only some of these edges.
-	}
-}
-
-// FrameReceived implements channel.Radio.
-func (m *CSMA) FrameReceived(p *packet.Packet) {
-	if m.upper != nil {
-		m.upper(p)
+		// listen in these states, so only a channel built with
+		// channel.Config.EagerCarrier reports these edges.
 	}
 }
 
@@ -426,10 +417,9 @@ func (m *CSMA) FrameReceived(p *packet.Packet) {
 // back, with no carrier sense. Collisions still occur at the channel unless
 // the channel is configured without them.
 type Ideal struct {
-	sim   *sim.Simulator
-	ch    *channel.Channel
-	idx   int
-	upper func(*packet.Packet)
+	sim *sim.Simulator
+	ch  *channel.Channel
+	idx int
 
 	sending bool
 	// queue[head:] is the FIFO; see CSMA.queue for the reuse scheme.
@@ -444,9 +434,6 @@ func NewIdeal(s *sim.Simulator, ch *channel.Channel, idx int) *Ideal {
 	ch.Listen(idx, false) // it never senses the carrier
 	return m
 }
-
-// SetUpper implements MAC.
-func (m *Ideal) SetUpper(fn func(*packet.Packet)) { m.upper = fn }
 
 // Reset implements MAC. Ideal draws no randomness; parent is unused.
 func (m *Ideal) Reset(parent *rng.RNG) {
@@ -488,12 +475,7 @@ func (m *Ideal) next() {
 	m.ch.TransmitThen(m.idx, p, idealNextCB, m, 0)
 }
 
-// FrameReceived implements channel.Radio.
-func (m *Ideal) FrameReceived(p *packet.Packet) {
-	if m.upper != nil {
-		m.upper(p)
-	}
-}
-
-// CarrierChanged implements channel.Radio. Ideal ignores the carrier.
+// CarrierChanged implements channel.Radio. Ideal ignores the carrier, and
+// since it never listens only a channel built with
+// channel.Config.EagerCarrier calls it.
 func (m *Ideal) CarrierChanged(bool) {}

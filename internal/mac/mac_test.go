@@ -21,19 +21,30 @@ func rig(pos []geom.Point) (*sim.Simulator, *channel.Channel, *Countdowns) {
 
 func hello(from packet.NodeID) *packet.Packet { return packet.NewHello(from, nil) }
 
+// receivedAt installs the channel's delivery hook and returns the sizes
+// of the frames it hands to node, in delivery order.
+func receivedAt(ch *channel.Channel, node int) *[]int {
+	sizes := new([]int)
+	ch.Deliver = func(to int, p *packet.Packet) {
+		if to == node {
+			*sizes = append(*sizes, p.Size)
+		}
+	}
+	return sizes
+}
+
 func TestCSMAImmediateWhenIdle(t *testing.T) {
 	s, ch, cd := rig([]geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}})
 	m0 := NewCSMA(s, ch, cd, 0, DefaultCSMAConfig(), rng.New(1))
-	m1 := NewCSMA(s, ch, cd, 1, DefaultCSMAConfig(), rng.New(2))
-	var got []*packet.Packet
-	m1.SetUpper(func(p *packet.Packet) { got = append(got, p) })
+	_ = NewCSMA(s, ch, cd, 1, DefaultCSMAConfig(), rng.New(2))
+	got := receivedAt(ch, 1)
 	m0.Send(hello(0))
 	s.Run()
-	if len(got) != 1 {
-		t.Fatalf("deliveries = %d, want 1", len(got))
+	if len(*got) != 1 {
+		t.Fatalf("deliveries = %d, want 1", len(*got))
 	}
 	// Idle medium: DIFS + airtime + propagation, no backoff slots.
-	maxExpected := DefaultCSMAConfig().DIFS + ch.Duration(got[0].Size) + sim.Microsecond
+	maxExpected := DefaultCSMAConfig().DIFS + ch.Duration((*got)[0]) + sim.Microsecond
 	if s.Now() > maxExpected {
 		t.Errorf("took %v, want <= %v (no backoff on idle medium)", s.Now(), maxExpected)
 	}
@@ -48,7 +59,7 @@ func TestCSMADefersWhileBusy(t *testing.T) {
 	_ = NewCSMA(s, ch, cd, 2, DefaultCSMAConfig(), rng.New(3))
 
 	var order []packet.NodeID
-	ch.OnDeliver = func(to int, p *packet.Packet) {
+	ch.Deliver = func(to int, p *packet.Packet) {
 		if to == 2 {
 			order = append(order, p.From)
 		}
@@ -72,7 +83,7 @@ func TestCSMATwoContendersNoCollisionWithDistinctSlots(t *testing.T) {
 		m1 := NewCSMA(s, ch, cd, 1, DefaultCSMAConfig(), rng.New(seed*3+2))
 		m2 := NewCSMA(s, ch, cd, 2, DefaultCSMAConfig(), rng.New(seed*3+3))
 		var got int
-		ch.OnDeliver = func(to int, p *packet.Packet) {
+		ch.Deliver = func(to int, p *packet.Packet) {
 			if to == 3 && p.From != 0 {
 				got++
 			}
@@ -97,9 +108,8 @@ func TestCSMATwoContendersNoCollisionWithDistinctSlots(t *testing.T) {
 func TestCSMAQueueFIFO(t *testing.T) {
 	s, ch, cd := rig([]geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}})
 	m0 := NewCSMA(s, ch, cd, 0, DefaultCSMAConfig(), rng.New(1))
-	m1 := NewCSMA(s, ch, cd, 1, DefaultCSMAConfig(), rng.New(2))
-	var sizes []int
-	m1.SetUpper(func(p *packet.Packet) { sizes = append(sizes, p.Size) })
+	_ = NewCSMA(s, ch, cd, 1, DefaultCSMAConfig(), rng.New(2))
+	got := receivedAt(ch, 1)
 	for i := 1; i <= 3; i++ {
 		p := hello(0)
 		p.Size = i * 10
@@ -109,7 +119,7 @@ func TestCSMAQueueFIFO(t *testing.T) {
 		t.Errorf("queue length = %d, want 3", m0.QueueLen())
 	}
 	s.Run()
-	if len(sizes) != 3 || sizes[0] != 10 || sizes[1] != 20 || sizes[2] != 30 {
+	if sizes := *got; len(sizes) != 3 || sizes[0] != 10 || sizes[1] != 20 || sizes[2] != 30 {
 		t.Errorf("delivery order = %v", sizes)
 	}
 }
@@ -140,14 +150,13 @@ func TestCSMAQueueOverflowDrops(t *testing.T) {
 func TestIdealImmediateAndSerialized(t *testing.T) {
 	s, ch, _ := rig([]geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}})
 	m0 := NewIdeal(s, ch, 0)
-	m1 := NewIdeal(s, ch, 1)
-	var got []*packet.Packet
-	m1.SetUpper(func(p *packet.Packet) { got = append(got, p) })
+	_ = NewIdeal(s, ch, 1)
+	got := receivedAt(ch, 1)
 	m0.Send(hello(0))
 	m0.Send(hello(0))
 	s.Run()
-	if len(got) != 2 {
-		t.Fatalf("deliveries = %d, want 2 (back-to-back, no self-overlap)", len(got))
+	if len(*got) != 2 {
+		t.Fatalf("deliveries = %d, want 2 (back-to-back, no self-overlap)", len(*got))
 	}
 }
 
@@ -158,7 +167,7 @@ func TestIdealIgnoresCarrier(t *testing.T) {
 	m0 := NewIdeal(s, ch, 0)
 	m2 := NewIdeal(s, ch, 2)
 	var got int
-	ch.OnDeliver = func(to int, p *packet.Packet) {
+	ch.Deliver = func(to int, p *packet.Packet) {
 		if to == 1 {
 			got++
 		}
@@ -177,13 +186,12 @@ func TestCSMAReceiveDuringContention(t *testing.T) {
 	s, ch, cd := rig([]geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}})
 	m0 := NewCSMA(s, ch, cd, 0, DefaultCSMAConfig(), rng.New(1))
 	m1 := NewCSMA(s, ch, cd, 1, DefaultCSMAConfig(), rng.New(2))
-	var got0 int
-	m0.SetUpper(func(p *packet.Packet) { got0++ })
+	got0 := receivedAt(ch, 0)
 	m1.Send(hello(1))
 	s.After(5*sim.Microsecond, func() { m0.Send(hello(0)) })
 	s.Run()
-	if got0 != 1 {
-		t.Errorf("node 0 received %d frames, want 1", got0)
+	if len(*got0) != 1 {
+		t.Errorf("node 0 received %d frames, want 1", len(*got0))
 	}
 }
 

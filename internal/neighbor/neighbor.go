@@ -20,6 +20,11 @@
 // each would start with a cache miss on the entries; the seal touches
 // each table once, while it is in cache.
 //
+// A session that knows how many HELLOs each node can decode gives every
+// table its log up front (UseLog), carved from one arena, so filling the
+// logs allocates nothing; a table that hears more outgrows its carve into
+// an allocation of its own, as an uncarved log grows by append.
+//
 // Reset empties the table in place, keeping its storage for session
 // reuse.
 package neighbor
@@ -101,6 +106,19 @@ func grow(s []Entry, n int) []Entry {
 	g := make([]Entry, n)
 	copy(g, s)
 	return g
+}
+
+// UseLog gives the table's HELLO log buf's storage: the log then takes
+// cap(buf) HELLOs before an Observe moves it to an allocation of its own.
+// buf must be capped (a full slice expression) where the caller's storage
+// for this table ends, so that the log never writes past it. The log must
+// be empty: the table is new, Reset or just sealed.
+func (t *Table) UseLog(buf []packet.NodeID) {
+	t.own()
+	if len(t.log) > 0 {
+		panic("neighbor: UseLog on a table with unsealed HELLOs")
+	}
+	t.log = buf[:0]
 }
 
 // Observe records a HELLO from id carrying the given group memberships.

@@ -401,3 +401,86 @@ func TestCopiedTableRefusesWrites(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSealedTableMatchesEager holds the HELLO log to the eager reference
+// on fuzzed scripts. Two tables, t0 and t1, start with logs carved from
+// one arena (UseLog) at capacities the script picks, each carve followed
+// by guard cells; every two bytes after the first two are one step: an
+// Observe on either table (the id from a small range with the int32
+// extremes, one of five membership sets), a full read of either table, a
+// CopyFrom in either direction, a Reset of either table, or a fresh carve
+// for a table whose log is empty. A carve smaller than the HELLOs a
+// table hears overflows into an allocation of its own; the guards must
+// never change, and after every read a table must hold the reference's
+// ids, counts and memberships at the same positions.
+func FuzzSealedTableMatchesEager(f *testing.F) {
+	f.Add([]byte{2, 1, 0, 3, 0, 3, 0, 3, 0, 4, 2, 0})       // t0 overflows a carve of 2
+	f.Add([]byte{0, 0, 1, 7, 1, 9, 5, 0, 0, 7, 3, 0, 2, 1}) // uncarved logs, CopyFrom
+	f.Add([]byte{8, 8, 0, 1, 1, 1, 6, 0, 8, 5, 0, 2, 3, 1, 2, 0})
+	ids := []packet.NodeID{-1 << 31, 1<<31 - 1, 0, 1, 2, 3, 5, 8, 13, 21, -7}
+	sets := [][]packet.GroupID{nil, {1}, {2}, {1, 2}, {3, 1, 2}}
+	const guard = packet.NodeID(-12345)
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) < 2 {
+			return
+		}
+		var tbs [2]Table
+		var refs [2]eagerTable
+		var guards [][]packet.NodeID // each carve's guard cells
+		carve := func(k int, n int) {
+			arena := make([]packet.NodeID, n+2)
+			arena[n], arena[n+1] = guard, guard
+			tbs[k].UseLog(arena[:n:n])
+			guards = append(guards, arena[n:])
+		}
+		check := func(step, k int) {
+			tb, ref := &tbs[k], &refs[k]
+			if tb.Len() != len(ref.ids) {
+				t.Fatalf("step %d: table %d holds %d entries, reference %d", step, k, tb.Len(), len(ref.ids))
+			}
+			for i, id := range ref.ids {
+				e := tb.At(i)
+				if e.ID != id || e.Count != ref.counts[i] || !slices.Equal(groupsAt(tb, i), ref.groups[i]) {
+					t.Fatalf("step %d: table %d position %d holds id %d count %d groups %v, reference id %d count %d groups %v",
+						step, k, i, e.ID, e.Count, groupsAt(tb, i), id, ref.counts[i], ref.groups[i])
+				}
+			}
+			for _, g := range guards {
+				if g[0] != guard || g[1] != guard {
+					t.Fatalf("step %d: a log wrote past its carve: guards %v", step, g)
+				}
+			}
+		}
+		for k := range tbs {
+			if n := int(script[k] % 16); n > 0 {
+				carve(k, n)
+			}
+		}
+		for step, b := 0, script[2:]; len(b) >= 2; step, b = step+1, b[2:] {
+			k, arg := int(b[0]&1), int(b[1])
+			switch b[0] >> 1 % 8 {
+			case 0, 1, 2: // Observe, the most common step
+				id, groups := ids[arg%len(ids)], sets[arg/len(ids)%len(sets)]
+				tbs[k].Observe(id, groups)
+				refs[k].observe(id, groups)
+			case 3:
+				check(step, k)
+			case 4:
+				tbs[k].CopyFrom(&tbs[1-k])
+				refs[k].copyFrom(&refs[1-k])
+			case 5:
+				tbs[k].Reset()
+				refs[k].reset()
+			case 6:
+				tbs[k].Seal()
+				carve(k, arg%16)
+			case 7:
+				if id := ids[arg%len(ids)]; tbs[k].Reliable(id, 1) != slices.Contains(refs[k].ids, id) {
+					t.Fatalf("step %d: table %d Reliable(%d, 1) disagrees with the reference", step, k, id)
+				}
+			}
+		}
+		check(-1, 0)
+		check(-1, 1)
+	})
+}

@@ -257,23 +257,25 @@ func TestLazyCarrierMatchesEager(t *testing.T) {
 // -packets 5` runs. The eager fan runs 43,720 fan calls; lazy carrier
 // sense runs 10,106 of them and folds the other 33,614, of which 123 are
 // queued after all when their node's MAC starts to contend. Both process
-// the same 49,683 events; the lazy fan executes 13,205 of them.
+// the same 49,683 events; the lazy fan executes 13,205 of them. The eager
+// fan hands its radios 41,924 carrier edges; the lazy one tells only the
+// listening radios, 620 edges of the 11,480 its busy counts go through.
 func TestCarrierCountsGridSeed4(t *testing.T) {
 	d := diffSession{proto: mtmrp.MTMRP, seed: 4, receivers: 20}
 	type counts struct {
-		fanCalls, folded, materialised, processed, executed uint64
+		fanCalls, folded, materialised, notified, processed, executed uint64
 	}
 	measure := func() counts {
 		s := d.simulate(t, nil)
 		cs, st := s.Network().Chan.Stats(), s.Stats()
-		return counts{cs.FanCalls, cs.Folded, cs.Materialised, st.Processed, st.Executed}
+		return counts{cs.FanCalls, cs.Folded, cs.Materialised, cs.Notified, st.Processed, st.Executed}
 	}
-	if got, want := measure(), (counts{10_106, 33_614, 123, 49_683, 13_205}); got != want {
+	if got, want := measure(), (counts{10_106, 33_614, 123, 620, 49_683, 13_205}); got != want {
 		t.Errorf("lazy: %+v, want %+v", got, want)
 	}
 	restore := network.UseEagerCarrier()
 	defer restore()
-	if got, want := measure(), (counts{43_720, 0, 0, 49_683, 46_696}); got != want {
+	if got, want := measure(), (counts{43_720, 0, 0, 41_924, 49_683, 46_696}); got != want {
 		t.Errorf("eager: %+v, want %+v", got, want)
 	}
 }

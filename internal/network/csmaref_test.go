@@ -52,20 +52,17 @@ const (
 // (channel.Channel.Listen) in the states mac.CSMA listens in — deferring,
 // in DIFS or counting down — so both fold the same carrier edges.
 type refCSMA struct {
-	sim   *sim.Simulator
-	ch    *channel.Channel
-	idx   int
-	cfg   mac.CSMAConfig
-	rnd   *rng.RNG
-	upper func(*packet.Packet)
+	sim *sim.Simulator
+	ch  *channel.Channel
+	idx int
+	cfg mac.CSMAConfig
+	rnd *rng.RNG
 
 	state refState
 	queue []*packet.Packet
 	slots int       // remaining backoff slots
 	timer sim.Event // pending DIFS/slot timer
 }
-
-func (m *refCSMA) SetUpper(fn func(*packet.Packet)) { m.upper = fn }
 
 func (m *refCSMA) Reset(parent *rng.RNG) {
 	m.queue = m.queue[:0]
@@ -169,11 +166,5 @@ func (m *refCSMA) CarrierChanged(busy bool) {
 		if !busy {
 			m.start()
 		}
-	}
-}
-
-func (m *refCSMA) FrameReceived(p *packet.Packet) {
-	if m.upper != nil {
-		m.upper(p)
 	}
 }

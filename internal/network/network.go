@@ -62,18 +62,18 @@ type Protocol interface {
 	Receive(p *packet.Packet)
 }
 
-// Node is one sensor node: identity, position, group membership, MAC and
-// protocol instance.
+// Node is one sensor node: identity, position, group membership and MAC.
+// Its protocol instance and liveness live in the network's dense per-node
+// tables (Network.protos, Network.down), which the receive path reads
+// without loading the node.
 type Node struct {
 	ID       packet.NodeID
 	Pos      int // index into the topology (== int(ID))
 	net      *Network
 	mac      mac.MAC
-	proto    Protocol
 	groups   []packet.GroupID // sorted memberships (small; linear scan)
-	down     bool
-	Rand     *rng.RNG // per-node substream for protocol jitter
-	rngLabel string   // precomputed "node-i" derivation key for Reset
+	Rand     *rng.RNG         // per-node substream for protocol jitter
+	rngLabel string           // precomputed "node-i" derivation key for Reset
 }
 
 // Network owns the simulation.
@@ -89,10 +89,16 @@ type Network struct {
 	lossRand *rng.RNG        // the channel's loss-model stream (reseeded on Reset)
 	pkt      *packet.Factory // pooled frames shared by the whole simulation
 
+	// protos[i] is node i's protocol (nil before SetProtocol) and down[i]
+	// whether node i has failed: dense per-node tables, so a reception
+	// (deliver) reads two slices and the protocol, not the node.
+	protos []Protocol
+	down   []bool
+
 	// OnTransmit observes every frame put on the air (after MAC).
 	OnTransmit func(from *Node, p *packet.Packet)
-	// OnDeliver observes every frame successfully received, before the
-	// protocol handles it.
+	// OnDeliver observes every frame successfully received at a live
+	// node, before the protocol handles it.
 	OnDeliver func(to *Node, p *packet.Packet)
 
 	// digest is the run's frame digest while digesting (SetDigest).
@@ -126,6 +132,8 @@ func New(topo *topology.Topology, cfg Config) *Network {
 	net := &Network{
 		Sim:      s,
 		Nodes:    make([]*Node, topo.N()),
+		protos:   make([]Protocol, topo.N()),
+		down:     make([]bool, topo.N()),
 		Rand:     new(rng.RNG),
 		chanRand: new(rng.RNG),
 		lossRand: new(rng.RNG),
@@ -141,26 +149,14 @@ func New(topo *topology.Topology, cfg Config) *Network {
 	})
 	net.Chan = ch
 	ch.OnAir = func(from int, p *packet.Packet) {
-		n := net.Nodes[from]
 		if net.digesting {
-			net.fold(frameTx, n, p)
+			net.fold(frameTx, from, p)
 		}
 		if net.OnTransmit != nil {
-			net.OnTransmit(n, p)
+			net.OnTransmit(net.Nodes[from], p)
 		}
 	}
-	ch.OnDeliver = func(to int, p *packet.Packet) {
-		n := net.Nodes[to]
-		if n.down {
-			return
-		}
-		if net.digesting {
-			net.fold(frameRx, n, p)
-		}
-		if net.OnDeliver != nil {
-			net.OnDeliver(n, p)
-		}
-	}
+	ch.Deliver = net.deliver
 	cd := new(mac.Countdowns)
 	for i := range net.Nodes {
 		n := &Node{
@@ -179,7 +175,6 @@ func New(topo *topology.Topology, cfg Config) *Network {
 			panic(fmt.Sprintf("network: unknown MAC kind %d", cfg.MAC))
 		}
 		net.Nodes[i] = n
-		n.mac.SetUpper(func(p *packet.Packet) { net.deliver(i, p) })
 	}
 	net.Reset(topo, links, cfg.Seed)
 	return net
@@ -197,27 +192,37 @@ var newCSMA = func(s *sim.Simulator, ch *channel.Channel, cd *mac.Countdowns, i 
 	return mac.NewCSMA(s, ch, cd, i, cfg, new(rng.RNG))
 }
 
-func (net *Network) deliver(i int, p *packet.Packet) {
-	n := net.Nodes[i]
-	if n.down || n.proto == nil {
+// deliver is the channel's Deliver hook, the whole receive path: a frame
+// decoded at node to is dropped if the node is down; otherwise it is
+// folded into the digest, shown to the OnDeliver observers and handed to
+// the node's protocol, in that order, before the channel releases it.
+func (net *Network) deliver(to int, p *packet.Packet) {
+	if net.down[to] {
 		return
 	}
-	n.proto.Receive(p)
+	if net.digesting {
+		net.fold(frameRx, to, p)
+	}
+	if net.OnDeliver != nil {
+		net.OnDeliver(net.Nodes[to], p)
+	}
+	if pr := net.protos[to]; pr != nil {
+		pr.Receive(p)
+	}
 }
 
 // SetProtocol installs the routing protocol on node i.
 func (net *Network) SetProtocol(i int, p Protocol) {
-	n := net.Nodes[i]
-	n.proto = p
-	p.Attach(n)
+	net.protos[i] = p
+	p.Attach(net.Nodes[i])
 }
 
 // Start invokes Start on every protocol instance. Call after all
 // SetProtocol calls and before running the simulator.
 func (net *Network) Start() {
-	for _, n := range net.Nodes {
-		if n.proto != nil && !n.down {
-			n.proto.Start()
+	for i, pr := range net.protos {
+		if pr != nil && !net.down[i] {
+			pr.Start()
 		}
 	}
 }
@@ -251,10 +256,10 @@ func (net *Network) Reset(topo *topology.Topology, links *channel.LinkTable, see
 	net.root.DeriveInto("network", net.Rand)
 	net.Topo = topo
 	net.Chan.Reset(links)
+	clear(net.down)
 	for _, n := range net.Nodes {
 		net.root.DeriveInto(n.rngLabel, n.Rand)
 		n.groups = n.groups[:0]
-		n.down = false
 		n.mac.Reset(n.Rand)
 	}
 }
@@ -282,10 +287,9 @@ func (net *Network) AdoptIdle(src *Network) {
 	net.Chan.AdoptIdle(src.Chan)
 	*net.chanRand = *src.chanRand
 	*net.lossRand = *src.lossRand
+	copy(net.down, src.down)
 	for i, n := range net.Nodes {
-		s := src.Nodes[i]
-		n.down = s.down
-		n.mac.AdoptIdle(s.mac)
+		n.mac.AdoptIdle(src.Nodes[i].mac)
 	}
 }
 
@@ -324,10 +328,10 @@ func (net *Network) Digest() uint64 {
 	return net.digest
 }
 
-// fold hashes one frame event into the digest.
-func (net *Network) fold(kind byte, n *Node, p *packet.Packet) {
+// fold hashes one frame event at node i into the digest.
+func (net *Network) fold(kind byte, i int, p *packet.Packet) {
 	h := net.digest
-	for _, v := range [...]uint64{uint64(net.Sim.Now()), uint64(kind), uint64(n.ID),
+	for _, v := range [...]uint64{uint64(net.Sim.Now()), uint64(kind), uint64(i),
 		uint64(p.From), uint64(p.Type), p.UID, uint64(p.Size)} {
 		for k := 0; k < 64; k += 8 {
 			h = (h ^ (v >> k & 0xff)) * fnvPrime
@@ -355,11 +359,11 @@ func (net *Network) Run() { net.Sim.Run() }
 func (n *Node) Net() *Network { return n.net }
 
 // Proto returns the node's protocol instance (nil before SetProtocol).
-func (n *Node) Proto() Protocol { return n.proto }
+func (n *Node) Proto() Protocol { return n.net.protos[n.ID] }
 
 // Send broadcasts a frame via the MAC. Downed nodes silently drop.
 func (n *Node) Send(p *packet.Packet) {
-	if n.down {
+	if n.Down() {
 		return
 	}
 	p.From = n.ID
@@ -370,7 +374,7 @@ func (n *Node) Send(p *packet.Packet) {
 // failed by then.
 func (n *Node) After(d sim.Time, fn func()) sim.Event {
 	return n.net.Sim.After(d, func() {
-		if !n.down {
+		if !n.Down() {
 			fn()
 		}
 	})
@@ -434,11 +438,11 @@ func (n *Node) Groups() []packet.GroupID { return n.groups }
 // Fail takes the node down: it stops sending, receiving and timing out.
 // Used by the fault schedule (internal/fault) and the failure-injection
 // tests.
-func (n *Node) Fail() { n.down = true }
+func (n *Node) Fail() { n.net.down[n.ID] = true }
 
 // Recover brings a failed node back (fresh protocol state is the caller's
 // concern).
-func (n *Node) Recover() { n.down = false }
+func (n *Node) Recover() { n.net.down[n.ID] = false }
 
 // Down reports whether the node has failed.
-func (n *Node) Down() bool { return n.down }
+func (n *Node) Down() bool { return n.net.down[n.ID] }

@@ -206,16 +206,8 @@ func TestFrameDigest(t *testing.T) {
 		}
 		net.SetDigest(digest)
 		want := fnvOffset
-		hash := func(kind byte, n *Node, p *packet.Packet) {
-			for _, v := range []uint64{uint64(net.Sim.Now()), uint64(kind), uint64(n.ID),
-				uint64(p.From), uint64(p.Type), p.UID, uint64(p.Size)} {
-				for k := 0; k < 8; k++ {
-					want = (want ^ uint64(byte(v>>(8*k)))) * fnvPrime
-				}
-			}
-		}
-		net.OnTransmit = func(n *Node, p *packet.Packet) { hash(frameTx, n, p) }
-		net.OnDeliver = func(n *Node, p *packet.Packet) { hash(frameRx, n, p) }
+		net.OnTransmit = func(n *Node, p *packet.Packet) { want = foldEvent(want, net, frameTx, n, p) }
+		net.OnDeliver = func(n *Node, p *packet.Packet) { want = foldEvent(want, net, frameRx, n, p) }
 		net.Nodes[2].Fail()
 		net.Start()
 		net.Run()
@@ -231,5 +223,67 @@ func TestFrameDigest(t *testing.T) {
 	net.Reset(topo, channel.NewLinkTable(topo.Positions, DefaultConfig(1).Radio), 1)
 	if net.Digest() != 0 {
 		t.Errorf("after Reset: Digest() = %x, want 0 (off)", net.Digest())
+	}
+}
+
+// foldEvent folds one frame event at node n into the digest h, byte by
+// byte, as Network.fold is documented to.
+func foldEvent(h uint64, net *Network, kind byte, n *Node, p *packet.Packet) uint64 {
+	for _, v := range []uint64{uint64(net.Sim.Now()), uint64(kind), uint64(n.ID),
+		uint64(p.From), uint64(p.Type), p.UID, uint64(p.Size)} {
+		for k := 0; k < 8; k++ {
+			h = (h ^ uint64(byte(v>>(8*k)))) * fnvPrime
+		}
+	}
+	return h
+}
+
+// TestCrashedNodeReceivesNothing pins the receive path (Network.deliver):
+// a frame the channel decodes at a crashed node reaches neither the
+// OnDeliver observers, nor the digest, nor the node's protocol, and a
+// live node without a protocol takes its frames without one. The middle
+// node sends once; node 0 has no protocol, node 2 has one and is down.
+// Recovering node 2 restores all three.
+func TestCrashedNodeReceivesNothing(t *testing.T) {
+	topo := smallTopo(t)
+	net := New(topo, DefaultConfig(1))
+	sender, crashed := &echoProto{sendOnce: true}, &echoProto{}
+	net.SetProtocol(1, sender)
+	net.SetProtocol(2, crashed)
+	if net.Nodes[0].Proto() != nil || net.Nodes[2].Proto() != Protocol(crashed) {
+		t.Fatal("Proto does not report the installed protocols")
+	}
+	net.SetDigest(true)
+	want := fnvOffset
+	var observed []packet.NodeID
+	net.OnTransmit = func(n *Node, p *packet.Packet) { want = foldEvent(want, net, frameTx, n, p) }
+	net.OnDeliver = func(n *Node, p *packet.Packet) {
+		observed = append(observed, n.ID)
+		want = foldEvent(want, net, frameRx, n, p)
+	}
+	net.Nodes[2].Fail()
+	net.Start()
+	net.Run()
+	if got := net.Chan.Stats().Deliveries; got != 2 {
+		t.Fatalf("channel decoded %d frames, want 2 (nodes 0 and 2)", got)
+	}
+	if len(observed) != 1 || observed[0] != 0 {
+		t.Errorf("observers saw receptions at %v, want only node 0", observed)
+	}
+	if len(crashed.received) != 0 {
+		t.Errorf("crashed node's protocol received %d frames", len(crashed.received))
+	}
+	if got := net.Digest(); got != want {
+		t.Errorf("digest %x, want %x: the crashed node's reception must not fold", got, want)
+	}
+
+	net.Nodes[2].Recover()
+	net.Nodes[1].Send(packet.NewHello(1, nil))
+	net.Run()
+	if len(observed) != 3 || observed[2] != 2 || len(crashed.received) != 1 {
+		t.Errorf("after recovery: observers saw %v, protocol received %d; want node 2 served", observed, len(crashed.received))
+	}
+	if got := net.Digest(); got != want {
+		t.Errorf("after recovery: digest %x, want %x", got, want)
 	}
 }
