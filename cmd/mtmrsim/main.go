@@ -35,7 +35,7 @@ func main() {
 		packets  = flag.Int("packets", 1, "data packets to send down the constructed tree")
 		rounds   = flag.Int("rounds", 0, "discovery rounds before sending data (0 = protocol default)")
 		snapshot = flag.Bool("snapshot", false, "render the forwarder field")
-		stats    = flag.Bool("stats", false, "print simulator stats (events processed and executed, executed events/sec, queue entries, peak queue depth) and each phase's live heap and wall time")
+		stats    = flag.Bool("stats", false, "print simulator stats (events processed and executed, executed events/sec, queue entries, peak queue depth), and the live heap and wall time after each set-up layer (topology, link table, session) and each phase")
 		verbose  = flag.Bool("v", false, "print per-type transmission counts and per-phase event totals")
 		traceOut = flag.String("trace", "", "write a JSONL event log to this file (see traceview)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -64,8 +64,18 @@ func run(topoKind, topoFile string, nodes int, side, txRange float64, protoArg s
 	if side <= 0 {
 		side = mtmrp.ScaledField(nodes)
 	}
+	proto, err := parseProtocol(protoArg)
+	if err != nil {
+		return err
+	}
+	// Set-up is sampled layer by layer under -stats (topology, link
+	// table, session), and the session is driven phase by phase (rather
+	// than the one-shot Run) so each phase's simulator-event share can be
+	// reported under -v and its live heap and wall time under -stats.
+	var mem memTrack
+	mem.enabled = stats
+	mem.sample("baseline")
 	var topo *mtmrp.Topology
-	var err error
 	switch {
 	case topoFile != "":
 		topo, err = mtmrp.LoadTopology(topoFile)
@@ -82,17 +92,14 @@ func run(topoKind, topoFile string, nodes int, side, txRange float64, protoArg s
 	default:
 		return fmt.Errorf("unknown topology %q (want grid or random)", topoKind)
 	}
-
-	proto, err := parseProtocol(protoArg)
-	if err != nil {
-		return err
-	}
+	mem.sample("topology")
+	links := mtmrp.NewLinkTable(topo)
+	mem.sample("links")
 
 	rcv, err := mtmrp.PickReceivers(topo, 0, rcvCount, seed+1)
 	if err != nil {
 		return err
 	}
-
 	sc := mtmrp.Scenario{
 		Topo:      topo,
 		Source:    0,
@@ -101,6 +108,7 @@ func run(topoKind, topoFile string, nodes int, side, txRange float64, protoArg s
 		N:         nParam,
 		Delta:     mtmrp.Duration(deltaMs * float64(mtmrp.Millisecond)),
 		Seed:      seed,
+		Links:     links,
 	}
 	if traceOut != "" {
 		f, err := os.Create(traceOut)
@@ -110,17 +118,11 @@ func run(topoKind, topoFile string, nodes int, side, txRange float64, protoArg s
 		defer f.Close()
 		sc.TraceWriter = f
 	}
-	// Drive the session phase by phase (rather than the one-shot Run) so
-	// each phase's simulator-event share can be reported under -v and the
-	// per-phase heap high-water mark under -stats.
-	var mem memTrack
-	mem.enabled = stats
-	mem.sample("baseline")
 	s, err := mtmrp.NewSession(sc)
 	if err != nil {
 		return err
 	}
-	mem.sample("construct")
+	mem.sample("session")
 	s.RunHello()
 	helloEvents := s.Events()
 	mem.sample("hello")
@@ -214,8 +216,8 @@ func (m *memTrack) sample(phase string) {
 }
 
 // report prints one line per phase plus the peak live heap per node.
-// heap is live bytes after the phase (so "construct" minus "baseline" is
-// the session's structures); sys is the runtime's OS reservation, the
+// heap is live bytes after the phase (so "session" minus "links" is the
+// session's own structures); sys is the runtime's OS reservation, the
 // number that has to fit in the machine; wall is the phase's own time,
 // the collection before each sample excluded (none for the baseline).
 func (m *memTrack) report(nodes int) {

@@ -3,6 +3,7 @@ package channel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"mtmrp/internal/geom"
@@ -16,10 +17,10 @@ import (
 // and offers two edits:
 //
 //   - MoveAll is the motion tick: it re-buckets every node that moved and
-//     refills the whole table through fillGrid, the fill NewLinkTable and
-//     Rebind use, computing each pair's distance once. A tick in which
-//     (nearly) every node moves costs one build, and build, rebind and
-//     motion share one path.
+//     refills the whole table through fill, the sweep and transpose
+//     NewLinkTable and Rebind use, computing each pair's distance once. A
+//     tick in which (nearly) every node moves costs one build without its
+//     degree count, and build, rebind and motion share one path.
 //   - Move relocates a single node and recomputes only its incident
 //     edges: the grid re-buckets the node, its own list is rebuilt from
 //     the grid's candidates, and each neighbor's reverse edge (decode-range
@@ -98,7 +99,7 @@ func (d *DynamicLinkTable) Rebind(positions []geom.Point) {
 	for i := range d.t.ver {
 		d.t.ver[i]++
 	}
-	d.t.fillGrid(d.positions, d.grid, &d.scratch)
+	d.t.fill(d.positions, d.grid, &d.scratch)
 }
 
 // Table returns the live link table. The pointer stays valid across moves
@@ -114,7 +115,7 @@ func (d *DynamicLinkTable) Position(i int) geom.Point { return d.positions[i] }
 // MoveAll relocates every node i to ps[i] — one motion tick — and
 // refills the whole table over the new positions. Nodes whose position is
 // unchanged are not re-bucketed, and a tick in which no node moved returns
-// at once. The refill runs through fillGrid, which compares each node's
+// at once. The refill runs through fill, which compares each node's
 // new list with the one it overwrites: only a node whose list came out
 // different has its version bumped, and an unchanged node keeps
 // its cached fan order. Once every list's storage has reached its
@@ -134,7 +135,7 @@ func (d *DynamicLinkTable) MoveAll(ps []geom.Point) {
 	if !moved {
 		return
 	}
-	d.t.fillGrid(d.positions, d.grid, &d.scratch)
+	d.t.fill(d.positions, d.grid, &d.scratch)
 	for i, changed := range d.scratch.changed {
 		if changed {
 			d.t.ver[i]++
@@ -145,11 +146,12 @@ func (d *DynamicLinkTable) MoveAll(ps []geom.Point) {
 // Move relocates node i to p and incrementally updates every edge
 // incident to it. The carrier-sense disc is symmetric, so cs[i] lists
 // exactly the nodes holding a reverse edge back to i — no scan over the
-// other n-1 nodes is ever needed. Node i's list is rebuilt from the grid;
-// the old and new lists, both ascending by destination, are then
-// merge-walked so a neighbor that stays inside the CS disc has its
-// reverse edge (and decode-range flag) overwritten in place, and only
-// neighbors that left or arrived pay a list insert or remove.
+// other n-1 nodes is ever needed. Node i's list is rebuilt from the
+// grid's candidates, sorted; the old and new lists, both ascending by
+// destination, are then merge-walked so a neighbor that stays inside the
+// CS disc has its reverse edge (and decode-range flag) overwritten in
+// place, and only neighbors that left or arrived pay a list insert or
+// remove.
 func (d *DynamicLinkTable) Move(i int, p geom.Point) {
 	if p == d.positions[i] {
 		return
@@ -163,8 +165,10 @@ func (d *DynamicLinkTable) Move(i int, p geom.Point) {
 	model, txPower := t.params.Model, t.params.TxPower
 	t.ver[i]++
 	oc := 0 // cursor into old
-	d.scratch.cand = d.grid.Candidates(p, cs, d.scratch.cand[:0])
-	for _, j := range d.scratch.cand {
+	d.scratch.cand = d.grid.CandidatesAbove(p, cs, -1, d.scratch.cand[:0])
+	slices.Sort(d.scratch.cand)
+	for _, c := range d.scratch.cand {
+		j := int(c)
 		if j == i {
 			continue
 		}

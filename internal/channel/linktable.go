@@ -3,7 +3,6 @@ package channel
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"mtmrp/internal/geom"
 	"mtmrp/internal/radio"
@@ -43,6 +42,12 @@ func (l link) rx() bool { return l.dst&rxFlag != 0 }
 
 // delay returns the link's propagation delay.
 func (l link) delay() sim.Time { return sim.Time(l.delayNS) }
+
+// reverse returns the edge back from l's destination to node from: the
+// same decode-range flag, delay and power.
+func (l link) reverse(from int) link {
+	return link{dst: uint32(from) | l.dst&rxFlag, delayNS: l.delayNS, power: l.power}
+}
 
 // LinkTable holds the precomputed propagation edges of one topology under
 // one radio configuration: for every node, the delay and received power of
@@ -98,22 +103,35 @@ func NewLinkTable(positions []geom.Point, params radio.Params) *LinkTable {
 	grid := geom.NewGridIndex(positions, cs/2)
 	// Room for a dense neighbourhood up front, so the scratch does not
 	// grow through append's doubling steps during the build.
-	sc := &fillScratch{
-		cand: make([]int, 0, 256),
-		keys: make([]uint64, 0, 128),
-		dist: make([]float64, 0, 128),
-	}
+	sc := &fillScratch{cand: make([]int32, 0, 256)}
 	t.carve(positions, grid, sc)
-	t.fillGrid(positions, grid, sc)
+	t.fill(positions, grid, sc)
 	return t
 }
 
-// fillScratch is fillGrid's working storage, kept by a caller that fills
+// sqBand is the relative half-width of the band around r² in which the
+// build decides disc membership by Dist rather than DistSq. DistSq and
+// Dist (math.Hypot) each come within a few ulps (~1e-15, relative) of
+// their exact values, so a pair outside the band compares with the
+// radius alike under both.
+const sqBand = 1e-9
+
+// sqBounds returns the squared distances lo and hi around r²: a pair with
+// DistSq <= lo lies inside the disc of radius r (Dist <= r), a pair with
+// DistSq > hi outside it, and a pair in between needs Dist. A radius
+// outside [1e-100, 1e100] leaves r² at the edge of the float range, so
+// there every pair needs Dist.
+func sqBounds(r float64) (lo, hi float64) {
+	if r < 1e-100 || r > 1e100 {
+		return math.Inf(-1), math.Inf(1)
+	}
+	return r * r * (1 - sqBand), r * r * (1 + sqBand)
+}
+
+// fillScratch is fill's working storage, kept by a caller that fills
 // repeatedly so that a warm fill allocates nothing.
 type fillScratch struct {
-	cand []int     // grid candidates of the node being filled
-	keys []uint64  // its higher neighbours: destination<<32 | index into dist
-	dist []float64 // their distances
+	cand []int32 // grid candidates of the node being filled
 
 	// changed[i] reports whether node i's list came out different from
 	// the one the fill overwrote. A fill rewrites each list in place from
@@ -122,24 +140,6 @@ type fillScratch struct {
 	// the fill.
 	changed []bool
 	old     []int32
-}
-
-// higher collects node i's higher-indexed neighbours inside the
-// carrier-sense disc into sc.keys and sc.dist, in the grid's bucket order.
-func (sc *fillScratch) higher(i int, positions []geom.Point, grid *geom.GridIndex, cs float64) {
-	p := positions[i]
-	sc.cand = grid.CandidatesUnsorted(p, cs, sc.cand[:0])
-	keys, dist := sc.keys[:0], sc.dist[:0]
-	for _, j := range sc.cand {
-		if j <= i {
-			continue
-		}
-		if d := p.Dist(positions[j]); d <= cs {
-			keys = append(keys, uint64(j)<<32|uint64(len(dist)))
-			dist = append(dist, d)
-		}
-	}
-	sc.keys, sc.dist = keys, dist
 }
 
 // add appends l to node i's list ls, first marking node i changed if l is
@@ -154,19 +154,26 @@ func (sc *fillScratch) add(ls []link, l link, i int) []link {
 }
 
 // carve gives every node an empty list whose capacity is its exact
-// carrier-sense degree, all cut from one flat slice. The degrees come
-// from the same grid candidates and distance test fillGrid then fills
-// the lists from, so the fill never reallocates.
+// carrier-sense degree, all cut from one flat slice. One sweep over the
+// grid visits each candidate pair once, from its lower index, and counts
+// it when it lies inside the carrier-sense disc. It tests DistSq and
+// calls Dist only inside sqBounds' band, so it decides membership exactly
+// as fill's Dist <= cs does, and the fill never reallocates.
 func (t *LinkTable) carve(positions []geom.Point, grid *geom.GridIndex, sc *fillScratch) {
+	cs := t.csRange
+	lo, hi := sqBounds(cs)
 	deg := make([]int32, len(positions))
 	total := 0
-	for i := range positions {
-		sc.higher(i, positions, grid, t.csRange)
-		deg[i] += int32(len(sc.keys))
-		for _, key := range sc.keys {
-			deg[key>>32]++
+	for i, p := range positions {
+		sc.cand = grid.CandidatesAbove(p, cs, i, sc.cand[:0])
+		for _, j := range sc.cand {
+			q := positions[j]
+			if d2 := p.DistSq(q); d2 <= lo || d2 <= hi && p.Dist(q) <= cs {
+				deg[i]++
+				deg[j]++
+				total += 2
+			}
 		}
-		total += 2 * len(sc.keys)
 	}
 	flat := make([]link, total)
 	t.cs = make([][]link, len(positions))
@@ -178,43 +185,56 @@ func (t *LinkTable) carve(positions []geom.Point, grid *geom.GridIndex, sc *fill
 	}
 }
 
-// fillGrid populates t's per-node link lists from positions through the
-// spatial index, reusing each node's existing slice storage. It computes
-// each pair once, from its lower index, and appends the edge to both
-// lists: node j receives its lower neighbours in ascending order (the
-// outer loop ascends) before its own turn appends the higher ones, which
-// that turn sorts first, since the grid hands candidates over in bucket
-// order. So every list comes out ascending by destination, exactly as the
-// naive all-pairs scan orders it, and because Dist is bitwise symmetric
-// both directions carry the delay and power that scan computes for each.
-// It reports in sc.changed which nodes' lists differ from the ones it
-// overwrote.
-func (t *LinkTable) fillGrid(positions []geom.Point, grid *geom.GridIndex, sc *fillScratch) {
+// fill populates t's per-node link lists from positions through the
+// spatial index, reusing each node's existing slice storage, and sorts
+// nothing. Its first pass computes each pair inside the carrier-sense
+// disc once, from its lower index i, and appends the edge to i to the
+// higher node's list: the outer loop ascends, so every list receives its
+// lower neighbours in ascending order. A transpose then walks the lists
+// in ascending order and appends each edge's reverse to the list of the
+// node it names, which so receives its higher neighbours in ascending
+// order after its lower ones. Every list thus comes out ascending by
+// destination, exactly as the naive all-pairs scan orders it, and
+// because Dist is bitwise symmetric both directions carry the delay and
+// power that scan computes for each. It reports in sc.changed which
+// nodes' lists differ from the ones it overwrote.
+func (t *LinkTable) fill(positions []geom.Point, grid *geom.GridIndex, sc *fillScratch) {
 	rx, cs := t.rxRange, t.csRange
+	_, hi := sqBounds(cs)
 	model, txPower := t.params.Model, t.params.TxPower
 	if n := len(positions); len(sc.changed) != n {
 		sc.changed = make([]bool, n)
 		sc.old = make([]int32, n)
 	}
-	for i := range positions {
+	for i := range t.cs {
 		sc.changed[i] = false
 		sc.old[i] = int32(len(t.cs[i]))
 		t.cs[i] = t.cs[i][:0]
 	}
-	for i := range positions {
-		sc.higher(i, positions, grid, cs)
-		slices.Sort(sc.keys)
-		for _, key := range sc.keys {
-			j, d := int(key>>32), sc.dist[uint32(key)]
-			delay := sim.Seconds(radio.PropDelay(d))
-			power := model.ReceivedPower(txPower, d)
-			inRX := d <= rx
-			t.cs[i] = sc.add(t.cs[i], makeLink(j, inRX, delay, power), i)
-			t.cs[j] = sc.add(t.cs[j], makeLink(i, inRX, delay, power), j)
+	for i, p := range positions {
+		sc.cand = grid.CandidatesAbove(p, cs, i, sc.cand[:0])
+		for _, j := range sc.cand {
+			q := positions[j]
+			if !(p.DistSq(q) <= hi) {
+				continue
+			}
+			if d := p.Dist(q); d <= cs {
+				delay := sim.Seconds(radio.PropDelay(d))
+				power := model.ReceivedPower(txPower, d)
+				t.cs[j] = sc.add(t.cs[j], makeLink(i, d <= rx, delay, power), int(j))
+			}
 		}
 	}
-	for i := range positions {
-		if int32(len(t.cs[i])) != sc.old[i] {
+	// When the transpose reaches node j, its list holds its lower
+	// neighbours only: its higher ones arrive from nodes after j.
+	for j, ls := range t.cs {
+		for _, l := range ls {
+			i := l.to()
+			t.cs[i] = sc.add(t.cs[i], l.reverse(j), i)
+		}
+	}
+	for i, ls := range t.cs {
+		if int32(len(ls)) != sc.old[i] {
 			sc.changed[i] = true
 		}
 	}

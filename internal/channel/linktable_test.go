@@ -2,6 +2,7 @@ package channel
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -11,6 +12,7 @@ import (
 	"mtmrp/internal/radio"
 	"mtmrp/internal/rng"
 	"mtmrp/internal/sim"
+	"mtmrp/internal/topology"
 )
 
 // randomField draws n uniform positions in a side x side square.
@@ -154,7 +156,9 @@ func BenchmarkTransmitDense(b *testing.B) {
 }
 
 // BenchmarkLinkTableBuild measures the grid-backed table construction on
-// the paper-scale 200-node field, against the naive reference.
+// the paper-scale 200-node field, against the naive reference, and on a
+// 10k-node field of the same density (topology.ScaledField), the
+// deployment every scale session builds afresh.
 func BenchmarkLinkTableBuild(b *testing.B) {
 	params := radio.MustDefault80211Params(40, 2.2)
 	pts := randomField(200, 200, rng.New(7))
@@ -168,6 +172,13 @@ func BenchmarkLinkTableBuild(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			newLinkTableNaive(pts, params)
+		}
+	})
+	scaled := randomField(10000, topology.ScaledField(10000), rng.New(7))
+	b.Run("scaled-10k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			NewLinkTable(scaled, params)
 		}
 	})
 }
@@ -214,4 +225,72 @@ func TestLinkTableBuildAllocs(t *testing.T) {
 		t.Logf("%d nodes, %d links: %.0f allocations, %d bytes per build (%.1f per link)",
 			f.n, links, allocs, got, float64(got)/float64(links))
 	}
+}
+
+// fuzzField decodes a fuzzer's bytes into a radio configuration and up to
+// 256 positions in a field of about 300 m, so that both builders stay
+// cheap. The first byte picks the carrier-sense ratio (1, 1.5 or 2.2:
+// carrier-sense disc equal to the reception disc or wider). Then each
+// step reads an opcode and two argument bytes: a fresh point, a duplicate
+// of an earlier one, a point at an earlier one's reception or
+// carrier-sense radius in one of 256 directions (whose Dist lands within
+// an ulp or so of the radius, either side), or a pair anchored at X = 0
+// exactly on a radius, whose Dist equals it bit for bit.
+func fuzzField(data []byte) (radio.Params, []geom.Point) {
+	ratios := [...]float64{1, 1.5, 2.2}
+	if len(data) == 0 {
+		return radio.MustDefault80211Params(40, 2.2), nil
+	}
+	params := radio.MustDefault80211Params(40, ratios[int(data[0])%len(ratios)])
+	radii := [...]float64{params.TxRange(), params.CSRange()}
+	var pts []geom.Point
+	for k := 1; k+2 < len(data) && len(pts) < 256; k += 3 {
+		op, a, b := data[k], data[k+1], data[k+2]
+		fresh := geom.Point{X: float64(a) * 1.2, Y: float64(b)*1.2 + float64(op)/256}
+		if len(pts) == 0 {
+			pts = append(pts, fresh)
+			continue
+		}
+		from := pts[int(a)%len(pts)]
+		switch op % 6 {
+		case 0, 1:
+			pts = append(pts, fresh)
+		case 2:
+			pts = append(pts, from)
+		case 3, 4:
+			r := radii[op%6-3]
+			theta := 2 * math.Pi * float64(b) / 256
+			pts = append(pts, from.Add(geom.Point{X: r * math.Cos(theta), Y: r * math.Sin(theta)}))
+		case 5:
+			y := float64(b) * 1.2
+			pts = append(pts, geom.Point{X: 0, Y: y}, geom.Point{X: radii[a%2], Y: y})
+		}
+	}
+	return params, pts
+}
+
+// FuzzLinkTableMatchesNaive holds the sweep-and-transpose build to the
+// all-pairs reference on fuzzer-generated fields with duplicate points
+// and pairs at (or within an ulp of) the reception and carrier-sense
+// radii, where the build's squared-distance test must hand over to Dist:
+// every list alike edge for edge (destination, decode-range flag, delay,
+// power), at the same length, and both laid out as runs of one flat
+// slice with every capacity equal to its length. The checked-in corpus under testdata/fuzz runs in every
+// plain go test.
+func FuzzLinkTableMatchesNaive(f *testing.F) {
+	f.Add([]byte{2, 0, 10, 10, 3, 0, 0, 4, 0, 64, 2, 1, 0, 5, 0, 30, 5, 1, 90})
+	f.Add([]byte{0, 0, 100, 100, 3, 0, 17, 3, 1, 200, 4, 0, 99, 2, 2, 0, 5, 0, 7})
+	f.Add([]byte{1, 1, 5, 5, 0, 6, 6, 1, 7, 5, 2, 0, 0, 2, 1, 0, 4, 2, 128, 3, 3, 33})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		params, pts := fuzzField(data)
+		got, want := NewLinkTable(pts, params), newLinkTableNaive(pts, params)
+		if err := linksEqual(got, want); err != nil {
+			t.Fatalf("%d points: %v", len(pts), err)
+		}
+		for name, tab := range map[string]*LinkTable{"grid": got, "naive": want} {
+			if err := carvedFlat(tab); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+	})
 }

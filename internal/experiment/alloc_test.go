@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"runtime"
 	"testing"
 
 	"mtmrp/internal/topology"
@@ -68,7 +69,10 @@ func TestSessionReuseSteadyStateAllocs(t *testing.T) {
 	// A paired round of every protocol through the pool: the rows take
 	// their sessions, the first proto.Base row runs HELLO and the others
 	// adopt it, Flooding and GMR run their own, and every row runs
-	// discovery and data — RunRound without the outcome extraction.
+	// discovery and data — RunRound without the outcome extraction. The
+	// measured rounds must make no allocation in total: GMR frames cut
+	// their branches from the factory's arenas, so no round depends on
+	// which recycled frame it is handed.
 	t.Run("round", func(t *testing.T) {
 		pool := NewSessionPool()
 		scs := make([]Scenario, len(allProtocolsPlus))
@@ -94,15 +98,31 @@ func TestSessionReuseSteadyStateAllocs(t *testing.T) {
 		}
 		before := pool.adopted
 		i := 0
-		allocs := testing.AllocsPerRun(2*len(seeds), func() {
+		runs := 2 * len(seeds)
+		if n := mallocs(runs, func() {
 			round(seeds[i%len(seeds)])
 			i++
-		})
-		if allocs != 0 {
-			t.Fatalf("steady-state round allocated %.1f objects/op, want 0", allocs)
+		}); n != 0 {
+			t.Fatalf("%d steady-state rounds allocated %d objects in total, want 0", runs, n)
 		}
 		if pool.adopted == before {
 			t.Fatal("no row adopted a HELLO phase")
 		}
 	})
+}
+
+// mallocs returns the heap allocations f makes over runs calls after one
+// warm-up call, on one P as testing.AllocsPerRun measures them. It
+// returns the total rather than AllocsPerRun's per-run quotient, which
+// floors a few allocations spread over the runs to 0.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -64,8 +64,8 @@ func NewGridIndex(pts []Point, cell float64) *GridIndex {
 		g.buckets[c] = flat[off:off:end]
 		off = end
 	}
-	// Appending in point order keeps every bucket ascending by index, which
-	// lets Candidates return a deterministic, sorted result.
+	// Appending in point order keeps every bucket ascending by index, so a
+	// query finds a bucket's indices above a threshold as one suffix.
 	g.cells = make([]int32, len(pts))
 	for i, p := range pts {
 		c := g.cellOf(p)
@@ -77,10 +77,10 @@ func NewGridIndex(pts []Point, cell float64) *GridIndex {
 
 // Move re-buckets point id at its new position p. Only the two affected
 // buckets are touched — O(bucket occupancy), independent of the total
-// point count — and both stay ascending, so Candidates' contract is
-// unchanged. The grid's bounds are a build-time property, not a fence:
+// point count — and both stay ascending, so CandidatesAbove's contract
+// is unchanged. The grid's bounds are a build-time property, not a fence:
 // a point moving outside the original bounding box lands in the border
-// cell on that side (cellOf clamps), and because Candidates clamps its
+// cell on that side (cellOf clamps), and because CandidatesAbove clamps its
 // query rectangle the same way, its results remain a superset of the
 // points within the query radius.
 func (g *GridIndex) Move(id int, p Point) {
@@ -139,57 +139,37 @@ func (g *GridIndex) clamp(i, n int) int {
 	return i
 }
 
-// Candidates appends to out the indices of every point whose cell overlaps
-// the disc of radius r around p — a superset of the points within r — and
-// returns the result in ascending index order. The caller applies its own
-// exact distance test; this keeps the query free of any assumption about
-// which metric (distance, squared distance, path loss) gates membership.
+// CandidatesAbove appends to out the indices above i of every point
+// whose cell overlaps the disc of radius r around p — a superset of the
+// points above i within r — and returns the result. The caller applies
+// its own exact distance test; this keeps the query free of any
+// assumption about which metric (distance, squared distance, path loss)
+// gates membership.
 //
+// The result comes in bucket order: each bucket's run is ascending, the
+// runs are not merged. A build that visits every pair once, from its
+// lower index, passes that index as i; i = -1 returns every candidate.
 // Passing a reused out[:0] keeps queries allocation-free once warm.
-func (g *GridIndex) Candidates(p Point, r float64, out []int) []int {
-	out, runs := g.appendCells(p, r, out)
-	// Buckets are individually ascending, so the result of a query that
-	// hit one bucket is already sorted. Merging multiple runs by sorting
-	// keeps the contract (ascending output) with a trivially small
-	// constant at WSN densities.
-	if runs > 1 {
-		sort.Ints(out)
-	}
-	return out
-}
-
-// CandidatesUnsorted appends the same indices as Candidates, in bucket
-// order instead of ascending order: each bucket's run is ascending, the
-// runs are not merged. A caller that keeps only some candidates and
-// orders those itself skips sorting the ones it drops.
-func (g *GridIndex) CandidatesUnsorted(p Point, r float64, out []int) []int {
-	out, _ = g.appendCells(p, r, out)
-	return out
-}
-
-// appendCells appends the contents of every bucket overlapping the disc
-// of radius r around p and reports how many non-empty buckets it read.
-func (g *GridIndex) appendCells(p Point, r float64, out []int) ([]int, int) {
+func (g *GridIndex) CandidatesAbove(p Point, r float64, i int, out []int32) []int32 {
 	if r < 0 {
-		return out, 0
+		return out
 	}
 	ix0 := g.clamp(int((p.X-r-g.minX)/g.cell), g.nx)
 	ix1 := g.clamp(int((p.X+r-g.minX)/g.cell), g.nx)
 	iy0 := g.clamp(int((p.Y-r-g.minY)/g.cell), g.ny)
 	iy1 := g.clamp(int((p.Y+r-g.minY)/g.cell), g.ny)
-	runs := 0
 	for iy := iy0; iy <= iy1; iy++ {
-		row := iy * g.nx
-		for ix := ix0; ix <= ix1; ix++ {
-			b := g.buckets[row+ix]
-			if len(b) == 0 {
+		for _, b := range g.buckets[iy*g.nx+ix0 : iy*g.nx+ix1+1] {
+			// A bucket ascends, so its indices above i are a suffix.
+			if len(b) == 0 || int(b[len(b)-1]) <= i {
 				continue
 			}
-			runs++
-			for _, idx := range b {
-				out = append(out, int(idx))
+			k := 0
+			for int(b[k]) <= i {
+				k++
 			}
+			out = append(out, b[k:]...)
 		}
 	}
-	return out, runs
+	return out
 }

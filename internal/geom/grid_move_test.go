@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -8,9 +9,10 @@ import (
 )
 
 // filtered applies the exact distance test to a candidate query around q.
-func filtered(g *GridIndex, pts []Point, q Point, radius float64, cand []int) []int {
-	cand = g.Candidates(q, radius, cand[:0])
-	var out []int
+func filtered(g *GridIndex, pts []Point, q Point, radius float64, cand []int32) []int32 {
+	cand = g.CandidatesAbove(q, radius, -1, cand[:0])
+	slices.Sort(cand)
+	var out []int32
 	for _, j := range cand {
 		if q.Dist(pts[j]) <= radius {
 			out = append(out, j)
@@ -20,7 +22,7 @@ func filtered(g *GridIndex, pts []Point, q Point, radius float64, cand []int) []
 }
 
 // TestGridMoveMatchesRebuild is the Move correctness property: after any
-// sequence of moves, filtering Candidates by the exact distance test must
+// sequence of moves, filtering CandidatesAbove by the exact distance test must
 // select the same points as a grid rebuilt from scratch over the moved
 // positions. The candidate supersets may differ (the moved grid keeps its
 // original bounds; the rebuilt one recomputes them), but the filtered
@@ -37,7 +39,7 @@ func TestGridMoveMatchesRebuild(t *testing.T) {
 			pts[i] = Point{X: r.Range(0, side), Y: r.Range(0, side)}
 		}
 		g := NewGridIndex(pts, cell)
-		var cand, a, b []int
+		var cand, a, b []int32
 		for m := 0; m < int(moves%40)+1; m++ {
 			id := r.Intn(n)
 			// Bias across cell boundaries and past the field border: a
@@ -116,8 +118,8 @@ func TestGridMoveNoOp(t *testing.T) {
 	if g.cells[0] != before {
 		t.Fatalf("intra-cell move re-bucketed the point")
 	}
-	var cand []int
-	cand = g.Candidates(Point{X: 1, Y: 1}, 5, cand)
+	var cand []int32
+	cand = g.CandidatesAbove(Point{X: 1, Y: 1}, 5, -1, cand)
 	if len(cand) != 1 || cand[0] != 0 {
 		t.Fatalf("candidates after intra-cell move: %v", cand)
 	}

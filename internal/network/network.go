@@ -246,6 +246,7 @@ func (net *Network) Reset(topo *topology.Topology, links *channel.LinkTable, see
 		panic("network: Reset requires a link table")
 	}
 	net.Sim.Reset()
+	net.pkt.Reset()
 	net.digest, net.digesting = 0, false
 	net.root.Seed(seed)
 	net.root.DeriveInto("channel", net.chanRand)

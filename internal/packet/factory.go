@@ -21,6 +21,18 @@ type Factory struct {
 	jr    []*Packet
 	data  []*Packet
 	geo   []*Packet
+
+	// Every geographic-multicast frame's branches and destination lists
+	// are cut from these two arenas rather than from storage the frame
+	// owns, so whether a build allocates does not depend on which frame
+	// the free list returns: once the arenas have grown to the most the
+	// traffic holds at once, no build does. geoLive counts the GMR frames
+	// built and not yet recycled; the arenas rewind when it is zero. A
+	// frame that is built but never recycled keeps them from rewinding
+	// until Reset.
+	geoAssign []GeoAssign
+	geoDests  []NodeID
+	geoLive   int
 }
 
 // NewFactory returns an empty factory.
@@ -98,37 +110,41 @@ func (f *Factory) NewData(from NodeID, d Data) *Packet {
 }
 
 // NewGeoData builds (or recycles) a geographic-multicast frame, deep-
-// copying the assignment header into storage owned by the frame (so the
-// caller may reuse its scratch slices). The size accounts for the
-// per-destination header overhead (4 bytes each plus 8 per branch).
+// copying the assignment header into the factory's arenas (so the caller
+// may reuse its scratch slices). Each branch's destination list is capped
+// at its length, so no holder can write into the next one. The size
+// accounts for the per-destination header overhead (4 bytes each plus 8
+// per branch).
 func (f *Factory) NewGeoData(from NodeID, g GeoData) *Packet {
 	p := get(&f.geo)
 	if p.Geo == nil {
 		p.Geo = &GeoData{}
 	}
-	gg := p.Geo
-	assign := gg.Assign[:0]
+	if f.geoLive == 0 {
+		f.geoAssign, f.geoDests = f.geoAssign[:0], f.geoDests[:0]
+	}
+	f.geoLive++
+	first := len(f.geoAssign)
 	size := DataHeader + g.PayloadLen
 	for _, a := range g.Assign {
-		n := len(assign)
-		var dests []NodeID
-		// Reuse the per-branch destination storage left from the frame's
-		// previous life, if any (slots past len(assign) still hold it).
-		if n < cap(assign) {
-			dests = assign[:n+1][n].Dests[:0]
-		}
-		dests = append(dests, a.Dests...)
-		assign = append(assign, GeoAssign{Next: a.Next, Dests: dests})
+		d := len(f.geoDests)
+		f.geoDests = append(f.geoDests, a.Dests...)
+		f.geoAssign = append(f.geoAssign, GeoAssign{Next: a.Next, Dests: f.geoDests[d:len(f.geoDests):len(f.geoDests)]})
 		size += 8 + 4*len(a.Dests)
 	}
-	*gg = g
-	gg.Assign = assign
+	*p.Geo = g
+	p.Geo.Assign = f.geoAssign[first:len(f.geoAssign):len(f.geoAssign)]
 	p.Type = TGeoData
 	p.From = from
 	p.Size = size
 	p.UID = 0
 	return p
 }
+
+// Reset forgets the GMR frames still counted in flight, so the next
+// NewGeoData rewinds the arenas. The owner calls it when it drops every
+// frame of a run, in flight or not, as a network reset does.
+func (f *Factory) Reset() { f.geoLive = 0 }
 
 // Hold sets the frame's reference count; the channel calls it once per
 // transmission with the number of pending events that will Release.
@@ -155,5 +171,6 @@ func (f *Factory) Release(p *Packet) {
 		f.data = append(f.data, p)
 	case TGeoData:
 		f.geo = append(f.geo, p)
+		f.geoLive--
 	}
 }

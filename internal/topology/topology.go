@@ -140,7 +140,13 @@ func FromPositions(pts []geom.Point, side, txRange float64) (*Topology, error) {
 // spatial index: O(n·density) instead of the old all-pairs O(n²) scan.
 // Each neighbor list comes out in ascending index order — the same order
 // the naive scan produced — which downstream traversals (DFS tree builds,
-// deterministic receiver picks) depend on.
+// deterministic receiver picks) depend on, and sorts nothing to get it.
+// One sweep counts every node's degree, visiting each candidate pair once
+// from its lower index, so that every list is carved at its exact
+// capacity from one flat slice. A second sweep appends each in-range pair
+// to the higher node's list, whose lower neighbours so arrive in
+// ascending order; a transpose over those lists, ascending, then appends
+// every node's higher neighbours after them, also ascending.
 func (t *Topology) buildAdjacency() {
 	n := len(t.Positions)
 	t.adj = make([][]int, n)
@@ -158,13 +164,39 @@ func (t *Topology) buildAdjacency() {
 		return
 	}
 	grid := geom.NewGridIndex(t.Positions, t.Range/2)
-	var cand []int
-	for i := 0; i < n; i++ {
-		cand = grid.Candidates(t.Positions[i], t.Range, cand[:0])
+	cand := make([]int32, 0, 64)
+	deg := make([]int32, n)
+	total := 0
+	for i, p := range t.Positions {
+		cand = grid.CandidatesAbove(p, t.Range, i, cand[:0])
 		for _, j := range cand {
-			if j != i && t.Positions[i].DistSq(t.Positions[j]) <= r2 {
-				t.adj[i] = append(t.adj[i], j)
+			if p.DistSq(t.Positions[j]) <= r2 {
+				deg[i]++
+				deg[j]++
+				total += 2
 			}
+		}
+	}
+	flat := make([]int, total)
+	off := 0
+	for i, k := range deg {
+		end := off + int(k)
+		t.adj[i] = flat[off:off:end]
+		off = end
+	}
+	for i, p := range t.Positions {
+		cand = grid.CandidatesAbove(p, t.Range, i, cand[:0])
+		for _, j := range cand {
+			if p.DistSq(t.Positions[j]) <= r2 {
+				t.adj[j] = append(t.adj[j], i)
+			}
+		}
+	}
+	// When the transpose reaches node j, its list holds its lower
+	// neighbours only: its higher ones arrive from nodes after j.
+	for j, nb := range t.adj {
+		for _, i := range nb {
+			t.adj[i] = append(t.adj[i], j)
 		}
 	}
 }

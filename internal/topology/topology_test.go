@@ -1,10 +1,13 @@
 package topology
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"mtmrp/internal/geom"
 	"mtmrp/internal/rng"
 )
 
@@ -100,7 +103,7 @@ func TestAdjacencyMatchesRange(t *testing.T) {
 				if j == i {
 					continue
 				}
-				inRange := topo.Positions[i].Dist(topo.Positions[j]) <= topo.Range
+				inRange := topo.Positions[i].DistSq(topo.Positions[j]) <= topo.Range*topo.Range
 				if inRange != nb[j] {
 					return false
 				}
@@ -111,6 +114,80 @@ func TestAdjacencyMatchesRange(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// naiveAdjacency is the O(n²) reference for buildAdjacency: every pair
+// with DistSq <= Range², each list in ascending order.
+func naiveAdjacency(pts []geom.Point, r float64) [][]int {
+	adj := make([][]int, len(pts))
+	for i := range pts {
+		for j := range pts {
+			if j != i && pts[i].DistSq(pts[j]) <= r*r {
+				adj[i] = append(adj[i], j)
+			}
+		}
+	}
+	return adj
+}
+
+// TestAdjacencyMatchesNaive holds the sweep-and-transpose adjacency to
+// the all-pairs scan, list for list and in order, on the paper grid (its
+// diagonals and axis neighbours at fixed spacings), random fields of
+// several densities, co-located points and pairs exactly on, and within
+// an ulp of, the range. Every list must also be a capacity-capped run of
+// one flat slice.
+func TestAdjacencyMatchesNaive(t *testing.T) {
+	const rg = 40.0
+	r := rng.New(9)
+	layouts := map[string][]geom.Point{"paper-grid": PaperGrid().Positions}
+	for _, n := range []int{2, 30, 200, 1000} {
+		layouts[fmt.Sprintf("random-%d", n)] = randomPoints(r, n, ScaledField(n))
+	}
+	coLocated := randomPoints(r, 40, 100)
+	for i := 1; i < len(coLocated); i += 3 {
+		coLocated[i] = coLocated[i-1]
+	}
+	layouts["co-located"] = coLocated
+	// Anchored at X = 0, b lies exactly rg away; c, on a circle of radius
+	// rg around a, lies within an ulp or so of it, either side.
+	var boundary []geom.Point
+	for k := 0; k < 64; k++ {
+		a := geom.Point{X: 0, Y: r.Range(0, 300)}
+		theta := r.Range(0, 2*math.Pi)
+		c := a.Add(geom.Point{X: rg * math.Cos(theta), Y: rg * math.Sin(theta)})
+		boundary = append(boundary, a, geom.Point{X: rg, Y: a.Y}, c)
+	}
+	layouts["boundary"] = boundary
+	for name, pts := range layouts {
+		topo, err := FromPositions(pts, 300, rg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := naiveAdjacency(pts, rg)
+		edges := 0
+		for i := range pts {
+			got := topo.Neighbors(i)
+			if !slices.Equal(got, want[i]) {
+				t.Fatalf("%s node %d: neighbours %v, want %v", name, i, got, want[i])
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("%s node %d: %d neighbours, capacity %d", name, i, len(got), cap(got))
+			}
+			edges += len(got)
+		}
+		if edges == 0 {
+			t.Fatalf("%s: no edges", name)
+		}
+	}
+}
+
+// randomPoints draws n uniform positions in a side x side square.
+func randomPoints(r *rng.RNG, n int, side float64) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Point{X: r.Range(0, side), Y: r.Range(0, side)}
+	}
+	return pts
 }
 
 func TestRandomPinsSource(t *testing.T) {
@@ -238,5 +315,24 @@ func TestKind(t *testing.T) {
 	topo, _ := Random(10, 100, 40, rng.New(1))
 	if topo.Kind() != "random-10" {
 		t.Errorf("Kind = %q", topo.Kind())
+	}
+}
+
+// BenchmarkTopologyBuild measures a random deployment with its unit-disc
+// adjacency on the paper's 200-node field and on a 10k-node field of the
+// same density (ScaledField). The positions are drawn once, off the
+// clock; each iteration builds the adjacency over them.
+func BenchmarkTopologyBuild(b *testing.B) {
+	for _, n := range []int{200, 10000} {
+		side := ScaledField(n)
+		pts := randomPoints(rng.New(7), n, side)
+		b.Run(fmt.Sprintf("%dnodes", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := FromPositions(pts, side, 40); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
