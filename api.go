@@ -211,10 +211,11 @@ type (
 	SweepStats = sweep.Stats
 	// Progress is one progress-callback observation (done/total, ETA).
 	Progress = sweep.Progress
-	// Table is the one result shape every sweep driver embeds: a Summary
+	// Table is the one result shape every sweep returns: a Summary
 	// per (row, axis point, metric) in Cells[row][axis][metric], with the
 	// row names (protocols or ablation variants), axis tick labels and
-	// metric names alongside, plus the engine's SweepStats.
+	// metric names alongside, plus the engine's SweepStats. Cell reads
+	// one summary by row name, axis index and metric name.
 	Table = experiment.Table
 )
 
@@ -272,13 +273,8 @@ func PickReceivers(t *Topology, source, k int, seed uint64) ([]int, error) {
 type (
 	// SweepConfig parameterises a group-size sweep (Figures 5–6).
 	SweepConfig = experiment.SweepConfig
-	// SweepResult holds per-(protocol, size, metric) summaries.
-	SweepResult = experiment.SweepResult
 	// TuningConfig parameterises the N x delta sweep (Figures 7–8).
 	TuningConfig = experiment.TuningConfig
-	// TuningResult holds the overhead surface per protocol; its axis is
-	// the (N, delta) grid, N-major.
-	TuningResult = experiment.TuningResult
 	// Metric indexes the evaluation metrics of Figures 5–6.
 	Metric = experiment.Metric
 	// TopoKind selects the evaluation topology family.
@@ -300,15 +296,27 @@ const (
 )
 
 // GroupSizeSweep runs the Monte-Carlo study behind Figure 5 (grid) or
-// Figure 6 (random topology).
-func GroupSizeSweep(cfg SweepConfig) (*SweepResult, error) {
+// Figure 6 (random topology): one row per protocol, one axis point per
+// group size, the metrics of Figures 5–6.
+func GroupSizeSweep(cfg SweepConfig) (*Table, error) {
 	return experiment.GroupSizeSweep(cfg)
 }
 
-// TuningSweep runs the N x delta parameter study behind Figures 7–8.
-func TuningSweep(cfg TuningConfig) (*TuningResult, error) {
+// TuningSweep runs the N x delta parameter study behind Figures 7–8; the
+// table's axis is the (N, delta) grid, N-major, and its one metric the
+// overhead.
+func TuningSweep(cfg TuningConfig) (*Table, error) {
 	return experiment.TuningSweep(cfg)
 }
+
+// ParseProtocol resolves a protocol name: the wire name ("mtmrp",
+// "mtmrp-nophs", "dodmrp", "odmrp", "flooding", "gmr"), the legend String
+// prints, or an alias ("nophs", "flood", "geographic"), in any case.
+func ParseProtocol(name string) (Protocol, error) { return experiment.ParseProtocol(name) }
+
+// ParseTopoKind resolves a topology-kind name ("grid" or "random", in any
+// case; "" is the grid).
+func ParseTopoKind(name string) (TopoKind, error) { return experiment.ParseTopoKind(name) }
 
 // Content-addressed service specs (cmd/mtmrd): wire-level JSON descriptions
 // of a sweep or single session whose canonical form hashes to a cache key.
@@ -347,12 +355,11 @@ func RunFromSpec(s RunSpec, pool *SessionPool) (*Outcome, error) {
 type (
 	// AblationConfig parameterises the mechanism ablation study.
 	AblationConfig = experiment.AblationConfig
-	// AblationResult holds per-(variant, metric) summaries.
-	AblationResult = experiment.AblationResult
 )
 
-// AblationSweep measures each MTMRP mechanism's contribution.
-func AblationSweep(cfg AblationConfig) (*AblationResult, error) {
+// AblationSweep measures each MTMRP mechanism's contribution: one row per
+// variant, one axis point (the group size), the metrics of Figures 5–6.
+func AblationSweep(cfg AblationConfig) (*Table, error) {
 	return experiment.AblationSweep(cfg)
 }
 
@@ -361,13 +368,11 @@ func AblationSweep(cfg AblationConfig) (*AblationResult, error) {
 type (
 	// AmortizeConfig parameterises the amortization study.
 	AmortizeConfig = experiment.AmortizeConfig
-	// AmortizeResult holds per-(protocol, packet-count) outcomes.
-	AmortizeResult = experiment.AmortizeResult
 )
 
 // AmortizeSweep measures total frames per delivered data packet as the
 // session length grows.
-func AmortizeSweep(cfg AmortizeConfig) (*AmortizeResult, error) {
+func AmortizeSweep(cfg AmortizeConfig) (*Table, error) {
 	return experiment.AmortizeSweep(cfg)
 }
 
@@ -376,12 +381,10 @@ func AmortizeSweep(cfg AmortizeConfig) (*AmortizeResult, error) {
 type (
 	// ShadowingConfig parameterises the robustness study.
 	ShadowingConfig = experiment.ShadowingConfig
-	// ShadowingResult holds per-(protocol, sigma) summaries.
-	ShadowingResult = experiment.ShadowingResult
 )
 
 // ShadowingSweep runs the fading robustness study.
-func ShadowingSweep(cfg ShadowingConfig) (*ShadowingResult, error) {
+func ShadowingSweep(cfg ShadowingConfig) (*Table, error) {
 	return experiment.ShadowingSweep(cfg)
 }
 
@@ -390,8 +393,6 @@ func ShadowingSweep(cfg ShadowingConfig) (*ShadowingResult, error) {
 type (
 	// FaultConfig parameterises the fault-robustness sweep.
 	FaultConfig = experiment.FaultConfig
-	// FaultResult holds per-(protocol, fail-fraction, metric) summaries.
-	FaultResult = experiment.FaultResult
 	// FaultMetric indexes the robustness metrics of a fault sweep.
 	FaultMetric = experiment.FaultMetric
 )
@@ -407,7 +408,7 @@ const (
 // FaultSweep runs the PDR-vs-node-failure-rate study: per round it draws a
 // crash schedule (protecting the source), paces data packets through the
 // disaster and measures how the protocols' soft state repairs the tree.
-func FaultSweep(cfg FaultConfig) (*FaultResult, error) {
+func FaultSweep(cfg FaultConfig) (*Table, error) {
 	return experiment.FaultSweep(cfg)
 }
 
@@ -416,8 +417,6 @@ func FaultSweep(cfg FaultConfig) (*FaultResult, error) {
 type (
 	// MobilityConfig parameterises the mobility sweep.
 	MobilityConfig = experiment.MobilityConfig
-	// MobilityResult holds per-(protocol, point, metric) summaries.
-	MobilityResult = experiment.MobilityResult
 	// MobilityMetric indexes the metrics of a mobility sweep.
 	MobilityMetric = experiment.MobilityMetric
 	// MobilityPoint is one x-axis point: (max speed, pause).
@@ -436,7 +435,7 @@ const (
 // draws a topology and receiver group, then runs every protocol over the
 // identical per-seed motion plan while data packets pace through the
 // drifting field.
-func MobilitySweep(cfg MobilityConfig) (*MobilityResult, error) {
+func MobilitySweep(cfg MobilityConfig) (*Table, error) {
 	return experiment.MobilitySweep(cfg)
 }
 

@@ -160,7 +160,7 @@ func TestFaultSweepFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell := res.Cell(mtmrp.MTMRP, 1, mtmrp.FaultMeanPDR)
+	cell := res.Cell(mtmrp.MTMRP.String(), 1, "mean_pdr")
 	if cell.N != 2 || cell.Mean <= 0 || cell.Mean > 1 {
 		t.Errorf("fault sweep cell = %+v", cell)
 	}
@@ -177,7 +177,7 @@ func TestSweepFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cell(mtmrp.MTMRP, 0, mtmrp.MetricOverhead).N != 2 {
+	if res.Cell(mtmrp.MTMRP.String(), 0, "overhead").N != 2 {
 		t.Error("sweep incomplete")
 	}
 }

@@ -5,7 +5,8 @@
 //	mtmrsim -topo random -nodes 200 -proto odmrp -receivers 15
 //	mtmrsim -topo random -nodes 10000 -side 0 -receivers 50 -stats
 //
-// Protocols: mtmrp, mtmrp-nophs, dodmrp, odmrp, flood.
+// Protocols: mtmrp, mtmrp-nophs, dodmrp, odmrp, flooding, gmr (any
+// spelling mtmrp.ParseProtocol accepts).
 package main
 
 import (
@@ -13,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"mtmrp"
@@ -64,7 +64,7 @@ func run(topoKind, topoFile string, nodes int, side, txRange float64, protoArg s
 	if side <= 0 {
 		side = mtmrp.ScaledField(nodes)
 	}
-	proto, err := parseProtocol(protoArg)
+	proto, err := mtmrp.ParseProtocol(protoArg)
 	if err != nil {
 		return err
 	}
@@ -76,21 +76,20 @@ func run(topoKind, topoFile string, nodes int, side, txRange float64, protoArg s
 	mem.enabled = stats
 	mem.sample("baseline")
 	var topo *mtmrp.Topology
-	switch {
-	case topoFile != "":
+	if topoFile != "" {
 		topo, err = mtmrp.LoadTopology(topoFile)
-		if err != nil {
-			return err
+	} else {
+		var kind mtmrp.TopoKind
+		if kind, err = mtmrp.ParseTopoKind(topoKind); err == nil {
+			if kind == mtmrp.GridTopo {
+				topo = mtmrp.Grid()
+			} else {
+				topo, err = mtmrp.RandomTopology(nodes, side, txRange, seed)
+			}
 		}
-	case topoKind == "grid":
-		topo = mtmrp.Grid()
-	case topoKind == "random":
-		topo, err = mtmrp.RandomTopology(nodes, side, txRange, seed)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown topology %q (want grid or random)", topoKind)
+	}
+	if err != nil {
+		return err
 	}
 	mem.sample("topology")
 	links := mtmrp.NewLinkTable(topo)
@@ -250,23 +249,4 @@ func fmtBytes(b uint64) string {
 		return fmt.Sprintf("%.1fKiB", float64(b)/(1<<10))
 	}
 	return fmt.Sprintf("%dB", b)
-}
-
-func parseProtocol(s string) (mtmrp.Protocol, error) {
-	switch strings.ToLower(s) {
-	case "mtmrp":
-		return mtmrp.MTMRP, nil
-	case "mtmrp-nophs", "nophs":
-		return mtmrp.MTMRPNoPHS, nil
-	case "dodmrp":
-		return mtmrp.DODMRP, nil
-	case "odmrp":
-		return mtmrp.ODMRP, nil
-	case "flood", "flooding":
-		return mtmrp.Flooding, nil
-	case "gmr", "geographic":
-		return mtmrp.GMR, nil
-	default:
-		return 0, fmt.Errorf("unknown protocol %q", s)
-	}
 }

@@ -25,7 +25,6 @@ package main
 import (
 	"context"
 	"encoding/csv"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -95,16 +94,14 @@ func main() {
 		return s.figure(fmt.Sprint(figNo), fmt.Sprintf("fig%d_%s", figNo, kind),
 			fmt.Sprintf("Figure %d: %s topology, group-size sweep (%d runs/point)", figNo, kind, r),
 			func(e mtmrp.EngineOptions) (*mtmrp.Table, error) {
-				res, err := mtmrp.GroupSizeSweep(mtmrp.SweepConfig{Topo: kind, Runs: r, Seed: sd, Protocols: protos, Engine: e})
-				return table(err, func() *mtmrp.Table { return &res.Table })
+				return mtmrp.GroupSizeSweep(mtmrp.SweepConfig{Topo: kind, Runs: r, Seed: sd, Protocols: protos, Engine: e})
 			})
 	}
 	tuning := func(figNo int, kind mtmrp.TopoKind, size int) figure {
 		return s.figure(fmt.Sprint(figNo), fmt.Sprintf("fig%d_%s", figNo, kind),
 			fmt.Sprintf("Figure %d: tuning N and delta, %s topology, %d receivers (%d runs/point)", figNo, kind, size, r),
 			func(e mtmrp.EngineOptions) (*mtmrp.Table, error) {
-				res, err := mtmrp.TuningSweep(mtmrp.TuningConfig{Topo: kind, GroupSize: size, Runs: r, Seed: sd, Engine: e})
-				return table(err, func() *mtmrp.Table { return &res.Table })
+				return mtmrp.TuningSweep(mtmrp.TuningConfig{Topo: kind, GroupSize: size, Runs: r, Seed: sd, Engine: e})
 			})
 	}
 	figs := []figure{
@@ -120,40 +117,35 @@ func main() {
 		s.figure("ablation", "ablation",
 			fmt.Sprintf("Extension: MTMRP mechanism ablation, grid, 20 receivers (%d runs)", r),
 			func(e mtmrp.EngineOptions) (*mtmrp.Table, error) {
-				res, err := mtmrp.AblationSweep(mtmrp.AblationConfig{Topo: mtmrp.GridTopo, GroupSize: 20, Runs: r, Seed: sd, Engine: e})
-				return table(err, func() *mtmrp.Table { return &res.Table })
+				return mtmrp.AblationSweep(mtmrp.AblationConfig{Topo: mtmrp.GridTopo, GroupSize: 20, Runs: r, Seed: sd, Engine: e})
 			}),
 		// How the one-time discovery cost amortises over data packets
 		// (§V.B.3's trade-off).
 		s.figure("amortize", "amortize",
 			fmt.Sprintf("Extension: discovery-cost amortization, grid, 20 receivers (%d runs)", r),
 			func(e mtmrp.EngineOptions) (*mtmrp.Table, error) {
-				res, err := mtmrp.AmortizeSweep(mtmrp.AmortizeConfig{Topo: mtmrp.GridTopo, GroupSize: 20, Runs: r, Seed: sd, Engine: e})
-				return table(err, func() *mtmrp.Table { return &res.Table })
+				return mtmrp.AmortizeSweep(mtmrp.AmortizeConfig{Topo: mtmrp.GridTopo, GroupSize: 20, Runs: r, Seed: sd, Engine: e})
 			}),
 		// The Figure 5 comparison point under log-normal fading (the
 		// paper disables shadowing).
 		s.figure("shadowing", "shadowing",
 			fmt.Sprintf("Extension: log-normal shadowing robustness, grid, 20 receivers (%d runs)", r),
 			func(e mtmrp.EngineOptions) (*mtmrp.Table, error) {
-				res, err := mtmrp.ShadowingSweep(mtmrp.ShadowingConfig{Topo: mtmrp.GridTopo, GroupSize: 20, Runs: r, Seed: sd, Engine: e})
-				return table(err, func() *mtmrp.Table { return &res.Table })
+				return mtmrp.ShadowingSweep(mtmrp.ShadowingConfig{Topo: mtmrp.GridTopo, GroupSize: 20, Runs: r, Seed: sd, Engine: e})
 			}),
 		// PDR and tree repair versus the per-node crash probability, with
 		// paced traffic, route refresh and forwarder expiry active.
 		s.figure("faults", "faults",
 			fmt.Sprintf("Extension: PDR vs node-failure rate, grid, 20 receivers (%d runs)", r),
 			func(e mtmrp.EngineOptions) (*mtmrp.Table, error) {
-				res, err := mtmrp.FaultSweep(mtmrp.FaultConfig{Topo: mtmrp.GridTopo, GroupSize: 20, Runs: r, Seed: sd, Engine: e})
-				return table(err, func() *mtmrp.Table { return &res.Table })
+				return mtmrp.FaultSweep(mtmrp.FaultConfig{Topo: mtmrp.GridTopo, GroupSize: 20, Runs: r, Seed: sd, Engine: e})
 			}),
 		// Delivery and control overhead versus random-waypoint speed and
 		// pause (speed 0 is the static control).
 		s.figure("mobility", "mobility",
 			fmt.Sprintf("Extension: PDR and overhead vs node speed, grid, 20 receivers (%d runs)", r),
 			func(e mtmrp.EngineOptions) (*mtmrp.Table, error) {
-				res, err := mtmrp.MobilitySweep(mtmrp.MobilityConfig{Topo: mtmrp.GridTopo, GroupSize: 20, Runs: r, Seed: sd, Engine: e})
-				return table(err, func() *mtmrp.Table { return &res.Table })
+				return mtmrp.MobilitySweep(mtmrp.MobilityConfig{Topo: mtmrp.GridTopo, GroupSize: 20, Runs: r, Seed: sd, Engine: e})
 			}),
 	}
 
@@ -193,7 +185,7 @@ func (s sweeps) figure(name, csvName, title string, run func(mtmrp.EngineOptions
 		if t == nil {
 			return err
 		}
-		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		if mtmrp.PartialOK(err) {
 			fmt.Printf("  [interrupted: %d of %d runs done, %d skipped — tables below are partial]\n",
 				t.Stats.Completed, t.Stats.Total, t.Stats.Skipped)
 		}
@@ -209,15 +201,6 @@ func (s sweeps) figure(name, csvName, title string, run func(mtmrp.EngineOptions
 			1e3*st.RunWall.Mean, st.RunEvents.Mean)
 		return err
 	}}
-}
-
-// table keeps a driver's table unless err is a fail-fast abort, the one
-// case in which a driver returns no result.
-func table(err error, get func() *mtmrp.Table) (*mtmrp.Table, error) {
-	if err != nil && !mtmrp.PartialOK(err) {
-		return nil, err
-	}
-	return get(), err
 }
 
 // engine builds the sweep options: the signal-aware context, the -workers

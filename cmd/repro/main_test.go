@@ -22,12 +22,11 @@ func TestPrintTableMarksEmptyCells(t *testing.T) {
 	if err == nil || !mtmrp.PartialOK(err) {
 		t.Fatalf("sweep error = %v, want a cancellation", err)
 	}
-	tb := &res.Table
 	empty, full := 0, 0
-	for r := range tb.Rows {
-		for ai := range tb.Axis {
-			for m := range tb.Metrics {
-				if tb.Cells[r][ai][m].N == 0 {
+	for r := range res.Rows {
+		for ai := range res.Axis {
+			for m := range res.Metrics {
+				if res.Cells[r][ai][m].N == 0 {
 					empty++
 				} else {
 					full++
@@ -39,7 +38,7 @@ func TestPrintTableMarksEmptyCells(t *testing.T) {
 		t.Fatalf("interrupted sweep left %d empty and %d reached cells; want some of each", empty, full)
 	}
 	var b strings.Builder
-	printTable(&b, tb)
+	printTable(&b, res)
 	out := b.String()
 	if got := strings.Count(out, "—"); got != empty {
 		t.Errorf("printed %d empty cells, want %d:\n%s", got, empty, out)

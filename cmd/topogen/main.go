@@ -28,6 +28,7 @@ import (
 	"os"
 	"time"
 
+	"mtmrp/internal/experiment"
 	"mtmrp/internal/mobility"
 	"mtmrp/internal/rng"
 	"mtmrp/internal/sim"
@@ -44,7 +45,7 @@ func main() {
 		check   = flag.String("check", "", "validate an existing file instead of generating")
 
 		motion   = flag.String("motion", "", "also write a motion trace to this file")
-		model    = flag.String("model", "random-waypoint", "motion model: random-waypoint or rpgm")
+		model    = flag.String("model", "random-waypoint", "motion model: random-waypoint (or waypoint, rwp) or rpgm")
 		speed    = flag.Float64("speed", 10, "maximum node speed (m/s)")
 		minSpeed = flag.Float64("minspeed", 0, "minimum node speed (m/s, 0 = speed/10)")
 		pause    = flag.Duration("pause", 0, "maximum waypoint pause")
@@ -84,14 +85,13 @@ func run(kind string, nodes int, side, txRange float64, seed uint64, check,
 		side = topology.ScaledField(nodes)
 	}
 	var topo *topology.Topology
-	var err error
-	switch kind {
-	case "grid":
-		topo, err = topology.Grid(10, 10, side, txRange)
-	case "random":
-		topo, err = topology.RandomConnected(nodes, side, txRange, rng.New(seed), 100)
-	default:
-		err = fmt.Errorf("unknown kind %q", kind)
+	k, err := experiment.ParseTopoKind(kind)
+	if err == nil {
+		if k == experiment.GridTopo {
+			topo, err = topology.Grid(10, 10, side, txRange)
+		} else {
+			topo, err = topology.RandomConnected(nodes, side, txRange, rng.New(seed), 100)
+		}
 	}
 	if err != nil {
 		return err
@@ -110,13 +110,8 @@ func run(kind string, nodes int, side, txRange float64, seed uint64, check,
 // and saves it. The source (node 0) is pinned, as in the sweeps.
 func writeMotion(topo *topology.Topology, seed uint64, path, model string,
 	speed, minSpeed float64, pause, horizon time.Duration, groups int) error {
-	var m mobility.Model
-	switch model {
-	case "random-waypoint":
-		m = mobility.RandomWaypoint
-	case "rpgm":
-		m = mobility.RPGM
-	default:
+	m, ok := mobility.ParseModel(model)
+	if !ok || m == mobility.None {
 		return fmt.Errorf("unknown motion model %q", model)
 	}
 	if speed <= 0 {

@@ -25,13 +25,14 @@ func main() {
 	// event queue drains, so every crash happens before route discovery
 	// begins: the tree is built around the dead nodes. Crashes are
 	// permanent here — set Downtime to let nodes come back.
-	schedule := mtmrp.PlanFaults(mtmrp.FaultPlan{
+	plan := mtmrp.FaultPlan{
 		Nodes:        topo.N(),
 		Protect:      []int{0},
 		FailFraction: 0.2,
 		Start:        1200 * mtmrp.Millisecond,
 		Window:       600 * mtmrp.Millisecond,
-	}, 7)
+	}
+	schedule := mtmrp.PlanFaults(plan, 7)
 	fmt.Printf("fault schedule: %d nodes crash\n", schedule.Crashed())
 	for _, e := range schedule {
 		fmt.Printf("  t=%-8v node %-3d %v\n", e.At, e.Node, e.Kind)
@@ -98,15 +99,8 @@ func main() {
 	// set makes each faulting node's links drop half their frames
 	// (DefaultLossModel's DegradedDrop) instead, and Downtime heals each
 	// one 300 ms after it degrades.
-	healing := mtmrp.PlanFaults(mtmrp.FaultPlan{
-		Nodes:        topo.N(),
-		Protect:      []int{0},
-		FailFraction: 0.2,
-		Start:        1200 * mtmrp.Millisecond,
-		Window:       600 * mtmrp.Millisecond,
-		Downtime:     300 * mtmrp.Millisecond,
-		Degrade:      true,
-	}, 7)
+	plan.Downtime, plan.Degrade = 300*mtmrp.Millisecond, true
+	healing := mtmrp.PlanFaults(plan, 7)
 	degraded, err := mtmrp.Run(mtmrp.Scenario{
 		Topo: topo, Source: 0, Receivers: receivers,
 		Protocol: mtmrp.MTMRP, Seed: 1,

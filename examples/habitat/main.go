@@ -45,12 +45,12 @@ func main() {
 
 	fmt.Printf("%-16s %22s %16s %15s\n",
 		"protocol", "transmissions (±CI95)", "extra nodes", "relay profit")
-	for _, p := range mtmrp.AllProtocols {
-		tx := res.Cell(p, 0, mtmrp.MetricOverhead)
-		ex := res.Cell(p, 0, mtmrp.MetricExtraNodes)
-		rp := res.Cell(p, 0, mtmrp.MetricRelayProfit)
+	for _, row := range res.Rows {
+		tx := res.Cell(row, 0, "overhead")
+		ex := res.Cell(row, 0, "extra_nodes")
+		rp := res.Cell(row, 0, "relay_profit")
 		fmt.Printf("%-16s %14.2f ± %-5.2f %10.2f %15.2f\n",
-			p, tx.Mean, tx.CI95, ex.Mean, rp.Mean)
+			row, tx.Mean, tx.CI95, ex.Mean, rp.Mean)
 	}
 
 	// Render one representative tree.

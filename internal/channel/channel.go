@@ -378,10 +378,7 @@ func (c *Channel) Reset(links *LinkTable) {
 	if links.n != c.links.n {
 		panic(fmt.Sprintf("channel: Reset with %d-node link table, channel has %d", links.n, c.links.n))
 	}
-	lp, rp := links.Params(), c.links.Params()
-	if lp.TxPower != rp.TxPower || lp.RXThresh != rp.RXThresh ||
-		lp.CSThresh != rp.CSThresh || lp.BitRate != rp.BitRate ||
-		lp.Model.Name() != rp.Model.Name() {
+	if links.Params() != c.links.Params() {
 		panic("channel: Reset with different radio parameters")
 	}
 	// The old table is still held here, so a different table cannot
@@ -560,6 +557,14 @@ func (c *Channel) Stats() Stats { return c.stats }
 // Duration returns the on-air time of a frame of the given size.
 func (c *Channel) Duration(sizeBytes int) sim.Time {
 	return sim.Seconds(c.links.params.TxDuration(sizeBytes))
+}
+
+// Drop recycles a frame that will never reach the air, such as one a
+// full MAC queue refuses, through the pool (if any) that built it.
+func (c *Channel) Drop(p *packet.Packet) {
+	if c.cfg.Pool != nil {
+		c.cfg.Pool.Release(p)
+	}
 }
 
 // Package-level event callbacks: scheduling through sim.AfterCall with a

@@ -69,37 +69,25 @@ type AblationConfig struct {
 	Engine EngineOptions // worker pool, cancellation, progress, errors
 }
 
-// AblationResult holds per-(variant, metric) summaries: the table's rows
-// are AblationVariants in order, its one axis point is the group size and
-// its metrics are figureMetrics, indexed by Metric.
-type AblationResult struct {
-	Config AblationConfig
-	Table
-}
-
 // AblationSweep measures each mechanism's contribution to MTMRP's
 // transmission savings on the given workload. One engine job is one
 // Monte-Carlo round across all variants, on a shared topology and
-// receiver draw.
-func AblationSweep(cfg AblationConfig) (*AblationResult, error) {
+// receiver draw. The table's rows are AblationVariants in order, its one
+// axis point is the group size and its metrics are figureMetrics, indexed
+// by Metric.
+func AblationSweep(cfg AblationConfig) (*Table, error) {
 	if cfg.Runs <= 0 {
-		cfg.Runs = 100
+		cfg.Runs = defaultRuns
 	}
-	if cfg.GroupSize == 0 {
-		cfg.GroupSize = 20
-	}
-	if cfg.N == 0 {
-		cfg.N = 4
-	}
-	if cfg.Delta == 0 {
-		cfg.Delta = sim.Millisecond
-	}
+	orDefault(&cfg.GroupSize, defaultGroupSize)
+	orDefault(&cfg.N, defaultN)
+	orDefault(&cfg.Delta, defaultDelta)
 	variants := AblationVariants(cfg.N, cfg.Delta)
 	rows := make([]string, len(variants))
 	for i, v := range variants {
 		rows[i] = v.Name
 	}
-	t, err := (&study{
+	return (&study{
 		topo: cfg.Topo, seed: cfg.Seed, runs: cfg.Runs,
 		rows:     rows,
 		axisName: "group", axis: ticks("%d", []int{cfg.GroupSize}),
@@ -117,8 +105,4 @@ func AblationSweep(cfg AblationConfig) (*AblationResult, error) {
 		},
 		measure: measureFigure,
 	}).run(cfg.Engine)
-	if t == nil {
-		return nil, err
-	}
-	return &AblationResult{cfg, *t}, err
 }

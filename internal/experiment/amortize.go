@@ -26,17 +26,11 @@ type AmortizeConfig struct {
 	Engine EngineOptions // worker pool, cancellation, progress, errors
 }
 
-// AmortizeResult holds per-(protocol, packet count) summaries of two
-// metrics: frames_per_packet = (control frames + total data frames) /
-// packets, and data_per_packet = total data frames / packets (the
-// steady-state cost).
-type AmortizeResult struct {
-	Config AmortizeConfig
-	Table
-}
-
-// AmortizeSweep runs the study on the shared paired-round engine.
-func AmortizeSweep(cfg AmortizeConfig) (*AmortizeResult, error) {
+// AmortizeSweep runs the study on the shared paired-round engine. The
+// table holds per-(protocol, packet count) summaries of two metrics:
+// frames_per_packet = (control frames + total data frames) / packets, and
+// data_per_packet = total data frames / packets (the steady-state cost).
+func AmortizeSweep(cfg AmortizeConfig) (*Table, error) {
 	if len(cfg.Protocols) == 0 {
 		cfg.Protocols = []Protocol{MTMRP, ODMRP, Flooding}
 	}
@@ -46,10 +40,8 @@ func AmortizeSweep(cfg AmortizeConfig) (*AmortizeResult, error) {
 	if cfg.Runs <= 0 {
 		cfg.Runs = 20
 	}
-	if cfg.GroupSize == 0 {
-		cfg.GroupSize = 20
-	}
-	t, err := (&study{
+	orDefault(&cfg.GroupSize, defaultGroupSize)
+	return (&study{
 		topo: cfg.Topo, seed: cfg.Seed, runs: cfg.Runs,
 		rows:     protocolRows(cfg.Protocols),
 		axisName: "packets", axis: ticks("%d", cfg.Packets),
@@ -69,8 +61,4 @@ func AmortizeSweep(cfg AmortizeConfig) (*AmortizeResult, error) {
 			v[1] = float64(r.DataTxTotal) / packets
 		},
 	}).run(cfg.Engine)
-	if t == nil {
-		return nil, err
-	}
-	return &AmortizeResult{cfg, *t}, err
 }

@@ -39,7 +39,7 @@ func TestGroupSizeSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 	// Spot-check exact equality of one cell, in case DeepEqual is ever
 	// weakened around the Summary type.
-	if a.Cell(MTMRP, 1, MetricOverhead) != b.Cell(MTMRP, 1, MetricOverhead) {
+	if a.Cell("MTMRP", 1, "overhead") != b.Cell("MTMRP", 1, "overhead") {
 		t.Error("cell not bit-identical")
 	}
 	if a.Stats.Completed != 12 || a.Stats.Workers != 1 || b.Stats.Workers != 8 {
@@ -54,7 +54,7 @@ func TestGroupSizeSweepDeterministicAcrossWorkers(t *testing.T) {
 // that were serial before the engine: parallelizing them must not change
 // their numbers.
 func TestAmortizeShadowingDeterministicAcrossWorkers(t *testing.T) {
-	am := func(workers int) *AmortizeResult {
+	am := func(workers int) *Table {
 		res, err := AmortizeSweep(AmortizeConfig{
 			Topo: GridTopo, GroupSize: 8, Packets: []int{1, 5}, Runs: 3,
 			Seed: 4, Protocols: []Protocol{MTMRP, Flooding}, Engine: EngineOptions{Workers: workers},
@@ -69,7 +69,7 @@ func TestAmortizeShadowingDeterministicAcrossWorkers(t *testing.T) {
 		t.Error("AmortizeSweep diverged across worker counts")
 	}
 
-	sh := func(workers int) *ShadowingResult {
+	sh := func(workers int) *Table {
 		res, err := ShadowingSweep(ShadowingConfig{
 			Topo: GridTopo, GroupSize: 8, SigmasDB: []float64{0, 1}, Runs: 3,
 			Seed: 6, Protocols: []Protocol{MTMRP}, Engine: EngineOptions{Workers: workers},
@@ -112,7 +112,7 @@ func TestSweepCancellationPartialResult(t *testing.T) {
 	if res == nil {
 		t.Fatal("cancelled sweep returned no partial result")
 	}
-	n := res.Cell(MTMRP, 0, MetricOverhead).N
+	n := res.Cell("MTMRP", 0, "overhead").N
 	if n == 0 || n >= 40 {
 		t.Errorf("partial result folded %d runs, want 0 < n < 40", n)
 	}

@@ -193,7 +193,7 @@ func TestGroupSizeSweepSmall(t *testing.T) {
 	}
 	for _, p := range []Protocol{MTMRP, ODMRP} {
 		for si := range []int{0, 1} {
-			s := res.Cell(p, si, MetricOverhead)
+			s := res.Cell(p.String(), si, "overhead")
 			if s.N != 4 {
 				t.Errorf("%v size %d: n = %d, want 4", p, si, s.N)
 			}
@@ -203,7 +203,7 @@ func TestGroupSizeSweepSmall(t *testing.T) {
 		}
 	}
 	// Overhead should grow with group size.
-	if res.Cell(MTMRP, 1, MetricOverhead).Mean <= res.Cell(MTMRP, 0, MetricOverhead).Mean {
+	if res.Cell("MTMRP", 1, "overhead").Mean <= res.Cell("MTMRP", 0, "overhead").Mean {
 		t.Error("overhead not increasing in group size (4-run noise is possible but suspicious)")
 	}
 }
@@ -222,9 +222,9 @@ func TestGroupSizeSweepRandomTopo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cell(MTMRP, 0, MetricDelivery).Mean < 0.8 {
+	if res.Cell("MTMRP", 0, "delivery").Mean < 0.8 {
 		t.Errorf("random-topology delivery %.2f suspiciously low",
-			res.Cell(MTMRP, 0, MetricDelivery).Mean)
+			res.Cell("MTMRP", 0, "delivery").Mean)
 	}
 }
 

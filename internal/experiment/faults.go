@@ -2,13 +2,11 @@ package experiment
 
 import (
 	"fmt"
-	"slices"
 
 	"mtmrp/internal/channel"
 	"mtmrp/internal/fault"
 	"mtmrp/internal/rng"
 	"mtmrp/internal/sim"
-	"mtmrp/internal/stats"
 )
 
 // Fault robustness study (extension). The paper's evaluation keeps every
@@ -100,61 +98,36 @@ type FaultConfig struct {
 	Engine EngineOptions // worker pool, cancellation, progress, errors
 }
 
-// FaultResult holds per-(protocol, fail-fraction) summaries of the
-// faultMetrics vector, indexed by FaultMetric.
-type FaultResult struct {
-	Config FaultConfig
-	Table
-}
-
-// Cell returns the summary for one (protocol, fail fraction, metric) point.
-func (r *FaultResult) Cell(p Protocol, fi int, m FaultMetric) stats.Summary {
-	return r.Cells[slices.Index(r.Config.Protocols, p)][fi][m]
-}
-
 // faultMetrics names the fault-sweep metric vector, index-aligned with
 // FaultMetric.
 var faultMetrics = []string{"mean_pdr", "min_pdr", "repairs", "repair_time_ms"}
 
 // FaultSweep runs the fault-robustness study on the shared paired-round
 // engine. Each round draws its topology, receiver group and crash
-// schedule from the round's RNG substreams (the schedule via fault.Plan,
+// schedule from the round's RNG substreams (the schedule via planFaults,
 // protecting the source), so the whole sweep is a pure function of
 // (config, seed): bit-identical across worker counts and across pooled
-// versus fresh sessions.
-func FaultSweep(cfg FaultConfig) (*FaultResult, error) {
+// versus fresh sessions. The table's rows are the protocols, its axis the
+// fail fractions and its metrics faultMetrics, indexed by FaultMetric.
+func FaultSweep(cfg FaultConfig) (*Table, error) {
 	if len(cfg.Protocols) == 0 {
 		cfg.Protocols = AllProtocols
 	}
 	if len(cfg.FailFractions) == 0 {
-		cfg.FailFractions = []float64{0, 0.05, 0.1, 0.2, 0.3}
+		cfg.FailFractions = defaultFailFractions()
 	}
 	if cfg.Runs <= 0 {
-		cfg.Runs = 20
+		cfg.Runs = pacedRuns
 	}
-	if cfg.GroupSize == 0 {
-		cfg.GroupSize = 20
-	}
-	if cfg.Packets == 0 {
-		cfg.Packets = 20
-	}
-	if cfg.Interval == 0 {
-		cfg.Interval = 50 * sim.Millisecond
-	}
-	if cfg.RefreshInterval == 0 {
-		cfg.RefreshInterval = 200 * sim.Millisecond
-	}
-	if cfg.ForwarderExpiry == 0 {
-		cfg.ForwarderExpiry = 300 * sim.Millisecond
-	}
-	if cfg.FaultStart == 0 {
-		cfg.FaultStart = 1200 * sim.Millisecond
-	}
-	if cfg.FaultWindow == 0 {
-		cfg.FaultWindow = 800 * sim.Millisecond
-	}
+	orDefault(&cfg.GroupSize, defaultGroupSize)
+	orDefault(&cfg.Packets, pacedPackets)
+	orDefault(&cfg.Interval, pacedInterval)
+	orDefault(&cfg.RefreshInterval, pacedRefresh)
+	orDefault(&cfg.ForwarderExpiry, pacedExpiry)
+	orDefault(&cfg.FaultStart, defaultFaultStart)
+	orDefault(&cfg.FaultWindow, defaultFaultWindow)
 	fracs := cfg.FailFractions
-	t, err := (&study{
+	return (&study{
 		topo: cfg.Topo, seed: cfg.Seed, runs: cfg.Runs,
 		rows:     protocolRows(cfg.Protocols),
 		axisName: "fail_fraction", axis: ticks("%g", fracs),
@@ -182,14 +155,7 @@ func FaultSweep(cfg FaultConfig) (*FaultResult, error) {
 				RefreshInterval: cfg.RefreshInterval,
 			}
 			sc.Faults = FaultOptions{
-				Schedule: fault.Plan(fault.PlanConfig{
-					Nodes:        sc.Topo.N(),
-					Protect:      []int{0},
-					FailFraction: fracs[ai],
-					Start:        cfg.FaultStart,
-					Window:       cfg.FaultWindow,
-					Downtime:     cfg.Downtime,
-				}, round.Derive("faults")),
+				Schedule:        planFaults(sc.Topo.N(), fracs[ai], cfg.FaultStart, cfg.FaultWindow, cfg.Downtime, round),
 				Loss:            cfg.Loss,
 				ForwarderExpiry: cfg.ForwarderExpiry,
 			}
@@ -202,8 +168,18 @@ func FaultSweep(cfg FaultConfig) (*FaultResult, error) {
 			v[FaultRepairMs] = float64(rb.MeanTimeToRepair) / float64(sim.Millisecond)
 		},
 	}).run(cfg.Engine)
-	if t == nil {
-		return nil, err
-	}
-	return &FaultResult{cfg, *t}, err
+}
+
+// planFaults draws a crash schedule from r's "faults" substream over a
+// field of the given size, protecting the source (node 0): the one plan
+// build behind FaultSweep's rounds and RunSpec.Scenario.
+func planFaults(nodes int, frac float64, start, window, downtime sim.Time, r *rng.RNG) fault.Schedule {
+	return fault.Plan(fault.PlanConfig{
+		Nodes:        nodes,
+		Protect:      []int{0},
+		FailFraction: frac,
+		Start:        start,
+		Window:       window,
+		Downtime:     downtime,
+	}, r.Derive("faults"))
 }

@@ -102,7 +102,8 @@ func TestGoldenFaultSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := FaultSweep(miniFaultConfig(0))
+	cfg := miniFaultConfig(0)
+	res, err := FaultSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +115,11 @@ func TestGoldenFaultSweep(t *testing.T) {
 		CI95     float64 `json:"ci95"`
 	}
 	var got []cell
-	for _, p := range res.Config.Protocols {
-		for fi, frac := range res.Config.FailFractions {
+	for r, row := range res.Rows {
+		for fi, frac := range cfg.FailFractions {
 			for m := FaultMetric(0); m < NumFaultMetrics; m++ {
-				s := res.Cell(p, fi, m)
-				got = append(got, cell{p.String(), frac, m.String(), s.Mean, s.CI95})
+				s := res.Cells[r][fi][m]
+				got = append(got, cell{row, frac, m.String(), s.Mean, s.CI95})
 			}
 		}
 	}

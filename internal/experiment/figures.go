@@ -3,10 +3,10 @@ package experiment
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"mtmrp/internal/rng"
 	"mtmrp/internal/sim"
-	"mtmrp/internal/stats"
 	"mtmrp/internal/topology"
 	"mtmrp/internal/trace"
 )
@@ -20,12 +20,25 @@ const (
 	RandomTopo                 // 200 uniform nodes, source at origin
 )
 
-// String implements fmt.Stringer.
-func (k TopoKind) String() string {
-	if k == GridTopo {
-		return "grid"
+// topoKindNames is the one table of topology-kind names, indexed by
+// TopoKind.
+var topoKindNames = [...]string{GridTopo: "grid", RandomTopo: "random"}
+
+// String implements fmt.Stringer. Every kind but the grid builds the
+// random field, so every kind but the grid is named "random".
+func (k TopoKind) String() string { return topoKindNames[min(k, RandomTopo)] }
+
+// ParseTopoKind resolves a topology-kind name, ignoring case and
+// surrounding space; the empty name is the grid.
+func ParseTopoKind(name string) (TopoKind, error) {
+	s := strings.ToLower(strings.TrimSpace(name))
+	if s == "" {
+		return GridTopo, nil
 	}
-	return "random"
+	if k := slices.Index(topoKindNames[:], s); k >= 0 {
+		return TopoKind(k), nil
+	}
+	return GridTopo, fmt.Errorf("%w: %q", ErrSpecTopo, name)
 }
 
 // buildTopo materialises the topology for one Monte-Carlo round. The grid
@@ -88,18 +101,6 @@ func PaperSizes() []int {
 	return out
 }
 
-// SweepResult holds one summary per (protocol, size, metric); the table's
-// metrics are figureMetrics, indexed by Metric.
-type SweepResult struct {
-	Config SweepConfig
-	Table
-}
-
-// Cell returns the summary for (protocol p, size index si, metric m).
-func (r *SweepResult) Cell(p Protocol, si int, m Metric) stats.Summary {
-	return r.Cells[slices.Index(r.Config.Protocols, p)][si][m]
-}
-
 // figureMetrics names the metric vector of Figures 5–6, index-aligned
 // with Metric.
 var figureMetrics = []string{"overhead", "extra_nodes", "relay_profit", "delivery"}
@@ -122,28 +123,26 @@ func checkBackoff(n int, delta sim.Time) error {
 // Figure 6 (random). Rounds are paired: within a round, every protocol
 // sees the identical topology and receiver draw, which removes placement
 // variance from the comparison. One engine job is one round (all
-// protocols), so a failed round drops symmetrically from every curve.
+// protocols), so a failed round drops symmetrically from every curve. The
+// table's rows are the protocols, its axis the sizes and its metrics
+// figureMetrics, indexed by Metric.
 //
-// On cancellation the partial result is returned alongside the error;
+// On cancellation the partial table is returned alongside the error;
 // sweep.PartialOK distinguishes that from a failed run's abort, where the
-// result is nil.
-func GroupSizeSweep(cfg SweepConfig) (*SweepResult, error) {
+// table is nil.
+func GroupSizeSweep(cfg SweepConfig) (*Table, error) {
 	if len(cfg.Protocols) == 0 {
 		cfg.Protocols = AllProtocols
 	}
 	if cfg.Runs <= 0 {
-		cfg.Runs = 100
+		cfg.Runs = defaultRuns
 	}
 	if len(cfg.Sizes) == 0 {
 		cfg.Sizes = PaperSizes()
 	}
-	if cfg.N == 0 {
-		cfg.N = 4
-	}
-	if cfg.Delta == 0 {
-		cfg.Delta = sim.Millisecond
-	}
-	t, err := (&study{
+	orDefault(&cfg.N, defaultN)
+	orDefault(&cfg.Delta, defaultDelta)
+	return (&study{
 		topo: cfg.Topo, seed: cfg.Seed, runs: cfg.Runs,
 		rows:     protocolRows(cfg.Protocols),
 		axisName: "size", axis: ticks("%d", cfg.Sizes),
@@ -161,10 +160,6 @@ func GroupSizeSweep(cfg SweepConfig) (*SweepResult, error) {
 		},
 		measure: measureFigure,
 	}).run(cfg.Engine)
-	if t == nil {
-		return nil, err
-	}
-	return &SweepResult{cfg, *t}, err
 }
 
 // TuningConfig parameterises the N x δ sweep of Figures 7–8.
@@ -192,24 +187,19 @@ func PaperDeltas() []sim.Time {
 	}
 }
 
-// TuningResult holds the overhead surface per protocol. The axis is the
-// (N, δ) grid, N-major: point ni*len(Deltas)+di is (Ns[ni], Deltas[di]);
-// the one metric is the normalized transmission overhead.
-type TuningResult struct {
-	Config TuningConfig
-	Table
-}
-
 // TuningSweep runs the parameter study behind Figures 7–8. Every (N, δ)
 // cell of the same run index shares one label — and therefore one
 // topology and receiver draw — so the surface isolates the backoff
-// parameters from placement noise.
-func TuningSweep(cfg TuningConfig) (*TuningResult, error) {
+// parameters from placement noise. The table holds the overhead surface
+// per protocol: its axis is the (N, δ) grid, N-major (point
+// ni*len(Deltas)+di is (Ns[ni], Deltas[di])), and its one metric is the
+// normalized transmission overhead.
+func TuningSweep(cfg TuningConfig) (*Table, error) {
 	if len(cfg.Protocols) == 0 {
 		cfg.Protocols = AllProtocols
 	}
 	if cfg.Runs <= 0 {
-		cfg.Runs = 100
+		cfg.Runs = defaultRuns
 	}
 	if len(cfg.Ns) == 0 {
 		cfg.Ns = PaperNs()
@@ -231,7 +221,7 @@ func TuningSweep(cfg TuningConfig) (*TuningResult, error) {
 			axis = append(axis, fmt.Sprintf("%d/%gms", n, d.Millis()))
 		}
 	}
-	t, err := (&study{
+	return (&study{
 		topo: cfg.Topo, seed: cfg.Seed, runs: cfg.Runs,
 		rows:     protocolRows(cfg.Protocols),
 		axisName: "N/delta", axis: axis,
@@ -247,10 +237,6 @@ func TuningSweep(cfg TuningConfig) (*TuningResult, error) {
 		},
 		measure: func(out *Outcome, _ int, v []float64) { v[0] = float64(out.Result.Transmissions) },
 	}).run(cfg.Engine)
-	if t == nil {
-		return nil, err
-	}
-	return &TuningResult{cfg, *t}, err
 }
 
 // SnapshotRun reproduces one panel of Figures 9–10: a single session on a

@@ -40,22 +40,24 @@ func miniStudies(t *testing.T) []studyCell {
 		}
 	}
 
-	tun, err := TuningSweep(TuningConfig{
+	tcfg := TuningConfig{
 		Topo: GridTopo, GroupSize: 8, Ns: []int{3, 5}, Deltas: []sim.Time{5 * sim.Millisecond},
 		Runs: 3, Seed: 2010,
-	})
+	}
+	tun, err := TuningSweep(tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var axis []string
-	for _, n := range tun.Config.Ns {
-		for _, d := range tun.Config.Deltas {
+	for _, n := range tcfg.Ns {
+		for _, d := range tcfg.Deltas {
 			axis = append(axis, fmt.Sprintf("N=%d delta=%gms", n, d.Millis()))
 		}
 	}
-	flatten("tuning", &tun.Table, axis, tun.Metrics)
+	flatten("tuning", tun, axis, tun.Metrics)
 
-	abl, err := AblationSweep(AblationConfig{Topo: GridTopo, GroupSize: 8, Runs: 3, Seed: 2010})
+	const group = 8
+	abl, err := AblationSweep(AblationConfig{Topo: GridTopo, GroupSize: group, Runs: 3, Seed: 2010})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,23 +65,25 @@ func miniStudies(t *testing.T) []studyCell {
 	for m := Metric(0); m < NumMetrics; m++ {
 		names = append(names, m.String())
 	}
-	flatten("ablation", &abl.Table, []string{fmt.Sprintf("group=%d", abl.Config.GroupSize)}, names)
+	flatten("ablation", abl, []string{fmt.Sprintf("group=%d", group)}, names)
 
+	packets := []int{1, 4}
 	am, err := AmortizeSweep(AmortizeConfig{
-		Topo: GridTopo, GroupSize: 8, Packets: []int{1, 4}, Runs: 3, Seed: 2010,
+		Topo: GridTopo, GroupSize: group, Packets: packets, Runs: 3, Seed: 2010,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatten("amortize", &am.Table, ticks("packets=%d", am.Config.Packets), am.Metrics)
+	flatten("amortize", am, ticks("packets=%d", packets), am.Metrics)
 
+	sigmas := []float64{0, 2}
 	sh, err := ShadowingSweep(ShadowingConfig{
-		Topo: GridTopo, GroupSize: 8, SigmasDB: []float64{0, 2}, Runs: 3, Seed: 2010,
+		Topo: GridTopo, GroupSize: group, SigmasDB: sigmas, Runs: 3, Seed: 2010,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatten("shadowing", &sh.Table, ticks("sigma_db=%g", sh.Config.SigmasDB), sh.Metrics)
+	flatten("shadowing", sh, ticks("sigma_db=%g", sigmas), sh.Metrics)
 	return out
 }
 

@@ -155,9 +155,10 @@ func TestGoldenSweepSummary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	sizes := []int{10, 20}
 	res, err := GroupSizeSweep(SweepConfig{
 		Topo:  GridTopo,
-		Sizes: []int{10, 20},
+		Sizes: sizes,
 		Runs:  3,
 		Seed:  2010,
 	})
@@ -172,11 +173,11 @@ func TestGoldenSweepSummary(t *testing.T) {
 		CI95     float64 `json:"ci95"`
 	}
 	var got []cell
-	for _, p := range res.Config.Protocols {
-		for si, size := range res.Config.Sizes {
+	for r, row := range res.Rows {
+		for si, size := range sizes {
 			for m := Metric(0); m < NumMetrics; m++ {
-				s := res.Cell(p, si, m)
-				got = append(got, cell{p.String(), size, m.String(), s.Mean, s.CI95})
+				s := res.Cells[r][si][m]
+				got = append(got, cell{row, size, m.String(), s.Mean, s.CI95})
 			}
 		}
 	}

@@ -2,12 +2,10 @@ package experiment
 
 import (
 	"fmt"
-	"slices"
 
 	"mtmrp/internal/mobility"
 	"mtmrp/internal/rng"
 	"mtmrp/internal/sim"
-	"mtmrp/internal/stats"
 )
 
 // Mobility study (extension). The paper's evaluation is static; this
@@ -111,19 +109,6 @@ func (cfg *MobilityConfig) Points() []MobilityPoint {
 	return pts
 }
 
-// MobilityResult holds per-(protocol, point) summaries of the
-// mobilityMetrics vector, indexed by MobilityMetric; the axis is
-// Config.Points().
-type MobilityResult struct {
-	Config MobilityConfig
-	Table
-}
-
-// Cell returns the summary for one (protocol, point, metric) cell.
-func (r *MobilityResult) Cell(p Protocol, pi int, m MobilityMetric) stats.Summary {
-	return r.Cells[slices.Index(r.Config.Protocols, p)][pi][m]
-}
-
 // mobilityMetrics names the mobility-sweep metric vector, index-aligned
 // with MobilityMetric.
 var mobilityMetrics = []string{"mean_pdr", "min_pdr", "control_tx", "repairs"}
@@ -134,40 +119,30 @@ var mobilityMetrics = []string{"mean_pdr", "min_pdr", "control_tx", "repairs"}
 // session from the run seed's "mobility" substream, so every protocol at
 // a point rides the identical motion and the whole sweep is a pure
 // function of (config, seed): bit-identical across worker counts and
-// across pooled versus fresh sessions.
-func MobilitySweep(cfg MobilityConfig) (*MobilityResult, error) {
+// across pooled versus fresh sessions. The table's rows are the
+// protocols, its axis Points() and its metrics mobilityMetrics, indexed
+// by MobilityMetric.
+func MobilitySweep(cfg MobilityConfig) (*Table, error) {
 	if len(cfg.Protocols) == 0 {
 		cfg.Protocols = AllProtocols
 	}
 	if len(cfg.Speeds) == 0 {
-		cfg.Speeds = []float64{0, 5, 10, 20}
+		cfg.Speeds = defaultSpeeds()
 	}
 	if len(cfg.Pauses) == 0 {
-		cfg.Pauses = []sim.Time{0, 500 * sim.Millisecond}
+		cfg.Pauses = defaultPauses()
 	}
-	if cfg.Model == mobility.None {
-		cfg.Model = mobility.RandomWaypoint
-	}
+	orDefault(&cfg.Model, defaultMotion)
 	if cfg.Runs <= 0 {
-		cfg.Runs = 20
+		cfg.Runs = pacedRuns
 	}
-	if cfg.GroupSize == 0 {
-		cfg.GroupSize = 20
-	}
-	if cfg.Packets == 0 {
-		cfg.Packets = 20
-	}
-	if cfg.Interval == 0 {
-		cfg.Interval = 50 * sim.Millisecond
-	}
-	if cfg.RefreshInterval == 0 {
-		cfg.RefreshInterval = 200 * sim.Millisecond
-	}
-	if cfg.ForwarderExpiry == 0 {
-		cfg.ForwarderExpiry = 300 * sim.Millisecond
-	}
+	orDefault(&cfg.GroupSize, defaultGroupSize)
+	orDefault(&cfg.Packets, pacedPackets)
+	orDefault(&cfg.Interval, pacedInterval)
+	orDefault(&cfg.RefreshInterval, pacedRefresh)
+	orDefault(&cfg.ForwarderExpiry, pacedExpiry)
 	points := cfg.Points()
-	t, err := (&study{
+	return (&study{
 		topo: cfg.Topo, seed: cfg.Seed, runs: cfg.Runs,
 		rows:     protocolRows(cfg.Protocols),
 		axisName: "speed/pause", axis: ticks("%v", points),
@@ -211,8 +186,4 @@ func MobilitySweep(cfg MobilityConfig) (*MobilityResult, error) {
 			v[MobilityRepairs] = float64(rb.Repairs)
 		},
 	}).run(cfg.Engine)
-	if t == nil {
-		return nil, err
-	}
-	return &MobilityResult{cfg, *t}, err
 }

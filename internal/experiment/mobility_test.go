@@ -256,7 +256,8 @@ func TestGoldenMobilitySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := MobilitySweep(miniMobilityConfig(0))
+	cfg := miniMobilityConfig(0)
+	res, err := MobilitySweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +270,11 @@ func TestGoldenMobilitySweep(t *testing.T) {
 		CI95     float64 `json:"ci95"`
 	}
 	var got []cell
-	for _, p := range res.Config.Protocols {
-		for xi, pt := range res.Config.Points() {
+	for r, row := range res.Rows {
+		for xi, pt := range cfg.Points() {
 			for m := MobilityMetric(0); m < NumMobilityMetrics; m++ {
-				s := res.Cell(p, xi, m)
-				got = append(got, cell{p.String(), pt.Speed,
+				s := res.Cells[r][xi][m]
+				got = append(got, cell{row, pt.Speed,
 					int64(pt.Pause / sim.Millisecond), m.String(), s.Mean, s.CI95})
 			}
 		}

@@ -107,21 +107,11 @@ func (m *MobilityOptions) active() bool {
 // normalize applies the documented Scenario defaults. Both NewSession and
 // Reset call it first.
 func (sc *Scenario) normalize() {
-	if sc.N == 0 {
-		sc.N = 4
-	}
-	if sc.Delta == 0 {
-		sc.Delta = sim.Millisecond
-	}
-	if sc.Traffic.PayloadLen == 0 {
-		sc.Traffic.PayloadLen = 64
-	}
-	if sc.Traffic.DataPackets == 0 {
-		sc.Traffic.DataPackets = 1
-	}
-	if sc.Traffic.DiscoveryRounds == 0 {
-		sc.Traffic.DiscoveryRounds = 2
-	}
+	orDefault(&sc.N, defaultN)
+	orDefault(&sc.Delta, defaultDelta)
+	orDefault(&sc.Traffic.PayloadLen, defaultPayloadLen)
+	orDefault(&sc.Traffic.DataPackets, defaultDataPackets)
+	orDefault(&sc.Traffic.DiscoveryRounds, defaultDiscoveryRounds)
 
 	// Mobility defaults apply only when the group is active, so an
 	// all-zero group stays exactly zero (static path).
@@ -130,10 +120,10 @@ func (sc *Scenario) normalize() {
 			sc.Mobility.Step = mobility.DefaultStep
 		}
 		if sc.Mobility.Groups <= 0 {
-			sc.Mobility.Groups = 4
+			sc.Mobility.Groups = defaultMobilityGroups
 		}
 		if sc.Mobility.MinSpeed <= 0 {
-			sc.Mobility.MinSpeed = sc.Mobility.MaxSpeed / 10
+			sc.Mobility.MinSpeed = defaultMinSpeed(sc.Mobility.MaxSpeed)
 		}
 	}
 }

@@ -39,24 +39,28 @@ const (
 	GMR // stateless geographic multicast (related-work baseline)
 )
 
+// protocolNames is the one table of protocol spellings, indexed by
+// Protocol: the wire name (the canonical form in specs and cache keys),
+// the figure-legend name String prints, and further accepted aliases.
+// ParseProtocol accepts all three, ignoring case and surrounding space.
+var protocolNames = [...]struct {
+	wire, legend string
+	aliases      []string
+}{
+	MTMRP:      {"mtmrp", "MTMRP", nil},
+	MTMRPNoPHS: {"mtmrp-nophs", "MTMRP w/o PHS", []string{"mtmrpnophs", "nophs"}},
+	DODMRP:     {"dodmrp", "DODMRP", nil},
+	ODMRP:      {"odmrp", "ODMRP", nil},
+	Flooding:   {"flooding", "Flooding", []string{"flood"}},
+	GMR:        {"gmr", "GMR", []string{"geographic"}},
+}
+
 // String implements fmt.Stringer, matching the paper's figure legends.
 func (p Protocol) String() string {
-	switch p {
-	case MTMRP:
-		return "MTMRP"
-	case MTMRPNoPHS:
-		return "MTMRP w/o PHS"
-	case DODMRP:
-		return "DODMRP"
-	case ODMRP:
-		return "ODMRP"
-	case Flooding:
-		return "Flooding"
-	case GMR:
-		return "GMR"
-	default:
-		return fmt.Sprintf("Protocol(%d)", uint8(p))
+	if int(p) < len(protocolNames) {
+		return protocolNames[p].legend
 	}
+	return fmt.Sprintf("Protocol(%d)", uint8(p))
 }
 
 // AllProtocols lists the four protocols of Figures 5–8 in legend order.

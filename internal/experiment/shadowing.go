@@ -24,15 +24,10 @@ type ShadowingConfig struct {
 	Engine EngineOptions // worker pool, cancellation, progress, errors
 }
 
-// ShadowingResult holds per-(protocol, sigma) summaries of two metrics:
-// overhead (transmissions) and delivery ratio.
-type ShadowingResult struct {
-	Config ShadowingConfig
-	Table
-}
-
-// ShadowingSweep runs the study on the shared paired-round engine.
-func ShadowingSweep(cfg ShadowingConfig) (*ShadowingResult, error) {
+// ShadowingSweep runs the study on the shared paired-round engine. The
+// table holds per-(protocol, sigma) summaries of two metrics: overhead
+// (transmissions) and delivery ratio.
+func ShadowingSweep(cfg ShadowingConfig) (*Table, error) {
 	if len(cfg.Protocols) == 0 {
 		cfg.Protocols = AllProtocols
 	}
@@ -42,10 +37,8 @@ func ShadowingSweep(cfg ShadowingConfig) (*ShadowingResult, error) {
 	if cfg.Runs <= 0 {
 		cfg.Runs = 30
 	}
-	if cfg.GroupSize == 0 {
-		cfg.GroupSize = 20
-	}
-	t, err := (&study{
+	orDefault(&cfg.GroupSize, defaultGroupSize)
+	return (&study{
 		topo: cfg.Topo, seed: cfg.Seed, runs: cfg.Runs,
 		rows:     protocolRows(cfg.Protocols),
 		axisName: "sigma_db", axis: ticks("%g", cfg.SigmasDB),
@@ -64,8 +57,4 @@ func ShadowingSweep(cfg ShadowingConfig) (*ShadowingResult, error) {
 			v[0], v[1] = float64(out.Result.Transmissions), out.Result.DeliveryRatio
 		},
 	}).run(cfg.Engine)
-	if t == nil {
-		return nil, err
-	}
-	return &ShadowingResult{cfg, *t}, err
 }

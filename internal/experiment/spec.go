@@ -6,10 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"mtmrp/internal/channel"
-	"mtmrp/internal/fault"
 	"mtmrp/internal/mobility"
 	"mtmrp/internal/network"
 	"mtmrp/internal/rng"
@@ -60,23 +60,15 @@ var (
 	ErrSpecBackoff   = errors.New("spec: backoff parameters need n >= 1 and delta_ms > 0")
 )
 
-// ParseProtocol resolves a wire-level protocol name. Accepted spellings
-// are the canonical lower-case names plus the figure-legend strings the
-// String methods print.
+// ParseProtocol resolves a protocol name: any spelling protocolNames
+// lists (the wire name, the figure legend String prints or an alias),
+// ignoring case and surrounding space.
 func ParseProtocol(name string) (Protocol, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "mtmrp":
-		return MTMRP, nil
-	case "mtmrp-nophs", "mtmrp w/o phs", "mtmrpnophs":
-		return MTMRPNoPHS, nil
-	case "dodmrp":
-		return DODMRP, nil
-	case "odmrp":
-		return ODMRP, nil
-	case "flooding":
-		return Flooding, nil
-	case "gmr":
-		return GMR, nil
+	s := strings.ToLower(strings.TrimSpace(name))
+	for p, n := range protocolNames {
+		if s == n.wire || strings.EqualFold(s, n.legend) || slices.Contains(n.aliases, s) {
+			return Protocol(p), nil
+		}
 	}
 	return 0, fmt.Errorf("%w: %q", ErrSpecProtocol, name)
 }
@@ -84,22 +76,10 @@ func ParseProtocol(name string) (Protocol, error) {
 // protocolSpecName is the canonical wire spelling of a protocol (the form
 // ParseProtocol round-trips and the one that lands in cache keys).
 func protocolSpecName(p Protocol) string {
-	switch p {
-	case MTMRP:
-		return "mtmrp"
-	case MTMRPNoPHS:
-		return "mtmrp-nophs"
-	case DODMRP:
-		return "dodmrp"
-	case ODMRP:
-		return "odmrp"
-	case Flooding:
-		return "flooding"
-	case GMR:
-		return "gmr"
-	default:
-		return fmt.Sprintf("protocol-%d", uint8(p))
+	if int(p) < len(protocolNames) {
+		return protocolNames[p].wire
 	}
+	return fmt.Sprintf("protocol-%d", uint8(p))
 }
 
 // keyOf frames a canonical spec encoding with the version triple and the
@@ -116,57 +96,56 @@ func keyOf(kind string, canonical []byte) string {
 // SweepSpec is the wire form of a Monte-Carlo sweep, addressed by content.
 // Kind selects the sweep family (the registry in spec_kinds.go): the
 // default group-size sweep of Figures 5/6, the fault-robustness sweep or
-// the mobility sweep. Zero fields take each kind's paper defaults — for
-// group-size: sizes 5..60 step 5, 100 runs, the four comparison protocols,
-// N=4, δ=1 ms. Fields beyond the kind's own axis set must stay zero;
-// Canonical rejects kind-foreign fields rather than silently hashing them.
+// the mobility sweep. Zero fields take each kind's defaults — those
+// GroupSizeSweep, FaultSweep and MobilitySweep apply, read from
+// defaults.go. Each field's `kinds` tag declares the kinds that own it
+// ("all" for every kind); a field set on a kind that does not own it is
+// rejected by Canonical rather than silently hashed.
 type SweepSpec struct {
 	// Kind is the sweep family: "" or "group-size" (Figures 5/6),
 	// "fault" or "mobility". Canonical keeps the group-size kind spelled
 	// "" so every pre-registry spec hashes to its original key.
-	Kind string `json:"kind,omitempty"`
+	Kind string `json:"kind,omitempty" kinds:"all"`
 	// Topo is the topology family: "grid" (Fig. 5) or "random" (Fig. 6).
-	Topo string `json:"topo"`
-	// Sizes are the multicast group sizes swept (group-size kind only).
-	// Order and duplicates do not matter: per-cell results depend only on
-	// (size, run) — the sweep labels its rounds that way — so Canonical
-	// sorts and dedups.
-	Sizes []int `json:"sizes,omitempty"`
+	Topo string `json:"topo" kinds:"all"`
+	// Sizes are the multicast group sizes swept. Order and duplicates do
+	// not matter: per-cell results depend only on (size, run) — the sweep
+	// labels its rounds that way — so Canonical sorts and dedups.
+	Sizes []int `json:"sizes,omitempty" kinds:"group-size"`
 	// Runs is the Monte-Carlo round count per axis point.
-	Runs int `json:"runs,omitempty"`
+	Runs int `json:"runs,omitempty" kinds:"all"`
 	// Seed is the sweep's root seed.
-	Seed uint64 `json:"seed,omitempty"`
+	Seed uint64 `json:"seed,omitempty" kinds:"all"`
 	// Protocols names the protocols compared (see ParseProtocol). Order
 	// and duplicates do not matter: within a round every protocol draws
 	// its randomness from its own derived stream, so per-protocol cells
 	// are independent of the protocol set; Canonical sorts and dedups.
-	Protocols []string `json:"protocols,omitempty"`
-	// N and DeltaMs are the biased-backoff parameters (group-size kind).
-	N       int     `json:"n,omitempty"`
-	DeltaMs float64 `json:"delta_ms,omitempty"`
+	Protocols []string `json:"protocols,omitempty" kinds:"all"`
+	// N and DeltaMs are the biased-backoff parameters.
+	N       int     `json:"n,omitempty" kinds:"group-size"`
+	DeltaMs float64 `json:"delta_ms,omitempty" kinds:"group-size"`
 
-	// Axis-point shape shared by the fault and mobility kinds (defaults:
-	// group 20, 20 packets 50 ms apart, 200 ms refresh, 300 ms expiry).
-	GroupSize         int     `json:"group_size,omitempty"`
-	Packets           int     `json:"packets,omitempty"`
-	IntervalMs        float64 `json:"interval_ms,omitempty"`
-	RefreshIntervalMs float64 `json:"refresh_interval_ms,omitempty"`
-	ForwarderExpiryMs float64 `json:"forwarder_expiry_ms,omitempty"`
+	// Axis-point shape shared by the fault and mobility kinds.
+	GroupSize         int     `json:"group_size,omitempty" kinds:"fault,mobility"`
+	Packets           int     `json:"packets,omitempty" kinds:"fault,mobility"`
+	IntervalMs        float64 `json:"interval_ms,omitempty" kinds:"fault,mobility"`
+	RefreshIntervalMs float64 `json:"refresh_interval_ms,omitempty" kinds:"fault,mobility"`
+	ForwarderExpiryMs float64 `json:"forwarder_expiry_ms,omitempty" kinds:"fault,mobility"`
 
-	// Fault kind: the crash-probability axis and the plan window (defaults
-	// fractions {0,.05,.1,.2,.3}, onset 1200 ms over an 800 ms window,
-	// permanent crashes, no ambient loss).
-	FailFractions []float64 `json:"fail_fractions,omitempty"`
-	StartMs       float64   `json:"start_ms,omitempty"`
-	WindowMs      float64   `json:"window_ms,omitempty"`
-	DowntimeMs    float64   `json:"downtime_ms,omitempty"`
-	Loss          bool      `json:"loss,omitempty"`
+	// Fault kind: the crash-probability axis and the plan window
+	// (FaultConfig's fields; permanent crashes and no ambient loss by
+	// default).
+	FailFractions []float64 `json:"fail_fractions,omitempty" kinds:"fault"`
+	StartMs       float64   `json:"start_ms,omitempty" kinds:"fault"`
+	WindowMs      float64   `json:"window_ms,omitempty" kinds:"fault"`
+	DowntimeMs    float64   `json:"downtime_ms,omitempty" kinds:"fault"`
+	Loss          bool      `json:"loss,omitempty" kinds:"fault"`
 
-	// Mobility kind: the (speed, pause) grid and motion model (defaults
-	// waypoint, speeds {0,5,10,20} m/s, pauses {0,500} ms).
-	Model    string    `json:"model,omitempty"`
-	Speeds   []float64 `json:"speeds,omitempty"`
-	PausesMs []float64 `json:"pauses_ms,omitempty"`
+	// Mobility kind: the (speed, pause) grid and motion model
+	// (MobilityConfig's fields; "" is random waypoint).
+	Model    string    `json:"model,omitempty" kinds:"mobility"`
+	Speeds   []float64 `json:"speeds,omitempty" kinds:"mobility"`
+	PausesMs []float64 `json:"pauses_ms,omitempty" kinds:"mobility"`
 }
 
 // Canonical returns the spec's normal form: the kind resolved, defaults
@@ -181,13 +160,11 @@ func (s SweepSpec) Canonical() (SweepSpec, error) {
 	}
 	c := s
 	c.Kind = k.name
-	c.Topo = strings.ToLower(strings.TrimSpace(s.Topo))
-	if c.Topo == "" {
-		c.Topo = "grid"
+	topo, err := ParseTopoKind(s.Topo)
+	if err != nil {
+		return c, err
 	}
-	if c.Topo != "grid" && c.Topo != "random" {
-		return c, fmt.Errorf("%w: %q", ErrSpecTopo, s.Topo)
-	}
+	c.Topo = topo.String()
 	protos, err := parseProtocolSet(s.Protocols)
 	if err != nil {
 		return c, err
@@ -195,6 +172,9 @@ func (s SweepSpec) Canonical() (SweepSpec, error) {
 	c.Protocols = make([]string, len(protos))
 	for i, p := range protos {
 		c.Protocols[i] = protocolSpecName(p)
+	}
+	if err := k.ownedOnly(&c); err != nil {
+		return c, err
 	}
 	if err := k.canonicalize(&c); err != nil {
 		return c, err
@@ -247,8 +227,9 @@ func (s SweepSpec) SweepConfig() (SweepConfig, error) {
 	if err != nil {
 		return SweepConfig{}, err
 	}
+	topo, _ := ParseTopoKind(c.Topo)
 	return SweepConfig{
-		Topo: topoKindOf(c.Topo), Sizes: c.Sizes, Runs: c.Runs, Seed: c.Seed,
+		Topo: topo, Sizes: c.Sizes, Runs: c.Runs, Seed: c.Seed,
 		Protocols: protos, N: c.N, Delta: msToTime(c.DeltaMs),
 	}, nil
 }
@@ -353,34 +334,31 @@ type RunSpec struct {
 	Mobility MobilitySpec `json:"mobility,omitempty"`
 }
 
-// Canonical returns the run spec's normal form: defaults applied (with
-// Scenario.normalize()'s values), names lower-cased, backoff parameters
-// checked. The canonical form is what Key hashes and what result payloads
-// echo back.
+// Canonical returns the run spec's normal form: defaults applied (the
+// ones Scenario.normalize applies, from defaults.go), names resolved to
+// their canonical spelling, backoff parameters checked. The canonical form
+// is what Key hashes and what result payloads echo back.
 func (s RunSpec) Canonical() (RunSpec, error) {
 	c := s
 
 	// Topology normal form.
-	c.Topo.Kind = strings.ToLower(strings.TrimSpace(c.Topo.Kind))
-	switch c.Topo.Kind {
-	case "", "grid":
+	topo, err := ParseTopoKind(c.Topo.Kind)
+	if err != nil {
+		return c, err
+	}
+	if topo == GridTopo {
 		// The grid is one fixed deployment: no free parameters survive.
-		c.Topo = TopoSpec{Kind: "grid"}
-	case "random":
-		if c.Topo.Nodes == 0 {
-			c.Topo.Nodes = 200
-		}
+		c.Topo = TopoSpec{Kind: topo.String()}
+	} else {
+		c.Topo.Kind = topo.String()
+		orDefault(&c.Topo.Nodes, 200)
 		if c.Topo.Nodes < 2 {
 			return c, ErrSpecNodes
 		}
-		if c.Topo.Range == 0 {
-			c.Topo.Range = 40
-		}
+		orDefault(&c.Topo.Range, 40)
 		if c.Topo.Side == 0 {
 			c.Topo.Side = topology.ScaledField(c.Topo.Nodes)
 		}
-	default:
-		return c, fmt.Errorf("%w: %q", ErrSpecTopo, s.Topo.Kind)
 	}
 
 	// Protocol and backoff parameters.
@@ -393,16 +371,12 @@ func (s RunSpec) Canonical() (RunSpec, error) {
 	}
 	c.Protocol = protocolSpecName(p)
 	if c.GroupSize <= 0 {
-		c.GroupSize = 20
+		c.GroupSize = defaultGroupSize
 	}
-	if c.N == 0 {
-		c.N = 4
-	}
-	if c.DeltaMs == 0 {
-		c.DeltaMs = 1
-	}
-	if err := checkSpecBackoff(c.N, c.DeltaMs); err != nil {
-		return c, err
+	orDefault(&c.N, defaultN)
+	orDefault(&c.DeltaMs, defaultDelta.Millis())
+	if checkBackoff(c.N, msToTime(c.DeltaMs)) != nil {
+		return c, ErrSpecBackoff
 	}
 	c.Radio.MAC = strings.ToLower(strings.TrimSpace(c.Radio.MAC))
 	if c.Radio.MAC == "" {
@@ -412,61 +386,52 @@ func (s RunSpec) Canonical() (RunSpec, error) {
 		return c, err
 	}
 
-	// Traffic defaults (normalize()'s).
+	// Traffic defaults.
 	if t := c.Traffic; t.PayloadLen < 0 || t.DataPackets < 0 || t.DiscoveryRounds < 0 ||
 		t.IntervalMs < 0 || t.RefreshIntervalMs < 0 {
 		return c, ErrSpecTiming
 	}
-	if c.Traffic.PayloadLen == 0 {
-		c.Traffic.PayloadLen = 64
-	}
-	if c.Traffic.DataPackets == 0 {
-		c.Traffic.DataPackets = 1
-	}
-	if c.Traffic.DiscoveryRounds == 0 {
-		c.Traffic.DiscoveryRounds = 2
-	}
+	orDefault(&c.Traffic.PayloadLen, defaultPayloadLen)
+	orDefault(&c.Traffic.DataPackets, defaultDataPackets)
+	orDefault(&c.Traffic.DiscoveryRounds, defaultDiscoveryRounds)
 
 	// Fault-plan defaults only apply when something is injected, so an
 	// all-zero group stays exactly zero (the pristine paper setting).
 	if c.Faults.FailFraction > 0 {
-		if c.Faults.StartMs == 0 {
-			c.Faults.StartMs = 1200
-		}
-		if c.Faults.WindowMs == 0 {
-			c.Faults.WindowMs = 800
-		}
+		orDefault(&c.Faults.StartMs, defaultFaultStart.Millis())
+		orDefault(&c.Faults.WindowMs, defaultFaultWindow.Millis())
 	} else {
 		c.Faults.StartMs, c.Faults.WindowMs, c.Faults.DowntimeMs = 0, 0, 0
 	}
 
-	// Mobility normal form, mirroring normalize()'s active-only defaults.
-	c.Mobility.Model = strings.ToLower(strings.TrimSpace(c.Mobility.Model))
-	switch c.Mobility.Model {
-	case "", "none", "static":
-		c.Mobility = MobilitySpec{}
-	case "waypoint", "random-waypoint", "rwp":
-		c.Mobility.Model = "waypoint"
-	case "rpgm":
-	default:
-		return c, fmt.Errorf("%w %q", ErrSpecModel, s.Mobility.Model)
+	// Mobility normal form: "" is no motion, and normalize's defaults
+	// apply only to a moving session.
+	model := mobility.None
+	if strings.TrimSpace(c.Mobility.Model) != "" {
+		var ok bool
+		if model, ok = mobility.ParseModel(c.Mobility.Model); !ok {
+			return c, fmt.Errorf("%w %q", ErrSpecModel, s.Mobility.Model)
+		}
 	}
-	if c.Mobility.Model != "" {
-		if c.Mobility.MaxSpeed <= 0 {
-			return c, ErrMobilitySpeed
-		}
-		if c.Mobility.StepMs <= 0 {
-			c.Mobility.StepMs = float64(mobility.DefaultStep) / float64(sim.Millisecond)
-		}
-		if c.Mobility.Groups <= 0 {
-			c.Mobility.Groups = 4
-		}
-		if c.Mobility.MinSpeed <= 0 {
-			c.Mobility.MinSpeed = c.Mobility.MaxSpeed / 10
-		}
-		if c.Traffic.IntervalMs <= 0 {
-			return c, ErrMobilityUnpaced
-		}
+	if model == mobility.None {
+		c.Mobility = MobilitySpec{}
+		return c, nil
+	}
+	c.Mobility.Model = model.String()
+	if c.Mobility.MaxSpeed <= 0 {
+		return c, ErrMobilitySpeed
+	}
+	if c.Mobility.StepMs <= 0 {
+		c.Mobility.StepMs = mobility.DefaultStep.Millis()
+	}
+	if c.Mobility.Groups <= 0 {
+		c.Mobility.Groups = defaultMobilityGroups
+	}
+	if c.Mobility.MinSpeed <= 0 {
+		c.Mobility.MinSpeed = defaultMinSpeed(c.Mobility.MaxSpeed)
+	}
+	if c.Traffic.IntervalMs <= 0 {
+		return c, ErrMobilityUnpaced
 	}
 	return c, nil
 }
@@ -495,7 +460,7 @@ func (s RunSpec) Scenario() (Scenario, error) {
 		return Scenario{}, err
 	}
 	var topo *topology.Topology
-	if c.Topo.Kind == "grid" {
+	if kind, _ := ParseTopoKind(c.Topo.Kind); kind == GridTopo {
 		topo = topology.PaperGrid()
 	} else {
 		topo, err = topology.RandomConnected(c.Topo.Nodes, c.Topo.Side, c.Topo.Range,
@@ -537,25 +502,15 @@ func (s RunSpec) Scenario() (Scenario, error) {
 	if c.Faults.active() {
 		sc.Faults.ForwarderExpiry = msToTime(c.Faults.ForwarderExpiryMs)
 		if c.Faults.FailFraction > 0 {
-			sc.Faults.Schedule = fault.Plan(fault.PlanConfig{
-				Nodes:        topo.N(),
-				Protect:      []int{0},
-				FailFraction: c.Faults.FailFraction,
-				Start:        msToTime(c.Faults.StartMs),
-				Window:       msToTime(c.Faults.WindowMs),
-				Downtime:     msToTime(c.Faults.DowntimeMs),
-			}, root.Derive("faults"))
+			sc.Faults.Schedule = planFaults(topo.N(), c.Faults.FailFraction,
+				msToTime(c.Faults.StartMs), msToTime(c.Faults.WindowMs), msToTime(c.Faults.DowntimeMs), root)
 		}
 		if c.Faults.Loss {
 			loss := channel.DefaultLossConfig()
 			sc.Faults.Loss = &loss
 		}
 	}
-	if c.Mobility.Model != "" {
-		model := mobility.RandomWaypoint
-		if c.Mobility.Model == "rpgm" {
-			model = mobility.RPGM
-		}
+	if model, _ := mobility.ParseModel(c.Mobility.Model); model != mobility.None {
 		sc.Mobility = MobilityOptions{
 			Model:    model,
 			MinSpeed: c.Mobility.MinSpeed,
@@ -597,7 +552,7 @@ func parseProtocolSet(names []string) ([]Protocol, error) {
 	if len(names) == 0 {
 		return append([]Protocol(nil), AllProtocols...), nil
 	}
-	var seen [8]bool
+	var seen [len(protocolNames)]bool
 	var out []Protocol
 	for _, name := range names {
 		p, err := ParseProtocol(name)
@@ -612,16 +567,6 @@ func parseProtocolSet(names []string) ([]Protocol, error) {
 		}
 	}
 	return out, nil
-}
-
-// checkSpecBackoff rejects defaulted backoff parameters no protocol can
-// run: N < 1, or a δ that is not a positive virtual time (negative, below
-// one nanosecond, or overflowing).
-func checkSpecBackoff(n int, deltaMs float64) error {
-	if n < 1 || msToTime(deltaMs) <= 0 {
-		return ErrSpecBackoff
-	}
-	return nil
 }
 
 // msToTime converts a wire-level millisecond float to virtual time.

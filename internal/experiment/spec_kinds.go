@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 
@@ -33,14 +34,25 @@ type SweepCells struct {
 
 // sweepKind is one registry entry. name is the canonical Kind spelling
 // ("" for the default group-size kind, so pre-registry specs hash
-// unchanged); aliases are accepted spellings that canonicalize to it.
+// unchanged); aliases are accepted spellings that canonicalize to it;
+// label is the name SweepSpec's `kinds` tags and error messages use.
 type sweepKind struct {
 	name         string
+	label        string
 	aliases      []string
 	metrics      []string
 	canonicalize func(c *SweepSpec) error
 	split        func(c SweepSpec) []SweepSpec
 	run          func(c SweepSpec, eng EngineOptions) ([]SweepCells, error)
+	// foreign lists the SweepSpec fields the kind does not own, in
+	// struct order; registerSweepKind derives it from the `kinds` tags.
+	foreign []specField
+}
+
+// specField is one SweepSpec field: its index and its wire name.
+type specField struct {
+	index int
+	name  string
 }
 
 // sweepKinds maps every accepted kind spelling to its entry.
@@ -49,6 +61,7 @@ var sweepKinds = map[string]*sweepKind{}
 // registerSweepKind installs a kind under its name and aliases. Collisions
 // are programming errors, caught at init.
 func registerSweepKind(k *sweepKind) {
+	k.foreign = foreignFields(k.label)
 	for _, name := range append([]string{k.name}, k.aliases...) {
 		if _, dup := sweepKinds[name]; dup {
 			panic(fmt.Sprintf("spec: duplicate sweep kind %q", name))
@@ -87,6 +100,7 @@ func RunSweepFromSpec(s SweepSpec, eng EngineOptions) ([]SweepCells, error) {
 func init() {
 	registerSweepKind(&sweepKind{
 		name:         "",
+		label:        "group-size",
 		aliases:      []string{"group-size", "group_size", "groupsize"},
 		metrics:      figureMetrics,
 		canonicalize: canonGroupSizeKind,
@@ -95,6 +109,7 @@ func init() {
 	})
 	registerSweepKind(&sweepKind{
 		name:         "fault",
+		label:        "fault",
 		aliases:      []string{"faults"},
 		metrics:      faultMetrics,
 		canonicalize: canonFaultKind,
@@ -103,6 +118,7 @@ func init() {
 	})
 	registerSweepKind(&sweepKind{
 		name:         "mobility",
+		label:        "mobility",
 		aliases:      []string{"mobile"},
 		metrics:      mobilityMetrics,
 		canonicalize: canonMobilityKind,
@@ -111,18 +127,41 @@ func init() {
 	})
 }
 
-// kindField is one (name, set) pair for kind-foreign field rejection.
-type kindField struct {
-	name string
-	set  bool
+// foreignFields lists, in struct order, the SweepSpec fields whose
+// `kinds` tag names neither "all" nor the kind label.
+func foreignFields(label string) []specField {
+	t := reflect.TypeFor[SweepSpec]()
+	var out []specField
+	for i := range t.NumField() {
+		f := t.Field(i)
+		owners := f.Tag.Get("kinds")
+		if owners == "all" || slices.Contains(strings.Split(owners, ","), label) {
+			continue
+		}
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		out = append(out, specField{i, name})
+	}
+	return out
 }
 
-// rejectForeign errors on the first set field that the kind does not
-// define, naming both so the 400 is actionable.
-func rejectForeign(kind string, fields ...kindField) error {
-	for _, f := range fields {
-		if f.set {
-			return fmt.Errorf("%w: %q is not a %s-sweep field", ErrSpecKindField, f.name, kind)
+// ownedOnly errors on the first set field that the kind does not own,
+// naming both so the 400 is actionable. An empty list and a false flag
+// count as unset, as does a zero of either sign.
+func (k *sweepKind) ownedOnly(c *SweepSpec) error {
+	v := reflect.ValueOf(c).Elem()
+	for _, f := range k.foreign {
+		fv := v.Field(f.index)
+		var set bool
+		switch fv.Kind() {
+		case reflect.Slice, reflect.String:
+			set = fv.Len() != 0
+		case reflect.Float64:
+			set = fv.Float() != 0
+		default:
+			set = !fv.IsZero()
+		}
+		if set {
+			return fmt.Errorf("%w: %q is not a %s-sweep field", ErrSpecKindField, f.name, k.label)
 		}
 	}
 	return nil
@@ -135,9 +174,8 @@ func canonSortedFloats(vals []float64) []float64 {
 	return slices.Compact(out)
 }
 
-// canonAxisShape applies the shared fault/mobility axis-point defaults
-// (group 20, 20 packets 50 ms apart, 200 ms refresh, 300 ms expiry) and
-// rejects negatives.
+// canonAxisShape applies the paced axis-point defaults FaultSweep and
+// MobilitySweep apply, and rejects negatives.
 func canonAxisShape(c *SweepSpec) error {
 	if c.GroupSize < 0 {
 		return ErrSpecSizes
@@ -145,23 +183,13 @@ func canonAxisShape(c *SweepSpec) error {
 	if c.Packets < 0 || c.IntervalMs < 0 || c.RefreshIntervalMs < 0 || c.ForwarderExpiryMs < 0 {
 		return ErrSpecTiming
 	}
-	if c.GroupSize == 0 {
-		c.GroupSize = 20
-	}
-	if c.Packets == 0 {
-		c.Packets = 20
-	}
-	if c.IntervalMs == 0 {
-		c.IntervalMs = 50
-	}
-	if c.RefreshIntervalMs == 0 {
-		c.RefreshIntervalMs = 200
-	}
-	if c.ForwarderExpiryMs == 0 {
-		c.ForwarderExpiryMs = 300
-	}
+	orDefault(&c.GroupSize, defaultGroupSize)
+	orDefault(&c.Packets, pacedPackets)
+	orDefault(&c.IntervalMs, pacedInterval.Millis())
+	orDefault(&c.RefreshIntervalMs, pacedRefresh.Millis())
+	orDefault(&c.ForwarderExpiryMs, pacedExpiry.Millis())
 	if c.Runs <= 0 {
-		c.Runs = 20
+		c.Runs = pacedRuns
 	}
 	return nil
 }
@@ -169,34 +197,13 @@ func canonAxisShape(c *SweepSpec) error {
 // --- group-size kind (Figures 5/6) ------------------------------------
 
 func canonGroupSizeKind(c *SweepSpec) error {
-	if err := rejectForeign("group-size",
-		kindField{"group_size", c.GroupSize != 0},
-		kindField{"packets", c.Packets != 0},
-		kindField{"interval_ms", c.IntervalMs != 0},
-		kindField{"refresh_interval_ms", c.RefreshIntervalMs != 0},
-		kindField{"forwarder_expiry_ms", c.ForwarderExpiryMs != 0},
-		kindField{"fail_fractions", len(c.FailFractions) != 0},
-		kindField{"start_ms", c.StartMs != 0},
-		kindField{"window_ms", c.WindowMs != 0},
-		kindField{"downtime_ms", c.DowntimeMs != 0},
-		kindField{"loss", c.Loss},
-		kindField{"model", c.Model != ""},
-		kindField{"speeds", len(c.Speeds) != 0},
-		kindField{"pauses_ms", len(c.PausesMs) != 0},
-	); err != nil {
-		return err
-	}
 	if c.Runs <= 0 {
-		c.Runs = 100
+		c.Runs = defaultRuns
 	}
-	if c.N == 0 {
-		c.N = 4
-	}
-	if c.DeltaMs == 0 {
-		c.DeltaMs = 1
-	}
-	if err := checkSpecBackoff(c.N, c.DeltaMs); err != nil {
-		return err
+	orDefault(&c.N, defaultN)
+	orDefault(&c.DeltaMs, defaultDelta.Millis())
+	if checkBackoff(c.N, msToTime(c.DeltaMs)) != nil {
+		return ErrSpecBackoff
 	}
 	c.Sizes = slices.Clone(c.Sizes)
 	if len(c.Sizes) == 0 {
@@ -226,11 +233,11 @@ func runGroupSizeKind(c SweepSpec, eng EngineOptions) ([]SweepCells, error) {
 		return nil, err
 	}
 	cfg.Engine = eng
-	res, err := GroupSizeSweep(cfg)
+	t, err := GroupSizeSweep(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return specCells(cfg.Protocols, &res.Table), nil
+	return specCells(cfg.Protocols, t), nil
 }
 
 // specCells passes a protocol comparison's table rows through as payload
@@ -246,31 +253,17 @@ func specCells(protos []Protocol, t *Table) []SweepCells {
 // --- fault kind (robustness study) -------------------------------------
 
 func canonFaultKind(c *SweepSpec) error {
-	if err := rejectForeign("fault",
-		kindField{"sizes", len(c.Sizes) != 0},
-		kindField{"n", c.N != 0},
-		kindField{"delta_ms", c.DeltaMs != 0},
-		kindField{"model", c.Model != ""},
-		kindField{"speeds", len(c.Speeds) != 0},
-		kindField{"pauses_ms", len(c.PausesMs) != 0},
-	); err != nil {
-		return err
-	}
 	if err := canonAxisShape(c); err != nil {
 		return err
 	}
 	if c.StartMs < 0 || c.WindowMs < 0 || c.DowntimeMs < 0 {
 		return ErrSpecTiming
 	}
-	if c.StartMs == 0 {
-		c.StartMs = 1200
-	}
-	if c.WindowMs == 0 {
-		c.WindowMs = 800
-	}
+	orDefault(&c.StartMs, defaultFaultStart.Millis())
+	orDefault(&c.WindowMs, defaultFaultWindow.Millis())
 	c.FailFractions = canonSortedFloats(c.FailFractions)
 	if len(c.FailFractions) == 0 {
-		c.FailFractions = []float64{0, 0.05, 0.1, 0.2, 0.3}
+		c.FailFractions = defaultFailFractions()
 	}
 	if c.FailFractions[0] < 0 || c.FailFractions[len(c.FailFractions)-1] > 1 {
 		return ErrSpecFractions
@@ -293,8 +286,9 @@ func runFaultKind(c SweepSpec, eng EngineOptions) ([]SweepCells, error) {
 	if err != nil {
 		return nil, err
 	}
+	topo, _ := ParseTopoKind(c.Topo)
 	cfg := FaultConfig{
-		Topo:            topoKindOf(c.Topo),
+		Topo:            topo,
 		GroupSize:       c.GroupSize,
 		FailFractions:   c.FailFractions,
 		Runs:            c.Runs,
@@ -314,49 +308,40 @@ func runFaultKind(c SweepSpec, eng EngineOptions) ([]SweepCells, error) {
 		loss := channel.DefaultLossConfig()
 		cfg.Loss = &loss
 	}
-	res, err := FaultSweep(cfg)
+	t, err := FaultSweep(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return specCells(protos, &res.Table), nil
+	return specCells(protos, t), nil
 }
 
 // --- mobility kind ------------------------------------------------------
 
 func canonMobilityKind(c *SweepSpec) error {
-	if err := rejectForeign("mobility",
-		kindField{"sizes", len(c.Sizes) != 0},
-		kindField{"n", c.N != 0},
-		kindField{"delta_ms", c.DeltaMs != 0},
-		kindField{"fail_fractions", len(c.FailFractions) != 0},
-		kindField{"start_ms", c.StartMs != 0},
-		kindField{"window_ms", c.WindowMs != 0},
-		kindField{"downtime_ms", c.DowntimeMs != 0},
-		kindField{"loss", c.Loss},
-	); err != nil {
-		return err
-	}
 	if err := canonAxisShape(c); err != nil {
 		return err
 	}
-	switch strings.ToLower(strings.TrimSpace(c.Model)) {
-	case "", "waypoint", "random-waypoint", "rwp":
-		c.Model = "waypoint"
-	case "rpgm":
-		c.Model = "rpgm"
-	default:
-		return fmt.Errorf("%w %q", ErrSpecModel, c.Model)
+	model := defaultMotion
+	if strings.TrimSpace(c.Model) != "" {
+		m, ok := mobility.ParseModel(c.Model)
+		if !ok || m == mobility.None {
+			return fmt.Errorf("%w %q", ErrSpecModel, c.Model)
+		}
+		model = m
 	}
+	c.Model = model.String()
 	c.Speeds = canonSortedFloats(c.Speeds)
 	if len(c.Speeds) == 0 {
-		c.Speeds = []float64{0, 5, 10, 20}
+		c.Speeds = defaultSpeeds()
 	}
 	if c.Speeds[0] < 0 {
 		return ErrSpecSpeeds
 	}
 	c.PausesMs = canonSortedFloats(c.PausesMs)
 	if len(c.PausesMs) == 0 {
-		c.PausesMs = []float64{0, 500}
+		for _, p := range defaultPauses() {
+			c.PausesMs = append(c.PausesMs, p.Millis())
+		}
 	}
 	if c.PausesMs[0] < 0 {
 		return ErrSpecTiming
@@ -385,16 +370,14 @@ func runMobilityKind(c SweepSpec, eng EngineOptions) ([]SweepCells, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := mobility.RandomWaypoint
-	if c.Model == "rpgm" {
-		model = mobility.RPGM
-	}
+	model, _ := mobility.ParseModel(c.Model)
+	topo, _ := ParseTopoKind(c.Topo)
 	pauses := make([]sim.Time, len(c.PausesMs))
 	for i, ms := range c.PausesMs {
 		pauses[i] = msToTime(ms)
 	}
 	cfg := MobilityConfig{
-		Topo:            topoKindOf(c.Topo),
+		Topo:            topo,
 		GroupSize:       c.GroupSize,
 		Speeds:          c.Speeds,
 		Pauses:          pauses,
@@ -409,17 +392,9 @@ func runMobilityKind(c SweepSpec, eng EngineOptions) ([]SweepCells, error) {
 		ValueLabels:     true,
 		Engine:          eng,
 	}
-	res, err := MobilitySweep(cfg)
+	t, err := MobilitySweep(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return specCells(protos, &res.Table), nil
-}
-
-// topoKindOf maps the canonical topo string to the driver enum.
-func topoKindOf(topo string) TopoKind {
-	if topo == "random" {
-		return RandomTopo
-	}
-	return GridTopo
+	return specCells(protos, t), nil
 }

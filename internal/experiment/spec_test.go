@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -547,6 +549,67 @@ func FuzzSweepSpecCanonical(f *testing.F) {
 			if _, err := sub.Key(); err != nil {
 				t.Fatalf("sub-sweep %+v of %s has no key: %v", sub, cj, err)
 			}
+		}
+	})
+}
+
+// FuzzRunSpecCanonical holds the content-address invariants of RunSpec on
+// any wire body that decodes strictly, as mtmrd decodes it, and
+// canonicalizes: Canonical is idempotent, a spec and its canonical form
+// share one key, and Scenario materialises the canonical form. What
+// Scenario may still refuse is the deployment itself — a random field
+// that never connects, or a group larger than the field — so only errors
+// of the topology package pass. Random fields of more than 1000 nodes, or
+// whose side spans more than 1000 ranges (the spatial index's cell count
+// grows with (side/range)²), skip Scenario to keep every input cheap. The
+// golden run fixtures and the pinned run bodies of canonFormBodies seed
+// the corpus.
+func FuzzRunSpecCanonical(f *testing.F) {
+	_, runs := goldenSpecs()
+	for _, name := range sortedKeys(runs) {
+		b, err := json.Marshal(runs[name])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, b := range canonFormBodies() {
+		if b[1] == "run" {
+			f.Add([]byte(b[2]))
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var s RunSpec
+		if dec.Decode(&s) != nil {
+			return
+		}
+		c, err := s.Canonical()
+		if err != nil {
+			return
+		}
+		cc, err := c.Canonical()
+		if err != nil {
+			t.Fatalf("canonical form %+v does not re-canonicalize: %v", c, err)
+		}
+		cj, _ := json.Marshal(c)
+		ccj, _ := json.Marshal(cc)
+		if !bytes.Equal(cj, ccj) {
+			t.Fatalf("Canonical not idempotent:\n once  %s\n twice %s", cj, ccj)
+		}
+		k, err := s.Key()
+		if err != nil {
+			t.Fatalf("spec canonicalizes but has no key: %v", err)
+		}
+		if kc, err := c.Key(); err != nil || kc != k {
+			t.Fatalf("Key(s) = %s, Key(Canonical(s)) = %s (%v)", k, kc, err)
+		}
+		if tp := c.Topo; tp.Kind == "random" && (tp.Nodes > 1000 || !(math.Abs(tp.Side) <= 1000*math.Abs(tp.Range))) {
+			return
+		}
+		if _, err := c.Scenario(); err != nil && !strings.HasPrefix(err.Error(), "topology: ") {
+			t.Fatalf("canonical form %s has no scenario: %v", cj, err)
 		}
 	})
 }

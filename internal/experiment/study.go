@@ -55,6 +55,18 @@ type Table struct {
 	Stats    sweep.Stats         // what the engine actually ran
 }
 
+// Cell returns the summary of one (row, axis point, metric) cell, the row
+// and metric named as in Rows and Metrics (a protocol row by its String,
+// e.g. "MTMRP"; a metric as "overhead"). It panics on a name the table
+// does not hold.
+func (t *Table) Cell(row string, ai int, metric string) stats.Summary {
+	r, m := slices.Index(t.Rows, row), slices.Index(t.Metrics, metric)
+	if r < 0 || m < 0 {
+		panic(fmt.Sprintf("experiment: table has no row %q or no metric %q", row, metric))
+	}
+	return t.Cells[r][ai][m]
+}
+
 // errAxis rejects a declaration whose axis holds an out-of-range point.
 var errAxis = errors.New("experiment: axis point out of range")
 

@@ -238,18 +238,14 @@ func (r *Router) Receive(p *packet.Packet) {
 	r.node.AfterCall(sim.Time(r.rnd.Uint64n(uint64(r.cfg.Jitter))), geoSendCB, pd, 0)
 }
 
-// geoSendCB fires the jittered forwarding broadcast; it checks node
-// liveness itself (AfterCall callbacks are not wrapped like After
-// closures).
+// geoSendCB fires the jittered forwarding broadcast. AfterCall callbacks
+// are not wrapped like After closures, but Send itself drops (and
+// recycles) the frame of a node that has failed since.
 func geoSendCB(arg any, _ int) {
 	pd := arg.(*pending)
 	r, out := pd.r, pd.out
 	pd.out = nil
 	r.pendFree = append(r.pendFree, pd)
-	if r.node.Down() {
-		r.node.Packets().Release(out) // never transmitted: recycle directly
-		return
-	}
 	r.node.Send(out)
 }
 

@@ -288,6 +288,7 @@ func (m *CSMA) pop() *packet.Packet {
 func (m *CSMA) Send(p *packet.Packet) {
 	if m.cfg.MaxQueue > 0 && m.QueueLen() >= m.cfg.MaxQueue {
 		m.Dropped++
+		m.ch.Drop(p)
 		return
 	}
 	m.queue = append(m.queue, p)

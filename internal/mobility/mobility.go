@@ -14,7 +14,10 @@
 package mobility
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"mtmrp/internal/geom"
 	"mtmrp/internal/rng"
@@ -37,6 +40,35 @@ const (
 	// clamped to the field — correlated motion, as in a platoon.
 	RPGM
 )
+
+// modelNames is the one table of motion-model spellings, indexed by Model:
+// the canonical name first, then the other accepted spellings.
+var modelNames = [...][]string{
+	None:           {"none", "static"},
+	RandomWaypoint: {"waypoint", "random-waypoint", "rwp"},
+	RPGM:           {"rpgm"},
+}
+
+// String returns the model's canonical name.
+func (m Model) String() string {
+	if int(m) < len(modelNames) {
+		return modelNames[m][0]
+	}
+	return fmt.Sprintf("Model(%d)", uint8(m))
+}
+
+// ParseModel resolves any accepted spelling of a motion model, ignoring
+// case and surrounding space. The empty name matches no model: what an
+// omitted model means is the caller's default.
+func ParseModel(name string) (Model, bool) {
+	s := strings.ToLower(strings.TrimSpace(name))
+	for m, names := range modelNames {
+		if slices.Contains(names, s) {
+			return Model(m), true
+		}
+	}
+	return None, false
+}
 
 // Knot is one vertex of a piecewise-linear path: the node is at Pos at
 // virtual time At (relative to the start of motion) and moves linearly to

@@ -118,13 +118,7 @@ func New(topo *topology.Topology, cfg Config) *Network {
 		if links.N() != topo.N() {
 			panic(fmt.Sprintf("network: link table built for %d nodes, topology has %d", links.N(), topo.N()))
 		}
-		// Model instances are compared by name: radioFor-style constructors
-		// allocate a fresh (identical) model per call, so pointer equality
-		// would reject tables that describe the same PHY.
-		lp, rp := links.Params(), cfg.Radio
-		if lp.TxPower != rp.TxPower || lp.RXThresh != rp.RXThresh ||
-			lp.CSThresh != rp.CSThresh || lp.BitRate != rp.BitRate ||
-			lp.Model.Name() != rp.Model.Name() {
+		if links.Params() != cfg.Radio {
 			panic("network: link table radio parameters differ from Config.Radio")
 		}
 	}
@@ -365,6 +359,7 @@ func (n *Node) Proto() Protocol { return n.net.protos[n.ID] }
 // Send broadcasts a frame via the MAC. Downed nodes silently drop.
 func (n *Node) Send(p *packet.Packet) {
 	if n.Down() {
+		n.net.pkt.Release(p) // never on the air: back to the factory
 		return
 	}
 	p.From = n.ID

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mtmrp/internal/channel"
+	"mtmrp/internal/mac"
 	"mtmrp/internal/packet"
 	"mtmrp/internal/sim"
 	"mtmrp/internal/topology"
@@ -285,5 +286,38 @@ func TestCrashedNodeReceivesNothing(t *testing.T) {
 	}
 	if got := net.Digest(); got != want {
 		t.Errorf("after recovery: digest %x, want %x", got, want)
+	}
+}
+
+// TestDroppedFramesReturnToFactory checks that a frame which never reaches
+// the air goes back to the frame factory: one sent by a node that is
+// down, and one a full CSMA queue refuses. The factory hands the same
+// frame out again, and a GMR frame's branch lists are cut from the start
+// of the rewound arenas, so a failed source sending packet after packet
+// neither leaks frames nor grows the arenas.
+func TestDroppedFramesReturnToFactory(t *testing.T) {
+	net := New(smallTopo(t), DefaultConfig(1))
+	f := net.Nodes[0].Packets()
+	geo := func() *packet.Packet {
+		return f.NewGeoData(1, packet.GeoData{Assign: []packet.GeoAssign{{Next: 2, Dests: []packet.NodeID{2}}}})
+	}
+
+	down := net.Nodes[1]
+	down.Fail()
+	p := geo()
+	down.Send(p)
+	if q := geo(); q != p || &q.Geo.Assign[0] != &p.Geo.Assign[0] {
+		t.Error("a frame sent by a down node was not recycled (or the GMR arenas did not rewind)")
+	}
+
+	up := net.Nodes[0]
+	queue := mac.DefaultCSMAConfig().MaxQueue
+	for range queue {
+		up.Send(f.NewData(0, packet.Data{}))
+	}
+	over := f.NewData(0, packet.Data{})
+	up.Send(over)
+	if q := f.NewData(0, packet.Data{}); q != over {
+		t.Errorf("the frame a full %d-frame queue refused was not recycled", queue)
 	}
 }

@@ -10,9 +10,9 @@ package packet
 // layer: receivers copy payloads by value inside Receive and never retain
 // the *Packet (the frame is "off the air" once delivered). Frames built by
 // the package-level NewHello may flow through a pooled channel too —
-// Release ignores them — and frames that are built but never transmitted
-// (queue overflow, downed node) simply fall back to the garbage
-// collector.
+// Release ignores them. Frames that are built but never transmitted come
+// back too: a node that is down releases what it is asked to send, and a
+// full MAC queue releases what it refuses (channel.Drop).
 //
 // A Factory is single-goroutine, like the simulation that owns it.
 type Factory struct {

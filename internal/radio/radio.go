@@ -18,15 +18,6 @@ import (
 // SpeedOfLight in m/s, used for propagation delay and wavelength.
 const SpeedOfLight = 299792458.0
 
-// Propagation computes received power (in Watts) at distance d (meters)
-// for a transmit power pt (Watts).
-type Propagation interface {
-	// ReceivedPower returns the signal power arriving at distance d.
-	ReceivedPower(pt, d float64) float64
-	// Name identifies the model in traces and experiment metadata.
-	Name() string
-}
-
 // TwoRayGround is the two-ray ground-reflection model used by the paper
 // (Eq. 5): beyond the crossover distance,
 //
@@ -34,6 +25,8 @@ type Propagation interface {
 //
 // Below the crossover distance the ground-reflected ray has not yet formed
 // a stable interference pattern and Friis is used instead, matching ns-2.
+// It is the one propagation model: Params holds it by value, so a received
+// power is a direct call and two Params compare with ==.
 type TwoRayGround struct {
 	Gt, Gr float64 // antenna gains (paper: 1, 1)
 	Ht, Hr float64 // antenna heights in meters (paper: 1.5, 1.5)
@@ -43,8 +36,8 @@ type TwoRayGround struct {
 
 // NewTwoRayGround returns the model with the paper's parameters
 // (G=1, h=1.5 m, L=1) at the given carrier frequency.
-func NewTwoRayGround(freqHz float64) *TwoRayGround {
-	return &TwoRayGround{
+func NewTwoRayGround(freqHz float64) TwoRayGround {
+	return TwoRayGround{
 		Gt: 1, Gr: 1,
 		Ht: 1.5, Hr: 1.5,
 		L:      1,
@@ -54,12 +47,13 @@ func NewTwoRayGround(freqHz float64) *TwoRayGround {
 
 // Crossover returns the distance at which the two-ray formula takes over
 // from Friis: d_c = 4*pi*ht*hr / lambda.
-func (m *TwoRayGround) Crossover() float64 {
+func (m TwoRayGround) Crossover() float64 {
 	return 4 * math.Pi * m.Ht * m.Hr / m.Lambda
 }
 
-// ReceivedPower implements Propagation.
-func (m *TwoRayGround) ReceivedPower(pt, d float64) float64 {
+// ReceivedPower returns the power in Watts arriving at distance d
+// (meters) from a transmit power pt (Watts).
+func (m TwoRayGround) ReceivedPower(pt, d float64) float64 {
 	if d <= 0 {
 		return pt
 	}
@@ -70,12 +64,9 @@ func (m *TwoRayGround) ReceivedPower(pt, d float64) float64 {
 	return pt * m.Gt * m.Gr * m.Ht * m.Ht * m.Hr * m.Hr / (d * d * d * d * m.L)
 }
 
-// Name implements Propagation.
-func (m *TwoRayGround) Name() string { return "TwoRayGround" }
-
 // Params bundles every PHY constant a node radio needs.
 type Params struct {
-	Model    Propagation
+	Model    TwoRayGround
 	TxPower  float64 // transmit power in Watts
 	RXThresh float64 // minimum power for successful reception (Watts)
 	CSThresh float64 // minimum power to sense the channel busy (Watts)
@@ -134,8 +125,8 @@ func (p Params) CSRange() float64 {
 }
 
 func (p Params) rangeFor(thresh float64) float64 {
-	// Monotone-decreasing power vs distance: bisection is robust for any
-	// Propagation implementation.
+	// Power decreases monotonically with distance, so bisection finds the
+	// threshold crossing whatever the model's parameters.
 	lo, hi := 0.0, 1.0
 	for p.Model.ReceivedPower(p.TxPower, hi) >= thresh {
 		hi *= 2

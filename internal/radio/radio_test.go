@@ -117,9 +117,3 @@ func TestPropDelay(t *testing.T) {
 		t.Errorf("PropDelay = %v", d)
 	}
 }
-
-func TestNames(t *testing.T) {
-	if NewTwoRayGround(914e6).Name() != "TwoRayGround" {
-		t.Error("TwoRayGround name")
-	}
-}
